@@ -23,7 +23,7 @@ from multisurf.integrators import (SchemeConfig, StepFailure, Trajectory,
                                    step_zoh, zoh_discretize)
 from multisurf.mlcp import (MlcpProblem, MlcpSolution, SignStepProblem,
                             certify, from_sign_step, solve, solve_enumerative,
-                            solve_pivoting, solve_psor)
+                            solve_pivoting, solve_psor, solve_sign_step)
 from multisurf.systems import (AffineGainSignSystem, DisturbedLinearSystem,
                                LinearSignSystem, NonlinearSignSystem,
                                check_cb_positive, linear_system_from_json,

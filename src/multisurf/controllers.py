@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from multisurf import mlcp
 from multisurf.integrators import (SchemeConfig, StepResult, ZohPair,
-                                   _solve_sign_step, simulate, zoh_discretize)
+                                   simulate, zoh_discretize)
 from multisurf.systems import DisturbedLinearSystem
 
 
@@ -71,35 +72,67 @@ class ControlRecord:
     s_used: np.ndarray
 
 
+def _ecb_stepper(ctl: EcbSmcController, solver):
+    """The sampled closed-loop step x_k -> (x_{k+1}, ControlRecord) of one
+    run; W = C Gamma, (C G)^-1 and C F are built once."""
+    C, Phi, Gamma = ctl.C, ctl.pair.Phi, ctl.pair.Gamma
+    implicit, alpha = ctl.mode == "implicit", ctl.alpha
+    W = C @ Gamma
+    neg_CGinv = -np.linalg.inv(C @ ctl.G)
+    CF = C @ ctl.F
+
+    def advance(x_k):
+        if implicit:
+            s = mlcp.solve_sign_step(W, C @ (Phi @ x_k), solver)
+        else:
+            s = np.sign(C @ x_k)
+        u = neg_CGinv @ (CF @ x_k + alpha * s)
+        return Phi @ x_k - Gamma @ s, ControlRecord(u_k=u, s_used=s)
+
+    return advance
+
+
 def ecb_step(ctl: EcbSmcController, x_k, solver="auto"):
     """One sampled closed-loop step under the ECB-SMC controller."""
     x_k = np.atleast_1d(np.asarray(x_k, dtype=float))
-    C, pair = ctl.C, ctl.pair
-    if ctl.mode == "implicit":
-        W = C @ pair.Gamma
-        b = C @ (pair.Phi @ x_k)
-        s = _solve_sign_step(W, b, solver)
-    else:
-        s = np.sign(C @ x_k)
-    CGinv = np.linalg.inv(C @ ctl.G)
-    u = -CGinv @ (C @ ctl.F @ x_k + ctl.alpha * s)
-    x_next = pair.Phi @ x_k - pair.Gamma @ s
-    return x_next, ControlRecord(u_k=u, s_used=s)
+    return _ecb_stepper(ctl, solver)(x_k)
 
 
 def simulate_ecb(ctl: EcbSmcController, x0, t0, T, solver="auto"):
     """Closed-loop ECB-SMC run; controls recorded per held interval."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = ctl.C @ x0
+    advance = _ecb_stepper(ctl, solver)
 
     def step(k, x, t, s_prev):
-        x1, rec = ecb_step(ctl, x, solver=solver)
+        x1, rec = advance(x)
         s = rec.s_used if ctl.mode == "implicit" else None
         return StepResult(x=x1, y=ctl.C @ x1, s=s, u=rec.u_k)
 
     return simulate(step, x0, y0, t0, T, ctl.h, ctl.m,
                     explicit_signs=(ctl.mode == "explicit"),
                     record_controls=True)
+
+
+def _lyapunov_stepper(sys: DisturbedLinearSystem, cfg: SchemeConfig, solver):
+    """The implicit Lyapunov-loop step (x_k, t_k) -> (x_{k+1}, u_k, s) of
+    one run.  (I - h theta E)^-1, I + h (1 - theta) E and W are built once;
+    only the disturbance g(t_k) is sampled per step."""
+    h, th = cfg.h, cfg.theta
+    n = sys.n
+    S = sys.surface_matrix()
+    Ainv = np.linalg.inv(np.eye(n) - h * th * sys.E)
+    P = np.eye(n) + h * (1 - th) * sys.E
+    a, B, rho, hB = sys.a, sys.B, sys.rho, h * sys.B
+    W = h * S @ Ainv @ B @ np.diag(rho)
+
+    def advance(x_k, t_k):
+        free = P @ x_k + h * (a + B @ sys.disturbance(t_k))
+        s = mlcp.solve_sign_step(W, S @ (Ainv @ free), solver)
+        u = rho * s
+        return Ainv @ (free - hB @ u), u, s
+
+    return advance
 
 
 def lyapunov_control_step(sys: DisturbedLinearSystem, x_k, t_k,
@@ -112,20 +145,7 @@ def lyapunov_control_step(sys: DisturbedLinearSystem, x_k, t_k,
     which lives inside the multivalued band once the state sticks at 0.
     """
     x_k = np.atleast_1d(np.asarray(x_k, dtype=float))
-    h, th = cfg.h, cfg.theta
-    n = sys.n
-    S = sys.surface_matrix()
-    g = sys.disturbance(t_k)
-    A = np.eye(n) - h * th * sys.E
-    Ainv = np.linalg.inv(A)
-    free = ((np.eye(n) + h * (1 - th) * sys.E) @ x_k
-            + h * (sys.a + sys.B @ g))
-    W = h * S @ Ainv @ sys.B @ np.diag(sys.rho)
-    b = S @ (Ainv @ free)
-    s = _solve_sign_step(W, b, solver)
-    u = sys.rho * s
-    x_next = Ainv @ (free - h * sys.B @ u)
-    return x_next, u, s
+    return _lyapunov_stepper(sys, cfg, solver)(x_k, t_k)
 
 
 def lyapunov_explicit_step(sys: DisturbedLinearSystem, x_k, t_k, h):
@@ -146,8 +166,10 @@ def simulate_lyapunov(sys: DisturbedLinearSystem, x0, t0, T,
     y0 = S @ x0
 
     if scheme == "implicit":
+        advance = _lyapunov_stepper(sys, cfg, solver)
+
         def step(k, x, t, s_prev):
-            x1, u, s = lyapunov_control_step(sys, x, t, cfg, solver=solver)
+            x1, u, s = advance(x, t)
             return StepResult(x=x1, y=S @ x1, s=s, u=u)
         explicit = False
     elif scheme == "explicit":

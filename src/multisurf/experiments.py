@@ -9,7 +9,6 @@ top.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -162,6 +161,13 @@ def _period2(traj, idx, tol=PERIOD2_TOL):
     return _prop(f"period2-detected-y{idx}", hit, f"tail drift {drift:.3e}")
 
 
+def _chatters(traj, idx):
+    v = analysis.tail(traj.outputs[:, idx])
+    flips = float(np.mean(v[1:] * v[:-1] < 0))
+    return _prop(f"chatters-y{idx}", flips >= 0.5,
+                 f"{flips:.0%} sign flips over {len(v)} samples")
+
+
 def _completed(traj):
     msg = traj.failure.message if traj.failure else "completed"
     return _prop("completed", traj.failure is None, msg)
@@ -208,10 +214,8 @@ def run_convergence(params):
     T = params["T"]
     hs = np.logspace(np.log10(params["h_min"]), np.log10(params["h_max"]),
                      params["points"])
-    with concurrent.futures.ThreadPoolExecutor() as pool:
-        points = list(pool.map(
-            lambda h: _simple_error_point(h, x0, T, params["solver"]), hs))
-    points.sort(key=lambda p: p[0])
+    points = [_simple_error_point(h, x0, T, params["solver"])
+              for h in np.sort(hs)]
     props = []
     inf_ok = all(abs(rep.inf_norm - 1.0) <= 1e-9 for _, rep in points)
     worst = max(abs(rep.inf_norm - 1.0) for _, rep in points)
@@ -378,7 +382,13 @@ def run_observer(params):
         props.append(_prop("unstable-expected", blew_up, detail))
     else:
         props.append(_prop("bounded", not blew_up, detail))
-        props.append(_no_period2(traj, 0))
+        # the explicit sign term switches on most steps, but its cycle need
+        # not have period 2; a run that sits on the surface keeps sgn(0) = 0
+        if params["scheme"] == "explicit" and np.any(
+                analysis.tail(traj.outputs[:, 0])):
+            props.append(_chatters(traj, 0))
+        else:
+            props.append(_no_period2(traj, 0))
         props.append(_selection_box(traj))
     return ExperimentResult("observer", {"traj": traj}, props)
 

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from multisurf import mlcp
+from multisurf.mlcp import StepFailure
 from multisurf.systems import (AffineGainSignSystem, LinearSignSystem,
                                NonlinearSignSystem, output)
 
@@ -44,20 +45,6 @@ class SchemeConfig:
             raise ValueError("theta and gamma must lie in [0, 1]")
         if self.newton_tol <= 0 or self.newton_max_iter < 1:
             raise ValueError("invalid Newton parameters")
-
-
-class StepFailure(Exception):
-    """A time step could not be completed.
-
-    Carries a plain-text dump of the offending MLCP (when one exists) and
-    the last residual of the Newton loop (when one ran).
-    """
-
-    def __init__(self, message, problem_text=None, residual=None):
-        super().__init__(message)
-        self.message = message
-        self.problem_text = problem_text
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -128,32 +115,39 @@ class StepResult:
     iters: int = 0
 
 
-def _solve_sign_step(W, b, solver="auto"):
-    prob = mlcp.SignStepProblem(W=W, b=b)
-    enc = mlcp.from_sign_step(prob)
-    sol = mlcp.solve(enc, method=solver)
-    if sol.status != "solved":
-        raise StepFailure(f"one-step MLCP {sol.status}",
-                          problem_text=mlcp.format_problem(enc))
-    return sol.z
+def _linear_stepper(sys: LinearSignSystem, cfg: SchemeConfig):
+    """The theta-scheme step x_k -> (x_{k+1}, s_{k+1}, y_{k+1}) of one run.
+
+    (I - h theta E)^-1, I + h (1 - theta) E, h a, h B and W are the same at
+    every step, so they are built here once; the returned closure does only
+    the per-step arithmetic, one MLCP and no Newton loop.
+    """
+    h, th = cfg.h, cfg.theta
+    n = sys.n
+    try:
+        Ainv = np.linalg.inv(np.eye(n) - h * th * sys.E)
+    except np.linalg.LinAlgError:
+        # the failure belongs to the first step, where simulate records it
+        def fail(x_k):
+            raise StepFailure("singular implicit drift matrix I - h*theta*E")
+        return fail
+    P = np.eye(n) + h * (1 - th) * sys.E
+    ha, hB = h * sys.a, h * sys.B
+    C, D, solver = sys.C, sys.D, cfg.solver
+    W = h * C @ Ainv @ sys.B
+
+    def advance(x_k):
+        free = P @ x_k + ha
+        s = mlcp.solve_sign_step(W, C @ (Ainv @ free) + D, solver)
+        x_next = Ainv @ (free - hB @ s)
+        return x_next, s, C @ x_next + D
+
+    return advance
 
 
 def step_linear(sys: LinearSignSystem, x_k, t_k, cfg: SchemeConfig):
     """theta-scheme implicit step for the linear class; one MLCP, no Newton."""
-    h, th = cfg.h, cfg.theta
-    n = sys.n
-    A = np.eye(n) - h * th * sys.E
-    try:
-        Ainv = np.linalg.inv(A)
-    except np.linalg.LinAlgError:
-        raise StepFailure("singular implicit drift matrix I - h*theta*E") from None
-    free = (np.eye(n) + h * (1 - th) * sys.E) @ x_k + h * sys.a
-    W = h * sys.C @ Ainv @ sys.B
-    b = sys.C @ (Ainv @ free) + sys.D
-    s = _solve_sign_step(W, b, cfg.solver)
-    x_next = Ainv @ (free - h * sys.B @ s)
-    y_next = sys.C @ x_next + sys.D
-    return x_next, s, y_next
+    return _linear_stepper(sys, cfg)(x_k)
 
 
 def step_explicit(sys: LinearSignSystem, x_k, t_k, h):
@@ -211,7 +205,7 @@ def step_newton(sys, x_k, t_k, cfg: SchemeConfig, s_k=None):
         r_smooth = x_k - x + h * f_val + h * rho * (x - x_k)
         W = h * H @ Minv @ g_val
         b = sys.surface(x) + H @ (Minv @ r_smooth)
-        s = _solve_sign_step(W, b, cfg.solver)
+        s = mlcp.solve_sign_step(W, b, cfg.solver)
         x = x + Minv @ (r_smooth - h * g_val @ s)
         # stop only once the updated pair satisfies the residual: the warm
         # start can zero R without satisfying the sign inclusion
@@ -255,21 +249,30 @@ def zoh_discretize(F, G, C, h, alpha=1.0) -> ZohPair:
     return ZohPair(Phi=Phi, Gamma=Gamma)
 
 
+def _zoh_stepper(pair: ZohPair, C, D, mode, solver):
+    """The ZOH step x_k -> (x_{k+1}, s, y_{k+1}) of one run; W = C Gamma is
+    built once."""
+    if mode not in ("implicit", "explicit"):
+        raise ValueError(f"unknown ZOH mode {mode!r}")
+    Phi, Gamma = pair.Phi, pair.Gamma
+    W = C @ Gamma
+
+    def advance(x_k):
+        if mode == "implicit":
+            s = mlcp.solve_sign_step(W, C @ (Phi @ x_k) + D, solver)
+        else:
+            s = np.sign(C @ x_k + D)
+        x_next = Phi @ x_k - Gamma @ s
+        return x_next, s, C @ x_next + D
+
+    return advance
+
+
 def step_zoh(pair: ZohPair, C, D, x_k, mode="implicit", solver="auto"):
     """One ZOH step; implicit mode solves the MLCP with W = C Gamma."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D = np.atleast_1d(np.asarray(D, dtype=float))
-    if mode == "implicit":
-        W = C @ pair.Gamma
-        b = C @ (pair.Phi @ x_k) + D
-        s = _solve_sign_step(W, b, solver)
-    elif mode == "explicit":
-        s = np.sign(C @ x_k + D)
-    else:
-        raise ValueError(f"unknown ZOH mode {mode!r}")
-    x_next = pair.Phi @ x_k - pair.Gamma @ s
-    y_next = C @ x_next + D
-    return x_next, s, y_next
+    return _zoh_stepper(pair, C, D, mode, solver)(x_k)
 
 
 def grid_steps(t0, T, h):
@@ -339,8 +342,10 @@ def simulate_linear(sys: LinearSignSystem, x0, t0, T, cfg: SchemeConfig,
     """Convenience loop for the linear class (implicit or explicit)."""
     y0 = output(sys, np.atleast_1d(np.asarray(x0, dtype=float)))
     if scheme == "implicit":
+        advance = _linear_stepper(sys, cfg)
+
         def step(k, x, t, s_prev):
-            x1, s1, y1 = step_linear(sys, x, t, cfg)
+            x1, s1, y1 = advance(x)
             return StepResult(x=x1, y=y1, s=s1)
         return simulate(step, x0, y0, t0, T, cfg.h, sys.m)
     if scheme == "explicit":
@@ -372,8 +377,10 @@ def simulate_zoh(pair: ZohPair, C, D, x0, t0, T, h, mode="implicit",
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = C @ x0 + D
 
+    advance = _zoh_stepper(pair, C, D, mode, solver)
+
     def step(k, x, t, s_prev):
-        x1, s1, y1 = step_zoh(pair, C, D, x, mode=mode, solver=solver)
+        x1, s1, y1 = advance(x)
         return StepResult(x=x1, y=y1, s=s1 if mode == "implicit" else None)
 
     return simulate(step, x0, y0, t0, T, h, C.shape[0],

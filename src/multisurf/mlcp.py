@@ -11,6 +11,8 @@ y = -(M z + q) = v - w.
 Three solvers share the same contract: an enumerative oracle (exponential,
 reference only), a Murty least-index principal pivoting method, and a
 projected SOR iteration backed by the compiled kernel when available.
+`solve_sign_step` is the entry for one implicit time step; it answers the
+one-surface case in closed form.
 """
 
 from __future__ import annotations
@@ -28,6 +30,20 @@ PSOR_MAX_ITER = 5000
 
 # per-index active states, enumerated lexicographically
 _INTERIOR, _LOWER, _UPPER = 0, 1, 2
+
+
+class StepFailure(Exception):
+    """A time step could not be completed.
+
+    Carries a plain-text dump of the offending MLCP (when one exists) and
+    the last residual of the Newton loop (when one ran).
+    """
+
+    def __init__(self, message, problem_text=None, residual=None):
+        super().__init__(message)
+        self.message = message
+        self.problem_text = problem_text
+        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -306,6 +322,62 @@ def solve(p: MlcpProblem, method="auto", tol=FEAS_TOL) -> MlcpSolution:
     if p.dim <= 12:
         return solve_enumerative(p, tol=tol)
     return sol
+
+
+def _sign_step_1d(W, b):
+    """Closed form proj_[-1,1](b / W) of the m = 1 sign step with W > 0.
+
+    Reproduces solve_pivoting's m = 1 answer bit for bit: its right-hand
+    side is b + 0.0 (-0.0 becomes 0.0), its 1x1 solve is b / W, and it
+    saturates only past 1 + FEAS_TOL.  Returns None where pivoting would
+    pivot again (an interior residual above FEAS_TOL, or a bound slack of
+    the wrong sign) or where the scalar certificate -- box, equation,
+    complementarity and sign, as `certify` computes them -- exceeds
+    1e2 * FEAS_TOL.
+    """
+    tol = FEAS_TOL
+    z = (b + 0.0) / W
+    if -1.0 - tol <= z <= 1.0 + tol:
+        r = W * z - b
+        if abs(r) > tol:
+            return None
+        w = v = 0.0
+    else:
+        z = 1.0 if z > 0 else -1.0
+        r = W * z - b
+        if z * r > tol:
+            return None
+        w, v = (0.0, max(-r, 0.0)) if z > 0 else (max(r, 0.0), 0.0)
+    lim = 1e2 * tol
+    box = max(-1.0 - z, z - 1.0, 0.0)
+    eq = abs(r - w + v)
+    comp = max(abs((z + 1.0) * w), abs((1.0 - z) * v))
+    sign = max(-w, -v, 0.0)
+    return z if box <= lim and eq <= lim and comp <= lim and sign <= lim \
+        else None
+
+
+def solve_sign_step(W, b, method="auto") -> np.ndarray:
+    """The selection s in Sgn(b - W s) of one implicit step.
+
+    At m = 1 with W > 0, `auto` and `pivot` take the certified closed form
+    of `_sign_step_1d`; every other case, and a closed form that does not
+    certify, encodes the problem and runs `solve`.  Raises StepFailure with
+    the MLCP dump when the solve fails.
+    """
+    W = np.asarray(W, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if (method in ("auto", "pivot") and W.shape == (1, 1) and b.shape == (1,)
+            and W[0, 0] > 0):
+        z = _sign_step_1d(float(W[0, 0]), float(b[0]))
+        if z is not None:
+            return np.array([z])
+    enc = from_sign_step(SignStepProblem(W=W, b=b))
+    sol = solve(enc, method=method)
+    if sol.status != "solved":
+        raise StepFailure(f"one-step MLCP {sol.status}",
+                          problem_text=format_problem(enc))
+    return sol.z
 
 
 def format_problem(p: MlcpProblem) -> str:

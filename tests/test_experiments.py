@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from multisurf import experiments
 from multisurf.experiments import observer_system, run_experiment
@@ -31,6 +32,23 @@ class TestObserverStabilityRule:
         res = run_experiment("observer", {"scheme": "explicit", "h": 0.004})
         assert names(res) == ["unstable-expected"]
         assert res.all_passed
+
+    @pytest.mark.parametrize("h", [0.0005, 0.00125, 0.0015, 0.0019])
+    def test_bounded_explicit_scheme_expects_chattering(self, h):
+        # h < 2 tau: the drift stays bounded and the explicit sign term
+        # switches on most steps; at 1.25 tau the tail of y is not a
+        # period-2 cycle, so the check counts sign flips instead
+        res = run_experiment("observer", {"scheme": "explicit", "h": h})
+        assert names(res) == ["bounded", "chatters-y0", "selection-box"]
+        assert res.all_passed
+
+    def test_explicit_scheme_on_the_surface_does_not_chatter(self):
+        # sgn(0) = 0 keeps y at exactly 0, so there is nothing to chatter
+        res = run_experiment("observer", {"scheme": "explicit", "h": 0.0015,
+                                          "x0": [0.0, 0.0, 0.0, 0.0]})
+        assert names(res) == BOUNDED
+        assert res.all_passed
+        assert not np.any(res.trajectories["traj"].outputs)
 
     def test_drift_radius_forward_euler(self):
         tau = 0.001
