@@ -10,7 +10,6 @@ problem.  The implicit treatment of the sign term gives chattering-free,
 finite-time-exact stabilization on the sliding surfaces.
 """
 
-from multisurf._kernels import COMPILED
 from multisurf.analysis import (ErrorReport, arrival_step, convergence_slope,
                                 detect_period2, error_norms)
 from multisurf.controllers import (ControlRecord, EcbSmcController, ecb_step,
@@ -23,7 +22,8 @@ from multisurf.integrators import (SchemeConfig, StepFailure, Trajectory,
                                    step_zoh, zoh_discretize)
 from multisurf.mlcp import (MlcpProblem, MlcpSolution, SignStepProblem,
                             certify, from_sign_step, solve, solve_enumerative,
-                            solve_pivoting, solve_psor, solve_sign_step)
+                            sign_step_solver, solve_pivoting, solve_psor,
+                            solve_sign_step)
 from multisurf.systems import (AffineGainSignSystem, DisturbedLinearSystem,
                                LinearSignSystem, NonlinearSignSystem,
                                check_cb_positive, linear_system_from_json,

@@ -1,4 +1,4 @@
-"""Pure-numpy projected SOR sweep, the fallback for the compiled kernel."""
+"""Projected SOR sweep for `mlcp.solve_psor`, in Python over numpy arrays."""
 
 
 def psor_sweeps(M, q, l, u, z, omega, max_iter, tol):

@@ -74,16 +74,17 @@ class ControlRecord:
 
 def _ecb_stepper(ctl: EcbSmcController, solver):
     """The sampled closed-loop step x_k -> (x_{k+1}, ControlRecord) of one
-    run; W = C Gamma, (C G)^-1 and C F are built once."""
+    run; the one-step solver of W = C Gamma, (C G)^-1 and C F are built
+    once."""
     C, Phi, Gamma = ctl.C, ctl.pair.Phi, ctl.pair.Gamma
     implicit, alpha = ctl.mode == "implicit", ctl.alpha
-    W = C @ Gamma
+    solve = mlcp.sign_step_solver(C @ Gamma, solver)
     neg_CGinv = -np.linalg.inv(C @ ctl.G)
     CF = C @ ctl.F
 
     def advance(x_k):
         if implicit:
-            s = mlcp.solve_sign_step(W, C @ (Phi @ x_k), solver)
+            s = solve(C @ (Phi @ x_k))
         else:
             s = np.sign(C @ x_k)
         u = neg_CGinv @ (CF @ x_k + alpha * s)
@@ -116,19 +117,20 @@ def simulate_ecb(ctl: EcbSmcController, x0, t0, T, solver="auto"):
 
 def _lyapunov_stepper(sys: DisturbedLinearSystem, cfg: SchemeConfig, solver):
     """The implicit Lyapunov-loop step (x_k, t_k) -> (x_{k+1}, u_k, s) of
-    one run.  (I - h theta E)^-1, I + h (1 - theta) E and W are built once;
-    only the disturbance g(t_k) is sampled per step."""
+    one run.  (I - h theta E)^-1, I + h (1 - theta) E and the one-step
+    solver of W are built once; only the disturbance g(t_k) is sampled per
+    step."""
     h, th = cfg.h, cfg.theta
     n = sys.n
     S = sys.surface_matrix()
     Ainv = np.linalg.inv(np.eye(n) - h * th * sys.E)
     P = np.eye(n) + h * (1 - th) * sys.E
     a, B, rho, hB = sys.a, sys.B, sys.rho, h * sys.B
-    W = h * S @ Ainv @ B @ np.diag(rho)
+    solve = mlcp.sign_step_solver(h * S @ Ainv @ B @ np.diag(rho), solver)
 
     def advance(x_k, t_k):
         free = P @ x_k + h * (a + B @ sys.disturbance(t_k))
-        s = mlcp.solve_sign_step(W, S @ (Ainv @ free), solver)
+        s = solve(S @ (Ainv @ free))
         u = rho * s
         return Ainv @ (free - hB @ u), u, s
 

@@ -118,9 +118,10 @@ class StepResult:
 def _linear_stepper(sys: LinearSignSystem, cfg: SchemeConfig):
     """The theta-scheme step x_k -> (x_{k+1}, s_{k+1}, y_{k+1}) of one run.
 
-    (I - h theta E)^-1, I + h (1 - theta) E, h a, h B and W are the same at
-    every step, so they are built here once; the returned closure does only
-    the per-step arithmetic, one MLCP and no Newton loop.
+    (I - h theta E)^-1, I + h (1 - theta) E, h a, h B and the one-step
+    solver of W are the same at every step, so they are built here once; the
+    returned closure does only the per-step arithmetic, one MLCP and no
+    Newton loop.
     """
     h, th = cfg.h, cfg.theta
     n = sys.n
@@ -133,12 +134,12 @@ def _linear_stepper(sys: LinearSignSystem, cfg: SchemeConfig):
         return fail
     P = np.eye(n) + h * (1 - th) * sys.E
     ha, hB = h * sys.a, h * sys.B
-    C, D, solver = sys.C, sys.D, cfg.solver
-    W = h * C @ Ainv @ sys.B
+    C, D = sys.C, sys.D
+    solve = mlcp.sign_step_solver(h * C @ Ainv @ sys.B, cfg.solver)
 
     def advance(x_k):
         free = P @ x_k + ha
-        s = mlcp.solve_sign_step(W, C @ (Ainv @ free) + D, solver)
+        s = solve(C @ (Ainv @ free) + D)
         x_next = Ainv @ (free - hB @ s)
         return x_next, s, C @ x_next + D
 
@@ -250,16 +251,16 @@ def zoh_discretize(F, G, C, h, alpha=1.0) -> ZohPair:
 
 
 def _zoh_stepper(pair: ZohPair, C, D, mode, solver):
-    """The ZOH step x_k -> (x_{k+1}, s, y_{k+1}) of one run; W = C Gamma is
-    built once."""
+    """The ZOH step x_k -> (x_{k+1}, s, y_{k+1}) of one run; W = C Gamma and
+    its one-step solver are built once."""
     if mode not in ("implicit", "explicit"):
         raise ValueError(f"unknown ZOH mode {mode!r}")
     Phi, Gamma = pair.Phi, pair.Gamma
-    W = C @ Gamma
+    solve = mlcp.sign_step_solver(C @ Gamma, solver)
 
     def advance(x_k):
         if mode == "implicit":
-            s = mlcp.solve_sign_step(W, C @ (Phi @ x_k) + D, solver)
+            s = solve(C @ (Phi @ x_k) + D)
         else:
             s = np.sign(C @ x_k + D)
         x_next = Phi @ x_k - Gamma @ s

@@ -10,9 +10,9 @@ y = -(M z + q) = v - w.
 
 Three solvers share the same contract: an enumerative oracle (exponential,
 reference only), a Murty least-index principal pivoting method, and a
-projected SOR iteration backed by the compiled kernel when available.
-`solve_sign_step` is the entry for one implicit time step; it answers the
-one-surface case in closed form.
+projected SOR iteration.  `sign_step_solver` answers the one-step problems
+of a run whose W stays the same, and `solve_sign_step` one such problem on
+its own; both answer the one-surface case in closed form.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-
-from multisurf import _kernels
 
 FEAS_TOL = 1e-10
 PSOR_OMEGA = 1.0
@@ -74,7 +72,8 @@ class MlcpSolution:
     w: np.ndarray
     v: np.ndarray
     residual: float
-    status: str  # solved | infeasible | max-iterations
+    status: str  # solved | infeasible | max-iterations | uncertified
+    reason: str = ""  # why the status is not "solved"
 
 
 @dataclass(frozen=True)
@@ -114,6 +113,12 @@ def _empty_solution():
                         status="solved")
 
 
+def _unsolved(m, status, reason):
+    bad = np.full(m, np.nan)
+    return MlcpSolution(z=bad, w=bad, v=bad, residual=np.inf, status=status,
+                        reason=reason)
+
+
 def _split_slacks(r):
     return np.maximum(r, 0.0), np.maximum(-r, 0.0)
 
@@ -132,28 +137,55 @@ def certify(p: MlcpProblem, s: MlcpSolution) -> float:
     return float(max(box, eq, comp, sign))
 
 
+def _certify_box(W, b, z, w, v):
+    """`certify` of (z, w, v) for the sign-step encoding (M = W, q = -b, the
+    box [-1, 1]^m), in the same floating-point operations."""
+    box = max(np.max(-1.0 - z, initial=0.0), np.max(z - 1.0, initial=0.0))
+    eq = np.max(np.abs(W @ z - b - w + v))
+    comp = max(abs((z + 1.0) @ w), abs((1.0 - z) @ v))
+    sign = max(np.max(-w, initial=0.0), np.max(-v, initial=0.0))
+    return float(max(box, eq, comp, sign))
+
+
+def _set_point(M, q, l, u, states):
+    """The point of one active set: bound indices at their bounds, the
+    interior block of M z + q = 0 solved for the rest.
+
+    Returns (z, regular).  A singular interior block takes the minimum-norm
+    least-squares solve, canonical on degenerate rows, and regular False.
+    """
+    m = len(states)
+    z = np.zeros(m)
+    for i in range(m):
+        if states[i] == _LOWER:
+            z[i] = l[i]
+        elif states[i] == _UPPER:
+            z[i] = u[i]
+    interior = [i for i in range(m) if states[i] == _INTERIOR]
+    if not interior:
+        return z, True
+    I = np.array(interior)
+    MI = M[np.ix_(I, I)]
+    rhs = -q[I] - M[I] @ z + MI @ z[I]
+    try:
+        z[I] = np.linalg.solve(MI, rhs)
+    except np.linalg.LinAlgError:
+        z[I] = np.linalg.lstsq(MI, rhs, rcond=None)[0]
+        return z, False
+    return z, True
+
+
 def _assignment_solution(p, states, tol):
     """Solve one active-set assignment; None when infeasible or singular."""
     m = p.dim
-    z = np.zeros(m)
-    interior = [i for i in range(m) if states[i] == _INTERIOR]
-    for i in range(m):
-        if states[i] == _LOWER:
-            z[i] = p.l[i]
-        elif states[i] == _UPPER:
-            z[i] = p.u[i]
-    if interior:
-        I = np.array(interior)
-        MI = p.M[np.ix_(I, I)]
-        rhs = -p.q[I] - p.M[I] @ z + MI @ z[I]
-        try:
-            zI = np.linalg.solve(MI, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(zI)):
-            return None
-        z[I] = zI
-        if np.any(zI < p.l[I] - tol) or np.any(zI > p.u[I] + tol):
+    z, regular = _set_point(p.M, p.q, p.l, p.u, states)
+    if not regular:
+        return None
+    I = [i for i in range(m) if states[i] == _INTERIOR]
+    if I:
+        zI = z[I]
+        if (not np.all(np.isfinite(zI)) or np.any(zI < p.l[I] - tol)
+                or np.any(zI > p.u[I] + tol)):
             return None
     r = p.M @ z + p.q
     w = np.zeros(m)
@@ -199,16 +231,15 @@ def solve_enumerative(p: MlcpProblem, tol=FEAS_TOL, cap=12) -> MlcpSolution:
             sol = MlcpSolution(z=z, w=w, v=v, residual=0.0, status="solved")
             return MlcpSolution(z=z, w=w, v=v, residual=certify(p, sol),
                                 status="solved")
-    bad = np.full(m, np.nan)
-    return MlcpSolution(z=bad, w=bad, v=bad, residual=np.inf,
-                        status="infeasible")
+    return _unsolved(m, "infeasible", "no active set is feasible")
 
 
 def solve_psor(p: MlcpProblem, omega=PSOR_OMEGA, max_iter=PSOR_MAX_ITER,
                tol=FEAS_TOL) -> MlcpSolution:
     """Projected SOR sweep; needs a nonzero diagonal.
 
-    The sweep itself runs in the compiled kernel when available.
+    Reports "solved" only for an answer whose certified residual is at most
+    1e2 * tol; a converged sweep with a larger residual is "uncertified".
     """
     m = p.dim
     if m == 0:
@@ -217,13 +248,16 @@ def solve_psor(p: MlcpProblem, omega=PSOR_OMEGA, max_iter=PSOR_MAX_ITER,
         raise ValueError("omega must lie in (0, 2)")
     if np.any(p.M.diagonal() == 0):
         raise ValueError("PSOR needs a nonzero diagonal")
+    # imported here: no default solve reaches PSOR, so importing the
+    # library does not load the sweep
+    from multisurf._pure import psor_sweeps
+
     z = np.clip(np.zeros(m), p.l, p.u)
     # sweep to a tighter iterate tolerance: the certified residual trails
     # the per-sweep change by the contraction rate
-    _, delta = _kernels.psor_sweeps(np.ascontiguousarray(p.M), p.q.copy(),
-                                    p.l.copy(), p.u.copy(), z,
-                                    float(omega), int(max_iter),
-                                    float(tol) * 1e-2)
+    _, delta = psor_sweeps(np.ascontiguousarray(p.M), p.q.copy(),
+                           p.l.copy(), p.u.copy(), z, float(omega),
+                           int(max_iter), float(tol) * 1e-2)
     r = p.M @ z + p.q
     w, v = _split_slacks(r)
     # slack parts on interior coordinates are residual noise, not activity
@@ -232,57 +266,61 @@ def solve_psor(p: MlcpProblem, omega=PSOR_OMEGA, max_iter=PSOR_MAX_ITER,
     v[interior & (np.abs(r) <= tol)] = 0.0
     sol = MlcpSolution(z=z, w=w, v=v, residual=0.0, status="solved")
     res = certify(p, sol)
-    status = "solved" if delta < tol else "max-iterations"
-    return MlcpSolution(z=z, w=w, v=v, residual=res, status=status)
+    status, reason = "solved", ""
+    if not delta < tol:
+        status = "max-iterations"
+        reason = f"sweep change {delta:.3g} after {max_iter} sweeps"
+    elif not res <= 1e2 * tol:
+        status = "uncertified"
+        reason = f"certified residual {res:.3g} above {1e2 * tol:.0e}"
+    return MlcpSolution(z=z, w=w, v=v, residual=res, status=status,
+                        reason=reason)
 
 
-def solve_pivoting(p: MlcpProblem, tol=FEAS_TOL, max_pivots=None) -> MlcpSolution:
-    """Murty-style least-index principal pivoting on the box formulation."""
-    m = p.dim
-    if m == 0:
-        return _empty_solution()
+def _pivot(M, q, l, u, states, tol, max_pivots=None):
+    """Murty's least-index principal pivoting from the active set `states`.
+
+    Flips `states` in place, each pivot at the least index whose condition
+    the current set's point violates, and returns (z, w, v, r) of the first
+    set that violates none, with r = M z + q.  Returns the reason as a
+    string after `max_pivots` pivots, or as soon as a set comes back: the
+    rule is deterministic, so a repeated set is a cycle that would run to
+    the cap, and least-index pivoting does not cycle on a P-matrix.
+    """
+    m = len(states)
     if max_pivots is None:
         max_pivots = max(200, 3 ** min(m, 10))
-    states = [_INTERIOR] * m
+    lo, hi = np.isfinite(l).tolist(), np.isfinite(u).tolist()
+    ll, ul = l.tolist(), u.tolist()
+    seen = set()
     for _ in range(max_pivots):
-        z = np.zeros(m)
-        for i in range(m):
-            if states[i] == _LOWER:
-                z[i] = p.l[i]
-            elif states[i] == _UPPER:
-                z[i] = p.u[i]
-        interior = [i for i in range(m) if states[i] == _INTERIOR]
-        if interior:
-            I = np.array(interior)
-            MI = p.M[np.ix_(I, I)]
-            rhs = -p.q[I] - p.M[I] @ z + MI @ z[I]
-            try:
-                zI = np.linalg.solve(MI, rhs)
-            except np.linalg.LinAlgError:
-                # singular block: minimum-norm solve, canonical on degenerate rows
-                zI = np.linalg.lstsq(MI, rhs, rcond=None)[0]
-            z[I] = zI
-        r = p.M @ z + p.q
+        key = tuple(states)
+        if key in seen:
+            return "W is not a P-matrix (pivoting cycled)"
+        seen.add(key)
+        z, _ = _set_point(M, q, l, u, states)
+        r = M @ z + q
+        zl, rl = z.tolist(), r.tolist()
         # least-index violated condition decides the next pivot
         flip = -1
         for i in range(m):
             if states[i] == _INTERIOR:
-                if np.isfinite(p.l[i]) and z[i] < p.l[i] - tol:
+                if lo[i] and zl[i] < ll[i] - tol:
                     flip, new = i, _LOWER
                     break
-                if np.isfinite(p.u[i]) and z[i] > p.u[i] + tol:
+                if hi[i] and zl[i] > ul[i] + tol:
                     flip, new = i, _UPPER
                     break
-                if abs(r[i]) > tol:
+                if abs(rl[i]) > tol:
                     # lstsq left the interior equation unsatisfied
-                    flip, new = i, (_LOWER if r[i] > 0 else _UPPER)
+                    flip, new = i, (_LOWER if rl[i] > 0 else _UPPER)
                     break
             elif states[i] == _LOWER:
-                if r[i] < -tol:
+                if rl[i] < -tol:
                     flip, new = i, _INTERIOR
                     break
             else:
-                if r[i] > tol:
+                if rl[i] > tol:
                     flip, new = i, _INTERIOR
                     break
         if flip < 0:
@@ -290,16 +328,27 @@ def solve_pivoting(p: MlcpProblem, tol=FEAS_TOL, max_pivots=None) -> MlcpSolutio
             v = np.zeros(m)
             for i in range(m):
                 if states[i] == _LOWER:
-                    w[i] = max(r[i], 0.0)
+                    w[i] = max(rl[i], 0.0)
                 elif states[i] == _UPPER:
-                    v[i] = max(-r[i], 0.0)
-            sol = MlcpSolution(z=z, w=w, v=v, residual=0.0, status="solved")
-            return MlcpSolution(z=z, w=w, v=v, residual=certify(p, sol),
-                                status="solved")
+                    v[i] = max(-rl[i], 0.0)
+            return z, w, v, r
         states[flip] = new
-    bad = np.full(m, np.nan)
-    return MlcpSolution(z=bad, w=bad, v=bad, residual=np.inf,
-                        status="infeasible")
+    return f"no solution within {max_pivots} pivots"
+
+
+def solve_pivoting(p: MlcpProblem, tol=FEAS_TOL, max_pivots=None) -> MlcpSolution:
+    """Murty-style least-index principal pivoting on the box formulation,
+    started from the all-interior active set."""
+    m = p.dim
+    if m == 0:
+        return _empty_solution()
+    got = _pivot(p.M, p.q, p.l, p.u, [_INTERIOR] * m, tol, max_pivots)
+    if isinstance(got, str):
+        return _unsolved(m, "infeasible", got)
+    z, w, v, _ = got
+    sol = MlcpSolution(z=z, w=w, v=v, residual=0.0, status="solved")
+    return MlcpSolution(z=z, w=w, v=v, residual=certify(p, sol),
+                        status="solved")
 
 
 def solve(p: MlcpProblem, method="auto", tol=FEAS_TOL) -> MlcpSolution:
@@ -315,9 +364,10 @@ def solve(p: MlcpProblem, method="auto", tol=FEAS_TOL) -> MlcpSolution:
     sol = solve_pivoting(p, tol=tol)
     if sol.status == "solved" and sol.residual <= 1e2 * tol:
         return sol
-    if np.all(p.M.diagonal() != 0):
+    # projected SOR can not converge on a diagonal entry <= 0
+    if np.all(p.M.diagonal() > 0):
         sol = solve_psor(p, tol=tol)
-        if sol.status == "solved" and sol.residual <= 1e2 * tol:
+        if sol.status == "solved":
             return sol
     if p.dim <= 12:
         return solve_enumerative(p, tol=tol)
@@ -357,27 +407,89 @@ def _sign_step_1d(W, b):
         else None
 
 
-def solve_sign_step(W, b, method="auto") -> np.ndarray:
-    """The selection s in Sgn(b - W s) of one implicit step.
+def _sym_part_pd(W):
+    """True when W + W^T is positive definite, which makes W a P-matrix."""
+    try:
+        np.linalg.cholesky(W + W.T)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    At m = 1 with W > 0, `auto` and `pivot` take the certified closed form
-    of `_sign_step_1d`; every other case, and a closed form that does not
-    certify, encodes the problem and runs `solve`.  Raises StepFailure with
-    the MLCP dump when the solve fails.
+
+def sign_step_solver(W, method="auto"):
+    """The map b -> s in Sgn(b - W s) for the one-step problems of a run
+    whose W stays the same; W is checked and converted once, here.
+
+    Under `auto` and `pivot`, m = 1 with W > 0 takes the closed form of
+    `_sign_step_1d`.  For m > 1 with W + W^T positive definite (so W is a
+    P-matrix and each step has one solution), least-index pivoting starts
+    from the previous step's final active set.  A warm answer is kept only
+    if it certifies at 1e2 * FEAS_TOL and no index is degenerate (a bound
+    index with |r_i| <= 1e2 * FEAS_TOL, or an interior one with
+    |z_i| >= 1 - 1e2 * FEAS_TOL), because there a cold start may end at
+    another active set and round differently.  All other steps encode the
+    MLCP and run `solve`, and the next warm start begins from that answer,
+    so every answer is bit-identical to `solve`'s.  Raises StepFailure with
+    the reason and the MLCP dump when `solve` fails.
     """
     W = np.asarray(W, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if (method in ("auto", "pivot") and W.shape == (1, 1) and b.shape == (1,)
-            and W[0, 0] > 0):
-        z = _sign_step_1d(float(W[0, 0]), float(b[0]))
-        if z is not None:
-            return np.array([z])
-    enc = from_sign_step(SignStepProblem(W=W, b=b))
-    sol = solve(enc, method=method)
-    if sol.status != "solved":
-        raise StepFailure(f"one-step MLCP {sol.status}",
-                          problem_text=format_problem(enc))
-    return sol.z
+    if W.ndim < 2:
+        W = np.atleast_2d(W)
+    m = W.shape[0]
+    if W.ndim != 2 or W.shape[1] != m:
+        raise ValueError("W must be square")
+
+    def cold(b):
+        enc = from_sign_step(SignStepProblem(W=W, b=b))
+        sol = solve(enc, method=method)
+        if sol.status != "solved":
+            raise StepFailure(f"one-step MLCP {sol.status}: {sol.reason}",
+                              problem_text=format_problem(enc))
+        return sol.z
+
+    fast = method in ("auto", "pivot")
+    if fast and m == 1 and W[0, 0] > 0:
+        w11 = float(W[0, 0])
+
+        def closed_form(b):
+            b = np.asarray(b, dtype=float)
+            if b.shape == (1,):
+                z = _sign_step_1d(w11, float(b[0]))
+                if z is not None:
+                    return np.array([z])
+            return cold(b)
+        return closed_form
+    if not (fast and m > 1 and _sym_part_pd(W)):
+        return cold
+
+    upper = np.ones(m)
+    lower = -upper
+    lim = 1e2 * FEAS_TOL
+    states = [_INTERIOR] * m
+
+    def warm(b):
+        b = np.asarray(b, dtype=float)
+        if b.shape == (m,):
+            got = _pivot(W, -b, lower, upper, states, FEAS_TOL)
+            if not isinstance(got, str):
+                z, w, v, r = got
+                zl, rl = z.tolist(), r.tolist()
+                if (_certify_box(W, b, z, w, v) <= lim and not any(
+                        abs(zl[i]) >= 1.0 - lim if st == _INTERIOR
+                        else abs(rl[i]) <= lim
+                        for i, st in enumerate(states))):
+                    return z
+        z = cold(b)
+        states[:] = [_LOWER if zi <= -1.0 else _UPPER if zi >= 1.0
+                     else _INTERIOR for zi in z.tolist()]
+        return z
+    return warm
+
+
+def solve_sign_step(W, b, method="auto") -> np.ndarray:
+    """The selection s in Sgn(b - W s) of one implicit step: the answer of
+    `sign_step_solver(W, method)` for a W used once."""
+    return sign_step_solver(W, method)(b)
 
 
 def format_problem(p: MlcpProblem) -> str:

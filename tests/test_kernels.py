@@ -1,23 +1,6 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
-from multisurf import _kernels, _pure
-
-try:
-    from multisurf import _psor_cy
-except ImportError:
-    _psor_cy = None
-
-
-def random_instance(rng, m):
-    A = rng.standard_normal((m, m))
-    M = A @ A.T + m * np.eye(m)
-    q = rng.standard_normal(m)
-    return M, q, -np.ones(m), np.ones(m)
+from multisurf import _pure
 
 
 class TestBackends:
@@ -30,33 +13,9 @@ class TestBackends:
         assert delta < 1e-12
         assert np.allclose(z, [0.5, -1.0])
 
-    @pytest.mark.skipif(_psor_cy is None, reason="compiled kernel not built")
-    def test_backends_agree(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            m = int(rng.integers(1, 9))
-            M, q, l, u = random_instance(rng, m)
-            z1 = np.zeros(m)
-            z2 = np.zeros(m)
-            _pure.psor_sweeps(M, q, l, u, z1, 1.0, 5000, 1e-12)
-            _psor_cy.psor_sweeps(M, q, l, u, z2, 1.0, 5000, 1e-12)
-            assert np.max(np.abs(z1 - z2)) <= 1e-10
-
     def test_in_place_update(self):
         M = np.array([[1.0]])
         z = np.array([0.9])
         _pure.psor_sweeps(M, np.array([-2.0]), -np.ones(1), np.ones(1), z,
                           1.0, 50, 1e-12)
         assert z[0] == 1.0
-
-    def test_selected_backend_exposed(self):
-        assert isinstance(_kernels.COMPILED, bool)
-        assert callable(_kernels.psor_sweeps)
-
-    def test_env_override_forces_pure(self):
-        code = ("import multisurf._kernels as k; "
-                "print(k.COMPILED)")
-        env = dict(os.environ, MULTISURF_PURE="1")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"

@@ -1,11 +1,15 @@
-"""Property tests for the m = 1 closed form of the one-step sign problem.
+"""Property tests for the one-step sign problem s in Sgn(b - W s).
 
-`mlcp.solve_sign_step` answers s in Sgn(b - W s) with m = 1 and W > 0 by
-the projection proj_[-1,1](b / W).  It must give solve_pivoting's selection
-bit for bit, agree with the enumerative oracle, and certify; every other
-case must go through the general MLCP path.
+`mlcp.solve_sign_step` answers m = 1 with W > 0 by the projection
+proj_[-1,1](b / W).  It must give solve_pivoting's selection bit for bit,
+agree with the enumerative oracle, and certify; every other case must go
+through the general MLCP path.  `mlcp.sign_step_solver` answers a run of
+steps with one P-matrix W by pivoting from the previous step's active set,
+and must give what a cold start gives, bit for bit.  The `auto` ladder must
+answer W < 0 without running to a pivot cap or through projected SOR.
 """
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -86,7 +90,6 @@ def _general_path(W, b, method):
             return None
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @SETTINGS
 @given(st.floats(-1e2, 0.0), st.floats(-1e3, 1e3))
 def test_nonpositive_W_takes_the_general_path(W, b):
@@ -115,3 +118,120 @@ def test_uncertified_closed_form_falls_back():
     prob = sign_problem(W, b)
     z = mlcp.solve_sign_step(prob.M, -prob.q)
     assert z.tobytes() == mlcp.solve(prob).z.tobytes()
+
+
+# per-index kinds of a step's solution: interior well inside the box, at a
+# bound with a clear slack, or at a bound with zero slack (degenerate)
+KINDS = ["interior", "interior", "lower", "upper", "lower", "upper",
+         "lower-0", "upper-0"]
+
+
+@st.composite
+def warm_runs(draw):
+    """(W, bs, degenerate): a P-matrix W = h (I + 0.3 G / |G|_2), whose
+    symmetric part is positive definite, at m = 2..8, and a sequence of
+    right-hand sides b = W z + y built from known solutions z with slacks y;
+    degenerate[k] says step k has a bound index with zero slack."""
+    m = draw(st.integers(2, 8))
+    h = draw(st.sampled_from([1e-3, 1e-2, 0.1, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    G = rng.standard_normal((m, m))
+    W = h * (np.eye(m) + 0.3 * G / np.linalg.norm(G, 2))
+    steps = draw(st.lists(st.lists(st.sampled_from(KINDS), min_size=m,
+                                   max_size=m), min_size=2, max_size=6))
+    bs, degenerate = [], []
+    for kinds in steps:
+        z = rng.uniform(-0.9, 0.9, m)
+        y = np.zeros(m)
+        for i, kind in enumerate(kinds):
+            if kind != "interior":
+                z[i] = 1.0 if kind.startswith("upper") else -1.0
+                if not kind.endswith("-0"):
+                    y[i] = z[i] * h * rng.uniform(0.1, 1.0)
+        bs.append(W @ z + y)
+        degenerate.append(any(k.endswith("-0") for k in kinds))
+    return W, bs, degenerate
+
+
+def _cold(W, b, method):
+    prob = mlcp.from_sign_step(mlcp.SignStepProblem(W=W, b=b))
+    return mlcp.solve(prob, method=method).z
+
+
+@pytest.mark.parametrize("method", ["auto", "pivot"])
+@SETTINGS
+@given(run=warm_runs())
+def test_warm_solver_matches_cold_pivoting_bitwise(method, run):
+    W, bs, _ = run
+    solve = mlcp.sign_step_solver(W, method)
+    for b in bs:
+        ref = mlcp.solve_pivoting(
+            mlcp.from_sign_step(mlcp.SignStepProblem(W=W, b=b)))
+        assert ref.status == "solved"
+        z = solve(b)
+        assert z.tobytes() == ref.z.tobytes()
+        assert z.tobytes() == _cold(W, b, method).tobytes()
+
+
+@SETTINGS
+@given(run=warm_runs())
+def test_degenerate_steps_take_the_cold_path(run):
+    # the guard hands exactly the degenerate steps to `solve`; every other
+    # step is answered by the warm start alone
+    W, bs, degenerate = run
+    solve = mlcp.sign_step_solver(W)
+    with mock.patch.object(mlcp, "solve", wraps=mlcp.solve) as cold:
+        for b, degen in zip(bs, degenerate):
+            cold.reset_mock()
+            solve(b)
+            assert cold.call_count == int(degen)
+
+
+def test_warm_solver_starts_from_the_last_cold_answer():
+    # step 1 is degenerate (z_1 within 1e2 * FEAS_TOL of its bound) and goes
+    # cold; step 2 pivots from that answer's active set, once
+    W = 0.1 * np.array([[1.0, 0.2], [-0.3, 1.0]])
+    slack = np.array([0.005, 0.0])
+    solve = mlcp.sign_step_solver(W)
+    with mock.patch.object(mlcp, "solve", wraps=mlcp.solve) as cold:
+        z = solve(W @ np.array([1.0, 1.0 - 5e-9]) + slack)
+        assert cold.call_count == 1 and z[0] == 1.0 and z[1] < 1.0
+        with mock.patch.object(mlcp, "_set_point",
+                               wraps=mlcp._set_point) as point:
+            z = solve(W @ np.array([1.0, 0.5]) + slack)
+        assert cold.call_count == 1 and point.call_count == 1
+    assert z[0] == 1.0 and abs(z[1] - 0.5) <= 1e-12
+
+
+NEGATIVE_W = [-1e-6, -5e-324, -1.0]
+B_VALUES = [3.0, 1e-3, 0.0, -0.5, -1e3]
+
+
+@pytest.mark.parametrize("W", NEGATIVE_W)
+@pytest.mark.parametrize("b", B_VALUES)
+def test_auto_ladder_on_negative_W(W, b):
+    prob = sign_problem(W, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(mlcp, "solve_psor",
+                               wraps=mlcp.solve_psor) as psor:
+            z = mlcp.solve_sign_step(np.array([[W]]), np.array([b]))
+        assert psor.call_count == 0
+        assert z.tobytes() == mlcp.solve_enumerative(prob).z.tobytes()
+        # pivoting stops at its first repeated active set: at most the
+        # three sets of m = 1, where the parent ran to its 200-pivot cap
+        with mock.patch.object(mlcp, "_set_point",
+                               wraps=mlcp._set_point) as point:
+            piv = mlcp.solve_pivoting(prob)
+        assert point.call_count <= 3
+    if piv.status != "solved":
+        assert piv.status == "infeasible"
+        assert piv.reason == "W is not a P-matrix (pivoting cycled)"
+
+
+def test_psor_reports_an_uncertified_answer():
+    prob = sign_problem(-1.0, 3.0)
+    sol = mlcp.solve_psor(prob)
+    assert sol.status == "uncertified" and sol.residual == 4.0
+    with pytest.raises(mlcp.StepFailure, match="uncertified.*residual 4"):
+        mlcp.solve_sign_step(np.array([[-1.0]]), np.array([3.0]), "psor")
