@@ -3,7 +3,9 @@
 Each of the ten experiments runs at its defaults through `cli.main`, and the
 SHA-256 of every CSV it writes is compared with a recorded digest.  A change
 that alters any trajectory, selection, control or convergence number by one
-bit fails here.
+bit fails here.  `LIBRARY_DIGESTS` does the same for implicit library runs
+that no registry default reaches: Lyapunov loops with rho != 1, the
+theta = 0.5 scheme, the ZOH loop and an m = 4 P-matrix system under `pivot`.
 
 The digests are tied to the numpy / LAPACK build they were recorded with
 (numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64): another BLAS or LAPACK
@@ -15,9 +17,12 @@ import contextlib
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
-from multisurf import cli, experiments
+from multisurf import cli, controllers, experiments, integrators
+from multisurf.integrators import SchemeConfig
+from multisurf.systems import DisturbedLinearSystem, LinearSignSystem
 
 DIGESTS = {
     "simple": {"traj.csv": "4ef7a694c571328f26684d3354a760cd"
@@ -56,3 +61,78 @@ def test_registry_csv_digest(name, tmp_path):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(out.glob("*.csv"))}
     assert got == DIGESTS[name]
+
+
+def _lyapunov_rho(rho):
+    sys = DisturbedLinearSystem(
+        n=1, m=1, E=[[-1.0]], a=[0.0], B=[[1.0]], rho=[rho], P=[[1.0]],
+        gamma=lambda t: np.array([0.1 * np.sin(t)]), rho_bounds=[rho])
+    return controllers.simulate_lyapunov(sys, [1.0], 0.0, 15.0,
+                                         SchemeConfig(h=0.1))
+
+
+def _galias_theta_half():
+    res = experiments.run_experiment("galias2007", {"theta": 0.5})
+    return res.trajectories["traj"]
+
+
+def _zoh(data, x0, T):
+    F, G, C = data
+    pair = integrators.zoh_discretize(F, G, C, 0.3)
+    return integrators.simulate_zoh(pair, C, [0.0] * len(C), x0, 0.0, T, 0.3)
+
+
+def _pivot_m4():
+    # C B = B has a positive definite symmetric part, so every step's W is
+    # a P-matrix and the run takes the warm-started pivoting
+    sys = LinearSignSystem(
+        n=4, m=4,
+        E=[[-0.5, 1.0, 0.0, 0.0], [0.0, -0.3, 1.0, 0.0],
+           [0.0, 0.0, -0.2, 1.0], [-1.0, 0.0, 0.0, -0.4]],
+        a=[0.1, -0.2, 0.05, 0.0],
+        B=[[2.0, 0.5, -0.3, 0.2], [-0.4, 1.5, 0.6, -0.1],
+           [0.3, -0.5, 1.8, 0.4], [0.1, 0.2, -0.6, 1.2]],
+        C=np.eye(4), D=[0.0, 0.1, -0.05, 0.0])
+    return integrators.simulate_linear(sys, [1.0, -0.5, 0.3, 0.8], 0.0, 3.0,
+                                       SchemeConfig(h=0.01, solver="pivot"))
+
+
+LIBRARY_RUNS = {
+    "lyapunov-rho0.7": lambda: _lyapunov_rho(0.7),
+    "lyapunov-rho1.3": lambda: _lyapunov_rho(1.3),
+    "galias2007-theta0.5": _galias_theta_half,
+    "zoh-siso-implicit": lambda: _zoh(experiments.zoh_siso_data(),
+                                      [0.55, 0.55], 15.0),
+    "zoh-mimo-implicit": lambda: _zoh(experiments.zoh_mimo_data(),
+                                      [0.05, -0.5, 0.02], 15.0),
+    "pivot-m4": _pivot_m4,
+}
+
+LIBRARY_DIGESTS = {
+    "galias2007-theta0.5": ("8c44290a53d3eb3923063853b682a6e6"
+                            "08640bdd49fd6c1c1460aac43969f4ea"),
+    "lyapunov-rho0.7": ("73ab9455ea303097d1f57a4077aef690"
+                        "29c8c7728d3d6732fdc5067d35b8e6b1"),
+    "lyapunov-rho1.3": ("222aa19b36a57177ffa75406b4634265"
+                        "6693fbe0daf57e17bf5d93639664fb97"),
+    "pivot-m4": ("07f4cadffb5c0305e16d7bc6dab285c3"
+                 "d7cc4711fedf47d9289af172320b675c"),
+    "zoh-mimo-implicit": ("1c12301bac9df6fd35648d1bacfe29cf"
+                          "e4058fe1d876a1625e159319b6c76eb8"),
+    "zoh-siso-implicit": ("c8ea1b2754f976ffd334d2c04fbb7577"
+                          "085060166c5ab0f4148bf32fa3320973"),
+}
+
+
+def test_library_digests_cover_the_runs():
+    assert sorted(LIBRARY_DIGESTS) == sorted(LIBRARY_RUNS)
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_RUNS))
+def test_library_csv_digest(name, tmp_path):
+    traj = LIBRARY_RUNS[name]()
+    assert traj.failure is None
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        LIBRARY_DIGESTS[name]
