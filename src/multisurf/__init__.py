@@ -12,14 +12,12 @@ finite-time-exact stabilization on the sliding surfaces.
 
 from multisurf.analysis import (ErrorReport, arrival_step, convergence_slope,
                                 detect_period2, error_norms)
-from multisurf.controllers import (ControlRecord, EcbSmcController, ecb_step,
-                                   iec_control, lyapunov_control_step,
+from multisurf.controllers import (EcbSmcController, iec_control,
                                    simulate_ecb, simulate_lyapunov)
 from multisurf.integrators import (SchemeConfig, StepFailure, Trajectory,
                                    ZohPair, simulate, simulate_linear,
-                                   simulate_newton, simulate_zoh,
-                                   step_explicit, step_linear, step_newton,
-                                   step_zoh, zoh_discretize)
+                                   simulate_newton, simulate_zoh, step_newton,
+                                   step_plan, theta_plan, zoh_discretize)
 from multisurf.mlcp import (MlcpProblem, MlcpSolution, SignStepProblem,
                             certify, from_sign_step, solve, solve_enumerative,
                             sign_step_solver, solve_pivoting, solve_psor,

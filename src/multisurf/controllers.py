@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from multisurf import mlcp
-from multisurf.integrators import (SchemeConfig, StepResult, ZohPair,
-                                   simulate, zoh_discretize)
+from multisurf.integrators import (SchemeConfig, ZohPair, simulate,
+                                   step_plan, theta_plan, zoh_discretize)
 from multisurf.systems import DisturbedLinearSystem
 
 
@@ -64,123 +64,36 @@ class EcbSmcController:
         return self.C.shape[0]
 
 
-@dataclass(frozen=True)
-class ControlRecord:
-    """Control held on [t_k, t_{k+1}) and the selection it consumed."""
-
-    u_k: np.ndarray
-    s_used: np.ndarray
-
-
-def _ecb_stepper(ctl: EcbSmcController, solver):
-    """The sampled closed-loop step x_k -> (x_{k+1}, ControlRecord) of one
-    run; the one-step solver of W = C Gamma, (C G)^-1 and C F are built
-    once."""
-    C, Phi, Gamma = ctl.C, ctl.pair.Phi, ctl.pair.Gamma
-    implicit, alpha = ctl.mode == "implicit", ctl.alpha
-    solve = mlcp.sign_step_solver(C @ Gamma, solver)
-    neg_CGinv = -np.linalg.inv(C @ ctl.G)
-    CF = C @ ctl.F
-
-    def advance(x_k):
-        if implicit:
-            s = solve(C @ (Phi @ x_k))
-        else:
-            s = np.sign(C @ x_k)
-        u = neg_CGinv @ (CF @ x_k + alpha * s)
-        return Phi @ x_k - Gamma @ s, ControlRecord(u_k=u, s_used=s)
-
-    return advance
-
-
-def ecb_step(ctl: EcbSmcController, x_k, solver="auto"):
-    """One sampled closed-loop step under the ECB-SMC controller."""
-    x_k = np.atleast_1d(np.asarray(x_k, dtype=float))
-    return _ecb_stepper(ctl, solver)(x_k)
-
-
 def simulate_ecb(ctl: EcbSmcController, x0, t0, T, solver="auto"):
-    """Closed-loop ECB-SMC run; controls recorded per held interval."""
+    """Closed-loop ECB-SMC run: the ZOH step of ctl.pair, with the control
+    u_k = -(C G)^-1 (C F x_k + alpha s) recorded per held interval."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    y0 = ctl.C @ x0
-    advance = _ecb_stepper(ctl, solver)
-
-    def step(k, x, t, s_prev):
-        x1, rec = advance(x)
-        s = rec.s_used if ctl.mode == "implicit" else None
-        return StepResult(x=x1, y=ctl.C @ x1, s=s, u=rec.u_k)
-
-    return simulate(step, x0, y0, t0, T, ctl.h, ctl.m,
-                    explicit_signs=(ctl.mode == "explicit"),
-                    record_controls=True)
-
-
-def _lyapunov_stepper(sys: DisturbedLinearSystem, cfg: SchemeConfig, solver):
-    """The implicit Lyapunov-loop step (x_k, t_k) -> (x_{k+1}, u_k, s) of
-    one run.  (I - h theta E)^-1, I + h (1 - theta) E and the one-step
-    solver of W are built once; only the disturbance g(t_k) is sampled per
-    step."""
-    h, th = cfg.h, cfg.theta
-    n = sys.n
-    S = sys.surface_matrix()
-    Ainv = np.linalg.inv(np.eye(n) - h * th * sys.E)
-    P = np.eye(n) + h * (1 - th) * sys.E
-    a, B, rho, hB = sys.a, sys.B, sys.rho, h * sys.B
-    solve = mlcp.sign_step_solver(h * S @ Ainv @ B @ np.diag(rho), solver)
-
-    def advance(x_k, t_k):
-        free = P @ x_k + h * (a + B @ sys.disturbance(t_k))
-        s = solve(S @ (Ainv @ free))
-        u = rho * s
-        return Ainv @ (free - hB @ u), u, s
-
-    return advance
-
-
-def lyapunov_control_step(sys: DisturbedLinearSystem, x_k, t_k,
-                          cfg: SchemeConfig, solver="auto"):
-    """Implicit Euler step of the Lyapunov-based discontinuous control loop.
-
-    The drift uses the theta blend, the disturbance is sampled explicitly at
-    t_k, and the sign inclusion on the surface B^T P x is fully implicit.
-    Returns the next state and the realized control u_k = rho * s_{k+1},
-    which lives inside the multivalued band once the state sticks at 0.
-    """
-    x_k = np.atleast_1d(np.asarray(x_k, dtype=float))
-    return _lyapunov_stepper(sys, cfg, solver)(x_k, t_k)
-
-
-def lyapunov_explicit_step(sys: DisturbedLinearSystem, x_k, t_k, h):
-    """Forward Euler comparison step, sgn(0) = 0."""
-    x_k = np.atleast_1d(np.asarray(x_k, dtype=float))
-    s = np.sign(sys.surface_matrix() @ x_k)
-    u = sys.rho * s
-    x_next = x_k + h * (sys.E @ x_k + sys.a
-                        - sys.B @ u + sys.B @ sys.disturbance(t_k))
-    return x_next, u, s
+    C, Gamma, alpha = ctl.C, ctl.pair.Gamma, ctl.alpha
+    implicit = ctl.mode == "implicit"
+    neg_CGinv, CF = -np.linalg.inv(C @ ctl.G), C @ ctl.F
+    step = step_plan(
+        ctl.pair.Phi, Gamma, C,
+        solve=mlcp.sign_step_solver(C @ Gamma, solver) if implicit else None,
+        control=lambda x, s: neg_CGinv @ (CF @ x + alpha * s))
+    return simulate(step, x0, C @ x0, t0, T, ctl.h, ctl.m,
+                    explicit_signs=not implicit, record_controls=True)
 
 
 def simulate_lyapunov(sys: DisturbedLinearSystem, x0, t0, T,
-                      cfg: SchemeConfig, scheme="implicit", solver="auto"):
-    """Closed-loop run of the disturbed Lyapunov-controlled system."""
+                      cfg: SchemeConfig, scheme="implicit"):
+    """Closed-loop run of the disturbed Lyapunov-controlled system.
+
+    The drift uses the theta blend (forward Euler under the explicit
+    scheme), the disturbance is sampled at t_k, and the sign inclusion on
+    the surface B^T P x is fully implicit.  The recorded control
+    u_k = rho * s_{k+1} lives inside the multivalued band once the state
+    sticks at 0.
+    """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    S = sys.surface_matrix()
-    y0 = S @ x0
-
-    if scheme == "implicit":
-        advance = _lyapunov_stepper(sys, cfg, solver)
-
-        def step(k, x, t, s_prev):
-            x1, u, s = advance(x, t)
-            return StepResult(x=x1, y=S @ x1, s=s, u=u)
-        explicit = False
-    elif scheme == "explicit":
-        def step(k, x, t, s_prev):
-            x1, u, s = lyapunov_explicit_step(sys, x, t, cfg.h)
-            return StepResult(x=x1, y=S @ x1, u=u)
-        explicit = True
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    return simulate(step, x0, y0, t0, T, cfg.h, sys.m,
-                    explicit_signs=explicit, record_controls=True)
+    h, a, B, rho, S = cfg.h, sys.a, sys.B, sys.rho, sys.surface_matrix()
+    step = theta_plan(sys.E, B, S, None,
+                      lambda t: h * (a + B @ sys.disturbance(t)), cfg, scheme,
+                      rho=rho, control=lambda x, s: rho * s)
+    return simulate(step, x0, S @ x0, t0, T, h, sys.m,
+                    explicit_signs=(scheme == "explicit"),
+                    record_controls=True)

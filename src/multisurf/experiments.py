@@ -325,8 +325,7 @@ def run_lyapunov(params):
     h = params["h"]
     traj = controllers.simulate_lyapunov(sys, params["x0"], 0.0, params["T"],
                                          _cfg(params),
-                                         scheme=params["scheme"],
-                                         solver=params["solver"])
+                                         scheme=params["scheme"])
     props = [_completed(traj)]
     if params["scheme"] == "implicit":
         xs = np.abs(traj.states[:, 0])

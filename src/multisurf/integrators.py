@@ -1,10 +1,12 @@
 """Time-stepping schemes for the sign-inclusion system classes.
 
 Each implicit step reduces the inclusion s in Sgn(y) to a small box MLCP
-via the one-step problem y = b - W s.  The linear classes need a single
-solve per step; the nonlinear/affine-gain classes run an outer Newton loop
-that re-linearizes the residual around the current iterate.  A ZOH path
-discretizes sampled closed loops exactly through matrix exponentials.
+via the one-step problem y = b - W s.  The linear classes -- theta-scheme,
+ZOH, ECB-SMC and Lyapunov loops, implicit or explicit -- share one affine
+step plan (`step_plan`) with a single solve per step; the nonlinear/
+affine-gain classes run an outer Newton loop that re-linearizes the residual
+around the current iterate.  A ZOH path discretizes sampled closed loops
+exactly through matrix exponentials.
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ class Trajectory:
 class StepResult:
     """One-step outcome handed back to the simulate loop.
 
-    s is the implicit selection s_{k+1}; explicit steppers leave it None and
-    the loop derives sgn(y_k) for every row instead.
+    s is the selection the step used: s_{k+1} of an implicit step, sgn(y_k)
+    of an explicit one.  u is the control held on [t_k, t_{k+1}).
     """
 
     x: np.ndarray
@@ -115,47 +117,63 @@ class StepResult:
     iters: int = 0
 
 
-def _linear_stepper(sys: LinearSignSystem, cfg: SchemeConfig):
-    """The theta-scheme step x_k -> (x_{k+1}, s_{k+1}, y_{k+1}) of one run.
+def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
+              control=None):
+    """The affine step shared by every linear-class loop, built once per run.
 
-    (I - h theta E)^-1, I + h (1 - theta) E, h a, h B and the one-step
-    solver of W are the same at every step, so they are built here once; the
-    returned closure does only the per-step arithmetic, one MLCP and no
-    Newton loop.
+    With free = Phi x_k + c(t_k), a step selects s = solve(C L free + D)
+    (implicit) or s = sgn(C x_k + D) (explicit, solve None, sgn(0) = 0) and
+    moves to x_{k+1} = L (free - Gamma (rho s)) with output
+    y_{k+1} = C x_{k+1} + D.  A missing c, D, L or rho is skipped rather
+    than applied as zero, identity or one, so no -0.0 turns into 0.0.
+    control(x_k, s), when given, is the input held on [t_k, t_{k+1}).
+    Returns step(k, x_k, t_k, s_prev) -> StepResult for `simulate`.
     """
-    h, th = cfg.h, cfg.theta
-    n = sys.n
+
+    def affine(M, v, d):
+        return M @ v if d is None else M @ v + d
+
+    def step(k, x_k, t_k, s_prev):
+        free = Phi @ x_k if c is None else Phi @ x_k + c(t_k)
+        if solve is None:
+            s = np.sign(affine(C, x_k, D))
+        else:
+            s = solve(affine(C, free if L is None else L @ free, D))
+        x = free - Gamma @ (s if rho is None else rho * s)
+        if L is not None:
+            x = L @ x
+        u = None if control is None else control(x_k, s)
+        return StepResult(x=x, y=affine(C, x, D), s=s, u=u)
+
+    return step
+
+
+def theta_plan(E, B, C, D, c, cfg: SchemeConfig, scheme, rho=None,
+               control=None):
+    """The step plan of dx/dt in E x + c(t) / h - B (rho Sgn(C x + D)).
+
+    The implicit scheme blends the drift by cfg.theta: Phi = I + h(1-theta)E,
+    L = (I - h theta E)^-1, Gamma = h B and W = h C L B diag(rho), whose
+    one-step solver is built here; a singular I - h theta E fails the first
+    step.  The explicit scheme is forward Euler, Phi = I + h E.
+    """
+    h, n = cfg.h, E.shape[0]
+    if scheme == "explicit":
+        return step_plan(np.eye(n) + h * E, h * B, C, D, c=c, rho=rho,
+                         control=control)
+    if scheme != "implicit":
+        raise ValueError(f"unknown scheme {scheme!r}")
     try:
-        Ainv = np.linalg.inv(np.eye(n) - h * th * sys.E)
+        L = np.linalg.inv(np.eye(n) - h * cfg.theta * E)
     except np.linalg.LinAlgError:
-        # the failure belongs to the first step, where simulate records it
-        def fail(x_k):
+        def fail(k, x_k, t_k, s_prev):
             raise StepFailure("singular implicit drift matrix I - h*theta*E")
         return fail
-    P = np.eye(n) + h * (1 - th) * sys.E
-    ha, hB = h * sys.a, h * sys.B
-    C, D = sys.C, sys.D
-    solve = mlcp.sign_step_solver(h * C @ Ainv @ sys.B, cfg.solver)
-
-    def advance(x_k):
-        free = P @ x_k + ha
-        s = solve(C @ (Ainv @ free) + D)
-        x_next = Ainv @ (free - hB @ s)
-        return x_next, s, C @ x_next + D
-
-    return advance
-
-
-def step_linear(sys: LinearSignSystem, x_k, t_k, cfg: SchemeConfig):
-    """theta-scheme implicit step for the linear class; one MLCP, no Newton."""
-    return _linear_stepper(sys, cfg)(x_k)
-
-
-def step_explicit(sys: LinearSignSystem, x_k, t_k, h):
-    """Forward Euler with the single-valued convention sgn(0) = 0."""
-    s = np.sign(sys.C @ x_k + sys.D)
-    x_next = x_k + h * (sys.E @ x_k + sys.a) - h * sys.B @ s
-    return x_next, s
+    W = h * C @ L @ B
+    solve = mlcp.sign_step_solver(W if rho is None else W @ np.diag(rho),
+                                  cfg.solver)
+    return step_plan(np.eye(n) + h * (1 - cfg.theta) * E, h * B, C, D, L=L,
+                     c=c, solve=solve, rho=rho, control=control)
 
 
 def step_newton(sys, x_k, t_k, cfg: SchemeConfig, s_k=None):
@@ -250,32 +268,6 @@ def zoh_discretize(F, G, C, h, alpha=1.0) -> ZohPair:
     return ZohPair(Phi=Phi, Gamma=Gamma)
 
 
-def _zoh_stepper(pair: ZohPair, C, D, mode, solver):
-    """The ZOH step x_k -> (x_{k+1}, s, y_{k+1}) of one run; W = C Gamma and
-    its one-step solver are built once."""
-    if mode not in ("implicit", "explicit"):
-        raise ValueError(f"unknown ZOH mode {mode!r}")
-    Phi, Gamma = pair.Phi, pair.Gamma
-    solve = mlcp.sign_step_solver(C @ Gamma, solver)
-
-    def advance(x_k):
-        if mode == "implicit":
-            s = solve(C @ (Phi @ x_k) + D)
-        else:
-            s = np.sign(C @ x_k + D)
-        x_next = Phi @ x_k - Gamma @ s
-        return x_next, s, C @ x_next + D
-
-    return advance
-
-
-def step_zoh(pair: ZohPair, C, D, x_k, mode="implicit", solver="auto"):
-    """One ZOH step; implicit mode solves the MLCP with W = C Gamma."""
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    D = np.atleast_1d(np.asarray(D, dtype=float))
-    return _zoh_stepper(pair, C, D, mode, solver)(x_k)
-
-
 def grid_steps(t0, T, h):
     """Number of steps on the uniform grid (last step may overshoot T)."""
     if T < t0:
@@ -341,21 +333,11 @@ def simulate(step, x0, y0, t0, T, h, m, explicit_signs=False,
 def simulate_linear(sys: LinearSignSystem, x0, t0, T, cfg: SchemeConfig,
                     scheme="implicit"):
     """Convenience loop for the linear class (implicit or explicit)."""
+    ha = cfg.h * sys.a
+    step = theta_plan(sys.E, sys.B, sys.C, sys.D, lambda t: ha, cfg, scheme)
     y0 = output(sys, np.atleast_1d(np.asarray(x0, dtype=float)))
-    if scheme == "implicit":
-        advance = _linear_stepper(sys, cfg)
-
-        def step(k, x, t, s_prev):
-            x1, s1, y1 = advance(x)
-            return StepResult(x=x1, y=y1, s=s1)
-        return simulate(step, x0, y0, t0, T, cfg.h, sys.m)
-    if scheme == "explicit":
-        def step(k, x, t, s_prev):
-            x1, _ = step_explicit(sys, x, t, cfg.h)
-            return StepResult(x=x1, y=sys.C @ x1 + sys.D)
-        return simulate(step, x0, y0, t0, T, cfg.h, sys.m,
-                        explicit_signs=True)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return simulate(step, x0, y0, t0, T, cfg.h, sys.m,
+                    explicit_signs=(scheme == "explicit"))
 
 
 def simulate_newton(sys, x0, t0, T, cfg: SchemeConfig):
@@ -372,17 +354,15 @@ def simulate_newton(sys, x0, t0, T, cfg: SchemeConfig):
 
 def simulate_zoh(pair: ZohPair, C, D, x0, t0, T, h, mode="implicit",
                  solver="auto"):
-    """Convenience loop for a ZOH-discretized closed loop."""
+    """Convenience loop for a ZOH-discretized closed loop; implicit mode
+    solves the one-step MLCP with W = C Gamma."""
+    if mode not in ("implicit", "explicit"):
+        raise ValueError(f"unknown ZOH mode {mode!r}")
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D = np.atleast_1d(np.asarray(D, dtype=float))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    y0 = C @ x0 + D
-
-    advance = _zoh_stepper(pair, C, D, mode, solver)
-
-    def step(k, x, t, s_prev):
-        x1, s1, y1 = advance(x)
-        return StepResult(x=x1, y=y1, s=s1 if mode == "implicit" else None)
-
-    return simulate(step, x0, y0, t0, T, h, C.shape[0],
+    solve = (mlcp.sign_step_solver(C @ pair.Gamma, solver)
+             if mode == "implicit" else None)
+    step = step_plan(pair.Phi, pair.Gamma, C, D, solve=solve)
+    return simulate(step, x0, C @ x0 + D, t0, T, h, C.shape[0],
                     explicit_signs=(mode == "explicit"))

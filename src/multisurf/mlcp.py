@@ -240,6 +240,7 @@ def solve_psor(p: MlcpProblem, omega=PSOR_OMEGA, max_iter=PSOR_MAX_ITER,
 
     Reports "solved" only for an answer whose certified residual is at most
     1e2 * tol; a converged sweep with a larger residual is "uncertified".
+    The reason of an unsolved answer says when M is not symmetric.
     """
     m = p.dim
     if m == 0:
@@ -273,6 +274,10 @@ def solve_psor(p: MlcpProblem, omega=PSOR_OMEGA, max_iter=PSOR_MAX_ITER,
     elif not res <= 1e2 * tol:
         status = "uncertified"
         reason = f"certified residual {res:.3g} above {1e2 * tol:.0e}"
+    if reason and not np.array_equal(p.M, p.M.T):
+        # Cottle, Pang & Stone (1992), ch. 5
+        reason += ("; M is not symmetric, and projected SOR is only "
+                   "guaranteed to converge for symmetric positive definite M")
     return MlcpSolution(z=z, w=w, v=v, residual=res, status=status,
                         reason=reason)
 

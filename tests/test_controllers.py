@@ -1,10 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from multisurf import mlcp
-from multisurf.controllers import (EcbSmcController, ecb_step, iec_control,
-                                   lyapunov_control_step, simulate_ecb,
-                                   simulate_lyapunov)
+from multisurf.controllers import (EcbSmcController, iec_control,
+                                   simulate_ecb, simulate_lyapunov)
 from multisurf.experiments import (lyapunov_system, zoh_mimo_data,
                                    zoh_siso_data)
 from multisurf.integrators import SchemeConfig
@@ -78,9 +79,12 @@ class TestEcbSmc:
         ctl = EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3)
         traj = simulate_ecb(ctl, [0.55, 0.55], 0.0, 6.0)
         for k in range(len(traj.times) - 1):
-            x_next, rec = ecb_step(ctl, traj.states[k])
-            assert np.allclose(x_next, traj.states[k + 1], atol=1e-13)
-            assert np.allclose(rec.u_k, traj.controls[k], atol=1e-13)
+            # one step of the plan, started from the recorded x_k alone
+            step = simulate_ecb(ctl, traj.states[k], 0.0, ctl.h)
+            assert len(step.times) == 2
+            assert np.allclose(step.states[1], traj.states[k + 1], atol=1e-13)
+            assert np.allclose(step.controls[0], traj.controls[k],
+                               atol=1e-13)
 
 
 class TestLyapunovControl:
@@ -116,6 +120,17 @@ class TestLyapunovControl:
         sys = lyapunov_system(0.1)
         cfg = SchemeConfig(h=0.1)
         t = 2.0
-        x1, u, s = lyapunov_control_step(sys, np.array([0.0]), t, cfg)
-        assert abs(x1[0]) <= 1e-15
-        assert abs(u[0] - 0.1 * np.sin(t)) <= 1e-14
+        step = simulate_lyapunov(sys, [0.0], t, t + cfg.h / 2, cfg)
+        assert len(step.times) == 2
+        assert abs(step.states[1, 0]) <= 1e-15
+        assert abs(step.controls[0, 0] - 0.1 * np.sin(t)) <= 1e-14
+
+    def test_solver_comes_from_the_config(self):
+        sys = lyapunov_system(0.1)
+        cfg = SchemeConfig(h=0.1, solver="enumerative")
+        with mock.patch.object(mlcp, "sign_step_solver",
+                               wraps=mlcp.sign_step_solver) as spy:
+            traj = simulate_lyapunov(sys, [1.0], 0.0, 1.0, cfg)
+        assert traj.failure is None
+        assert [call.args[1] for call in spy.call_args_list] == \
+            ["enumerative"]

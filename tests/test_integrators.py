@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from multisurf import integrators
+from multisurf import integrators, mlcp
 from multisurf.experiments import (galias2007_system, hypomonotone_system,
                                    multisurface_system, simple_system,
                                    zoh_siso_data)
 from multisurf.integrators import (SchemeConfig, StepFailure, simulate_linear,
-                                   simulate_newton, simulate_zoh,
-                                   step_explicit, step_linear, step_newton,
-                                   step_zoh, zoh_discretize)
+                                   simulate_newton, simulate_zoh, step_newton,
+                                   step_plan, theta_plan, zoh_discretize)
 from multisurf.systems import LinearSignSystem
 
 
@@ -35,6 +34,23 @@ def rk4_matrix_pair(F, h, steps=10000):
     return X, Y
 
 
+def linear_step(sys, x_k, cfg, scheme="implicit"):
+    """One step of the theta-scheme plan that simulate_linear runs."""
+    step = theta_plan(sys.E, sys.B, sys.C, sys.D, lambda t: cfg.h * sys.a,
+                      cfg, scheme)
+    return step(0, np.asarray(x_k, dtype=float), 0.0, None)
+
+
+def zoh_step(pair, C, D, x_k, mode="implicit", solver="auto"):
+    """One step of the ZOH plan that simulate_zoh runs."""
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    D = np.atleast_1d(np.asarray(D, dtype=float))
+    solve = (mlcp.sign_step_solver(C @ pair.Gamma, solver)
+             if mode == "implicit" else None)
+    return step_plan(pair.Phi, pair.Gamma, C, D, solve=solve)(
+        0, np.asarray(x_k, dtype=float), 0.0, None)
+
+
 class TestSchemeConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -49,45 +65,40 @@ class TestStepLinear:
     cfg = SchemeConfig(h=0.2, theta=0.0)
 
     def test_sliding_approach(self):
-        sys = simple_system()
-        x1, s1, y1 = step_linear(sys, np.array([1.01]), 0.0, self.cfg)
-        assert np.isclose(x1[0], 0.81)
-        assert np.isclose(s1[0], 1.0)
+        step = linear_step(simple_system(), [1.01], self.cfg)
+        assert np.isclose(step.x[0], 0.81)
+        assert np.isclose(step.s[0], 1.0)
 
     def test_sticking_step(self):
-        sys = simple_system()
-        x1, s1, _ = step_linear(sys, np.array([0.01]), 0.0, self.cfg)
-        assert abs(x1[0]) <= 1e-15
-        assert np.isclose(s1[0], 0.05)
+        step = linear_step(simple_system(), [0.01], self.cfg)
+        assert abs(step.x[0]) <= 1e-15
+        assert np.isclose(step.s[0], 0.05)
 
     def test_stay_at_zero(self):
-        sys = simple_system()
-        x1, s1, _ = step_linear(sys, np.array([0.0]), 0.0, self.cfg)
-        assert x1[0] == 0.0 and s1[0] == 0.0
+        step = linear_step(simple_system(), [0.0], self.cfg)
+        assert step.x[0] == 0.0 and step.s[0] == 0.0
 
     def test_singular_drift_rejected(self):
         sys = LinearSignSystem(n=1, m=1, E=[[10.0]], a=[0.0], B=[[1.0]],
                                C=[[1.0]], D=[0.0])
         with pytest.raises(StepFailure):
-            step_linear(sys, np.array([1.0]), 0.0,
-                        SchemeConfig(h=0.1, theta=1.0))
+            linear_step(sys, [1.0], SchemeConfig(h=0.1, theta=1.0))
 
 
 class TestStepExplicit:
+    cfg = SchemeConfig(h=0.2)
+
     def test_overshoot(self):
-        sys = simple_system()
-        x1, s = step_explicit(sys, np.array([0.01]), 0.0, 0.2)
-        assert np.isclose(x1[0], -0.19)
+        step = linear_step(simple_system(), [0.01], self.cfg, "explicit")
+        assert np.isclose(step.x[0], -0.19)
 
     def test_period2_return(self):
-        sys = simple_system()
-        x1, _ = step_explicit(sys, np.array([-0.19]), 0.0, 0.2)
-        assert np.isclose(x1[0], 0.01)
+        step = linear_step(simple_system(), [-0.19], self.cfg, "explicit")
+        assert np.isclose(step.x[0], 0.01)
 
     def test_sgn_zero_convention(self):
-        sys = simple_system()
-        x1, s = step_explicit(sys, np.array([0.0]), 0.0, 0.2)
-        assert x1[0] == 0.0 and s[0] == 0.0
+        step = linear_step(simple_system(), [0.0], self.cfg, "explicit")
+        assert step.x[0] == 0.0 and step.s[0] == 0.0
 
 
 class TestStepNewton:
@@ -148,11 +159,11 @@ class TestZohDiscretize:
 class TestStepZoh:
     def test_reduces_to_linear_step(self):
         pair = integrators.ZohPair(Phi=np.eye(1), Gamma=0.2 * np.eye(1))
-        x1, s1, _ = step_zoh(pair, [[1.0]], [0.0], np.array([1.01]))
-        xe, se, _ = step_linear(simple_system(), np.array([1.01]), 0.0,
-                                SchemeConfig(h=0.2, theta=0.0))
-        assert np.allclose(x1, xe, atol=1e-14)
-        assert np.allclose(s1, se, atol=1e-14)
+        zoh = zoh_step(pair, [[1.0]], [0.0], [1.01])
+        lin = linear_step(simple_system(), [1.01],
+                          SchemeConfig(h=0.2, theta=0.0))
+        assert np.allclose(zoh.x, lin.x, atol=1e-14)
+        assert np.allclose(zoh.s, lin.s, atol=1e-14)
 
     def test_surface_invariance(self):
         F, G, C = zoh_siso_data()
@@ -160,16 +171,16 @@ class TestStepZoh:
         # a point already on the surface stays on it
         x = np.array([1.0, -1.0])
         assert abs(np.asarray(C) @ x) <= 1e-14
-        x1, s1, y1 = step_zoh(pair, C, [0.0], x, solver="enumerative")
-        assert np.max(np.abs(y1)) <= 1e-12
+        step = zoh_step(pair, C, [0.0], x, solver="enumerative")
+        assert np.max(np.abs(step.y)) <= 1e-12
 
     def test_explicit_mode(self):
         F, G, C = zoh_siso_data()
         pair = zoh_discretize(F, G, C, 0.3)
         x = np.array([0.55, 0.55])
-        x1, s1, _ = step_zoh(pair, C, [0.0], x, mode="explicit")
-        assert s1[0] == 1.0
-        assert np.allclose(x1, pair.Phi @ x - pair.Gamma @ s1)
+        step = zoh_step(pair, C, [0.0], x, mode="explicit")
+        assert step.s[0] == 1.0
+        assert np.allclose(step.x, pair.Phi @ x - pair.Gamma @ step.s)
 
 
 class TestSimulate:
@@ -227,9 +238,9 @@ class TestSimulate:
         cfg = SchemeConfig(h=0.2)
         for x0 in (1.01, 0.01, -0.4):
             xa, sa, _, it = step_newton(affine, np.array([x0]), 0.0, cfg)
-            xl, sl, _ = step_linear(simple_system(), np.array([x0]), 0.0, cfg)
-            assert abs(xa[0] - xl[0]) <= 1e-12
-            assert abs(sa[0] - sl[0]) <= 1e-12
+            lin = linear_step(simple_system(), [x0], cfg)
+            assert abs(xa[0] - lin.x[0]) <= 1e-12
+            assert abs(sa[0] - lin.s[0]) <= 1e-12
             assert it == 1
 
     def test_newton_termination_hypomonotone(self):

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisurf import mlcp
+from multisurf.experiments import run_experiment
 from multisurf.mlcp import FEAS_TOL
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
@@ -235,3 +236,15 @@ def test_psor_reports_an_uncertified_answer():
     assert sol.status == "uncertified" and sol.residual == 4.0
     with pytest.raises(mlcp.StepFailure, match="uncertified.*residual 4"):
         mlcp.solve_sign_step(np.array([[-1.0]]), np.array([3.0]), "psor")
+
+
+def test_psor_failure_names_a_non_symmetric_W():
+    # filippov's W = h [[1, -2], [2, 1]] is positive definite but not
+    # symmetric; projected SOR stalls there at step 496
+    res = run_experiment("filippov", {"solver": "psor"})
+    fail = res.trajectories["traj"].failure
+    assert fail.step == 496
+    assert fail.message == (
+        "one-step MLCP max-iterations: sweep change 2 after 5000 sweeps; "
+        "M is not symmetric, and projected SOR is only guaranteed to "
+        "converge for symmetric positive definite M")
