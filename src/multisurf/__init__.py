@@ -18,10 +18,9 @@ from multisurf.integrators import (SchemeConfig, StepFailure, Trajectory,
                                    ZohPair, simulate, simulate_linear,
                                    simulate_newton, simulate_zoh, step_newton,
                                    step_plan, theta_plan, zoh_discretize)
-from multisurf.mlcp import (MlcpProblem, MlcpSolution, SignStepProblem,
-                            certify, from_sign_step, solve, solve_enumerative,
-                            sign_step_solver, solve_pivoting, solve_psor,
-                            solve_sign_step)
+from multisurf.mlcp import (MlcpProblem, MlcpSolution, certify, encode,
+                            sign_step_solver, solve, solve_enumerative,
+                            solve_pivoting, solve_psor, solve_sign_step)
 from multisurf.systems import (AffineGainSignSystem, DisturbedLinearSystem,
                                LinearSignSystem, NonlinearSignSystem,
                                check_cb_positive, linear_system_from_json,

@@ -161,8 +161,8 @@ def _period2(traj, idx, tol=PERIOD2_TOL):
     return _prop(f"period2-detected-y{idx}", hit, f"tail drift {drift:.3e}")
 
 
-def _chatters(traj, idx):
-    v = analysis.tail(traj.outputs[:, idx])
+def _chatters(values, idx):
+    v = analysis.tail(values)
     flips = float(np.mean(v[1:] * v[:-1] < 0))
     return _prop(f"chatters-y{idx}", flips >= 0.5,
                  f"{flips:.0%} sign flips over {len(v)} samples")
@@ -381,11 +381,15 @@ def run_observer(params):
         props.append(_prop("unstable-expected", blew_up, detail))
     else:
         props.append(_prop("bounded", not blew_up, detail))
-        # the explicit sign term switches on most steps, but its cycle need
-        # not have period 2; a run that sits on the surface keeps sgn(0) = 0
-        if params["scheme"] == "explicit" and np.any(
-                analysis.tail(traj.outputs[:, 0])):
-            props.append(_chatters(traj, 0))
+        # once y first changes sign, the explicit sign term switches on most
+        # steps, but its cycle need not have period 2; a run that has not
+        # crossed yet (or sits on the surface, where sgn(0) = 0) is judged
+        # as an implicit one
+        y = traj.outputs[:, 0]
+        cross = np.flatnonzero(y[1:] * y[:-1] < 0)
+        if (params["scheme"] == "explicit" and len(cross)
+                and len(y) - cross[0] - 1 >= analysis.TAIL_MIN):
+            props.append(_chatters(y[cross[0] + 1:], 0))
         else:
             props.append(_no_period2(traj, 0))
         props.append(_selection_box(traj))

@@ -102,21 +102,6 @@ class Trajectory:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-@dataclass(frozen=True)
-class StepResult:
-    """One-step outcome handed back to the simulate loop.
-
-    s is the selection the step used: s_{k+1} of an implicit step, sgn(y_k)
-    of an explicit one.  u is the control held on [t_k, t_{k+1}).
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    s: Optional[np.ndarray] = None
-    u: Optional[np.ndarray] = None
-    iters: int = 0
-
-
 def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
               control=None):
     """The affine step shared by every linear-class loop, built once per run.
@@ -127,7 +112,8 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
     y_{k+1} = C x_{k+1} + D.  A missing c, D, L or rho is skipped rather
     than applied as zero, identity or one, so no -0.0 turns into 0.0.
     control(x_k, s), when given, is the input held on [t_k, t_{k+1}).
-    Returns step(k, x_k, t_k, s_prev) -> StepResult for `simulate`.
+    Returns step(k, x_k, t_k, s_prev) -> (x, y, s, u, iters) for
+    `simulate`.
     """
 
     def affine(M, v, d):
@@ -143,7 +129,7 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
         if L is not None:
             x = L @ x
         u = None if control is None else control(x_k, s)
-        return StepResult(x=x, y=affine(C, x, D), s=s, u=u)
+        return x, affine(C, x, D), s, u, 0
 
     return step
 
@@ -279,10 +265,13 @@ def simulate(step, x0, y0, t0, T, h, m, explicit_signs=False,
              record_controls=False, guard=1e12):
     """Drive a one-step map over the uniform grid and record everything.
 
-    step(k, x_k, t_k, s_k) returns a StepResult; s_k is the previous
-    selection (warm start), 0 initially.  On StepFailure the partial
-    trajectory is returned with failure diagnostics attached; the guard
-    aborts once the state magnitude exceeds it (blow-up).
+    step(k, x_k, t_k, s_k) returns (x, y, s, u, iters): the next state and
+    output, the selection the step used (s_{k+1} of an implicit step,
+    sgn(y_k) of an explicit one), the control held on [t_k, t_{k+1}) or
+    None, and the Newton iterations.  s_k is the previous selection (warm
+    start), 0 initially.  On StepFailure the partial trajectory is returned
+    with failure diagnostics attached; the guard aborts once the state
+    magnitude exceeds it (blow-up).
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -305,21 +294,19 @@ def simulate(step, x0, y0, t0, T, h, m, explicit_signs=False,
                 raise StepFailure("state is not finite")
             if np.max(np.abs(states[k])) > guard:
                 raise StepFailure(f"state magnitude exceeded guard {guard:g}")
-            res = step(k, states[k], times[k], s_prev)
+            x, y, s, u, it = step(k, states[k], times[k], s_prev)
         except StepFailure as exc:
             failure = FailureInfo(step=k, time=float(times[k]),
                                   message=exc.message,
                                   detail=exc.problem_text)
             end = k + 1
             break
-        states[k + 1] = res.x
-        outputs[k + 1] = res.y
-        if res.s is not None:
-            selections[k + 1] = res.s
-            s_prev = res.s
-        if record_controls and res.u is not None:
-            controls[k] = res.u
-        iters[k + 1] = res.iters
+        states[k + 1] = x
+        outputs[k + 1] = y
+        selections[k + 1] = s_prev = s
+        if record_controls and u is not None:
+            controls[k] = u
+        iters[k + 1] = it
     if explicit_signs:
         selections[:end] = np.sign(outputs[:end])
     if record_controls and failure is None and N > 0:
@@ -347,7 +334,7 @@ def simulate_newton(sys, x0, t0, T, cfg: SchemeConfig):
 
     def step(k, x, t, s_prev):
         x1, s1, y1, it = step_newton(sys, x, t, cfg, s_k=s_prev)
-        return StepResult(x=x1, y=y1, s=s1, iters=it)
+        return x1, y1, s1, None, it
 
     return simulate(step, x0, y0, t0, T, cfg.h, sys.m)
 

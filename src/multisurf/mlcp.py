@@ -76,35 +76,15 @@ class MlcpSolution:
     reason: str = ""  # why the status is not "solved"
 
 
-@dataclass(frozen=True)
-class SignStepProblem:
-    """One-step sign inclusion data: s in Sgn(b - W s)."""
-
-    W: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        W = np.atleast_2d(np.asarray(self.W, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if W.shape[0] != W.shape[1] or W.shape[0] != b.shape[0]:
-            raise ValueError("W must be square with matching b")
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def dim(self):
-        return self.b.shape[0]
-
-
-def from_sign_step(p: SignStepProblem) -> MlcpProblem:
-    """Encode the sign inclusion as a box MLCP on [-1, 1]^m."""
-    m = p.dim
-    return MlcpProblem(dim=m, M=p.W, q=-p.b, l=-np.ones(m), u=np.ones(m))
-
-
-def recover_output(p: SignStepProblem, sol: MlcpSolution) -> np.ndarray:
-    """The output y = b - W z realized by a solved sign-step problem."""
-    return p.b - p.W @ sol.z
+def encode(W, b) -> MlcpProblem:
+    """The sign step s in Sgn(b - W s) as a box MLCP: M = W, q = -b on
+    [-1, 1]^m.  A solution's output is y = b - W z."""
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    m = b.shape[0]
+    if W.shape != (m, m):
+        raise ValueError("W must be square with matching b")
+    return MlcpProblem(dim=m, M=W, q=-b, l=-np.ones(m), u=np.ones(m))
 
 
 def _empty_solution():
@@ -249,16 +229,25 @@ def solve_psor(p: MlcpProblem, omega=PSOR_OMEGA, max_iter=PSOR_MAX_ITER,
         raise ValueError("omega must lie in (0, 2)")
     if np.any(p.M.diagonal() == 0):
         raise ValueError("PSOR needs a nonzero diagonal")
-    # imported here: no default solve reaches PSOR, so importing the
-    # library does not load the sweep
-    from multisurf._pure import psor_sweeps
-
-    z = np.clip(np.zeros(m), p.l, p.u)
-    # sweep to a tighter iterate tolerance: the certified residual trails
-    # the per-sweep change by the contraction rate
-    _, delta = psor_sweeps(np.ascontiguousarray(p.M), p.q.copy(),
-                           p.l.copy(), p.u.copy(), z, float(omega),
-                           int(max_iter), float(tol) * 1e-2)
+    M, q, l, u = np.ascontiguousarray(p.M), p.q, p.l, p.u
+    z = np.clip(np.zeros(m), l, u)
+    # projected Gauss-Seidel/SOR, z_i <- clamp(z_i - omega (M z + q)_i / M_ii)
+    # coordinate by coordinate, to a tighter iterate tolerance: the certified
+    # residual trails the per-sweep change by the contraction rate
+    omega, sweep_tol = float(omega), float(tol) * 1e-2
+    delta = 0.0
+    for _ in range(int(max_iter)):
+        delta = 0.0
+        for i in range(m):
+            zi = z[i] - omega * (M[i] @ z + q[i]) / M[i, i]
+            if zi < l[i]:
+                zi = l[i]
+            elif zi > u[i]:
+                zi = u[i]
+            delta = max(delta, abs(zi - z[i]))
+            z[i] = zi
+        if delta < sweep_tol:
+            break
     r = p.M @ z + p.q
     w, v = _split_slacks(r)
     # slack parts on interior coordinates are residual noise, not activity
@@ -445,7 +434,7 @@ def sign_step_solver(W, method="auto"):
         raise ValueError("W must be square")
 
     def cold(b):
-        enc = from_sign_step(SignStepProblem(W=W, b=b))
+        enc = encode(W, b)
         sol = solve(enc, method=method)
         if sol.status != "solved":
             raise StepFailure(f"one-step MLCP {sol.status}: {sol.reason}",

@@ -42,6 +42,19 @@ class TestObserverStabilityRule:
         assert names(res) == ["bounded", "chatters-y0", "selection-box"]
         assert res.all_passed
 
+    @pytest.mark.parametrize("T, expected", [
+        (1.0, BOUNDED),
+        (2.1, ["bounded", "chatters-y0", "selection-box"])])
+    def test_explicit_chattering_is_judged_after_the_first_crossing(
+            self, T, expected):
+        # from x0 = [2, 0, 0, 0] at h = 1.5 tau, y first changes sign
+        # between samples 1334 and 1335: a run that stops before has nothing
+        # to chatter, and one that stops 66 samples later flips on each
+        res = run_experiment("observer", {"scheme": "explicit", "h": 0.0015,
+                                          "T": T})
+        assert names(res) == expected
+        assert res.all_passed
+
     def test_explicit_scheme_on_the_surface_does_not_chatter(self):
         # sgn(0) = 0 keeps y at exactly 0, so there is nothing to chatter
         res = run_experiment("observer", {"scheme": "explicit", "h": 0.0015,

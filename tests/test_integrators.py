@@ -35,20 +35,23 @@ def rk4_matrix_pair(F, h, steps=10000):
 
 
 def linear_step(sys, x_k, cfg, scheme="implicit"):
-    """One step of the theta-scheme plan that simulate_linear runs."""
+    """(x, y, s) of one step of the theta-scheme plan that simulate_linear
+    runs."""
     step = theta_plan(sys.E, sys.B, sys.C, sys.D, lambda t: cfg.h * sys.a,
                       cfg, scheme)
-    return step(0, np.asarray(x_k, dtype=float), 0.0, None)
+    x, y, s, _, _ = step(0, np.asarray(x_k, dtype=float), 0.0, None)
+    return x, y, s
 
 
 def zoh_step(pair, C, D, x_k, mode="implicit", solver="auto"):
-    """One step of the ZOH plan that simulate_zoh runs."""
+    """(x, y, s) of one step of the ZOH plan that simulate_zoh runs."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D = np.atleast_1d(np.asarray(D, dtype=float))
     solve = (mlcp.sign_step_solver(C @ pair.Gamma, solver)
              if mode == "implicit" else None)
-    return step_plan(pair.Phi, pair.Gamma, C, D, solve=solve)(
+    x, y, s, _, _ = step_plan(pair.Phi, pair.Gamma, C, D, solve=solve)(
         0, np.asarray(x_k, dtype=float), 0.0, None)
+    return x, y, s
 
 
 class TestSchemeConfig:
@@ -65,18 +68,18 @@ class TestStepLinear:
     cfg = SchemeConfig(h=0.2, theta=0.0)
 
     def test_sliding_approach(self):
-        step = linear_step(simple_system(), [1.01], self.cfg)
-        assert np.isclose(step.x[0], 0.81)
-        assert np.isclose(step.s[0], 1.0)
+        x, _, s = linear_step(simple_system(), [1.01], self.cfg)
+        assert np.isclose(x[0], 0.81)
+        assert np.isclose(s[0], 1.0)
 
     def test_sticking_step(self):
-        step = linear_step(simple_system(), [0.01], self.cfg)
-        assert abs(step.x[0]) <= 1e-15
-        assert np.isclose(step.s[0], 0.05)
+        x, _, s = linear_step(simple_system(), [0.01], self.cfg)
+        assert abs(x[0]) <= 1e-15
+        assert np.isclose(s[0], 0.05)
 
     def test_stay_at_zero(self):
-        step = linear_step(simple_system(), [0.0], self.cfg)
-        assert step.x[0] == 0.0 and step.s[0] == 0.0
+        x, _, s = linear_step(simple_system(), [0.0], self.cfg)
+        assert x[0] == 0.0 and s[0] == 0.0
 
     def test_singular_drift_rejected(self):
         sys = LinearSignSystem(n=1, m=1, E=[[10.0]], a=[0.0], B=[[1.0]],
@@ -89,16 +92,16 @@ class TestStepExplicit:
     cfg = SchemeConfig(h=0.2)
 
     def test_overshoot(self):
-        step = linear_step(simple_system(), [0.01], self.cfg, "explicit")
-        assert np.isclose(step.x[0], -0.19)
+        x, _, _ = linear_step(simple_system(), [0.01], self.cfg, "explicit")
+        assert np.isclose(x[0], -0.19)
 
     def test_period2_return(self):
-        step = linear_step(simple_system(), [-0.19], self.cfg, "explicit")
-        assert np.isclose(step.x[0], 0.01)
+        x, _, _ = linear_step(simple_system(), [-0.19], self.cfg, "explicit")
+        assert np.isclose(x[0], 0.01)
 
     def test_sgn_zero_convention(self):
-        step = linear_step(simple_system(), [0.0], self.cfg, "explicit")
-        assert step.x[0] == 0.0 and step.s[0] == 0.0
+        x, _, s = linear_step(simple_system(), [0.0], self.cfg, "explicit")
+        assert x[0] == 0.0 and s[0] == 0.0
 
 
 class TestStepNewton:
@@ -159,11 +162,11 @@ class TestZohDiscretize:
 class TestStepZoh:
     def test_reduces_to_linear_step(self):
         pair = integrators.ZohPair(Phi=np.eye(1), Gamma=0.2 * np.eye(1))
-        zoh = zoh_step(pair, [[1.0]], [0.0], [1.01])
-        lin = linear_step(simple_system(), [1.01],
-                          SchemeConfig(h=0.2, theta=0.0))
-        assert np.allclose(zoh.x, lin.x, atol=1e-14)
-        assert np.allclose(zoh.s, lin.s, atol=1e-14)
+        zx, _, zs = zoh_step(pair, [[1.0]], [0.0], [1.01])
+        lx, _, ls = linear_step(simple_system(), [1.01],
+                                SchemeConfig(h=0.2, theta=0.0))
+        assert np.allclose(zx, lx, atol=1e-14)
+        assert np.allclose(zs, ls, atol=1e-14)
 
     def test_surface_invariance(self):
         F, G, C = zoh_siso_data()
@@ -171,16 +174,16 @@ class TestStepZoh:
         # a point already on the surface stays on it
         x = np.array([1.0, -1.0])
         assert abs(np.asarray(C) @ x) <= 1e-14
-        step = zoh_step(pair, C, [0.0], x, solver="enumerative")
-        assert np.max(np.abs(step.y)) <= 1e-12
+        _, y, _ = zoh_step(pair, C, [0.0], x, solver="enumerative")
+        assert np.max(np.abs(y)) <= 1e-12
 
     def test_explicit_mode(self):
         F, G, C = zoh_siso_data()
         pair = zoh_discretize(F, G, C, 0.3)
         x = np.array([0.55, 0.55])
-        step = zoh_step(pair, C, [0.0], x, mode="explicit")
-        assert step.s[0] == 1.0
-        assert np.allclose(step.x, pair.Phi @ x - pair.Gamma @ step.s)
+        x1, _, s = zoh_step(pair, C, [0.0], x, mode="explicit")
+        assert s[0] == 1.0
+        assert np.allclose(x1, pair.Phi @ x - pair.Gamma @ s)
 
 
 class TestSimulate:
@@ -238,9 +241,9 @@ class TestSimulate:
         cfg = SchemeConfig(h=0.2)
         for x0 in (1.01, 0.01, -0.4):
             xa, sa, _, it = step_newton(affine, np.array([x0]), 0.0, cfg)
-            lin = linear_step(simple_system(), [x0], cfg)
-            assert abs(xa[0] - lin.x[0]) <= 1e-12
-            assert abs(sa[0] - lin.s[0]) <= 1e-12
+            lx, _, ls = linear_step(simple_system(), [x0], cfg)
+            assert abs(xa[0] - lx[0]) <= 1e-12
+            assert abs(sa[0] - ls[0]) <= 1e-12
             assert it == 1
 
     def test_newton_termination_hypomonotone(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multisurf import mlcp
 
@@ -29,26 +31,29 @@ class TestProblemValidation:
                              u=[np.inf])
 
 
-class TestFromSignStep:
+class TestEncode:
     def test_field_mapping(self):
-        p = mlcp.from_sign_step(mlcp.SignStepProblem(W=[[0.2]], b=[0.1]))
+        p = mlcp.encode([[0.2]], [0.1])
         assert p.M[0, 0] == 0.2 and p.q[0] == -0.1
         assert p.l[0] == -1 and p.u[0] == 1
 
     def test_two_surface_encoding(self):
         W = 0.02 * 5 * np.eye(2)
-        prob = mlcp.SignStepProblem(W=W, b=[0.05, -0.08])
-        enc = mlcp.from_sign_step(prob)
-        sol = mlcp.solve_enumerative(enc)
+        b = np.array([0.05, -0.08])
+        sol = mlcp.solve_enumerative(mlcp.encode(W, b))
         assert sol.status == "solved"
-        y = mlcp.recover_output(prob, sol)
+        y = b - W @ sol.z
         # interior selections zero the output
         assert np.allclose(sol.z, [0.5, -0.8])
         assert np.allclose(y, 0.0, atol=1e-14)
 
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            mlcp.encode(np.eye(2), [1.0])
+
     def test_degenerate_empty(self):
-        prob = mlcp.SignStepProblem(W=np.zeros((0, 0)), b=np.zeros(0))
-        sol = mlcp.solve_enumerative(mlcp.from_sign_step(prob))
+        sol = mlcp.solve_enumerative(mlcp.encode(np.zeros((0, 0)),
+                                                 np.zeros(0)))
         assert sol.status == "solved" and sol.z.shape == (0,)
 
 
@@ -91,8 +96,11 @@ class TestPsor:
             assert np.allclose(sol.z, -q / 5, atol=1e-10)
 
     def test_saturation(self):
-        sol = mlcp.solve_psor(box_problem([[1.0]], [-2.0]))
-        assert np.isclose(sol.z[0], 1.0)
+        for M, q, z in (([[1.0]], [-2.0], [1.0]),
+                        (2 * np.eye(2), [-1.0, 3.0], [0.5, -1.0])):
+            sol = mlcp.solve_psor(box_problem(M, q))
+            assert sol.status == "solved"
+            assert np.allclose(sol.z, z)
 
     def test_zero_diagonal_rejected(self):
         with pytest.raises(ValueError):
@@ -166,9 +174,9 @@ class TestSolverAgreement:
             m = int(rng.integers(1, 5))
             A = rng.standard_normal((m, m))
             W = A @ A.T + 0.1 * np.eye(m)
-            prob = mlcp.SignStepProblem(W=W, b=rng.standard_normal(m))
-            sol = mlcp.solve_enumerative(mlcp.from_sign_step(prob))
-            y = mlcp.recover_output(prob, sol)
+            b = rng.standard_normal(m)
+            sol = mlcp.solve_enumerative(mlcp.encode(W, b))
+            y = b - W @ sol.z
             for i in range(m):
                 assert abs(sol.z[i]) <= 1 + 1e-12
                 if abs(sol.z[i]) < 1 - 1e-9:
@@ -207,3 +215,111 @@ class TestSolvePolicy:
         text = mlcp.format_problem(box_problem([[1.0]], [-0.5]))
         assert text.splitlines()[0] == "MLCP dim=1"
         assert any(line.startswith("q") for line in text.splitlines())
+
+
+# ---------------------------------------------------------------------------
+# oracle net: every solver against the enumerative oracle on generated box
+# MLCPs, m <= 8, scaled by h in [1e-6, 1]
+
+P_KINDS = ["spd", "pd-nonsymmetric", "p-matrix"]
+OTHER_KINDS = ["singular-minor", "positive-diagonal", "symmetric-indefinite",
+               "arbitrary"]
+Q_KINDS = ["random", "zero", "degenerate"]
+LIM = 1e2 * mlcp.FEAS_TOL
+
+
+def generated_problem(rng, m, m_kind, q_kind, h):
+    """One box MLCP h (M z + q) on [-1, 1]^m of a matrix and a q class.
+
+    P-matrix classes: "spd"; "pd-nonsymmetric", an SPD part plus a skew
+    part; "p-matrix", a positive diagonal times an SPD matrix, which need
+    not be positive definite.  Others: "singular-minor" (G G^T with G of
+    rank m - 1, so M itself is a singular principal minor), "positive-
+    diagonal" (arbitrary off the diagonal), "symmetric-indefinite" and
+    "arbitrary".  q is "random", "zero", or "degenerate": built from a
+    known solution in which one bound index has zero slack.
+    """
+    G = rng.standard_normal((m, m))
+    spd = G @ G.T / m + 0.5 * np.eye(m)
+    if m_kind == "spd":
+        M = spd
+    elif m_kind == "pd-nonsymmetric":
+        M = spd + (G - G.T)
+    elif m_kind == "p-matrix":
+        M = np.diag(rng.uniform(0.1, 10.0, m)) @ spd
+    elif m_kind == "singular-minor":
+        M = G[:, 1:] @ G[:, 1:].T
+    elif m_kind == "positive-diagonal":
+        M = G - np.diag(np.diag(G)) + np.diag(rng.uniform(0.1, 2.0, m))
+    elif m_kind == "symmetric-indefinite":
+        M = (G + G.T) / 2
+    else:
+        M = G
+    if q_kind == "random":
+        q = 2.0 * rng.standard_normal(m)
+    elif q_kind == "zero":
+        q = np.zeros(m)
+    else:
+        # z at a bound where the slack w - v is nonzero, plus index 0 at a
+        # bound with zero slack
+        z = rng.uniform(-0.9, 0.9, m)
+        slack = np.zeros(m)
+        for i in range(m):
+            if i == 0 or rng.random() < 0.4:
+                z[i] = rng.choice([-1.0, 1.0])
+                slack[i] = 0.0 if i == 0 else -z[i] * rng.uniform(0.1, 1.0)
+        q = slack - M @ z
+    return box_problem(h * M, h * q)
+
+
+@st.composite
+def problems(draw, kinds):
+    m = draw(st.integers(1, 8))
+    m_kind = draw(st.sampled_from(kinds))
+    q_kind = draw(st.sampled_from(Q_KINDS))
+    h = 10.0 ** draw(st.floats(-6.0, 0.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return generated_problem(rng, m, m_kind, q_kind, h)
+
+
+ORACLE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                           database=None)
+
+
+def _answers(p):
+    """Each solver's answer by name; PSOR only on a nonzero diagonal."""
+    out = {"pivot": mlcp.solve_pivoting(p), "auto": mlcp.solve(p)}
+    if np.all(p.M.diagonal() != 0):
+        out["psor"] = mlcp.solve_psor(p)
+    return out
+
+
+@ORACLE_SETTINGS
+@given(problems(P_KINDS + OTHER_KINDS))
+def test_solved_answers_certify_and_auto_answers_where_the_oracle_does(p):
+    oracle = mlcp.solve_enumerative(p)
+    answers = _answers(p)
+    for name, sol in [("oracle", oracle), *answers.items()]:
+        if sol.status == "solved":
+            assert mlcp.certify(p, sol) <= LIM, name
+    if oracle.status == "solved":
+        assert answers["auto"].status == "solved"
+
+
+@ORACLE_SETTINGS
+@given(problems(P_KINDS))
+def test_pivoting_and_auto_match_the_oracle_on_p_matrices(p):
+    oracle = mlcp.solve_enumerative(p)
+    assert oracle.status == "solved"
+    for sol in (mlcp.solve_pivoting(p), mlcp.solve(p)):
+        assert sol.status == "solved"
+        assert np.max(np.abs(sol.z - oracle.z)) <= 1e-8
+
+
+@ORACLE_SETTINGS
+@given(problems(["spd"]))
+def test_psor_matches_the_oracle_on_spd(p):
+    oracle = mlcp.solve_enumerative(p)
+    sol = mlcp.solve_psor(p)
+    assert sol.status == "solved"
+    assert np.max(np.abs(sol.z - oracle.z)) <= 1e-8

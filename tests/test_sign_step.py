@@ -49,7 +49,7 @@ def positive_scalar_steps(draw):
 
 
 def sign_problem(W, b):
-    return mlcp.from_sign_step(mlcp.SignStepProblem(W=[[W]], b=[b]))
+    return mlcp.encode([[W]], [b])
 
 
 @SETTINGS
@@ -155,8 +155,7 @@ def warm_runs(draw):
 
 
 def _cold(W, b, method):
-    prob = mlcp.from_sign_step(mlcp.SignStepProblem(W=W, b=b))
-    return mlcp.solve(prob, method=method).z
+    return mlcp.solve(mlcp.encode(W, b), method=method).z
 
 
 @pytest.mark.parametrize("method", ["auto", "pivot"])
@@ -166,8 +165,7 @@ def test_warm_solver_matches_cold_pivoting_bitwise(method, run):
     W, bs, _ = run
     solve = mlcp.sign_step_solver(W, method)
     for b in bs:
-        ref = mlcp.solve_pivoting(
-            mlcp.from_sign_step(mlcp.SignStepProblem(W=W, b=b)))
+        ref = mlcp.solve_pivoting(mlcp.encode(W, b))
         assert ref.status == "solved"
         z = solve(b)
         assert z.tobytes() == ref.z.tobytes()
