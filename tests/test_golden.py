@@ -5,7 +5,8 @@ SHA-256 of every CSV it writes is compared with a recorded digest.  A change
 that alters any trajectory, selection, control or convergence number by one
 bit fails here.  `LIBRARY_DIGESTS` does the same for implicit library runs
 that no registry default reaches: Lyapunov loops with rho != 1, the
-theta = 0.5 scheme, the ZOH loop and an m = 4 P-matrix system under `pivot`.
+theta = 0.5 scheme, the ZOH loop, an m = 4 P-matrix system under `pivot` and
+an m = 12 one under `auto` whose every step takes the warm-started pivoting.
 
 The digests are tied to the numpy / LAPACK build they were recorded with
 (numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64): another BLAS or LAPACK
@@ -97,6 +98,23 @@ def _pivot_m4():
                                        SchemeConfig(h=0.01, solver="pivot"))
 
 
+def _warm_m12():
+    # B = I + 0.3 G / |G|_2 has a positive definite symmetric part and so has
+    # W = h (I - h E)^-1 B here: all 200 steps pivot from the previous
+    # step's active set, through 11 sets, saturated and sliding
+    rng = np.random.default_rng(12)
+    m = 12
+    G = rng.standard_normal((m, m))
+    B = np.eye(m) + 0.3 * G / np.linalg.norm(G, 2)
+    d = rng.uniform(-0.4, 0.4, m)
+    d[::2] = [2.0, -1.8, 1.6, -2.2, 1.9, -1.7]
+    E = -0.2 * np.eye(m) + 0.05 * np.roll(np.eye(m), 1, axis=1)
+    sys = LinearSignSystem(n=m, m=m, E=E, a=B @ d, B=B, C=np.eye(m),
+                           D=np.zeros(m))
+    return integrators.simulate_linear(sys, rng.uniform(-0.5, 0.5, m), 0.0,
+                                       2.0, SchemeConfig(h=0.01))
+
+
 LIBRARY_RUNS = {
     "lyapunov-rho0.7": lambda: _lyapunov_rho(0.7),
     "lyapunov-rho1.3": lambda: _lyapunov_rho(1.3),
@@ -106,6 +124,7 @@ LIBRARY_RUNS = {
     "zoh-mimo-implicit": lambda: _zoh(experiments.zoh_mimo_data(),
                                       [0.05, -0.5, 0.02], 15.0),
     "pivot-m4": _pivot_m4,
+    "warm-m12": _warm_m12,
 }
 
 LIBRARY_DIGESTS = {
@@ -117,6 +136,8 @@ LIBRARY_DIGESTS = {
                         "6693fbe0daf57e17bf5d93639664fb97"),
     "pivot-m4": ("07f4cadffb5c0305e16d7bc6dab285c3"
                  "d7cc4711fedf47d9289af172320b675c"),
+    "warm-m12": ("6f1e7d29dda67ec401115ee3a47189e6"
+                 "c0746151332b59527e68ea8447f01473"),
     "zoh-mimo-implicit": ("1c12301bac9df6fd35648d1bacfe29cf"
                           "e4058fe1d876a1625e159319b6c76eb8"),
     "zoh-siso-implicit": ("c8ea1b2754f976ffd334d2c04fbb7577"

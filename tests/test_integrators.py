@@ -260,6 +260,39 @@ class TestSimulate:
         assert traj.failure.step == 0
         assert len(traj.times) == 1
 
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "state is not finite"),
+        (math.inf, "state is not finite"),
+        (-math.inf, "state is not finite"),
+        (2e12, "state magnitude exceeded guard 1e+12"),
+        (-2e12, "state magnitude exceeded guard 1e+12"),
+    ])
+    def test_state_check_names_the_failing_step(self, bad, message):
+        # step 2 writes `bad` into x_3; the check before step 3 stops the run
+        def step(k, x_k, t_k, s_prev):
+            x = x_k + 1.0
+            if k == 2:
+                x[1] = bad
+            return x, x[:1], np.zeros(1), None, 0
+
+        traj = integrators.simulate(step, [0.0, 0.0], [0.0], 0.0, 1.0, 0.1, 1)
+        assert traj.failure.step == 3 and traj.failure.message == message
+        assert traj.failure.time == traj.times[3] and len(traj.times) == 4
+        assert traj.states[3, 1] == bad or math.isnan(traj.states[3, 1])
+
+    def test_state_check_prefers_non_finite_and_keeps_the_guard_value(self):
+        def step(k, x_k, t_k, s_prev):
+            return (np.array([-3e12, math.nan]) if k == 1 else x_k,
+                    np.zeros(1), np.zeros(1), None, 0)
+
+        traj = integrators.simulate(step, [1e12, 0.0], [0.0], 0.0, 1.0, 0.1,
+                                    1)
+        assert traj.failure.step == 2
+        assert traj.failure.message == "state is not finite"
+        nan0 = integrators.simulate(step, [math.nan, 0.0], [0.0], 0.0, 1.0,
+                                    0.1, 1).failure
+        assert (nan0.step, nan0.message) == (0, "state is not finite")
+
     def test_grid_is_ceil(self):
         assert integrators.grid_steps(0.0, 3.0, 0.2) == 15
         assert integrators.grid_steps(0.0, 1.0, 0.3) == 4
