@@ -290,9 +290,12 @@ def simulate(step, x0, y0, t0, T, h, m, explicit_signs=False,
     end = N + 1
     for k in range(N):
         try:
-            if not np.all(np.isfinite(states[k])):
+            # one reduction: NaN propagates through max, and |x| = inf
+            # also fails `< inf`
+            mag = float(np.abs(states[k]).max())
+            if not mag < math.inf:
                 raise StepFailure("state is not finite")
-            if np.max(np.abs(states[k])) > guard:
+            if mag > guard:
                 raise StepFailure(f"state magnitude exceeded guard {guard:g}")
             x, y, s, u, it = step(k, states[k], times[k], s_prev)
         except StepFailure as exc:

@@ -28,6 +28,8 @@ PSOR_MAX_ITER = 5000
 
 # per-index active states, enumerated lexicographically
 _INTERIOR, _LOWER, _UPPER = 0, 1, 2
+# active sets whose blocks one solver keeps (about 1.5 MB at m = 12)
+_MAX_BLOCKS = 1024
 
 
 class StepFailure(Exception):
@@ -117,36 +119,39 @@ def certify(p: MlcpProblem, s: MlcpSolution) -> float:
     return float(max(box, eq, comp, sign))
 
 
-def _certify_box(W, b, z, w, v):
-    """`certify` of (z, w, v) for the sign-step encoding (M = W, q = -b, the
-    box [-1, 1]^m), in the same floating-point operations."""
-    box = max(np.max(-1.0 - z, initial=0.0), np.max(z - 1.0, initial=0.0))
-    eq = np.max(np.abs(W @ z - b - w + v))
-    comp = max(abs((z + 1.0) @ w), abs((1.0 - z) @ v))
-    sign = max(np.max(-w, initial=0.0), np.max(-v, initial=0.0))
-    return float(max(box, eq, comp, sign))
-
-
-def _set_point(M, q, l, u, states):
+def _set_point(M, q, l, u, states, blocks=None):
     """The point of one active set: bound indices at their bounds, the
     interior block of M z + q = 0 solved for the rest.
 
     Returns (z, regular).  A singular interior block takes the minimum-norm
     least-squares solve, canonical on degenerate rows, and regular False.
+    `blocks`, a dict kept by a caller whose M, l and u stay the same, holds
+    each visited set's indexing and the products that do not involve q, so
+    a set met again repeats only the arithmetic on q and the solve.
     """
-    m = len(states)
-    z = np.zeros(m)
-    for i in range(m):
-        if states[i] == _LOWER:
-            z[i] = l[i]
-        elif states[i] == _UPPER:
-            z[i] = u[i]
-    interior = [i for i in range(m) if states[i] == _INTERIOR]
-    if not interior:
+    key = tuple(states)
+    blk = None if blocks is None else blocks.get(key)
+    if blk is None:
+        z0 = np.zeros(len(key))
+        for i, st in enumerate(key):
+            if st == _LOWER:
+                z0[i] = l[i]
+            elif st == _UPPER:
+                z0[i] = u[i]
+        interior = [i for i, st in enumerate(key) if st == _INTERIOR]
+        blk = (z0, None, None, None, None)
+        if interior:
+            I = np.array(interior)
+            MI = M[np.ix_(I, I)]
+            # M[I] @ z and MI @ z[I] of the set's z before its interior solve
+            blk = (z0, I, MI, M[I] @ z0, MI @ z0[I])
+        if blocks is not None and len(blocks) < _MAX_BLOCKS:
+            blocks[key] = blk
+    z0, I, MI, fixed, free = blk
+    z = z0.copy()
+    if I is None:
         return z, True
-    I = np.array(interior)
-    MI = M[np.ix_(I, I)]
-    rhs = -q[I] - M[I] @ z + MI @ z[I]
+    rhs = -q[I] - fixed + free
     try:
         z[I] = np.linalg.solve(MI, rhs)
     except np.linalg.LinAlgError:
@@ -271,38 +276,39 @@ def solve_psor(p: MlcpProblem, omega=PSOR_OMEGA, max_iter=PSOR_MAX_ITER,
                         reason=reason)
 
 
-def _pivot(M, q, l, u, states, tol, max_pivots=None):
+def _pivot(M, q, l, u, states, tol, max_pivots=None, blocks=None):
     """Murty's least-index principal pivoting from the active set `states`.
 
-    Flips `states` in place, each pivot at the least index whose condition
-    the current set's point violates, and returns (z, w, v, r) of the first
-    set that violates none, with r = M z + q.  Returns the reason as a
-    string after `max_pivots` pivots, or as soon as a set comes back: the
-    rule is deterministic, so a repeated set is a cycle that would run to
-    the cap, and least-index pivoting does not cycle on a P-matrix.
+    l and u are the bounds as lists of floats.  Flips `states` in place,
+    each pivot at the least index whose condition the current set's point
+    violates, and returns (z, zl, rl) of the first set that violates none:
+    z, and z and r = M z + q as lists.  Returns the reason as a string
+    after `max_pivots` pivots, or as soon as a set comes back: the rule is
+    deterministic, so a repeated set is a cycle that would run to the cap,
+    and least-index pivoting does not cycle on a P-matrix.  `blocks` is
+    passed on to `_set_point`.
     """
     m = len(states)
     if max_pivots is None:
         max_pivots = max(200, 3 ** min(m, 10))
-    lo, hi = np.isfinite(l).tolist(), np.isfinite(u).tolist()
-    ll, ul = l.tolist(), u.tolist()
     seen = set()
     for _ in range(max_pivots):
         key = tuple(states)
         if key in seen:
             return "W is not a P-matrix (pivoting cycled)"
         seen.add(key)
-        z, _ = _set_point(M, q, l, u, states)
+        z, _ = _set_point(M, q, l, u, key, blocks)
         r = M @ z + q
         zl, rl = z.tolist(), r.tolist()
-        # least-index violated condition decides the next pivot
+        # least-index violated condition decides the next pivot; an infinite
+        # bound is never crossed, z < -inf and z > inf being false
         flip = -1
         for i in range(m):
             if states[i] == _INTERIOR:
-                if lo[i] and zl[i] < ll[i] - tol:
+                if zl[i] < l[i] - tol:
                     flip, new = i, _LOWER
                     break
-                if hi[i] and zl[i] > ul[i] + tol:
+                if zl[i] > u[i] + tol:
                     flip, new = i, _UPPER
                     break
                 if abs(rl[i]) > tol:
@@ -318,14 +324,7 @@ def _pivot(M, q, l, u, states, tol, max_pivots=None):
                     flip, new = i, _INTERIOR
                     break
         if flip < 0:
-            w = np.zeros(m)
-            v = np.zeros(m)
-            for i in range(m):
-                if states[i] == _LOWER:
-                    w[i] = max(rl[i], 0.0)
-                elif states[i] == _UPPER:
-                    v[i] = max(-rl[i], 0.0)
-            return z, w, v, r
+            return z, zl, rl
         states[flip] = new
     return f"no solution within {max_pivots} pivots"
 
@@ -336,10 +335,16 @@ def solve_pivoting(p: MlcpProblem, tol=FEAS_TOL, max_pivots=None) -> MlcpSolutio
     m = p.dim
     if m == 0:
         return _empty_solution()
-    got = _pivot(p.M, p.q, p.l, p.u, [_INTERIOR] * m, tol, max_pivots)
+    states = [_INTERIOR] * m
+    got = _pivot(p.M, p.q, p.l.tolist(), p.u.tolist(), states, tol,
+                 max_pivots)
     if isinstance(got, str):
         return _unsolved(m, "infeasible", got)
-    z, w, v, _ = got
+    z, _, rl = got
+    w = np.array([max(r, 0.0) if st == _LOWER else 0.0
+                  for st, r in zip(states, rl)])
+    v = np.array([max(-r, 0.0) if st == _UPPER else 0.0
+                  for st, r in zip(states, rl)])
     sol = MlcpSolution(z=z, w=w, v=v, residual=0.0, status="solved")
     return MlcpSolution(z=z, w=w, v=v, residual=certify(p, sol),
                         status="solved")
@@ -401,13 +406,48 @@ def _sign_step_1d(W, b):
         else None
 
 
-def _sym_part_pd(W):
-    """True when W + W^T is positive definite, which makes W a P-matrix."""
+def _p_matrix(W):
+    """True when W is a P-matrix (every principal minor positive), which
+    gives each step one solution and makes least-index pivoting terminate
+    from any start (Murty 1988).  W + W^T positive definite settles it at
+    once; otherwise, for m <= 12, all 2^m - 1 principal minors are tested,
+    one stacked determinant call per order."""
     try:
         np.linalg.cholesky(W + W.T)
+        return True
     except np.linalg.LinAlgError:
+        pass
+    m = W.shape[0]
+    if m > 12:
         return False
+    for k in range(1, m + 1):
+        idx = np.array(list(itertools.combinations(range(m), k)))
+        if not np.all(np.linalg.det(W[idx[:, :, None], idx[:, None, :]]) > 0):
+            return False
     return True
+
+
+def _certified(states, zl, rl, lim):
+    """Whether a pivoting answer on the box [-1, 1]^m is kept: `certify`'s
+    box, equation, complementarity and sign conditions hold at `lim` and no
+    index is degenerate (a bound index with |r_i| <= lim, or an interior one
+    with |z_i| >= 1 - lim).  One pass of Python floats over z and
+    r = W z - b, with w and v the bound slacks as `solve_pivoting` builds
+    them; false on any NaN or infinity, which fails every comparison."""
+    comp_l = comp_u = 0.0
+    for st, z, r in zip(states, zl, rl):
+        w = max(r, 0.0) if st == _LOWER else 0.0
+        v = max(-r, 0.0) if st == _UPPER else 0.0
+        if st == _INTERIOR:
+            kept = abs(z) < 1.0 - lim
+        else:
+            kept = abs(r) > lim
+        if not (kept and -1.0 - z <= lim and z - 1.0 <= lim
+                and abs(r - w + v) <= lim and -w <= lim and -v <= lim):
+            return False
+        comp_l += (z + 1.0) * w
+        comp_u += (1.0 - z) * v
+    return abs(comp_l) <= lim and abs(comp_u) <= lim
 
 
 def sign_step_solver(W, method="auto"):
@@ -415,16 +455,18 @@ def sign_step_solver(W, method="auto"):
     whose W stays the same; W is checked and converted once, here.
 
     Under `auto` and `pivot`, m = 1 with W > 0 takes the closed form of
-    `_sign_step_1d`.  For m > 1 with W + W^T positive definite (so W is a
-    P-matrix and each step has one solution), least-index pivoting starts
-    from the previous step's final active set.  A warm answer is kept only
-    if it certifies at 1e2 * FEAS_TOL and no index is degenerate (a bound
-    index with |r_i| <= 1e2 * FEAS_TOL, or an interior one with
-    |z_i| >= 1 - 1e2 * FEAS_TOL), because there a cold start may end at
-    another active set and round differently.  All other steps encode the
-    MLCP and run `solve`, and the next warm start begins from that answer,
-    so every answer is bit-identical to `solve`'s.  Raises StepFailure with
-    the reason and the MLCP dump when `solve` fails.
+    `_sign_step_1d`.  For m > 1 with W a P-matrix (`_p_matrix`: W + W^T
+    positive definite, or all principal minors positive for m <= 12), so
+    that each step has one solution, least-index pivoting starts from the
+    previous step's final active set.  The solver keeps each visited
+    set's interior block, so a step on a known set pays for one solve.  A
+    warm answer is kept only if `_certified` passes it at 1e2 * FEAS_TOL:
+    it certifies, is finite, and no index is degenerate, because there a
+    cold start may end at another active set and round differently.  All
+    other steps encode the MLCP and run `solve`, and the next warm start
+    begins from that answer, so every answer is bit-identical to
+    `solve`'s.  Raises StepFailure with the reason and the MLCP dump when
+    `solve` fails.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim < 2:
@@ -453,26 +495,21 @@ def sign_step_solver(W, method="auto"):
                     return np.array([z])
             return cold(b)
         return closed_form
-    if not (fast and m > 1 and _sym_part_pd(W)):
+    if not (fast and m > 1 and _p_matrix(W)):
         return cold
 
-    upper = np.ones(m)
-    lower = -upper
+    lower, upper = [-1.0] * m, [1.0] * m
     lim = 1e2 * FEAS_TOL
     states = [_INTERIOR] * m
+    blocks = {}
 
     def warm(b):
         b = np.asarray(b, dtype=float)
         if b.shape == (m,):
-            got = _pivot(W, -b, lower, upper, states, FEAS_TOL)
-            if not isinstance(got, str):
-                z, w, v, r = got
-                zl, rl = z.tolist(), r.tolist()
-                if (_certify_box(W, b, z, w, v) <= lim and not any(
-                        abs(zl[i]) >= 1.0 - lim if st == _INTERIOR
-                        else abs(rl[i]) <= lim
-                        for i, st in enumerate(states))):
-                    return z
+            got = _pivot(W, -b, lower, upper, states, FEAS_TOL, blocks=blocks)
+            if not isinstance(got, str) and _certified(states, got[1], got[2],
+                                                       lim):
+                return got[0]
         z = cold(b)
         states[:] = [_LOWER if zi <= -1.0 else _UPPER if zi >= 1.0
                      else _INTERIOR for zi in z.tolist()]

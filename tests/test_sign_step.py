@@ -129,17 +129,30 @@ KINDS = ["interior", "interior", "lower", "upper", "lower", "upper",
 
 @st.composite
 def warm_runs(draw):
-    """(W, bs, degenerate): a P-matrix W = h (I + 0.3 G / |G|_2), whose
-    symmetric part is positive definite, at m = 2..8, and a sequence of
-    right-hand sides b = W z + y built from known solutions z with slacks y;
-    degenerate[k] says step k has a bound index with zero slack."""
-    m = draw(st.integers(2, 8))
+    """(W, bs, degenerate): a P-matrix W at m = 2..12 and a run of up to 12
+    right-hand sides b = W z + y built from known solutions z with slacks y,
+    drawn from at most three active sets so that later steps revisit them;
+    degenerate[k] says step k has a bound index with zero slack.
+
+    W is h (I + 0.3 G / |G|_2), whose symmetric part is positive definite,
+    or h Q (I + L) Q^T with Q a permutation and L strictly lower triangular
+    with one entry of magnitude 3: every principal minor of it is h^k, but
+    the symmetric part is indefinite."""
+    m = draw(st.integers(2, 12))
     h = draw(st.sampled_from([1e-3, 1e-2, 0.1, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    G = rng.standard_normal((m, m))
-    W = h * (np.eye(m) + 0.3 * G / np.linalg.norm(G, 2))
-    steps = draw(st.lists(st.lists(st.sampled_from(KINDS), min_size=m,
-                                   max_size=m), min_size=2, max_size=6))
+    if draw(st.booleans()):
+        G = rng.standard_normal((m, m))
+        W = h * (np.eye(m) + 0.3 * G / np.linalg.norm(G, 2))
+    else:
+        L = np.tril(rng.standard_normal((m, m)), -1)
+        i = int(rng.integers(1, m))
+        L[i, int(rng.integers(i))] = rng.choice([-3.0, 3.0])
+        Q = np.eye(m)[rng.permutation(m)]
+        W = h * Q @ (np.eye(m) + L) @ Q.T
+    sets = draw(st.lists(st.lists(st.sampled_from(KINDS), min_size=m,
+                                  max_size=m), min_size=1, max_size=3))
+    steps = draw(st.lists(st.sampled_from(sets), min_size=2, max_size=12))
     bs, degenerate = [], []
     for kinds in steps:
         z = rng.uniform(-0.9, 0.9, m)
@@ -170,6 +183,36 @@ def test_warm_solver_matches_cold_pivoting_bitwise(method, run):
         z = solve(b)
         assert z.tobytes() == ref.z.tobytes()
         assert z.tobytes() == _cold(W, b, method).tobytes()
+
+
+@pytest.mark.parametrize("method", ["auto", "pivot"])
+def test_warm_solver_matches_cold_on_a_singular_block(method):
+    # W is symmetric positive definite with determinant 2e-13, but LU
+    # rounds its second pivot to exactly 0: np.linalg.solve raises on the
+    # all-interior block and `_set_point` takes lstsq.  Every step but 3
+    # and 5 (answered cold) meets that set on the warm path, from step 2 on
+    # through the block cached at step 1.
+    W = np.array([[60.0, -59.875], [-59.875, 59.75026041666667]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(W, np.ones(2))
+    runs = [([0.3, -0.3], [0.0, 0.0]), ([1.0, 0.5], [2.0, 0.0]),
+            ([0.25, -0.25], [0.0, 0.0]), ([-1.0, -0.5], [-3.0, 0.0]),
+            ([0.3, -0.3], [0.0, 0.0]), ([0.6, 0.6], [0.0, 0.0]),
+            ([0.4, -0.4], [0.0, 0.0])]
+    solve = mlcp.sign_step_solver(W, method)
+    warm_lstsq = []
+    for z0, y in runs:
+        b = W @ np.array(z0) + np.array(y)
+        ref = mlcp.solve_pivoting(mlcp.encode(W, b))
+        assert ref.status == "solved"
+        with mock.patch.object(mlcp, "solve", wraps=mlcp.solve) as cold, \
+                mock.patch.object(np.linalg, "lstsq",
+                                  wraps=np.linalg.lstsq) as lstsq:
+            z = solve(b)
+        warm_lstsq.append(cold.call_count == 0 and lstsq.call_count > 0)
+        assert z.tobytes() == ref.z.tobytes()
+        assert z.tobytes() == _cold(W, b, method).tobytes()
+    assert warm_lstsq == [True, True, False, True, False, True, True]
 
 
 @SETTINGS
