@@ -427,13 +427,15 @@ def _p_matrix(W):
     return True
 
 
-def _certified(states, zl, rl, lim):
+def _certified(states, zl, rl):
     """Whether a pivoting answer on the box [-1, 1]^m is kept: `certify`'s
-    box, equation, complementarity and sign conditions hold at `lim` and no
-    index is degenerate (a bound index with |r_i| <= lim, or an interior one
-    with |z_i| >= 1 - lim).  One pass of Python floats over z and
-    r = W z - b, with w and v the bound slacks as `solve_pivoting` builds
-    them; false on any NaN or infinity, which fails every comparison."""
+    box, equation, complementarity and sign conditions hold at
+    lim = 1e2 * FEAS_TOL and no index is degenerate (a bound index with
+    |r_i| <= lim, or an interior one with |z_i| >= 1 - lim).  One pass of
+    Python floats over z and r = W z - b, with w and v the bound slacks as
+    `solve_pivoting` builds them; false on any NaN or infinity, which fails
+    every comparison."""
+    lim = 1e2 * FEAS_TOL
     comp_l = comp_u = 0.0
     for st, z, r in zip(states, zl, rl):
         w = max(r, 0.0) if st == _LOWER else 0.0
@@ -460,8 +462,8 @@ def sign_step_solver(W, method="auto"):
     that each step has one solution, least-index pivoting starts from the
     previous step's final active set.  The solver keeps each visited
     set's interior block, so a step on a known set pays for one solve.  A
-    warm answer is kept only if `_certified` passes it at 1e2 * FEAS_TOL:
-    it certifies, is finite, and no index is degenerate, because there a
+    warm answer is kept only if `_certified` passes it: it certifies at
+    1e2 * FEAS_TOL, is finite, and no index is degenerate, because there a
     cold start may end at another active set and round differently.  All
     other steps encode the MLCP and run `solve`, and the next warm start
     begins from that answer, so every answer is bit-identical to
@@ -499,7 +501,6 @@ def sign_step_solver(W, method="auto"):
         return cold
 
     lower, upper = [-1.0] * m, [1.0] * m
-    lim = 1e2 * FEAS_TOL
     states = [_INTERIOR] * m
     blocks = {}
 
@@ -507,9 +508,10 @@ def sign_step_solver(W, method="auto"):
         b = np.asarray(b, dtype=float)
         if b.shape == (m,):
             got = _pivot(W, -b, lower, upper, states, FEAS_TOL, blocks=blocks)
-            if not isinstance(got, str) and _certified(states, got[1], got[2],
-                                                       lim):
-                return got[0]
+            if not isinstance(got, str):
+                z, zl, rl = got
+                if _certified(states, zl, rl):
+                    return z
         z = cold(b)
         states[:] = [_LOWER if zi <= -1.0 else _UPPER if zi >= 1.0
                      else _INTERIOR for zi in z.tolist()]
