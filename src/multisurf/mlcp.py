@@ -406,24 +406,12 @@ def _sign_step_1d(W, b):
         else None
 
 
-def _p_matrix(W):
-    """True when W is a P-matrix (every principal minor positive), which
-    gives each step one solution and makes least-index pivoting terminate
-    from any start (Murty 1988).  W + W^T positive definite settles it at
-    once; otherwise, for m <= 12, all 2^m - 1 principal minors are tested,
-    one stacked determinant call per order."""
+def _sym_part_pd(W):
+    """True when W + W^T is positive definite, which makes W a P-matrix."""
     try:
         np.linalg.cholesky(W + W.T)
-        return True
     except np.linalg.LinAlgError:
-        pass
-    m = W.shape[0]
-    if m > 12:
         return False
-    for k in range(1, m + 1):
-        idx = np.array(list(itertools.combinations(range(m), k)))
-        if not np.all(np.linalg.det(W[idx[:, :, None], idx[:, None, :]]) > 0):
-            return False
     return True
 
 
@@ -457,18 +445,17 @@ def sign_step_solver(W, method="auto"):
     whose W stays the same; W is checked and converted once, here.
 
     Under `auto` and `pivot`, m = 1 with W > 0 takes the closed form of
-    `_sign_step_1d`.  For m > 1 with W a P-matrix (`_p_matrix`: W + W^T
-    positive definite, or all principal minors positive for m <= 12), so
-    that each step has one solution, least-index pivoting starts from the
-    previous step's final active set.  The solver keeps each visited
-    set's interior block, so a step on a known set pays for one solve.  A
-    warm answer is kept only if `_certified` passes it: it certifies at
-    1e2 * FEAS_TOL, is finite, and no index is degenerate, because there a
-    cold start may end at another active set and round differently.  All
-    other steps encode the MLCP and run `solve`, and the next warm start
-    begins from that answer, so every answer is bit-identical to
-    `solve`'s.  Raises StepFailure with the reason and the MLCP dump when
-    `solve` fails.
+    `_sign_step_1d`.  For m > 1 with W + W^T positive definite (so W is a
+    P-matrix and each step has one solution), least-index pivoting starts
+    from the previous step's final active set.  The solver keeps each
+    visited set's interior block, so a step on a known set pays for one
+    solve.  A warm answer is kept only if `_certified` passes it: it
+    certifies at 1e2 * FEAS_TOL, is finite, and no index is degenerate,
+    because there a cold start may end at another active set and round
+    differently.  All other steps encode the MLCP and run `solve`, and the
+    next warm start begins from that answer, so every answer is
+    bit-identical to `solve`'s.  Raises StepFailure with the reason and the
+    MLCP dump when `solve` fails.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim < 2:
@@ -497,7 +484,7 @@ def sign_step_solver(W, method="auto"):
                     return np.array([z])
             return cold(b)
         return closed_form
-    if not (fast and m > 1 and _p_matrix(W)):
+    if not (fast and m > 1 and _sym_part_pd(W)):
         return cold
 
     lower, upper = [-1.0] * m, [1.0] * m
