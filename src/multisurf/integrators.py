@@ -106,21 +106,25 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
               control=None):
     """The affine step shared by every linear-class loop, built once per run.
 
-    With free = Phi x_k + c(t_k), a step selects s = solve(C L free + D)
+    With free = Phi x_k + c_k, a step selects s = solve(C L free + D)
     (implicit) or s = sgn(C x_k + D) (explicit, solve None, sgn(0) = 0) and
     moves to x_{k+1} = L (free - Gamma (rho s)) with output
-    y_{k+1} = C x_{k+1} + D.  A missing c, D, L or rho is skipped rather
-    than applied as zero, identity or one, so no -0.0 turns into 0.0.
-    control(x_k, s), when given, is the input held on [t_k, t_{k+1}).
-    Returns step(k, x_k, t_k, s_prev) -> (x, y, s, u, iters) for
-    `simulate`.
+    y_{k+1} = C x_{k+1} + D; c is None, a constant vector or a callable
+    c_k = c(t_k).  A missing c, D, L or rho is skipped rather than applied
+    as zero, identity or one, so no -0.0 turns into 0.0.  control(x_k, s),
+    when given, is the input held on [t_k, t_{k+1}).  solve and control
+    must be functions of their arguments alone (a warm start may keep
+    state, not change an answer).  Returns step(k, x_k, t_k, s_prev) ->
+    (x, y, s, u, iters) for `simulate`.  Unless c is callable the step
+    depends on x_k alone, and its `time_invariant` attribute is true.
     """
+    driven = callable(c)
 
     def affine(M, v, d):
         return M @ v if d is None else M @ v + d
 
     def step(k, x_k, t_k, s_prev):
-        free = Phi @ x_k if c is None else Phi @ x_k + c(t_k)
+        free = affine(Phi, x_k, c(t_k) if driven else c)
         if solve is None:
             s = np.sign(affine(C, x_k, D))
         else:
@@ -131,12 +135,14 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
         u = None if control is None else control(x_k, s)
         return x, affine(C, x, D), s, u, 0
 
+    step.time_invariant = not driven
     return step
 
 
 def theta_plan(E, B, C, D, c, cfg: SchemeConfig, scheme, rho=None,
                control=None):
-    """The step plan of dx/dt in E x + c(t) / h - B (rho Sgn(C x + D)).
+    """The step plan of dx/dt in E x + c / h - B (rho Sgn(C x + D)), with c
+    passed on to `step_plan` (None, a constant vector or a callable of t).
 
     The implicit scheme blends the drift by cfg.theta: Phi = I + h(1-theta)E,
     L = (I - h theta E)^-1, Gamma = h B and W = h C L B diag(rho), whose
@@ -272,6 +278,11 @@ def simulate(step, x0, y0, t0, T, h, m, explicit_signs=False,
     start), 0 initially.  On StepFailure the partial trajectory is returned
     with failure diagnostics attached; the guard aborts once the state
     magnitude exceeds it (blow-up).
+
+    Once a step whose `time_invariant` attribute is true (see `step_plan`)
+    returns x_k byte for byte, every later step would repeat it: its state,
+    output, selection, control and iterations fill the remaining rows and
+    the run stops.  Unmarked (Newton, driven, user-supplied) steps run on.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -288,6 +299,7 @@ def simulate(step, x0, y0, t0, T, h, m, explicit_signs=False,
     failure = None
     s_prev = np.zeros(m)
     end = N + 1
+    fixed_tail = getattr(step, "time_invariant", False)
     for k in range(N):
         try:
             # one reduction: NaN propagates through max, and |x| = inf
@@ -310,6 +322,15 @@ def simulate(step, x0, y0, t0, T, h, m, explicit_signs=False,
         if record_controls and u is not None:
             controls[k] = u
         iters[k + 1] = it
+        # bytes, not ==: a step from -0.0 need not repeat one from 0.0
+        if fixed_tail and states[k + 1].tobytes() == states[k].tobytes():
+            states[k + 2:] = x
+            outputs[k + 2:] = y
+            selections[k + 2:] = s
+            if record_controls and u is not None:
+                controls[k + 1:N] = u
+            iters[k + 2:] = it
+            break
     if explicit_signs:
         selections[:end] = np.sign(outputs[:end])
     if record_controls and failure is None and N > 0:
@@ -323,8 +344,7 @@ def simulate(step, x0, y0, t0, T, h, m, explicit_signs=False,
 def simulate_linear(sys: LinearSignSystem, x0, t0, T, cfg: SchemeConfig,
                     scheme="implicit"):
     """Convenience loop for the linear class (implicit or explicit)."""
-    ha = cfg.h * sys.a
-    step = theta_plan(sys.E, sys.B, sys.C, sys.D, lambda t: ha, cfg, scheme)
+    step = theta_plan(sys.E, sys.B, sys.C, sys.D, cfg.h * sys.a, cfg, scheme)
     y0 = output(sys, np.atleast_1d(np.asarray(x0, dtype=float)))
     return simulate(step, x0, y0, t0, T, cfg.h, sys.m,
                     explicit_signs=(scheme == "explicit"))

@@ -407,12 +407,16 @@ def _sign_step_1d(W, b):
 
 
 def _sym_part_pd(W):
-    """True when W + W^T is positive definite, which makes W a P-matrix."""
+    """True when W + W^T is positive definite, which makes W a P-matrix,
+    by a margin: its least squared Cholesky pivot exceeds m * eps times its
+    largest entry, so a singular W such as [[25, 10], [10, 4]] fails."""
+    S = W + W.T
     try:
-        np.linalg.cholesky(W + W.T)
+        L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         return False
-    return True
+    eps = np.finfo(float).eps
+    return bool(np.diag(L).min() ** 2 > len(S) * eps * np.abs(S).max())
 
 
 def _certified(states, zl, rl):

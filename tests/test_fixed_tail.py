@@ -1,0 +1,213 @@
+"""The fixed tail: `simulate` stops once a time-invariant step repeats.
+
+A step of a plan without a time-driven input depends on x_k alone, so once
+it returns x_k byte for byte every later step returns the same results, and
+`simulate` fills the remaining rows instead of stepping.  Each run here is
+compared, array by array as bytes, with a step-by-step reference: the same
+run with the plan's step wrapped in a plain function, which carries no
+`time_invariant` mark, so `simulate` takes every step.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multisurf import controllers, integrators, mlcp
+from multisurf.experiments import run_experiment, simple_system
+from multisurf.integrators import SchemeConfig
+from multisurf.systems import LinearSignSystem
+
+SIMULATE = integrators.simulate
+FIELDS = ("times", "states", "selections", "outputs", "controls",
+          "newton_iters")
+
+
+def _unmarked(step, *args, **kwargs):
+    return SIMULATE(lambda *a: step(*a), *args, **kwargs)
+
+
+def stepwise(run, *args, module=integrators, **kwargs):
+    """run(*args, **kwargs) with every step taken: `simulate`, as `module`
+    names it, gets the plan's step wrapped in an unmarked function."""
+    with mock.patch.object(module, "simulate", _unmarked):
+        return run(*args, **kwargs)
+
+
+def step_calls(run, *args, module=integrators, **kwargs):
+    """(trajectory, steps taken) of run(*args, **kwargs), mark kept."""
+    calls = []
+
+    def counting(step, *a, **kw):
+        def counted(*s):
+            calls.append(s[0])
+            return step(*s)
+        counted.time_invariant = getattr(step, "time_invariant", False)
+        return SIMULATE(counted, *a, **kw)
+
+    with mock.patch.object(module, "simulate", counting):
+        traj = run(*args, **kwargs)
+    return traj, len(calls)
+
+
+def assert_same(got, ref):
+    for name in FIELDS:
+        a, b = getattr(got, name), getattr(ref, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+    assert got.failure == ref.failure
+
+
+# dyadic entries and step sizes make exact fixed points common; the
+# uniform draws cover the rest
+DYADIC = [-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0]
+
+
+def linear_run(rng):
+    """(system, x0, T, cfg, scheme): n <= 3, m <= 2, implicit or explicit,
+    theta in {0.5, 1}, h from 1e-3 to 0.5, up to 400 steps."""
+    n = int(rng.integers(1, 4))
+    m = int(rng.integers(1, min(n, 2) + 1))
+    dyadic = rng.random() < 0.5
+
+    def mat(r, c):
+        return (rng.choice(DYADIC, (r, c)) if dyadic
+                else rng.uniform(-2.0, 2.0, (r, c)))
+
+    C = mat(m, n)
+    B = C.T + 0.25 * mat(n, m) if rng.random() < 0.75 else mat(n, m)
+    sys = LinearSignSystem(n=n, m=m, E=0.25 * mat(n, n) - 0.25 * np.eye(n),
+                           a=0.25 * mat(n, 1)[:, 0] * (rng.random() < 0.5),
+                           B=B, C=C,
+                           D=0.25 * mat(m, 1)[:, 0] * (rng.random() < 0.5))
+    h = float(rng.choice([0.5, 0.25, 0.125, 2.0 ** -5, 2.0 ** -7])
+              if rng.random() < 0.5 else rng.uniform(1e-3, 0.5))
+    cfg = SchemeConfig(h=h, theta=float(rng.choice([0.5, 1.0])))
+    T = h * int(rng.integers(0, 401))
+    return sys, mat(n, 1)[:, 0], T, cfg, str(rng.choice(["implicit",
+                                                         "explicit"]))
+
+
+def linear_pair(seed):
+    """The run of `linear_run` skipped and step by step, and the number
+    of steps the skipped one took."""
+    sys, x0, T, cfg, scheme = linear_run(np.random.default_rng(seed))
+    with np.errstate(all="ignore"):
+        got, taken = step_calls(integrators.simulate_linear, sys, x0, 0.0,
+                                T, cfg, scheme)
+        ref = stepwise(integrators.simulate_linear, sys, x0, 0.0, T, cfg,
+                       scheme)
+    return got, ref, taken
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_skipped_run_equals_stepwise_run(seed):
+    got, ref, _ = linear_pair(seed)
+    assert_same(got, ref)
+
+
+def test_linear_runs_reach_fixed_points():
+    # the property above meets skipped runs, not only full ones: 12 of
+    # these 60 stop early
+    skipped = 0
+    for seed in range(60):
+        got, ref, taken = linear_pair(seed)
+        assert_same(got, ref)
+        skipped += taken < len(got.times) - 1
+    assert skipped >= 8
+
+
+def test_fixed_point_on_the_last_step():
+    # x = 1 - k/4 reaches 0 at step 4; step 4, the last of T = 1.25,
+    # returns 0 again, so there is nothing left to fill
+    sys, cfg = simple_system(), SchemeConfig(h=0.25)
+    for T, taken in ((1.25, 5), (1.5, 5), (3.0, 5)):
+        ref = stepwise(integrators.simulate_linear, sys, [1.0], 0.0, T, cfg)
+        got, calls = step_calls(integrators.simulate_linear, sys, [1.0],
+                                0.0, T, cfg)
+        assert calls == taken and got.states[-1, 0] == 0.0
+        assert_same(got, ref)
+
+
+@pytest.mark.parametrize("mode", ["implicit", "explicit"])
+def test_zoh_run_skips_its_fixed_tail(mode):
+    # F = 0, G = C = 1: x_{k+1} = x_k - h s reaches 0 at step 4 either way
+    pair = integrators.zoh_discretize([[0.0]], [[1.0]], [[1.0]], 0.25)
+    args = (pair, [[1.0]], [0.0], [1.0], 0.0, 5.0, 0.25, mode)
+    ref = stepwise(integrators.simulate_zoh, *args)
+    got, calls = step_calls(integrators.simulate_zoh, *args)
+    assert calls == 5 and len(got.times) == 21
+    assert_same(got, ref)
+
+
+def _control_run(h, T):
+    step = integrators.step_plan(
+        np.eye(1), h * np.eye(1), np.eye(1),
+        solve=mlcp.sign_step_solver(h * np.eye(1)),
+        control=lambda x, s: 1.0 - 2.0 * s + x)
+    return integrators.simulate(step, [0.7], [0.7], 0.0, T, h, 1,
+                                record_controls=True)
+
+
+def test_recorded_controls_fill_the_fixed_tail():
+    # no registry ECB-SMC run reaches a fixed point (both decay
+    # geometrically), so the scalar system carries the control here
+    ref = stepwise(_control_run, 0.1, 2.0)
+    got, calls = step_calls(_control_run, 0.1, 2.0)
+    assert calls < 20 and got.controls[-1, 0] == 1.0
+    assert_same(got, ref)
+
+
+def test_signed_zero_is_not_a_repeat():
+    # a marked step that maps 0.0 to -0.0 and back never repeats its input
+    # byte for byte, so every step runs
+    calls = []
+
+    def flip(k, x_k, t_k, s_prev):
+        calls.append(k)
+        return -x_k, -x_k, np.zeros(1), None, 0
+    flip.time_invariant = True
+    traj = integrators.simulate(flip, [0.0], [0.0], 0.0, 1.0, 0.1, 1)
+    assert len(calls) == 10
+    assert [np.signbit(x) for x in traj.states[:, 0]] == \
+        [k % 2 == 1 for k in range(11)]
+
+
+def test_lyapunov_run_repeats_before_it_settles():
+    # the disturbance drives the registry Lyapunov loop: its state repeats
+    # exactly at step 10 and moves again later, so its plan must not skip
+    got = run_experiment("lyapunov", {}).trajectories["traj"]
+    ref = stepwise(run_experiment, "lyapunov", {},
+                   module=controllers).trajectories["traj"]
+    assert_same(got, ref)
+    rows = [row.tobytes() for row in got.states]
+    first = next(k for k in range(len(rows) - 1) if rows[k + 1] == rows[k])
+    assert first == 10
+    assert any(rows[k + 1] != rows[k] for k in range(first, len(rows) - 1))
+
+
+def test_driven_and_newton_steps_are_never_marked():
+    one = np.eye(1)
+    assert integrators.step_plan(one, one, one).time_invariant
+    assert integrators.step_plan(one, one, one, c=np.ones(1)).time_invariant
+    assert not integrators.step_plan(one, one, one,
+                                     c=lambda t: np.ones(1)).time_invariant
+    assert not integrators.theta_plan(
+        one, one, one, None, lambda t: np.ones(1), SchemeConfig(h=0.1),
+        "implicit").time_invariant
+    seen = []
+
+    def capture(step, *a, **kw):
+        seen.append(getattr(step, "time_invariant", False))
+        return SIMULATE(step, *a, **kw)
+
+    with mock.patch.object(integrators, "simulate", capture):
+        run_experiment("hypomonotone", {})
+    with mock.patch.object(controllers, "simulate", capture):
+        run_experiment("lyapunov", {})
+    assert seen == [False, False]

@@ -5,8 +5,10 @@ SHA-256 of every CSV it writes is compared with a recorded digest.  A change
 that alters any trajectory, selection, control or convergence number by one
 bit fails here.  `LIBRARY_DIGESTS` does the same for implicit library runs
 that no registry default reaches: Lyapunov loops with rho != 1, the
-theta = 0.5 scheme, the ZOH loop, an m = 4 P-matrix system under `pivot` and
-an m = 12 one under `auto` whose every step takes the warm-started pivoting.
+theta = 0.5 scheme, the ZOH loop, an m = 4 P-matrix system under `pivot`,
+an m = 12 one under `auto` whose every step takes the warm-started pivoting,
+and `filippov` to T = 20, whose warm m = 2 run takes 498 of its 10,000
+steps and fills the other 9,502 rows from the fixed point it reaches.
 
 The digests are tied to the numpy / LAPACK build they were recorded with
 (numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64): another BLAS or LAPACK
@@ -125,9 +127,13 @@ LIBRARY_RUNS = {
                                       [0.05, -0.5, 0.02], 15.0),
     "pivot-m4": _pivot_m4,
     "warm-m12": _warm_m12,
+    "filippov-T20": lambda: experiments.run_experiment(
+        "filippov", {"T": 20.0}).trajectories["traj"],
 }
 
 LIBRARY_DIGESTS = {
+    "filippov-T20": ("439bfed37ed0d06eb7e8752011f2ef18"
+                     "1a242d68ccf75df4cd0e2f6e3740d621"),
     "galias2007-theta0.5": ("8c44290a53d3eb3923063853b682a6e6"
                             "08640bdd49fd6c1c1460aac43969f4ea"),
     "lyapunov-rho0.7": ("73ab9455ea303097d1f57a4077aef690"

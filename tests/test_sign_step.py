@@ -179,9 +179,10 @@ def test_warm_solver_matches_cold_pivoting_bitwise(method, run):
 def test_warm_solver_matches_cold_on_a_singular_block(method):
     # W is symmetric positive definite with determinant 2e-13, but LU
     # rounds its second pivot to exactly 0: np.linalg.solve raises on the
-    # all-interior block and `_set_point` takes lstsq.  Every step but 3
-    # and 5 (answered cold) meets that set on the warm path, from step 2 on
-    # through the block cached at step 1.
+    # all-interior block and `_set_point` takes lstsq.  The gate refuses
+    # such a W (see test_gate_refuses_numerically_singular_W); forced past
+    # it, every step but 3 and 5 (answered cold) meets that set on the
+    # warm path, from step 2 on through the block cached at step 1.
     W = np.array([[60.0, -59.875], [-59.875, 59.75026041666667]])
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(W, np.ones(2))
@@ -189,7 +190,8 @@ def test_warm_solver_matches_cold_on_a_singular_block(method):
             ([0.25, -0.25], [0.0, 0.0]), ([-1.0, -0.5], [-3.0, 0.0]),
             ([0.3, -0.3], [0.0, 0.0]), ([0.6, 0.6], [0.0, 0.0]),
             ([0.4, -0.4], [0.0, 0.0])]
-    solve = mlcp.sign_step_solver(W, method)
+    with mock.patch.object(mlcp, "_sym_part_pd", return_value=True):
+        solve = mlcp.sign_step_solver(W, method)
     warm_lstsq = []
     for z0, y in runs:
         b = W @ np.array(z0) + np.array(y)
@@ -203,6 +205,47 @@ def test_warm_solver_matches_cold_on_a_singular_block(method):
         assert z.tobytes() == ref.z.tobytes()
         assert z.tobytes() == _cold(W, b, method).tobytes()
     assert warm_lstsq == [True, True, False, True, False, True, True]
+
+
+# [[25, 10], [10, 4]] has determinant 0, yet the Cholesky factorization of
+# W + W^T succeeds; warm-started, the third of these steps ended one bit
+# away from `solve`'s answer.  The W of the singular-block test above is
+# singular in floating point.
+SINGULAR_RUNS = [
+    ([[25.0, 10.0], [10.0, 4.0]],
+     [[27.224625168965147, -1.0361851869861098],
+      [26.867734881199496, -26.818671128175524],
+      [-28.352212794585483, -21.17907506378886]]),
+    ([[60.0, -59.875], [-59.875, 59.75026041666667]],
+     [[2.0, 0.0], [0.0, 0.0], [-3.0, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("W, bs", SINGULAR_RUNS)
+def test_gate_refuses_numerically_singular_W(W, bs):
+    W = np.array(W)
+    np.linalg.cholesky(W + W.T)
+    assert mlcp._sym_part_pd(W) is False
+    solve = mlcp.sign_step_solver(W)
+    for b in bs:
+        with mock.patch.object(mlcp, "solve", wraps=mlcp.solve) as cold:
+            z = solve(np.array(b))
+        assert cold.call_count == 1
+        assert z.tobytes() == _cold(W, np.array(b), "auto").tobytes()
+
+
+@SETTINGS
+@given(run=warm_runs())
+def test_warm_answer_depends_only_on_b(run):
+    # after any history, the same b answered twice in a row gives the same
+    # bytes, and `solve`'s: a run whose state repeats may skip its tail
+    W, bs, _ = run
+    solve = mlcp.sign_step_solver(W)
+    for b in bs[:-1]:
+        solve(b)
+    first, second = solve(bs[-1]), solve(bs[-1])
+    assert first.tobytes() == second.tobytes()
+    assert first.tobytes() == _cold(W, bs[-1], "auto").tobytes()
 
 
 @SETTINGS
