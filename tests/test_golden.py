@@ -7,8 +7,11 @@ bit fails here.  `LIBRARY_DIGESTS` does the same for implicit library runs
 that no registry default reaches: Lyapunov loops with rho != 1, the
 theta = 0.5 scheme, the ZOH loop, an m = 4 P-matrix system under `pivot`,
 an m = 12 one under `auto` whose every step takes the warm-started pivoting,
-and `filippov` to T = 20, whose warm m = 2 run takes 498 of its 10,000
-steps and fills the other 9,502 rows from the fixed point it reaches.
+`filippov` to T = 20, whose warm m = 2 run takes 498 of its 10,000
+steps and fills the other 9,502 rows from the fixed point it reaches, and
+three outer-Newton runs beyond the scalar `hypomonotone` default: an m = 2
+affine-gain system with a time-dependent drift and rho > 0 at
+(theta, gamma) = (1, 1) and (0.5, 0.5), and an m = 1 nonlinear system.
 
 The digests are tied to the numpy / LAPACK build they were recorded with
 (numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64): another BLAS or LAPACK
@@ -25,7 +28,8 @@ import pytest
 
 from multisurf import cli, controllers, experiments, integrators
 from multisurf.integrators import SchemeConfig
-from multisurf.systems import DisturbedLinearSystem, LinearSignSystem
+from multisurf.systems import (AffineGainSignSystem, DisturbedLinearSystem,
+                               LinearSignSystem, NonlinearSignSystem)
 
 DIGESTS = {
     "simple": {"traj.csv": "4ef7a694c571328f26684d3354a760cd"
@@ -117,6 +121,43 @@ def _warm_m12():
                                        2.0, SchemeConfig(h=0.01))
 
 
+def _newton_affine_m2(theta, gamma):
+    # both surfaces slide (|s_i| < 1 on most steps) and the x-dependent gain
+    # makes most steps take two Newton iterations
+    sys = AffineGainSignSystem(
+        n=2, m=2,
+        A_list=([[0.2, 0.0], [0.1, -0.1]], [[0.0, 0.1], [-0.2, 0.3]]),
+        B_list=([1.0, 0.2], [-0.1, 0.8]),
+        C_rows=([1.0, 0.5], [-0.3, 1.0]), D=[0.05, -0.1],
+        f=lambda x, t: np.array([x[1] + 0.3 * np.sin(2.0 * t),
+                                 -0.5 * x[0] - 0.2 * x[1] + 0.2 * np.cos(t)]),
+        f_jac=lambda x, t: np.array([[0.0, 1.0], [-0.5, -0.2]]),
+        rho_list=(0.1, 0.2))
+    return integrators.simulate_newton(
+        sys, [1.0, -0.6], 0.0, 4.0,
+        SchemeConfig(h=0.01, theta=theta, gamma=gamma))
+
+
+def _newton_nonlinear_m1():
+    # a damped pendulum pushed onto x0 + x1 = 0 by a state-dependent gain
+    sys = NonlinearSignSystem(
+        n=2, m=1,
+        f=lambda x, t: np.array([x[1], -np.sin(x[0]) - 0.2 * x[1]]),
+        f_jac=lambda x, t: np.array([[0.0, 1.0], [-np.cos(x[0]), -0.2]]),
+        g=lambda x: np.array([[0.0], [1.0 + 0.5 * x[0] ** 2]]),
+        g_jac=lambda x: np.array([[[0.0, 0.0]], [[x[0], 0.0]]]),
+        h=lambda x: np.array([x[0] + x[1]]),
+        h_jac=lambda x: np.array([[1.0, 1.0]]))
+    return integrators.simulate_newton(sys, [1.2, 0.5], 0.0, 5.0,
+                                       SchemeConfig(h=0.01))
+
+
+NEWTON_RUNS = {
+    "newton-affine-m2": lambda: _newton_affine_m2(1.0, 1.0),
+    "newton-affine-m2-half": lambda: _newton_affine_m2(0.5, 0.5),
+    "newton-nonlinear-m1": _newton_nonlinear_m1,
+}
+
 LIBRARY_RUNS = {
     "lyapunov-rho0.7": lambda: _lyapunov_rho(0.7),
     "lyapunov-rho1.3": lambda: _lyapunov_rho(1.3),
@@ -129,6 +170,7 @@ LIBRARY_RUNS = {
     "warm-m12": _warm_m12,
     "filippov-T20": lambda: experiments.run_experiment(
         "filippov", {"T": 20.0}).trajectories["traj"],
+    **NEWTON_RUNS,
 }
 
 LIBRARY_DIGESTS = {
@@ -140,6 +182,12 @@ LIBRARY_DIGESTS = {
                         "29c8c7728d3d6732fdc5067d35b8e6b1"),
     "lyapunov-rho1.3": ("222aa19b36a57177ffa75406b4634265"
                         "6693fbe0daf57e17bf5d93639664fb97"),
+    "newton-affine-m2": ("6472801b39a106f17b8948cd78f113d9"
+                         "a4224fdf629fd80f9a28fca96248488a"),
+    "newton-affine-m2-half": ("71f7890528a39a3d5cf6043658dc29a3"
+                              "2ff94aa867c78a81254b0a9f6b40abda"),
+    "newton-nonlinear-m1": ("3fc2ee9ff84a4b093c2480e1456ea37a"
+                            "4dfae969c4681f5110e5a053fa8a8edf"),
     "pivot-m4": ("07f4cadffb5c0305e16d7bc6dab285c3"
                  "d7cc4711fedf47d9289af172320b675c"),
     "warm-m12": ("6f1e7d29dda67ec401115ee3a47189e6"
@@ -153,6 +201,7 @@ LIBRARY_DIGESTS = {
 
 def test_library_digests_cover_the_runs():
     assert sorted(LIBRARY_DIGESTS) == sorted(LIBRARY_RUNS)
+    assert set(NEWTON_RUNS) <= set(LIBRARY_DIGESTS)
 
 
 @pytest.mark.parametrize("name", sorted(LIBRARY_RUNS))
