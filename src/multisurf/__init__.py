@@ -15,9 +15,9 @@ from multisurf.analysis import (ErrorReport, arrival_step, convergence_slope,
 from multisurf.controllers import (EcbSmcController, iec_control,
                                    simulate_ecb, simulate_lyapunov)
 from multisurf.integrators import (SchemeConfig, StepFailure, Trajectory,
-                                   ZohPair, simulate, simulate_linear,
-                                   simulate_newton, simulate_zoh, step_newton,
-                                   step_plan, theta_plan, zoh_discretize)
+                                   ZohPair, newton_plan, simulate, theta_plan,
+                                   simulate_linear, simulate_newton, step_plan,
+                                   simulate_zoh, step_newton, zoh_discretize)
 from multisurf.mlcp import (MlcpProblem, MlcpSolution, certify, encode,
                             sign_step_solver, solve, solve_enumerative,
                             solve_pivoting, solve_psor, solve_sign_step)

@@ -87,19 +87,17 @@ class Trajectory:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
     def to_csv(self, path):
-        n, m = self.n, self.m
-        cols = (["t"] + [f"x{i}" for i in range(n)]
-                + [f"s{i}" for i in range(m)] + [f"y{i}" for i in range(m)])
+        blocks = [("x", self.states), ("s", self.selections),
+                  ("y", self.outputs)]
         if self.controls is not None:
-            cols += [f"u{i}" for i in range(self.controls.shape[1])]
+            blocks.append(("u", self.controls))
+        cols = ["t"] + [f"{p}{i}" for p, v in blocks
+                        for i in range(v.shape[1])]
+        table = np.hstack([self.times[:, None]] + [v for _, v in blocks])
+        row = (",".join(["{:.17g}"] * len(cols)) + "\n").format
         with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for k in range(len(self.times)):
-                row = [self.times[k], *self.states[k], *self.selections[k],
-                       *self.outputs[k]]
-                if self.controls is not None:
-                    row.extend(self.controls[k])
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(",".join(cols) + "\n"
+                     + "".join(row(*r) for r in table.tolist()))
 
 
 def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
@@ -168,62 +166,70 @@ def theta_plan(E, B, C, D, c, cfg: SchemeConfig, scheme, rho=None,
                      c=c, solve=solve, rho=rho, control=control)
 
 
-def step_newton(sys, x_k, t_k, cfg: SchemeConfig, s_k=None):
-    """Outer Newton loop for the affine-gain and nonlinear classes.
-
-    Linearizes the one-step residual
+def newton_plan(sys, cfg: SchemeConfig):
+    """The outer Newton loop of the affine-gain and nonlinear classes, built
+    once per run: step(x_k, t_k, s_k) -> (x, s, y, iters).  A step
+    linearizes the one-step residual
 
         R(x, s) = x - x_k - h f(x_th) + h g(x_ga) s - h rho (x - x_k)
 
     around the current iterate, solves the resulting box MLCP for s, and
     applies the Newton state update.  The rho shift moves hypomonotone sign
-    terms into the monotone regime.  Warm starts from s_k (0 on the first
-    step).  On affine data the residual is affine and one iteration suffices.
+    terms into the monotone regime.  Warm starts from s_k (0 when None).  On
+    affine data the residual is affine and one iteration suffices.  f, f_jac
+    and the gain must be functions of their arguments: an iterate's drift and
+    gain serve both its residual and the next iteration.
     """
     if not isinstance(sys, (AffineGainSignSystem, NonlinearSignSystem)):
-        raise TypeError("step_newton needs an affine-gain or nonlinear system")
-    h, th, ga = cfg.h, cfg.theta, cfg.gamma
-    n, m = sys.n, sys.m
-    rho = sys.rho
-    if s_k is None:
-        s_k = np.zeros(m)
-    x = np.array(x_k, dtype=float)
-    s = np.array(s_k, dtype=float)
-    t_th = t_k + th * h
+        raise TypeError("newton_plan needs an affine-gain or nonlinear system")
+    h, th, ga, tol = cfg.h, cfg.theta, cfg.gamma, cfg.newton_tol
+    h_rho, h_th, h_ga = h * sys.rho, h * th, h * ga
+    shift = (1 - h_rho) * np.eye(sys.n)
 
-    def residual(x, s):
+    def blend(x, x_k, t_th):
         x_th = th * x + (1 - th) * x_k
         x_ga = ga * x + (1 - ga) * x_k
-        return (x - x_k - h * np.asarray(sys.f(x_th, t_th))
-                + h * sys.gain(x_ga) @ s - h * rho * (x - x_k))
+        return x_th, x_ga, np.asarray(sys.f(x_th, t_th)), sys.gain(x_ga)
 
-    last_res = np.inf
-    for it in range(1, cfg.newton_max_iter + 1):
-        x_th = th * x + (1 - th) * x_k
-        x_ga = ga * x + (1 - ga) * x_k
-        f_val = np.asarray(sys.f(x_th, t_th))
-        g_val = sys.gain(x_ga)
-        # (grad g obar s)_{kp} = sum_l dg[k,l]/dx[p] * s[l]
-        gs = np.einsum("klp,l->kp", sys.gain_jac(x_ga), s)
-        M = ((1 - h * rho) * np.eye(n)
-             - h * th * np.asarray(sys.f_jac(x_th, t_th)) + h * ga * gs)
-        try:
-            Minv = np.linalg.inv(M)
-        except np.linalg.LinAlgError:
-            raise StepFailure("singular Newton iteration matrix",
-                              residual=last_res) from None
-        H = sys.surface_jac(x)
-        r_smooth = x_k - x + h * f_val + h * rho * (x - x_k)
-        W = h * H @ Minv @ g_val
-        b = sys.surface(x) + H @ (Minv @ r_smooth)
-        s = mlcp.solve_sign_step(W, b, cfg.solver)
-        x = x + Minv @ (r_smooth - h * g_val @ s)
-        # stop only once the updated pair satisfies the residual: the warm
-        # start can zero R without satisfying the sign inclusion
-        last_res = float(np.max(np.abs(residual(x, s))))
-        if last_res < cfg.newton_tol:
-            return x, s, sys.surface(x), it
-    raise StepFailure("Newton loop did not converge", residual=last_res)
+    def step(x_k, t_k, s_k=None):
+        # x and s are only ever rebound, so neither input is copied
+        x = x_k = np.asarray(x_k, dtype=float)
+        s = np.zeros(sys.m) if s_k is None else np.asarray(s_k, dtype=float)
+        t_th = t_k + h_th
+        x_th, x_ga, f_val, g_val = blend(x, x_k, t_th)
+        last_res = np.inf
+        for it in range(1, cfg.newton_max_iter + 1):
+            # (grad g obar s)_{kp} = sum_l dg[k,l]/dx[p] * s[l]
+            gs = np.einsum("klp,l->kp", sys.gain_jac(x_ga), s)
+            M = shift - h_th * np.asarray(sys.f_jac(x_th, t_th)) + h_ga * gs
+            try:
+                Minv = np.linalg.inv(M)
+            except np.linalg.LinAlgError:
+                raise StepFailure("singular Newton iteration matrix",
+                                  residual=last_res) from None
+            H = sys.surface_jac(x)
+            r_smooth = x_k - x + h * f_val + h_rho * (x - x_k)
+            W = h * H @ Minv @ g_val
+            b = sys.surface(x) + H @ (Minv @ r_smooth)
+            s = mlcp.solve_sign_step(W, b, cfg.solver)
+            x = x + Minv @ (r_smooth - h * g_val @ s)
+            x_th, x_ga, f_val, g_val = blend(x, x_k, t_th)
+            # stop once the updated pair satisfies R (the warm start can zero
+            # R without the sign inclusion); unlike max(), .max() keeps a NaN
+            last_res = float(np.abs(x - x_k - h * f_val + h * g_val @ s
+                                    - h_rho * (x - x_k)).max())
+            if last_res < tol:
+                return x, s, sys.surface(x), it
+        raise StepFailure(f"Newton loop did not converge: residual "
+                          f"{last_res:.3g} after {it} iterations",
+                          residual=last_res)
+
+    return step
+
+
+def step_newton(sys, x_k, t_k, cfg: SchemeConfig, s_k=None):
+    """One step of `newton_plan(sys, cfg)`: (x, s, y, iters)."""
+    return newton_plan(sys, cfg)(x_k, t_k, s_k)
 
 
 @dataclass(frozen=True)
@@ -352,12 +358,12 @@ def simulate_linear(sys: LinearSignSystem, x0, t0, T, cfg: SchemeConfig,
 
 def simulate_newton(sys, x0, t0, T, cfg: SchemeConfig):
     """Convenience loop for the affine-gain / nonlinear classes."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    y0 = sys.surface(x0)
+    plan = newton_plan(sys, cfg)
+    y0 = sys.surface(np.atleast_1d(np.asarray(x0, dtype=float)))
 
-    def step(k, x, t, s_prev):
-        x1, s1, y1, it = step_newton(sys, x, t, cfg, s_k=s_prev)
-        return x1, y1, s1, None, it
+    def step(k, x_k, t_k, s_prev):
+        x, s, y, it = plan(x_k, t_k, s_prev)
+        return x, y, s, None, it
 
     return simulate(step, x0, y0, t0, T, cfg.h, sys.m)
 

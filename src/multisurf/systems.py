@@ -69,7 +69,8 @@ class AffineGainSignSystem:
 
     ``f`` and ``f_jac`` evaluate the smooth drift and its state Jacobian.
     ``rho_list`` holds the per-surface hypomonotonicity shifts used by the
-    implicit one-step problem (0 disables the shift).
+    implicit one-step problem (0 disables the shift).  The gain and surface
+    Jacobians are constant: they are built once and returned read-only.
     """
 
     n: int
@@ -103,6 +104,9 @@ class AffineGainSignSystem:
         object.__setattr__(self, "D", _as_vector(self.D, self.m, "D"))
         if any(r < 0 for r in self.rho_list):
             raise ValueError("rho_list entries must be >= 0")
+        T, H = np.stack(self.A_list, axis=1), np.vstack(self.C_rows)
+        T.flags.writeable = H.flags.writeable = False
+        object.__setattr__(self, "_jacobians", (T, H))
 
     @property
     def rho(self):
@@ -110,20 +114,20 @@ class AffineGainSignSystem:
 
     def gain(self, x):
         """n x m matrix with columns A_i x + B_i."""
-        return np.column_stack([A @ x + b for A, b in zip(self.A_list, self.B_list)])
+        G = np.empty((self.n, self.m))
+        for l, (A, b) in enumerate(zip(self.A_list, self.B_list)):
+            G[:, l] = A @ x + b
+        return G
 
     def gain_jac(self, x):
         """Third-order tensor T[k, l, p] = d gain[k, l] / d x[p]."""
-        T = np.empty((self.n, self.m, self.n))
-        for l, A in enumerate(self.A_list):
-            T[:, l, :] = A
-        return T
+        return self._jacobians[0]
 
     def surface(self, x):
         return np.array([c @ x + d for c, d in zip(self.C_rows, self.D)])
 
     def surface_jac(self, x):
-        return np.vstack(self.C_rows)
+        return self._jacobians[1]
 
 
 @dataclass(frozen=True)

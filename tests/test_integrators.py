@@ -7,10 +7,11 @@ from multisurf import integrators, mlcp
 from multisurf.experiments import (galias2007_system, hypomonotone_system,
                                    multisurface_system, simple_system,
                                    zoh_siso_data)
-from multisurf.integrators import (SchemeConfig, StepFailure, simulate_linear,
-                                   simulate_newton, simulate_zoh, step_newton,
-                                   step_plan, theta_plan, zoh_discretize)
-from multisurf.systems import LinearSignSystem
+from multisurf.integrators import (SchemeConfig, StepFailure, newton_plan,
+                                   simulate_linear, simulate_newton,
+                                   simulate_zoh, step_newton, step_plan,
+                                   theta_plan, zoh_discretize)
+from multisurf.systems import AffineGainSignSystem, LinearSignSystem
 
 
 def rk4_matrix_pair(F, h, steps=10000):
@@ -125,6 +126,44 @@ class TestStepNewton:
             step_newton(simple_system(), np.array([1.0]), 0.0,
                         SchemeConfig(h=0.1))
 
+    def test_plan_rejects_linear_class(self):
+        with pytest.raises(TypeError, match="affine-gain or nonlinear"):
+            newton_plan(simple_system(), SchemeConfig(h=0.1))
+
+    def test_simulate_rejects_linear_class_before_any_step(self):
+        # the class check comes before sys.surface(x0), which a linear
+        # system does not have
+        with pytest.raises(TypeError, match="affine-gain or nonlinear"):
+            simulate_newton(simple_system(), [1.0], 0.0, 1.0,
+                            SchemeConfig(h=0.1))
+
+    def test_plan_reuses_across_steps_and_takes_lists(self):
+        sys = hypomonotone_system()
+        cfg = SchemeConfig(h=0.1, theta=0.5, gamma=0.5)
+        plan = newton_plan(sys, cfg)
+        x_k, s_k = [2.0], None
+        for k in range(5):
+            x, s, y, it = plan(x_k, 0.1 * k, s_k)
+            ref = step_newton(sys, np.array(x_k), 0.1 * k, cfg, s_k=s_k)
+            for got, want in zip((x, s, y), ref[:3]):
+                assert got.tobytes() == want.tobytes()
+            assert it == ref[3]
+            x_k, s_k = list(x), s
+
+    def test_nan_drift_fails_the_step_with_its_residual(self):
+        # a NaN iterate must not pass the convergence check
+        sys = AffineGainSignSystem(
+            n=1, m=1, A_list=([[0.0]],), B_list=([1.0],), C_rows=([1.0],),
+            D=[0.0], f=lambda x, t: np.array([math.nan if t > 0.05
+                                              else -x[0]]),
+            f_jac=lambda x, t: np.array([[-1.0]]))
+        traj = simulate_newton(sys, [2.0], 0.0, 1.0, SchemeConfig(h=0.01))
+        assert traj.failure is not None
+        assert traj.failure.step == 5
+        assert traj.failure.message == ("Newton loop did not converge: "
+                                        "residual nan after 25 iterations")
+        assert np.all(np.isfinite(traj.states))
+
 
 class TestZohDiscretize:
     def test_trivial_scalar(self):
@@ -232,7 +271,6 @@ class TestSimulate:
 
     def test_newton_agrees_with_linear_on_affine_data(self):
         # affine-gain encoding of the scalar integrator: gain constant 1
-        from multisurf.systems import AffineGainSignSystem
         zero = np.zeros(1)
         affine = AffineGainSignSystem(
             n=1, m=1, A_list=(np.zeros((1, 1)),), B_list=([1.0],),

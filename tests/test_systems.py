@@ -137,6 +137,25 @@ class TestAffineGainSignSystem:
         assert sys.surface(x)[0] == 2.0
         assert sys.rho == 0.0
 
+    def test_constant_jacobians_are_built_once_and_read_only(self):
+        A = ([[0.2, 0.0], [0.1, -0.1]], [[0.0, 0.1], [-0.2, 0.3]])
+        B = ([1.0, 0.2], [-0.1, 0.8])
+        sys = AffineGainSignSystem(
+            n=2, m=2, A_list=A, B_list=B, C_rows=([1.0, 0.5], [-0.3, 1.0]),
+            D=[0.05, -0.1], f=lambda x, t: np.zeros(2),
+            f_jac=lambda x, t: np.zeros((2, 2)))
+        x = np.array([0.7, -1.3])
+        assert sys.gain_jac(x) is sys.gain_jac(-x)
+        assert sys.surface_jac(x) is sys.surface_jac(-x)
+        assert np.array_equal(sys.gain_jac(x),
+                              np.stack(np.asarray(A), axis=1))
+        assert np.array_equal(sys.surface_jac(x), [[1.0, 0.5], [-0.3, 1.0]])
+        for jac in (sys.gain_jac(x), sys.surface_jac(x)):
+            with pytest.raises(ValueError):
+                jac[0, 0] = 1.0
+        ref = np.column_stack([np.asarray(a) @ x + b for a, b in zip(A, B)])
+        assert sys.gain(x).tobytes() == ref.tobytes()
+
     def test_length_mismatch(self):
         zero = np.zeros(1)
         with pytest.raises(ValueError):
