@@ -17,7 +17,7 @@ from multisurf.controllers import (EcbSmcController, iec_control,
 from multisurf.integrators import (SchemeConfig, StepFailure, Trajectory,
                                    ZohPair, newton_plan, simulate, theta_plan,
                                    simulate_linear, simulate_newton, step_plan,
-                                   simulate_zoh, step_newton, zoh_discretize)
+                                   simulate_zoh, zoh_discretize)
 from multisurf.mlcp import (MlcpProblem, MlcpSolution, certify, encode,
                             sign_step_solver, solve, solve_enumerative,
                             solve_pivoting, solve_psor, solve_sign_step)

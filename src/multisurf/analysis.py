@@ -53,10 +53,10 @@ def convergence_slope(points) -> float:
     return float(np.polyfit(hs, es, 1)[0])
 
 
-def tail(values, fraction=TAIL_FRACTION, min_len=TAIL_MIN):
-    """Last fraction of a sequence, at least min_len samples."""
+def tail(values):
+    """Last TAIL_FRACTION of a sequence, at least TAIL_MIN samples."""
     values = np.asarray(values, dtype=float)
-    k = max(int(np.ceil(fraction * len(values))), min_len)
+    k = max(int(np.ceil(TAIL_FRACTION * len(values))), TAIL_MIN)
     return values[-k:]
 
 

@@ -3,8 +3,10 @@
     multisurf run <name> [--h F] [--T F] [--theta F] [--gamma F]
                          [--scheme S] [--x0 v1,v2,...] [--out DIR]
                          [--solver enumerative|psor|pivot] [--tau F]
+                         [--alpha F]
     multisurf list [--json]
-    multisurf convergence --h-min F --h-max F --points N [--out DIR]
+    multisurf convergence [--h-min F] [--h-max F] [--points N] [--out DIR]
+                          [--solver enumerative|psor|pivot]
 
 Each run writes trajectory CSVs under out/<experiment>/run/ (override with
 --out), prints one verdict line per checked property and exits nonzero when

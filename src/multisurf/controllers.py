@@ -7,7 +7,7 @@ control is computable at t_k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
 from multisurf import mlcp
@@ -37,7 +37,7 @@ class EcbSmcController:
     alpha: float
     h: float
     mode: str = "implicit"
-    pair: ZohPair = None
+    pair: ZohPair = field(init=False)
 
     def __post_init__(self):
         F = np.atleast_2d(np.asarray(self.F, dtype=float))
@@ -50,10 +50,8 @@ class EcbSmcController:
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "C", C)
-        if self.pair is None:
-            object.__setattr__(
-                self, "pair",
-                zoh_discretize(F, G, C, self.h, alpha=self.alpha))
+        object.__setattr__(self, "pair",
+                           zoh_discretize(F, G, C, self.h, alpha=self.alpha))
 
     @property
     def n(self):
@@ -75,7 +73,7 @@ def simulate_ecb(ctl: EcbSmcController, x0, t0, T, solver="auto"):
         ctl.pair.Phi, Gamma, C,
         solve=mlcp.sign_step_solver(C @ Gamma, solver) if implicit else None,
         control=lambda x, s: neg_CGinv @ (CF @ x + alpha * s))
-    return simulate(step, x0, C @ x0, t0, T, ctl.h, ctl.m,
+    return simulate(step, x0, C @ x0, t0, T, ctl.h,
                     explicit_signs=not implicit, record_controls=True)
 
 
@@ -94,6 +92,6 @@ def simulate_lyapunov(sys: DisturbedLinearSystem, x0, t0, T,
     step = theta_plan(sys.E, B, S, None,
                       lambda t: h * (a + B @ sys.disturbance(t)), cfg, scheme,
                       rho=rho, control=lambda x, s: rho * s)
-    return simulate(step, x0, S @ x0, t0, T, h, sys.m,
+    return simulate(step, x0, S @ x0, t0, T, h,
                     explicit_signs=(scheme == "explicit"),
                     record_controls=True)

@@ -20,7 +20,6 @@ from multisurf.integrators import SchemeConfig
 from multisurf.systems import (AffineGainSignSystem, DisturbedLinearSystem,
                                LinearSignSystem)
 
-EXACT_ZERO = 1e-12
 PERIOD2_TOL = 1e-6
 DRIFT_RADIUS_TOL = 1e-9
 
@@ -141,8 +140,8 @@ def _selection_box(traj):
     return _prop("selection-box", peak <= 1 + 1e-9, f"max |s| = {peak:.3e}")
 
 
-def _surface_zero_persist(traj, idx, tol=EXACT_ZERO):
-    k = analysis.arrival_step(traj, idx, tol=tol)
+def _surface_zero_persist(traj, idx):
+    k = analysis.arrival_step(traj, idx)
     ok = k is not None and traj.failure is None
     detail = f"arrival step {k}" if k is not None else "surface never settles"
     return _prop(f"surface{idx}-zero-persist", ok, detail)
@@ -256,8 +255,8 @@ def run_multisurface(params):
                                        _cfg(params), scheme=params["scheme"])
     props = [_completed(traj)]
     if params["scheme"] == "implicit":
-        k0 = analysis.arrival_step(traj, 0, tol=EXACT_ZERO)
-        k1 = analysis.arrival_step(traj, 1, tol=EXACT_ZERO)
+        k0 = analysis.arrival_step(traj, 0)
+        k1 = analysis.arrival_step(traj, 1)
         props.append(_surface_zero_persist(traj, 0))
         props.append(_surface_zero_persist(traj, 1))
         ordered = k0 is not None and k1 is not None and k0 < k1
@@ -329,7 +328,7 @@ def run_lyapunov(params):
     props = [_completed(traj)]
     if params["scheme"] == "implicit":
         xs = np.abs(traj.states[:, 0])
-        bad = np.nonzero(xs > EXACT_ZERO)[0]
+        bad = np.nonzero(xs > analysis.EXACT_ZERO_TOL)[0]
         k = int(bad[-1]) + 1 if len(bad) else 0
         arrived = k < len(xs) - 1
         props.append(_prop("finite-time-zero", arrived, f"arrival step {k}"))

@@ -23,6 +23,13 @@ from multisurf.mlcp import StepFailure
 from multisurf.systems import (AffineGainSignSystem, LinearSignSystem,
                                NonlinearSignSystem, output)
 
+# the outer Newton loop stops once the residual's max-norm is below
+# NEWTON_TOL, and fails after NEWTON_MAX_ITER iterations
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 25
+# `simulate` stops a run whose state magnitude exceeds this (blow-up)
+STATE_GUARD = 1e12
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -36,8 +43,6 @@ class SchemeConfig:
     h: float
     theta: float = 1.0
     gamma: float = 1.0
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 25
     solver: str = "auto"
 
     def __post_init__(self):
@@ -45,8 +50,6 @@ class SchemeConfig:
             raise ValueError("h must be > 0")
         if not 0 <= self.theta <= 1 or not 0 <= self.gamma <= 1:
             raise ValueError("theta and gamma must lie in [0, 1]")
-        if self.newton_tol <= 0 or self.newton_max_iter < 1:
-            raise ValueError("invalid Newton parameters")
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,7 @@ def newton_plan(sys, cfg: SchemeConfig):
     """
     if not isinstance(sys, (AffineGainSignSystem, NonlinearSignSystem)):
         raise TypeError("newton_plan needs an affine-gain or nonlinear system")
-    h, th, ga, tol = cfg.h, cfg.theta, cfg.gamma, cfg.newton_tol
+    h, th, ga, tol = cfg.h, cfg.theta, cfg.gamma, NEWTON_TOL
     h_rho, h_th, h_ga = h * sys.rho, h * th, h * ga
     shift = (1 - h_rho) * np.eye(sys.n)
 
@@ -198,7 +201,7 @@ def newton_plan(sys, cfg: SchemeConfig):
         t_th = t_k + h_th
         x_th, x_ga, f_val, g_val = blend(x, x_k, t_th)
         last_res = np.inf
-        for it in range(1, cfg.newton_max_iter + 1):
+        for it in range(1, NEWTON_MAX_ITER + 1):
             # (grad g obar s)_{kp} = sum_l dg[k,l]/dx[p] * s[l]
             gs = np.einsum("klp,l->kp", sys.gain_jac(x_ga), s)
             M = shift - h_th * np.asarray(sys.f_jac(x_th, t_th)) + h_ga * gs
@@ -225,11 +228,6 @@ def newton_plan(sys, cfg: SchemeConfig):
                           residual=last_res)
 
     return step
-
-
-def step_newton(sys, x_k, t_k, cfg: SchemeConfig, s_k=None):
-    """One step of `newton_plan(sys, cfg)`: (x, s, y, iters)."""
-    return newton_plan(sys, cfg)(x_k, t_k, s_k)
 
 
 @dataclass(frozen=True)
@@ -273,17 +271,17 @@ def grid_steps(t0, T, h):
     return max(0, math.ceil((T - t0) / h))
 
 
-def simulate(step, x0, y0, t0, T, h, m, explicit_signs=False,
-             record_controls=False, guard=1e12):
+def simulate(step, x0, y0, t0, T, h, *, explicit_signs=False,
+             record_controls=False):
     """Drive a one-step map over the uniform grid and record everything.
 
     step(k, x_k, t_k, s_k) returns (x, y, s, u, iters): the next state and
     output, the selection the step used (s_{k+1} of an implicit step,
     sgn(y_k) of an explicit one), the control held on [t_k, t_{k+1}) or
     None, and the Newton iterations.  s_k is the previous selection (warm
-    start), 0 initially.  On StepFailure the partial trajectory is returned
-    with failure diagnostics attached; the guard aborts once the state
-    magnitude exceeds it (blow-up).
+    start), 0 initially, and y0 fixes the number of surfaces m.  On
+    StepFailure the partial trajectory is returned with failure diagnostics
+    attached; a state magnitude above STATE_GUARD (blow-up) fails the step.
 
     Once a step whose `time_invariant` attribute is true (see `step_plan`)
     returns x_k byte for byte, every later step would repeat it: its state,
@@ -292,7 +290,7 @@ def simulate(step, x0, y0, t0, T, h, m, explicit_signs=False,
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    n = x0.shape[0]
+    n, m = x0.shape[0], y0.shape[0]
     N = grid_steps(t0, T, h)
     times = t0 + h * np.arange(N + 1)
     states = np.zeros((N + 1, n))
@@ -306,6 +304,7 @@ def simulate(step, x0, y0, t0, T, h, m, explicit_signs=False,
     s_prev = np.zeros(m)
     end = N + 1
     fixed_tail = getattr(step, "time_invariant", False)
+    guard = STATE_GUARD
     for k in range(N):
         try:
             # one reduction: NaN propagates through max, and |x| = inf
@@ -352,7 +351,7 @@ def simulate_linear(sys: LinearSignSystem, x0, t0, T, cfg: SchemeConfig,
     """Convenience loop for the linear class (implicit or explicit)."""
     step = theta_plan(sys.E, sys.B, sys.C, sys.D, cfg.h * sys.a, cfg, scheme)
     y0 = output(sys, np.atleast_1d(np.asarray(x0, dtype=float)))
-    return simulate(step, x0, y0, t0, T, cfg.h, sys.m,
+    return simulate(step, x0, y0, t0, T, cfg.h,
                     explicit_signs=(scheme == "explicit"))
 
 
@@ -365,7 +364,7 @@ def simulate_newton(sys, x0, t0, T, cfg: SchemeConfig):
         x, s, y, it = plan(x_k, t_k, s_prev)
         return x, y, s, None, it
 
-    return simulate(step, x0, y0, t0, T, cfg.h, sys.m)
+    return simulate(step, x0, y0, t0, T, cfg.h)
 
 
 def simulate_zoh(pair: ZohPair, C, D, x0, t0, T, h, mode="implicit",
@@ -380,5 +379,5 @@ def simulate_zoh(pair: ZohPair, C, D, x0, t0, T, h, mode="implicit",
     solve = (mlcp.sign_step_solver(C @ pair.Gamma, solver)
              if mode == "implicit" else None)
     step = step_plan(pair.Phi, pair.Gamma, C, D, solve=solve)
-    return simulate(step, x0, C @ x0 + D, t0, T, h, C.shape[0],
+    return simulate(step, x0, C @ x0 + D, t0, T, h,
                     explicit_signs=(mode == "explicit"))

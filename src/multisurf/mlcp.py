@@ -22,9 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# one numerical policy for every solver: the feasibility tolerance, the
+# certified residual a "solved" answer must meet, the PSOR sweep cap
 FEAS_TOL = 1e-10
-PSOR_OMEGA = 1.0
+CERT_TOL = 1e2 * FEAS_TOL
 PSOR_MAX_ITER = 5000
+# largest m the 3^m enumerative oracle takes
+ENUM_MAX_M = 12
 
 # per-index active states, enumerated lexicographically
 _INTERIOR, _LOWER, _UPPER = 0, 1, 2
@@ -60,10 +64,10 @@ class MlcpProblem:
         q = np.asarray(self.q, dtype=float).reshape(m)
         l = np.asarray(self.l, dtype=float).reshape(m)
         u = np.asarray(self.u, dtype=float).reshape(m)
+        if not (np.all(np.isfinite(l)) and np.all(np.isfinite(u))):
+            raise ValueError("l and u must be finite")
         if np.any(l > u):
             raise ValueError("need l <= u componentwise")
-        if np.any(l == np.inf) or np.any(u == -np.inf):
-            raise ValueError("l must be < +inf and u > -inf")
         for name, val in (("M", M), ("q", q), ("l", l), ("u", u)):
             object.__setattr__(self, name, val)
 
@@ -111,10 +115,7 @@ def certify(p: MlcpProblem, s: MlcpSolution) -> float:
         return 0.0
     box = max(np.max(p.l - s.z, initial=0.0), np.max(s.z - p.u, initial=0.0))
     eq = np.max(np.abs(p.M @ s.z + p.q - s.w + s.v))
-    # complementarity products ignore infinite bounds (slack must be 0 there)
-    gap_l = np.where(np.isfinite(p.l), s.z - p.l, 0.0)
-    gap_u = np.where(np.isfinite(p.u), p.u - s.z, 0.0)
-    comp = max(abs(gap_l @ s.w), abs(gap_u @ s.v))
+    comp = max(abs((s.z - p.l) @ s.w), abs((p.u - s.z) @ s.v))
     sign = max(np.max(-s.w, initial=0.0), np.max(-s.v, initial=0.0))
     return float(max(box, eq, comp, sign))
 
@@ -160,9 +161,9 @@ def _set_point(M, q, l, u, states, blocks=None):
     return z, True
 
 
-def _assignment_solution(p, states, tol):
+def _assignment_solution(p, states):
     """Solve one active-set assignment; None when infeasible or singular."""
-    m = p.dim
+    m, tol = p.dim, FEAS_TOL
     z, regular = _set_point(p.M, p.q, p.l, p.u, states)
     if not regular:
         return None
@@ -190,7 +191,7 @@ def _assignment_solution(p, states, tol):
     return z, w, v
 
 
-def solve_enumerative(p: MlcpProblem, tol=FEAS_TOL, cap=12) -> MlcpSolution:
+def solve_enumerative(p: MlcpProblem) -> MlcpSolution:
     """Brute-force active-set enumeration, the reference oracle.
 
     Tries all 3^m assignments (interior < lower < upper, lexicographic) and
@@ -199,18 +200,10 @@ def solve_enumerative(p: MlcpProblem, tol=FEAS_TOL, cap=12) -> MlcpSolution:
     m = p.dim
     if m == 0:
         return _empty_solution()
-    if m > cap:
-        raise ValueError(f"enumerative solver capped at m <= {cap}")
-    choices = []
-    for i in range(m):
-        states = [_INTERIOR]
-        if np.isfinite(p.l[i]):
-            states.append(_LOWER)
-        if np.isfinite(p.u[i]):
-            states.append(_UPPER)
-        choices.append(states)
-    for states in itertools.product(*choices):
-        got = _assignment_solution(p, states, tol)
+    if m > ENUM_MAX_M:
+        raise ValueError(f"enumerative solver capped at m <= {ENUM_MAX_M}")
+    for states in itertools.product((_INTERIOR, _LOWER, _UPPER), repeat=m):
+        got = _assignment_solution(p, states)
         if got is not None:
             z, w, v = got
             sol = MlcpSolution(z=z, w=w, v=v, residual=0.0, status="solved")
@@ -219,32 +212,30 @@ def solve_enumerative(p: MlcpProblem, tol=FEAS_TOL, cap=12) -> MlcpSolution:
     return _unsolved(m, "infeasible", "no active set is feasible")
 
 
-def solve_psor(p: MlcpProblem, omega=PSOR_OMEGA, max_iter=PSOR_MAX_ITER,
-               tol=FEAS_TOL) -> MlcpSolution:
-    """Projected SOR sweep; needs a nonzero diagonal.
+def solve_psor(p: MlcpProblem) -> MlcpSolution:
+    """Projected SOR sweep at omega = 1 (projected Gauss-Seidel); needs a
+    nonzero diagonal.
 
     Reports "solved" only for an answer whose certified residual is at most
-    1e2 * tol; a converged sweep with a larger residual is "uncertified".
+    CERT_TOL; a converged sweep with a larger residual is "uncertified".
     The reason of an unsolved answer says when M is not symmetric.
     """
     m = p.dim
     if m == 0:
         return _empty_solution()
-    if not 0 < omega < 2:
-        raise ValueError("omega must lie in (0, 2)")
     if np.any(p.M.diagonal() == 0):
         raise ValueError("PSOR needs a nonzero diagonal")
     M, q, l, u = np.ascontiguousarray(p.M), p.q, p.l, p.u
     z = np.clip(np.zeros(m), l, u)
-    # projected Gauss-Seidel/SOR, z_i <- clamp(z_i - omega (M z + q)_i / M_ii)
-    # coordinate by coordinate, to a tighter iterate tolerance: the certified
-    # residual trails the per-sweep change by the contraction rate
-    omega, sweep_tol = float(omega), float(tol) * 1e-2
+    # z_i <- clamp(z_i - (M z + q)_i / M_ii) coordinate by coordinate, to a
+    # tighter iterate tolerance: the certified residual trails the per-sweep
+    # change by the contraction rate
+    tol, sweep_tol = FEAS_TOL, FEAS_TOL * 1e-2
     delta = 0.0
-    for _ in range(int(max_iter)):
+    for _ in range(PSOR_MAX_ITER):
         delta = 0.0
         for i in range(m):
-            zi = z[i] - omega * (M[i] @ z + q[i]) / M[i, i]
+            zi = z[i] - (M[i] @ z + q[i]) / M[i, i]
             if zi < l[i]:
                 zi = l[i]
             elif zi > u[i]:
@@ -264,10 +255,10 @@ def solve_psor(p: MlcpProblem, omega=PSOR_OMEGA, max_iter=PSOR_MAX_ITER,
     status, reason = "solved", ""
     if not delta < tol:
         status = "max-iterations"
-        reason = f"sweep change {delta:.3g} after {max_iter} sweeps"
-    elif not res <= 1e2 * tol:
+        reason = f"sweep change {delta:.3g} after {PSOR_MAX_ITER} sweeps"
+    elif not res <= CERT_TOL:
         status = "uncertified"
-        reason = f"certified residual {res:.3g} above {1e2 * tol:.0e}"
+        reason = f"certified residual {res:.3g} above {CERT_TOL:.0e}"
     if reason and not np.array_equal(p.M, p.M.T):
         # Cottle, Pang & Stone (1992), ch. 5
         reason += ("; M is not symmetric, and projected SOR is only "
@@ -276,21 +267,20 @@ def solve_psor(p: MlcpProblem, omega=PSOR_OMEGA, max_iter=PSOR_MAX_ITER,
                         reason=reason)
 
 
-def _pivot(M, q, l, u, states, tol, max_pivots=None, blocks=None):
+def _pivot(M, q, l, u, states, blocks=None):
     """Murty's least-index principal pivoting from the active set `states`.
 
     l and u are the bounds as lists of floats.  Flips `states` in place,
     each pivot at the least index whose condition the current set's point
     violates, and returns (z, zl, rl) of the first set that violates none:
     z, and z and r = M z + q as lists.  Returns the reason as a string
-    after `max_pivots` pivots, or as soon as a set comes back: the rule is
-    deterministic, so a repeated set is a cycle that would run to the cap,
-    and least-index pivoting does not cycle on a P-matrix.  `blocks` is
-    passed on to `_set_point`.
+    after max(200, 3^min(m, 10)) pivots, or as soon as a set comes back: the
+    rule is deterministic, so a repeated set is a cycle that would run to
+    the cap, and least-index pivoting does not cycle on a P-matrix.
+    `blocks` is passed on to `_set_point`.
     """
-    m = len(states)
-    if max_pivots is None:
-        max_pivots = max(200, 3 ** min(m, 10))
+    m, tol = len(states), FEAS_TOL
+    max_pivots = max(200, 3 ** min(m, 10))
     seen = set()
     for _ in range(max_pivots):
         key = tuple(states)
@@ -300,8 +290,7 @@ def _pivot(M, q, l, u, states, tol, max_pivots=None, blocks=None):
         z, _ = _set_point(M, q, l, u, key, blocks)
         r = M @ z + q
         zl, rl = z.tolist(), r.tolist()
-        # least-index violated condition decides the next pivot; an infinite
-        # bound is never crossed, z < -inf and z > inf being false
+        # least-index violated condition decides the next pivot
         flip = -1
         for i in range(m):
             if states[i] == _INTERIOR:
@@ -329,15 +318,14 @@ def _pivot(M, q, l, u, states, tol, max_pivots=None, blocks=None):
     return f"no solution within {max_pivots} pivots"
 
 
-def solve_pivoting(p: MlcpProblem, tol=FEAS_TOL, max_pivots=None) -> MlcpSolution:
+def solve_pivoting(p: MlcpProblem) -> MlcpSolution:
     """Murty-style least-index principal pivoting on the box formulation,
     started from the all-interior active set."""
     m = p.dim
     if m == 0:
         return _empty_solution()
     states = [_INTERIOR] * m
-    got = _pivot(p.M, p.q, p.l.tolist(), p.u.tolist(), states, tol,
-                 max_pivots)
+    got = _pivot(p.M, p.q, p.l.tolist(), p.u.tolist(), states)
     if isinstance(got, str):
         return _unsolved(m, "infeasible", got)
     z, _, rl = got
@@ -350,26 +338,26 @@ def solve_pivoting(p: MlcpProblem, tol=FEAS_TOL, max_pivots=None) -> MlcpSolutio
                         status="solved")
 
 
-def solve(p: MlcpProblem, method="auto", tol=FEAS_TOL) -> MlcpSolution:
+def solve(p: MlcpProblem, method="auto") -> MlcpSolution:
     """Solve with the given method, or pivoting / PSOR / enumerative fallback."""
     if method == "enumerative":
-        return solve_enumerative(p, tol=tol)
+        return solve_enumerative(p)
     if method == "psor":
-        return solve_psor(p, tol=tol)
+        return solve_psor(p)
     if method == "pivot":
-        return solve_pivoting(p, tol=tol)
+        return solve_pivoting(p)
     if method != "auto":
         raise ValueError(f"unknown MLCP method {method!r}")
-    sol = solve_pivoting(p, tol=tol)
-    if sol.status == "solved" and sol.residual <= 1e2 * tol:
+    sol = solve_pivoting(p)
+    if sol.status == "solved" and sol.residual <= CERT_TOL:
         return sol
     # projected SOR can not converge on a diagonal entry <= 0
     if np.all(p.M.diagonal() > 0):
-        sol = solve_psor(p, tol=tol)
+        sol = solve_psor(p)
         if sol.status == "solved":
             return sol
-    if p.dim <= 12:
-        return solve_enumerative(p, tol=tol)
+    if p.dim <= ENUM_MAX_M:
+        return solve_enumerative(p)
     return sol
 
 
@@ -382,7 +370,7 @@ def _sign_step_1d(W, b):
     pivot again (an interior residual above FEAS_TOL, or a bound slack of
     the wrong sign) or where the scalar certificate -- box, equation,
     complementarity and sign, as `certify` computes them -- exceeds
-    1e2 * FEAS_TOL.
+    CERT_TOL.
     """
     tol = FEAS_TOL
     z = (b + 0.0) / W
@@ -397,7 +385,7 @@ def _sign_step_1d(W, b):
         if z * r > tol:
             return None
         w, v = (0.0, max(-r, 0.0)) if z > 0 else (max(r, 0.0), 0.0)
-    lim = 1e2 * tol
+    lim = CERT_TOL
     box = max(-1.0 - z, z - 1.0, 0.0)
     eq = abs(r - w + v)
     comp = max(abs((z + 1.0) * w), abs((1.0 - z) * v))
@@ -422,12 +410,12 @@ def _sym_part_pd(W):
 def _certified(states, zl, rl):
     """Whether a pivoting answer on the box [-1, 1]^m is kept: `certify`'s
     box, equation, complementarity and sign conditions hold at
-    lim = 1e2 * FEAS_TOL and no index is degenerate (a bound index with
+    lim = CERT_TOL and no index is degenerate (a bound index with
     |r_i| <= lim, or an interior one with |z_i| >= 1 - lim).  One pass of
     Python floats over z and r = W z - b, with w and v the bound slacks as
     `solve_pivoting` builds them; false on any NaN or infinity, which fails
     every comparison."""
-    lim = 1e2 * FEAS_TOL
+    lim = CERT_TOL
     comp_l = comp_u = 0.0
     for st, z, r in zip(states, zl, rl):
         w = max(r, 0.0) if st == _LOWER else 0.0
@@ -454,7 +442,7 @@ def sign_step_solver(W, method="auto"):
     from the previous step's final active set.  The solver keeps each
     visited set's interior block, so a step on a known set pays for one
     solve.  A warm answer is kept only if `_certified` passes it: it
-    certifies at 1e2 * FEAS_TOL, is finite, and no index is degenerate,
+    certifies at CERT_TOL, is finite, and no index is degenerate,
     because there a cold start may end at another active set and round
     differently.  All other steps encode the MLCP and run `solve`, and the
     next warm start begins from that answer, so every answer is
@@ -498,7 +486,7 @@ def sign_step_solver(W, method="auto"):
     def warm(b):
         b = np.asarray(b, dtype=float)
         if b.shape == (m,):
-            got = _pivot(W, -b, lower, upper, states, FEAS_TOL, blocks=blocks)
+            got = _pivot(W, -b, lower, upper, states, blocks)
             if not isinstance(got, str):
                 z, zl, rl = got
                 if _certified(states, zl, rl):

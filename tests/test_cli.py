@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -71,6 +72,21 @@ class TestConvergence:
         assert len([ln for ln in lines if not ln.startswith("#")]) == 9
         assert lines[-1].startswith("# slopes:")
         assert "PASS convergence:l1-slope-order-1" in out
+
+
+class TestUsage:
+    def test_docstring_lists_every_option(self):
+        # the module docstring is the usage text; every parser option
+        # appears in its command's block, bracketed as optional
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        blocks = cli.__doc__.split("\n\n")[1].split("multisurf ")[1:]
+        for name, parser in sub.choices.items():
+            block = next(b for b in blocks if b.startswith(name))
+            for action in parser._actions:
+                for opt in action.option_strings:
+                    if opt not in ("-h", "--help"):
+                        assert f"[{opt}" in block, (name, opt)
 
 
 class TestEntryPoint:

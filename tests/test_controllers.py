@@ -8,7 +8,7 @@ from multisurf.controllers import (EcbSmcController, iec_control,
                                    simulate_ecb, simulate_lyapunov)
 from multisurf.experiments import (lyapunov_system, zoh_mimo_data,
                                    zoh_siso_data)
-from multisurf.integrators import SchemeConfig
+from multisurf.integrators import SchemeConfig, zoh_discretize
 
 
 class TestIecControl:
@@ -40,6 +40,15 @@ class TestEcbSmc:
         F, G, C = zoh_siso_data()
         with pytest.raises(ValueError):
             EcbSmcController(F=F, G=G, C=C, alpha=0.0, h=0.3)
+
+    def test_pair_is_derived_not_passed(self):
+        F, G, C = zoh_siso_data()
+        ctl = EcbSmcController(F=F, G=G, C=C, alpha=2.0, h=0.3)
+        ref = zoh_discretize(F, G, C, 0.3, alpha=2.0)
+        assert ctl.pair.Phi.tobytes() == ref.Phi.tobytes()
+        assert ctl.pair.Gamma.tobytes() == ref.Gamma.tobytes()
+        with pytest.raises(TypeError):
+            EcbSmcController(F=F, G=G, C=C, alpha=2.0, h=0.3, pair=ref)
 
     def test_siso_implicit_reaches_surface(self):
         F, G, C = zoh_siso_data()

@@ -150,7 +150,7 @@ def _control_run(h, T):
         np.eye(1), h * np.eye(1), np.eye(1),
         solve=mlcp.sign_step_solver(h * np.eye(1)),
         control=lambda x, s: 1.0 - 2.0 * s + x)
-    return integrators.simulate(step, [0.7], [0.7], 0.0, T, h, 1,
+    return integrators.simulate(step, [0.7], [0.7], 0.0, T, h,
                                 record_controls=True)
 
 
@@ -172,7 +172,7 @@ def test_signed_zero_is_not_a_repeat():
         calls.append(k)
         return -x_k, -x_k, np.zeros(1), None, 0
     flip.time_invariant = True
-    traj = integrators.simulate(flip, [0.0], [0.0], 0.0, 1.0, 0.1, 1)
+    traj = integrators.simulate(flip, [0.0], [0.0], 0.0, 1.0, 0.1)
     assert len(calls) == 10
     assert [np.signbit(x) for x in traj.states[:, 0]] == \
         [k % 2 == 1 for k in range(11)]

@@ -9,8 +9,8 @@ from multisurf.experiments import (galias2007_system, hypomonotone_system,
                                    zoh_siso_data)
 from multisurf.integrators import (SchemeConfig, StepFailure, newton_plan,
                                    simulate_linear, simulate_newton,
-                                   simulate_zoh, step_newton, step_plan,
-                                   theta_plan, zoh_discretize)
+                                   simulate_zoh, step_plan, theta_plan,
+                                   zoh_discretize)
 from multisurf.systems import AffineGainSignSystem, LinearSignSystem
 
 
@@ -61,8 +61,6 @@ class TestSchemeConfig:
             SchemeConfig(h=-0.1)
         with pytest.raises(ValueError):
             SchemeConfig(h=0.1, theta=1.5)
-        with pytest.raises(ValueError):
-            SchemeConfig(h=0.1, newton_tol=0.0)
 
 
 class TestStepLinear:
@@ -109,7 +107,7 @@ class TestStepNewton:
     def test_hypomonotone_closed_form(self):
         sys = hypomonotone_system()
         cfg = SchemeConfig(h=0.5)
-        x1, s1, y1, it = step_newton(sys, np.array([2.0]), 0.0, cfg)
+        x1, s1, y1, it = newton_plan(sys, cfg)(np.array([2.0]), 0.0)
         assert abs(x1[0] - (2.0 - 0.5) / 1.5) <= 1e-12
         assert abs(s1[0] - 1.0) <= 1e-12
         assert it <= 10
@@ -117,14 +115,14 @@ class TestStepNewton:
     def test_hypomonotone_sticking(self):
         sys = hypomonotone_system()
         cfg = SchemeConfig(h=0.5)
-        x1, s1, _, _ = step_newton(sys, np.array([0.2]), 0.0, cfg)
+        x1, s1, _, _ = newton_plan(sys, cfg)(np.array([0.2]), 0.0)
         assert abs(x1[0]) <= 1e-13
         assert abs(s1[0] - 0.4) <= 1e-12
 
     def test_rejects_linear_class(self):
         with pytest.raises(TypeError):
-            step_newton(simple_system(), np.array([1.0]), 0.0,
-                        SchemeConfig(h=0.1))
+            newton_plan(simple_system(), SchemeConfig(h=0.1))(
+                np.array([1.0]), 0.0)
 
     def test_plan_rejects_linear_class(self):
         with pytest.raises(TypeError, match="affine-gain or nonlinear"):
@@ -144,7 +142,7 @@ class TestStepNewton:
         x_k, s_k = [2.0], None
         for k in range(5):
             x, s, y, it = plan(x_k, 0.1 * k, s_k)
-            ref = step_newton(sys, np.array(x_k), 0.1 * k, cfg, s_k=s_k)
+            ref = newton_plan(sys, cfg)(np.array(x_k), 0.1 * k, s_k)
             for got, want in zip((x, s, y), ref[:3]):
                 assert got.tobytes() == want.tobytes()
             assert it == ref[3]
@@ -278,7 +276,7 @@ class TestSimulate:
             f_jac=lambda x, t: np.zeros((1, 1)))
         cfg = SchemeConfig(h=0.2)
         for x0 in (1.01, 0.01, -0.4):
-            xa, sa, _, it = step_newton(affine, np.array([x0]), 0.0, cfg)
+            xa, sa, _, it = newton_plan(affine, cfg)(np.array([x0]), 0.0)
             lx, _, ls = linear_step(simple_system(), [x0], cfg)
             assert abs(xa[0] - lx[0]) <= 1e-12
             assert abs(sa[0] - ls[0]) <= 1e-12
@@ -313,7 +311,7 @@ class TestSimulate:
                 x[1] = bad
             return x, x[:1], np.zeros(1), None, 0
 
-        traj = integrators.simulate(step, [0.0, 0.0], [0.0], 0.0, 1.0, 0.1, 1)
+        traj = integrators.simulate(step, [0.0, 0.0], [0.0], 0.0, 1.0, 0.1)
         assert traj.failure.step == 3 and traj.failure.message == message
         assert traj.failure.time == traj.times[3] and len(traj.times) == 4
         assert traj.states[3, 1] == bad or math.isnan(traj.states[3, 1])
@@ -323,13 +321,22 @@ class TestSimulate:
             return (np.array([-3e12, math.nan]) if k == 1 else x_k,
                     np.zeros(1), np.zeros(1), None, 0)
 
-        traj = integrators.simulate(step, [1e12, 0.0], [0.0], 0.0, 1.0, 0.1,
-                                    1)
+        traj = integrators.simulate(step, [1e12, 0.0], [0.0], 0.0, 1.0, 0.1)
         assert traj.failure.step == 2
         assert traj.failure.message == "state is not finite"
         nan0 = integrators.simulate(step, [math.nan, 0.0], [0.0], 0.0, 1.0,
-                                    0.1, 1).failure
+                                    0.1).failure
         assert (nan0.step, nan0.message) == (0, "state is not finite")
+
+    def test_surface_count_comes_from_y0(self):
+        def step(k, x_k, t_k, s_prev):
+            return x_k, np.zeros(2), np.ones(2), None, 0
+
+        traj = integrators.simulate(step, [1.0], [0.0, 0.0], 0.0, 0.3, 0.1)
+        assert traj.m == 2 and traj.selections.shape == (4, 2)
+        # a trailing positional m no longer lands in explicit_signs
+        with pytest.raises(TypeError):
+            integrators.simulate(step, [1.0], [0.0, 0.0], 0.0, 0.3, 0.1, 2)
 
     def test_grid_is_ceil(self):
         assert integrators.grid_steps(0.0, 3.0, 0.2) == 15
