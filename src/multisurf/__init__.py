@@ -20,10 +20,9 @@ from multisurf.integrators import (SchemeConfig, StepFailure, Trajectory,
                                    simulate_zoh, zoh_discretize)
 from multisurf.mlcp import (MlcpProblem, MlcpSolution, certify, encode,
                             sign_step_solver, solve, solve_enumerative,
-                            solve_pivoting, solve_psor, solve_sign_step)
+                            solve_pivoting, solve_psor)
 from multisurf.systems import (AffineGainSignSystem, DisturbedLinearSystem,
                                LinearSignSystem, NonlinearSignSystem,
-                               check_cb_positive, linear_system_from_json,
-                               output)
+                               check_cb_positive, output)
 
 __version__ = "0.1.0"

@@ -9,8 +9,9 @@
                           [--solver enumerative|psor|pivot]
 
 Each run writes trajectory CSVs under out/<experiment>/run/ (override with
---out), prints one verdict line per checked property and exits nonzero when
-any property fails.
+--out) and prints one verdict line per checked property.  Exit codes: 0 when
+every property passes, 1 when one fails, 2 on bad input or an unknown
+experiment (with the reason as "error: ..." on stderr).
 """
 
 from __future__ import annotations
@@ -78,9 +79,14 @@ def _write_outputs(result, out_dir):
     return written
 
 
-def _report(result, out_dir):
-    written = _write_outputs(result, out_dir)
-    for path in written:
+def _run_and_report(name, overrides, out_dir):
+    try:
+        result = experiments.run_experiment(name, overrides)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    out_dir = out_dir or os.path.join("out", name, "run")
+    for path in _write_outputs(result, out_dir):
         print(f"wrote {path}")
     for p in result.properties:
         mark = "PASS" if p.passed else "FAIL"
@@ -97,13 +103,7 @@ def _do_run(args):
         if args.name in experiments.REGISTRY else set()
     overrides = {k: v for k, v in overrides.items()
                  if v is not None and k in spec_keys}
-    try:
-        result = experiments.run_experiment(args.name, overrides)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    out_dir = args.out or os.path.join("out", args.name, "run")
-    return _report(result, out_dir)
+    return _run_and_report(args.name, overrides, args.out)
 
 
 def _do_list(args):
@@ -124,9 +124,7 @@ def _do_convergence(args):
     overrides = {k: getattr(args, k) for k in ("h_min", "h_max", "points",
                                                "solver")}
     overrides = {k: v for k, v in overrides.items() if v is not None}
-    result = experiments.run_experiment("convergence", overrides)
-    out_dir = args.out or os.path.join("out", "convergence", "run")
-    return _report(result, out_dir)
+    return _run_and_report("convergence", overrides, args.out)
 
 
 def main(argv=None):

@@ -108,6 +108,8 @@ def lyapunov_system(alpha=0.1):
 
 
 def observer_system(k=1.0, tau=0.001):
+    if not tau > 0:
+        raise ValueError(f"observer time constant tau must be > 0, got {tau}")
     t2 = tau * tau
     E = [[0.0, 0.0, 0.0, 0.0],
          [k, -k, -k, 0.0],
@@ -147,15 +149,20 @@ def _surface_zero_persist(traj, idx):
     return _prop(f"surface{idx}-zero-persist", ok, detail)
 
 
-def _no_period2(traj, idx, tol=PERIOD2_TOL):
-    v = analysis.tail(traj.outputs[:, idx])
-    hit = len(v) >= 8 and analysis.detect_period2(v, tol)
-    return _prop(f"no-period2-y{idx}", not hit, f"tail of {len(v)} samples")
+def _arrival(traj):
+    """Arrival step on surface 0, and whether a step follows it."""
+    k = analysis.arrival_step(traj, 0)
+    return k, k is not None and k < len(traj.times) - 1
 
 
-def _period2(traj, idx, tol=PERIOD2_TOL):
+def _period2(traj, idx, *, expected, tol=PERIOD2_TOL):
+    """Whether the tail of y_idx is a 2-cycle, checked against `expected`:
+    explicit schemes chatter, implicit ones settle."""
     v = analysis.tail(traj.outputs[:, idx])
     hit = len(v) >= 8 and analysis.detect_period2(v, tol)
+    if not expected:
+        return _prop(f"no-period2-y{idx}", not hit,
+                     f"tail of {len(v)} samples")
     drift = float(np.max(np.abs(v[2:] - v[:-2]))) if len(v) >= 3 else np.nan
     return _prop(f"period2-detected-y{idx}", hit, f"tail drift {drift:.3e}")
 
@@ -189,13 +196,13 @@ def run_simple(params):
     props = [_completed(traj)]
     if params["scheme"] == "implicit":
         k0_bound = math.ceil(abs(x0[0]) / h)
-        k = analysis.arrival_step(traj, 0, tol=1e-13)
+        k = analysis.arrival_step(traj, 0)
         ok = k is not None and k <= k0_bound
         props.append(_prop("finite-time-zero", ok,
                            f"arrival {k}, bound {k0_bound}"))
         props.append(_selection_box(traj))
     else:
-        props.append(_period2(traj, 0, tol=1e-9))
+        props.append(_period2(traj, 0, expected=True, tol=1e-9))
     return ExperimentResult("simple", {"traj": traj}, props)
 
 
@@ -242,10 +249,10 @@ def run_galias2007(params):
     props = [_completed(traj)]
     if params["scheme"] == "implicit":
         props.append(_surface_zero_persist(traj, 0))
-        props.append(_no_period2(traj, 0))
+        props.append(_period2(traj, 0, expected=False))
         props.append(_selection_box(traj))
     else:
-        props.append(_period2(traj, 0))
+        props.append(_period2(traj, 0, expected=True))
     return ExperimentResult("galias2007", {"traj": traj}, props)
 
 
@@ -267,7 +274,7 @@ def run_multisurface(params):
                            f"final |x| = {final:.3e}"))
         props.append(_selection_box(traj))
     else:
-        props.append(_period2(traj, 0))
+        props.append(_period2(traj, 0, expected=True))
     return ExperimentResult("multisurface", {"traj": traj}, props)
 
 
@@ -295,13 +302,12 @@ def _run_zoh(name, data, params):
     traj = controllers.simulate_ecb(ctl, params["x0"], 0.0, params["T"],
                                     solver=params["solver"])
     props = [_completed(traj)]
-    m = ctl.m
     if mode == "implicit":
-        for i in range(m):
+        for i in range(ctl.m):
             props.append(_surface_zero_persist(traj, i))
         props.append(_selection_box(traj))
     elif name == "zoh-siso":
-        props.append(_period2(traj, 0))
+        props.append(_period2(traj, 0, expected=True))
     else:
         # recurrent tail deviation: chattering without a clean 2-cycle
         ytail = analysis.tail(np.max(np.abs(traj.outputs), axis=1))
@@ -327,10 +333,7 @@ def run_lyapunov(params):
                                          scheme=params["scheme"])
     props = [_completed(traj)]
     if params["scheme"] == "implicit":
-        xs = np.abs(traj.states[:, 0])
-        bad = np.nonzero(xs > analysis.EXACT_ZERO_TOL)[0]
-        k = int(bad[-1]) + 1 if len(bad) else 0
-        arrived = k < len(xs) - 1
+        k, arrived = _arrival(traj)
         props.append(_prop("finite-time-zero", arrived, f"arrival step {k}"))
         if arrived:
             tail_k = np.arange(k, len(traj.times) - 1)
@@ -390,7 +393,7 @@ def run_observer(params):
                 and len(y) - cross[0] - 1 >= analysis.TAIL_MIN):
             props.append(_chatters(y[cross[0] + 1:], 0))
         else:
-            props.append(_no_period2(traj, 0))
+            props.append(_period2(traj, 0, expected=False))
         props.append(_selection_box(traj))
     return ExperimentResult("observer", {"traj": traj}, props)
 
@@ -412,10 +415,8 @@ def run_hypomonotone(params):
                         abs(traj.selections[k + 1, 0] - sg))
     props.append(_prop("closed-form-match", worst <= 1e-12,
                        f"max deviation {worst:.3e}"))
-    xs = np.abs(traj.states[:, 0])
-    bad = np.nonzero(xs > 1e-13)[0]
-    k = int(bad[-1]) + 1 if len(bad) else 0
-    props.append(_prop("finite-time-zero", k < len(xs) - 1,
+    k, arrived = _arrival(traj)
+    props.append(_prop("finite-time-zero", arrived,
                        f"exact zero from step {k}"))
     peak_it = int(np.max(traj.newton_iters))
     props.append(_prop("newton-terminates", peak_it <= 10,

@@ -46,7 +46,7 @@ class SchemeConfig:
     solver: str = "auto"
 
     def __post_init__(self):
-        if self.h <= 0:
+        if not self.h > 0:
             raise ValueError("h must be > 0")
         if not 0 <= self.theta <= 1 or not 0 <= self.gamma <= 1:
             raise ValueError("theta and gamma must lie in [0, 1]")
@@ -214,7 +214,7 @@ def newton_plan(sys, cfg: SchemeConfig):
             r_smooth = x_k - x + h * f_val + h_rho * (x - x_k)
             W = h * H @ Minv @ g_val
             b = sys.surface(x) + H @ (Minv @ r_smooth)
-            s = mlcp.solve_sign_step(W, b, cfg.solver)
+            s = mlcp.sign_step_solver(W, cfg.solver)(b)
             x = x + Minv @ (r_smooth - h * g_val @ s)
             x_th, x_ga, f_val, g_val = blend(x, x_k, t_th)
             # stop once the updated pair satisfies R (the warm start can zero
@@ -265,7 +265,12 @@ def zoh_discretize(F, G, C, h, alpha=1.0) -> ZohPair:
 
 
 def grid_steps(t0, T, h):
-    """Number of steps on the uniform grid (last step may overshoot T)."""
+    """Number of steps on the uniform grid (last step may overshoot T); as
+    every loop runs on it, the one check of h, t0 and T."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size h must be finite and > 0, got {h}")
+    if not (math.isfinite(t0) and math.isfinite(T)):
+        raise ValueError(f"t0 and T must be finite, got {t0} and {T}")
     if T < t0:
         raise ValueError("need T >= t0")
     return max(0, math.ceil((T - t0) / h))

@@ -10,9 +10,10 @@ y = -(M z + q) = v - w.
 
 Three solvers share the same contract: an enumerative oracle (exponential,
 reference only), a Murty least-index principal pivoting method, and a
-projected SOR iteration.  `sign_step_solver` answers the one-step problems
-of a run whose W stays the same, and `solve_sign_step` one such problem on
-its own; both answer the one-surface case in closed form.
+projected SOR iteration.  `sign_step_solver(W)` is the one entry point for
+the sign step: it answers the one-step problems of a run whose W stays the
+same, the one-surface case in closed form, and the outer Newton loop, whose
+W changes with every iterate, builds one per iteration.
 """
 
 from __future__ import annotations
@@ -496,12 +497,6 @@ def sign_step_solver(W, method="auto"):
                      else _INTERIOR for zi in z.tolist()]
         return z
     return warm
-
-
-def solve_sign_step(W, b, method="auto") -> np.ndarray:
-    """The selection s in Sgn(b - W s) of one implicit step: the answer of
-    `sign_step_solver(W, method)` for a W used once."""
-    return sign_step_solver(W, method)(b)
 
 
 def format_problem(p: MlcpProblem) -> str:

@@ -17,11 +17,12 @@ Lyapunov-based discontinuous controller with a bounded matched disturbance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from multisurf import mlcp
 
 
 def _as_matrix(a, rows, cols, name):
@@ -58,9 +59,6 @@ class LinearSignSystem:
         object.__setattr__(self, "B", _as_matrix(self.B, self.n, self.m, "B"))
         object.__setattr__(self, "C", _as_matrix(self.C, self.m, self.n, "C"))
         object.__setattr__(self, "D", _as_vector(self.D, self.m, "D"))
-
-    def drift(self, x, t=0.0):
-        return self.E @ x + self.a
 
 
 @dataclass(frozen=True)
@@ -212,8 +210,7 @@ class DisturbedLinearSystem:
         return self.B.T @ self.P
 
     def disturbance(self, t):
-        g = _as_vector(self.gamma(t), self.m, "gamma(t)")
-        return g
+        return _as_vector(self.gamma(t), self.m, "gamma(t)")
 
     def check_disturbance_bound(self, t_grid):
         """True when |gamma_i(t)| < rho_bounds_i on every sampled t."""
@@ -251,7 +248,9 @@ class CbReport:
 
 
 def check_cb_positive(system) -> CbReport:
-    """Compute C B and test positive definiteness of its symmetric part.
+    """Compute C B and test positive definiteness of its symmetric part
+    with the warm-start gate's test, `mlcp._sym_part_pd`: Cholesky of
+    CB + CB^T with a margin, so an exactly singular symmetric part fails.
 
     Advisory only: a failing check does not prevent simulation (several
     well-behaved examples violate it), it merely flags that the sufficient
@@ -260,35 +259,7 @@ def check_cb_positive(system) -> CbReport:
     if isinstance(system, LinearSignSystem):
         CB = system.C @ system.B
     elif isinstance(system, AffineGainSignSystem):
-        B = np.column_stack(system.B_list)
-        C = np.vstack(system.C_rows)
-        CB = C @ B
+        CB = np.vstack(system.C_rows) @ np.column_stack(system.B_list)
     else:
         raise TypeError("check_cb_positive needs a linear or affine-gain system")
-    sym = 0.5 * (CB + CB.T)
-    # leading principal minors of the symmetric part
-    pd = all(np.linalg.det(sym[:k, :k]) > 0 for k in range(1, CB.shape[0] + 1))
-    return CbReport(CB=CB, is_positive_definite=bool(pd))
-
-
-def linear_system_from_json(path) -> LinearSignSystem:
-    """Load a LinearSignSystem from a JSON file.
-
-    Expected keys: ``E``, ``a``, ``B``, ``C``, ``D`` as row-major nested
-    arrays; dimensions are inferred from ``E`` and ``B`` and validated.
-    """
-    with open(path) as fh:
-        data = json.load(fh)
-    missing = [k for k in ("E", "a", "B", "C", "D") if k not in data]
-    if missing:
-        raise ValueError(f"system file missing keys: {missing}")
-    E = np.asarray(data["E"], dtype=float)
-    if E.ndim != 2 or E.shape[0] != E.shape[1]:
-        raise ValueError("E must be a square matrix")
-    n = E.shape[0]
-    B = np.atleast_2d(np.asarray(data["B"], dtype=float))
-    if B.shape[0] != n:
-        raise ValueError(f"B must have {n} rows")
-    m = B.shape[1]
-    return LinearSignSystem(n=n, m=m, E=E, a=data["a"], B=B,
-                            C=data["C"], D=data["D"])
+    return CbReport(CB=CB, is_positive_definite=mlcp._sym_part_pd(CB))

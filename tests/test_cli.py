@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from multisurf import cli, experiments
 
 
@@ -59,6 +61,32 @@ class TestRun:
         rc = cli.main(["run", "simple", "--solver", "enumerative",
                        "--out", str(tmp_path)])
         assert rc == 0
+
+
+class TestBadInput:
+    # exit 1 means a property failed; bad input exits 2 with one line on
+    # stderr, as an unknown experiment does
+    @pytest.mark.parametrize("argv", [
+        ["run", "simple", "--h", "0"],
+        ["run", "simple", "--h", "nan"],
+        ["run", "simple", "--T", "nan"],
+        ["run", "simple", "--x0", "1,2"],
+        ["run", "zoh-siso", "--h", "-0.3"],
+        ["run", "zoh-siso", "--h", "0"],
+        ["run", "observer", "--tau", "0"],
+        ["convergence", "--points", "2"],
+    ])
+    def test_exits_2_with_an_error_line(self, argv, tmp_path, capsys):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_unknown_name_says_so(self, capsys):
+        assert cli.main(["run", "nonsense"]) == 2
+        assert capsys.readouterr().err == \
+            "error: unknown experiment 'nonsense'\n"
 
 
 class TestConvergence:

@@ -70,6 +70,11 @@ class TestObserverStabilityRule:
             radius = experiments._drift_radius(E, h, 0.0)
             assert np.isclose(radius, max(1.0, abs(1 - h / tau)), rtol=1e-6)
 
+    @pytest.mark.parametrize("tau", [0.0, -0.001, float("nan")])
+    def test_tau_must_be_positive(self, tau):
+        with pytest.raises(ValueError, match="tau must be > 0"):
+            observer_system(tau=tau)
+
     def test_drift_radius_implicit_is_one(self):
         E = observer_system(tau=0.001).E
         for h in (0.1, 0.004):

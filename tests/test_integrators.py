@@ -60,6 +60,8 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             SchemeConfig(h=-0.1)
         with pytest.raises(ValueError):
+            SchemeConfig(h=float("nan"))
+        with pytest.raises(ValueError):
             SchemeConfig(h=0.1, theta=1.5)
 
 
@@ -342,6 +344,14 @@ class TestSimulate:
         assert integrators.grid_steps(0.0, 3.0, 0.2) == 15
         assert integrators.grid_steps(0.0, 1.0, 0.3) == 4
         assert integrators.grid_steps(0.0, 0.0, 0.1) == 0
+
+    @pytest.mark.parametrize("t0, T, h", [
+        (0.0, 1.0, 0.0), (0.0, 1.0, -0.3), (0.0, 1.0, float("nan")),
+        (0.0, 1.0, float("inf")), (0.0, float("nan"), 0.1),
+        (0.0, float("inf"), 0.1), (float("-inf"), 1.0, 0.1)])
+    def test_grid_rejects_bad_grids(self, t0, T, h):
+        with pytest.raises(ValueError):
+            integrators.grid_steps(t0, T, h)
 
 
 class TestTrajectoryCsv:

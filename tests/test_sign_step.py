@@ -1,11 +1,11 @@
 """Property tests for the one-step sign problem s in Sgn(b - W s).
 
-`mlcp.solve_sign_step` answers m = 1 with W > 0 by the projection
+`mlcp.sign_step_solver` answers m = 1 with W > 0 by the projection
 proj_[-1,1](b / W).  It must give solve_pivoting's selection bit for bit,
 agree with the enumerative oracle, and certify; every other case must go
-through the general MLCP path.  `mlcp.sign_step_solver` answers a run of
-steps with one P-matrix W by pivoting from the previous step's active set,
-and must give what a cold start gives, bit for bit.  The `auto` ladder must
+through the general MLCP path.  For m > 1 it answers a run of steps with
+one P-matrix W by pivoting from the previous step's active set, and must
+give what a cold start gives, bit for bit.  The `auto` ladder must
 answer W < 0 without running to a pivot cap or through projected SOR.
 """
 
@@ -62,7 +62,7 @@ def test_closed_form_matches_pivoting_bitwise(step):
     ref = mlcp.solve_pivoting(prob)
     assert ref.status == "solved"
     for method in ("auto", "pivot"):
-        z = mlcp.solve_sign_step(np.array([[W]]), np.array([b]), method)
+        z = mlcp.sign_step_solver(np.array([[W]]), method)(np.array([b]))
         assert z.tobytes() == ref.z.tobytes()
     assert np.array([closed]).tobytes() == ref.z.tobytes()
 
@@ -72,7 +72,7 @@ def test_closed_form_matches_pivoting_bitwise(step):
 def test_closed_form_matches_oracle_and_certifies(step):
     W, b = step
     prob = sign_problem(W, b)
-    z = mlcp.solve_sign_step(prob.M, -prob.q)
+    z = mlcp.sign_step_solver(prob.M)(-prob.q)
     oracle = mlcp.solve_enumerative(prob)
     assert oracle.status == "solved"
     assert abs(z[0] - oracle.z[0]) <= 1e-12
@@ -85,8 +85,8 @@ def _general_path(W, b, method):
     with mock.patch.object(mlcp, "_sign_step_1d",
                            side_effect=AssertionError("closed form taken")):
         try:
-            return mlcp.solve_sign_step(np.array([[W]]), np.array([b]),
-                                        method)
+            return mlcp.sign_step_solver(np.array([[W]]),
+                                         method)(np.array([b]))
         except mlcp.StepFailure:
             return None
 
@@ -117,7 +117,7 @@ def test_uncertified_closed_form_falls_back():
     assert abs(W * (b / W) - b) > FEAS_TOL
     assert mlcp._sign_step_1d(W, b) is None
     prob = sign_problem(W, b)
-    z = mlcp.solve_sign_step(prob.M, -prob.q)
+    z = mlcp.sign_step_solver(prob.M)(-prob.q)
     assert z.tobytes() == mlcp.solve(prob).z.tobytes()
 
 
@@ -290,7 +290,7 @@ def test_auto_ladder_on_negative_W(W, b):
         warnings.simplefilter("error")
         with mock.patch.object(mlcp, "solve_psor",
                                wraps=mlcp.solve_psor) as psor:
-            z = mlcp.solve_sign_step(np.array([[W]]), np.array([b]))
+            z = mlcp.sign_step_solver(np.array([[W]]))(np.array([b]))
         assert psor.call_count == 0
         assert z.tobytes() == mlcp.solve_enumerative(prob).z.tobytes()
         # pivoting stops at its first repeated active set: at most the
@@ -309,7 +309,7 @@ def test_psor_reports_an_uncertified_answer():
     sol = mlcp.solve_psor(prob)
     assert sol.status == "uncertified" and sol.residual == 4.0
     with pytest.raises(mlcp.StepFailure, match="uncertified.*residual 4"):
-        mlcp.solve_sign_step(np.array([[-1.0]]), np.array([3.0]), "psor")
+        mlcp.sign_step_solver(np.array([[-1.0]]), "psor")(np.array([3.0]))
 
 
 def test_psor_failure_names_a_non_symmetric_W():

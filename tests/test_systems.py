@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from multisurf.systems import (AffineGainSignSystem, DisturbedLinearSystem,
                                LinearSignSystem, NonlinearSignSystem,
-                               check_cb_positive, linear_system_from_json,
-                               output)
+                               check_cb_positive, output)
 
 
 def example2_system():
@@ -60,6 +57,17 @@ class TestCheckCbPositive:
                                C=[[-1.0]], D=[0.0])
         rep = check_cb_positive(sys)
         assert rep.CB[0, 0] == -1.0
+        assert not rep.is_positive_definite
+
+    def test_singular_symmetric_part(self):
+        # CB + CB^T = [[49, -35], [-35, 25]] has determinant exactly 0; a
+        # rounded det of its halved form came out at 4.35e-14, which a
+        # leading-minor test read as positive
+        sys = LinearSignSystem(n=2, m=2, E=np.zeros((2, 2)), a=[0, 0],
+                               B=[[24.5, -23.5], [-11.5, 12.5]], C=np.eye(2),
+                               D=[0, 0])
+        rep = check_cb_positive(sys)
+        assert rep.CB.tolist() == [[24.5, -23.5], [-11.5, 12.5]]
         assert not rep.is_positive_definite
 
 
@@ -189,19 +197,3 @@ class TestDisturbedLinearSystem:
                 n=1, m=1, E=[[-1.0]], a=[0.0], B=[[1.0]], rho=[1.0],
                 P=[[-1.0]], gamma=lambda t: np.zeros(1), rho_bounds=[1.0])
 
-
-class TestJsonLoader:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "sys.json"
-        path.write_text(json.dumps({
-            "E": [[0.0, 1.0], [0.0, -1.0]], "a": [0.0, 0.0],
-            "B": [[0.0], [1.0]], "C": [[1.0, 1.0]], "D": [0.0]}))
-        sys = linear_system_from_json(path)
-        assert sys.n == 2 and sys.m == 1
-        assert np.allclose(sys.C, [[1.0, 1.0]])
-
-    def test_missing_key(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"E": [[0.0]]}))
-        with pytest.raises(ValueError, match="missing keys"):
-            linear_system_from_json(path)
