@@ -60,11 +60,6 @@ def simple_system():
                             C=[[1.0]], D=[0.0])
 
 
-def simple_state_ref(x0):
-    sgn = np.sign(x0)
-    return lambda t: sgn * max(abs(x0) - t, 0.0)
-
-
 def simple_selection_ref(x0):
     sgn = np.sign(x0)
     return lambda t: sgn if t < abs(x0) else 0.0
@@ -302,8 +297,9 @@ def _run_zoh(name, data, params):
     traj = controllers.simulate_ecb(ctl, params["x0"], 0.0, params["T"],
                                     solver=params["solver"])
     props = [_completed(traj)]
+    m = ctl.m
     if mode == "implicit":
-        for i in range(ctl.m):
+        for i in range(m):
             props.append(_surface_zero_persist(traj, i))
         props.append(_selection_box(traj))
     elif name == "zoh-siso":

@@ -11,9 +11,9 @@ y = -(M z + q) = v - w.
 Three solvers share the same contract: an enumerative oracle (exponential,
 reference only), a Murty least-index principal pivoting method, and a
 projected SOR iteration.  `sign_step_solver(W)` is the one entry point for
-the sign step: it answers the one-step problems of a run whose W stays the
-same, the one-surface case in closed form, and the outer Newton loop, whose
-W changes with every iterate, builds one per iteration.
+the sign step, with the one-surface case in closed form: a run whose W stays
+the same builds it once, and the outer Newton loop, whose W changes with
+every iterate, builds one per iteration.
 """
 
 from __future__ import annotations

@@ -210,7 +210,8 @@ class DisturbedLinearSystem:
         return self.B.T @ self.P
 
     def disturbance(self, t):
-        return _as_vector(self.gamma(t), self.m, "gamma(t)")
+        g = _as_vector(self.gamma(t), self.m, "gamma(t)")
+        return g
 
     def check_disturbance_bound(self, t_grid):
         """True when |gamma_i(t)| < rho_bounds_i on every sampled t."""
@@ -259,7 +260,9 @@ def check_cb_positive(system) -> CbReport:
     if isinstance(system, LinearSignSystem):
         CB = system.C @ system.B
     elif isinstance(system, AffineGainSignSystem):
-        CB = np.vstack(system.C_rows) @ np.column_stack(system.B_list)
+        B = np.column_stack(system.B_list)
+        C = np.vstack(system.C_rows)
+        CB = C @ B
     else:
         raise TypeError("check_cb_positive needs a linear or affine-gain system")
     return CbReport(CB=CB, is_positive_definite=mlcp._sym_part_pd(CB))

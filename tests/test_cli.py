@@ -83,11 +83,6 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
-    def test_unknown_name_says_so(self, capsys):
-        assert cli.main(["run", "nonsense"]) == 2
-        assert capsys.readouterr().err == \
-            "error: unknown experiment 'nonsense'\n"
-
 
 class TestConvergence:
     def test_sweep_writes_table(self, tmp_path, capsys):
