@@ -78,9 +78,10 @@ def arrival_step(traj, surface_index, tol=EXACT_ZERO_TOL) -> Optional[int]:
     """Smallest k with |y_k'| <= tol for all k' >= k on the given surface.
 
     None when the surface value is still above tol at the end of the run.
+    A NaN sample has not arrived.
     """
     y = np.abs(np.asarray(traj.outputs, dtype=float)[:, surface_index])
-    bad = np.nonzero(y > tol)[0]
+    bad = np.nonzero(~(y <= tol))[0]
     if len(bad) == 0:
         return 0
     k = int(bad[-1]) + 1

@@ -2,11 +2,9 @@
 
     multisurf run <name> [--h F] [--T F] [--theta F] [--gamma F]
                          [--scheme S] [--x0 v1,v2,...] [--out DIR]
-                         [--solver enumerative|psor|pivot] [--tau F]
-                         [--alpha F]
+                         [--tau F] [--alpha F]
     multisurf list [--json]
     multisurf convergence [--h-min F] [--h-max F] [--points N] [--out DIR]
-                          [--solver enumerative|psor|pivot]
 
 Each run writes trajectory CSVs under out/<experiment>/run/ (override with
 --out) and prints one verdict line per checked property.  Exit codes: 0 when
@@ -48,7 +46,6 @@ def build_parser():
                               "zoh-explicit"])
     run.add_argument("--x0", type=_parse_vector)
     run.add_argument("--out", default=None)
-    run.add_argument("--solver", choices=["enumerative", "psor", "pivot"])
     run.add_argument("--tau", type=float, help="observer parasitic constant")
     run.add_argument("--alpha", type=float, help="controller/disturbance gain")
 
@@ -60,7 +57,6 @@ def build_parser():
     conv.add_argument("--h-max", type=float, dest="h_max")
     conv.add_argument("--points", type=int)
     conv.add_argument("--out", default=None)
-    conv.add_argument("--solver", choices=["enumerative", "psor", "pivot"])
     return parser
 
 
@@ -97,8 +93,8 @@ def _run_and_report(name, overrides, out_dir):
 
 def _do_run(args):
     overrides = {k: getattr(args, k) for k in
-                 ("h", "T", "theta", "gamma", "scheme", "x0", "solver",
-                  "tau", "alpha")}
+                 ("h", "T", "theta", "gamma", "scheme", "x0", "tau",
+                  "alpha")}
     spec_keys = set(experiments.REGISTRY[args.name].defaults) \
         if args.name in experiments.REGISTRY else set()
     overrides = {k: v for k, v in overrides.items()
@@ -109,8 +105,7 @@ def _do_run(args):
 def _do_list(args):
     if args.json:
         payload = [{"name": s.name, "description": s.description,
-                    "defaults": {k: v for k, v in s.defaults.items()
-                                 if not callable(v)}}
+                    "defaults": s.defaults}
                    for s in experiments.REGISTRY.values()]
         print(json.dumps(payload, indent=2))
     else:
@@ -121,8 +116,7 @@ def _do_list(args):
 
 
 def _do_convergence(args):
-    overrides = {k: getattr(args, k) for k in ("h_min", "h_max", "points",
-                                               "solver")}
+    overrides = {k: getattr(args, k) for k in ("h_min", "h_max", "points")}
     overrides = {k: v for k, v in overrides.items() if v is not None}
     return _run_and_report("convergence", overrides, args.out)
 

@@ -62,7 +62,7 @@ class EcbSmcController:
         return self.C.shape[0]
 
 
-def simulate_ecb(ctl: EcbSmcController, x0, t0, T, solver="auto"):
+def simulate_ecb(ctl: EcbSmcController, x0, t0, T):
     """Closed-loop ECB-SMC run: the ZOH step of ctl.pair, with the control
     u_k = -(C G)^-1 (C F x_k + alpha s) recorded per held interval."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -71,7 +71,7 @@ def simulate_ecb(ctl: EcbSmcController, x0, t0, T, solver="auto"):
     neg_CGinv, CF = -np.linalg.inv(C @ ctl.G), C @ ctl.F
     step = step_plan(
         ctl.pair.Phi, Gamma, C,
-        solve=mlcp.sign_step_solver(C @ Gamma, solver) if implicit else None,
+        solve=mlcp.sign_step_solver(C @ Gamma) if implicit else None,
         control=lambda x, s: neg_CGinv @ (CF @ x + alpha * s))
     return simulate(step, x0, C @ x0, t0, T, ctl.h,
                     explicit_signs=not implicit, record_controls=True)

@@ -65,9 +65,10 @@ def simple_selection_ref(x0):
     return lambda t: sgn if t < abs(x0) else 0.0
 
 
-def galias2007_system(c1=1.0, alpha=1.0):
-    return LinearSignSystem(n=2, m=1, E=[[0.0, 1.0], [0.0, -c1]], a=[0.0, 0.0],
-                            B=[[0.0], [alpha]], C=[[c1, 1.0]], D=[0.0])
+def galias2007_system():
+    return LinearSignSystem(n=2, m=1, E=[[0.0, 1.0], [0.0, -1.0]],
+                            a=[0.0, 0.0], B=[[0.0], [1.0]], C=[[1.0, 1.0]],
+                            D=[0.0])
 
 
 def multisurface_system():
@@ -179,7 +180,7 @@ def _completed(traj):
 
 def _cfg(params):
     return SchemeConfig(h=params["h"], theta=params["theta"],
-                        gamma=params["gamma"], solver=params["solver"])
+                        gamma=params["gamma"])
 
 
 def run_simple(params):
@@ -201,10 +202,9 @@ def run_simple(params):
     return ExperimentResult("simple", {"traj": traj}, props)
 
 
-def _simple_error_point(h, x0, T, solver):
-    sys = simple_system()
-    cfg = SchemeConfig(h=h, solver=solver)
-    traj = integrators.simulate_linear(sys, [x0], 0.0, T, cfg)
+def _simple_error_point(h, x0, T):
+    traj = integrators.simulate_linear(simple_system(), [x0], 0.0, T,
+                                       SchemeConfig(h=h))
     rep = analysis.error_norms(traj.times, traj.selections[:, 0],
                                simple_selection_ref(x0))
     return h, rep
@@ -212,11 +212,12 @@ def _simple_error_point(h, x0, T, solver):
 
 def run_convergence(params):
     x0 = float(np.atleast_1d(np.asarray(params["x0"], dtype=float))[0])
-    T = params["T"]
-    hs = np.logspace(np.log10(params["h_min"]), np.log10(params["h_max"]),
-                     params["points"])
-    points = [_simple_error_point(h, x0, T, params["solver"])
-              for h in np.sort(hs)]
+    h_min, h_max, n = params["h_min"], params["h_max"], params["points"]
+    if not (h_min > 0 and h_max > 0 and n >= 3):
+        raise ValueError("the sweep needs h_min, h_max > 0 and at least 3 "
+                         f"points, got {h_min}, {h_max} and {n}")
+    hs = np.logspace(np.log10(h_min), np.log10(h_max), n)
+    points = [_simple_error_point(h, x0, params["T"]) for h in np.sort(hs)]
     props = []
     inf_ok = all(abs(rep.inf_norm - 1.0) <= 1e-9 for _, rep in points)
     worst = max(abs(rep.inf_norm - 1.0) for _, rep in points)
@@ -294,8 +295,7 @@ def _run_zoh(name, data, params):
         else "explicit"
     ctl = controllers.EcbSmcController(F=F, G=G, C=C, alpha=params["alpha"],
                                       h=params["h"], mode=mode)
-    traj = controllers.simulate_ecb(ctl, params["x0"], 0.0, params["T"],
-                                    solver=params["solver"])
+    traj = controllers.simulate_ecb(ctl, params["x0"], 0.0, params["T"])
     props = [_completed(traj)]
     m = ctl.m
     if mode == "implicit":
@@ -424,10 +424,8 @@ def run_hypomonotone(params):
 # registry
 
 def _base(h, T, x0, scheme="implicit", **extra):
-    d = {"h": h, "T": T, "x0": x0, "scheme": scheme, "theta": 1.0,
-         "gamma": 1.0, "solver": "auto"}
-    d.update(extra)
-    return d
+    return {"h": h, "T": T, "x0": x0, "scheme": scheme, "theta": 1.0,
+            "gamma": 1.0, **extra}
 
 
 REGISTRY = {
@@ -478,4 +476,7 @@ def run_experiment(name, overrides=None) -> ExperimentResult:
         if unknown:
             raise KeyError(f"unknown overrides for {name}: {sorted(unknown)}")
         params.update({k: v for k, v in overrides.items() if v is not None})
+    for k, v in params.items():
+        if not isinstance(v, str) and not np.all(np.isfinite(v)):
+            raise ValueError(f"{k} must be finite, got {v}")
     return spec.runner(params)

@@ -43,7 +43,6 @@ class SchemeConfig:
     h: float
     theta: float = 1.0
     gamma: float = 1.0
-    solver: str = "auto"
 
     def __post_init__(self):
         if not self.h > 0:
@@ -163,8 +162,7 @@ def theta_plan(E, B, C, D, c, cfg: SchemeConfig, scheme, rho=None,
             raise StepFailure("singular implicit drift matrix I - h*theta*E")
         return fail
     W = h * C @ L @ B
-    solve = mlcp.sign_step_solver(W if rho is None else W @ np.diag(rho),
-                                  cfg.solver)
+    solve = mlcp.sign_step_solver(W if rho is None else W @ np.diag(rho))
     return step_plan(np.eye(n) + h * (1 - cfg.theta) * E, h * B, C, D, L=L,
                      c=c, solve=solve, rho=rho, control=control)
 
@@ -214,7 +212,7 @@ def newton_plan(sys, cfg: SchemeConfig):
             r_smooth = x_k - x + h * f_val + h_rho * (x - x_k)
             W = h * H @ Minv @ g_val
             b = sys.surface(x) + H @ (Minv @ r_smooth)
-            s = mlcp.sign_step_solver(W, cfg.solver)(b)
+            s = mlcp.sign_step_solver(W)(b)
             x = x + Minv @ (r_smooth - h * g_val @ s)
             x_th, x_ga, f_val, g_val = blend(x, x_k, t_th)
             # stop once the updated pair satisfies R (the warm start can zero
@@ -372,8 +370,7 @@ def simulate_newton(sys, x0, t0, T, cfg: SchemeConfig):
     return simulate(step, x0, y0, t0, T, cfg.h)
 
 
-def simulate_zoh(pair: ZohPair, C, D, x0, t0, T, h, mode="implicit",
-                 solver="auto"):
+def simulate_zoh(pair: ZohPair, C, D, x0, t0, T, h, mode="implicit"):
     """Convenience loop for a ZOH-discretized closed loop; implicit mode
     solves the one-step MLCP with W = C Gamma."""
     if mode not in ("implicit", "explicit"):
@@ -381,7 +378,7 @@ def simulate_zoh(pair: ZohPair, C, D, x0, t0, T, h, mode="implicit",
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D = np.atleast_1d(np.asarray(D, dtype=float))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    solve = (mlcp.sign_step_solver(C @ pair.Gamma, solver)
+    solve = (mlcp.sign_step_solver(C @ pair.Gamma)
              if mode == "implicit" else None)
     step = step_plan(pair.Phi, pair.Gamma, C, D, solve=solve)
     return simulate(step, x0, C @ x0 + D, t0, T, h,

@@ -10,7 +10,9 @@ y = -(M z + q) = v - w.
 
 Three solvers share the same contract: an enumerative oracle (exponential,
 reference only), a Murty least-index principal pivoting method, and a
-projected SOR iteration.  `sign_step_solver(W)` is the one entry point for
+projected SOR iteration; `solve` tries them in that ladder's order
+(pivoting, PSOR, oracle), and the oracle and pivoting test an active set by
+one rule, `_violation`.  `sign_step_solver(W)` is the one entry point for
 the sign step, with the one-surface case in closed form: a run whose W stays
 the same builds it once, and the outer Newton loop, whose W changes with
 every iterate, builds one per iteration.
@@ -19,7 +21,7 @@ every iterate, builds one per iteration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,34 +164,51 @@ def _set_point(M, q, l, u, states, blocks=None):
     return z, True
 
 
-def _assignment_solution(p, states):
-    """Solve one active-set assignment; None when infeasible or singular."""
-    m, tol = p.dim, FEAS_TOL
-    z, regular = _set_point(p.M, p.q, p.l, p.u, states)
-    if not regular:
+def _violation(states, zl, rl, l, u):
+    """The least index whose condition the point of the active set `states`
+    violates, with the state that a pivot gives it; None when it violates
+    none.  An interior index must lie in [l_i, u_i] and solve its equation,
+    a lower one needs r_i >= 0 and an upper one r_i <= 0, all to FEAS_TOL;
+    z, r = M z + q, l and u come as lists of floats."""
+    tol = FEAS_TOL
+    for i, st in enumerate(states):
+        if st == _INTERIOR:
+            if zl[i] < l[i] - tol:
+                return i, _LOWER
+            if zl[i] > u[i] + tol:
+                return i, _UPPER
+            if abs(rl[i]) > tol:
+                # a singular block (lstsq) left the equation unsatisfied
+                return i, (_LOWER if rl[i] > 0 else _UPPER)
+        elif st == _LOWER:
+            if rl[i] < -tol:
+                return i, _INTERIOR
+        elif rl[i] > tol:
+            return i, _INTERIOR
+    return None
+
+
+def _solution(p, states, z, rl):
+    """The certified answer of the active set `states` with point z and
+    r = M z + q (a list): w and v are the bound indices' slacks."""
+    w = np.array([max(r, 0.0) if st == _LOWER else 0.0
+                  for st, r in zip(states, rl)])
+    v = np.array([max(-r, 0.0) if st == _UPPER else 0.0
+                  for st, r in zip(states, rl)])
+    sol = MlcpSolution(z=z, w=w, v=v, residual=0.0, status="solved")
+    return replace(sol, residual=certify(p, sol))
+
+
+def _assignment_solution(p, states, l, u):
+    """The answer of one active-set assignment; None when its interior
+    block is singular, its point is not finite or violates a condition."""
+    z, regular = _set_point(p.M, p.q, l, u, states)
+    if not (regular and np.all(np.isfinite(z))):
         return None
-    I = [i for i in range(m) if states[i] == _INTERIOR]
-    if I:
-        zI = z[I]
-        if (not np.all(np.isfinite(zI)) or np.any(zI < p.l[I] - tol)
-                or np.any(zI > p.u[I] + tol)):
-            return None
-    r = p.M @ z + p.q
-    w = np.zeros(m)
-    v = np.zeros(m)
-    for i in range(m):
-        if states[i] == _INTERIOR:
-            if abs(r[i]) > tol:
-                return None
-        elif states[i] == _LOWER:
-            if r[i] < -tol:
-                return None
-            w[i] = max(r[i], 0.0)
-        else:
-            if r[i] > tol:
-                return None
-            v[i] = max(-r[i], 0.0)
-    return z, w, v
+    rl = (p.M @ z + p.q).tolist()
+    if _violation(states, z.tolist(), rl, l, u) is not None:
+        return None
+    return _solution(p, states, z, rl)
 
 
 def solve_enumerative(p: MlcpProblem) -> MlcpSolution:
@@ -203,13 +222,11 @@ def solve_enumerative(p: MlcpProblem) -> MlcpSolution:
         return _empty_solution()
     if m > ENUM_MAX_M:
         raise ValueError(f"enumerative solver capped at m <= {ENUM_MAX_M}")
+    l, u = p.l.tolist(), p.u.tolist()
     for states in itertools.product((_INTERIOR, _LOWER, _UPPER), repeat=m):
-        got = _assignment_solution(p, states)
-        if got is not None:
-            z, w, v = got
-            sol = MlcpSolution(z=z, w=w, v=v, residual=0.0, status="solved")
-            return MlcpSolution(z=z, w=w, v=v, residual=certify(p, sol),
-                                status="solved")
+        sol = _assignment_solution(p, states, l, u)
+        if sol is not None:
+            return sol
     return _unsolved(m, "infeasible", "no active set is feasible")
 
 
@@ -264,23 +281,21 @@ def solve_psor(p: MlcpProblem) -> MlcpSolution:
         # Cottle, Pang & Stone (1992), ch. 5
         reason += ("; M is not symmetric, and projected SOR is only "
                    "guaranteed to converge for symmetric positive definite M")
-    return MlcpSolution(z=z, w=w, v=v, residual=res, status=status,
-                        reason=reason)
+    return replace(sol, residual=res, status=status, reason=reason)
 
 
 def _pivot(M, q, l, u, states, blocks=None):
     """Murty's least-index principal pivoting from the active set `states`.
 
     l and u are the bounds as lists of floats.  Flips `states` in place,
-    each pivot at the least index whose condition the current set's point
-    violates, and returns (z, zl, rl) of the first set that violates none:
-    z, and z and r = M z + q as lists.  Returns the reason as a string
+    each pivot at the index that `_violation` names, and returns (z, zl, rl)
+    of the first set that violates none: z, and z and r = M z + q as lists.  Returns the reason as a string
     after max(200, 3^min(m, 10)) pivots, or as soon as a set comes back: the
     rule is deterministic, so a repeated set is a cycle that would run to
     the cap, and least-index pivoting does not cycle on a P-matrix.
     `blocks` is passed on to `_set_point`.
     """
-    m, tol = len(states), FEAS_TOL
+    m = len(states)
     max_pivots = max(200, 3 ** min(m, 10))
     seen = set()
     for _ in range(max_pivots):
@@ -292,30 +307,10 @@ def _pivot(M, q, l, u, states, blocks=None):
         r = M @ z + q
         zl, rl = z.tolist(), r.tolist()
         # least-index violated condition decides the next pivot
-        flip = -1
-        for i in range(m):
-            if states[i] == _INTERIOR:
-                if zl[i] < l[i] - tol:
-                    flip, new = i, _LOWER
-                    break
-                if zl[i] > u[i] + tol:
-                    flip, new = i, _UPPER
-                    break
-                if abs(rl[i]) > tol:
-                    # lstsq left the interior equation unsatisfied
-                    flip, new = i, (_LOWER if rl[i] > 0 else _UPPER)
-                    break
-            elif states[i] == _LOWER:
-                if rl[i] < -tol:
-                    flip, new = i, _INTERIOR
-                    break
-            else:
-                if rl[i] > tol:
-                    flip, new = i, _INTERIOR
-                    break
-        if flip < 0:
+        flip = _violation(states, zl, rl, l, u)
+        if flip is None:
             return z, zl, rl
-        states[flip] = new
+        states[flip[0]] = flip[1]
     return f"no solution within {max_pivots} pivots"
 
 
@@ -329,26 +324,13 @@ def solve_pivoting(p: MlcpProblem) -> MlcpSolution:
     got = _pivot(p.M, p.q, p.l.tolist(), p.u.tolist(), states)
     if isinstance(got, str):
         return _unsolved(m, "infeasible", got)
-    z, _, rl = got
-    w = np.array([max(r, 0.0) if st == _LOWER else 0.0
-                  for st, r in zip(states, rl)])
-    v = np.array([max(-r, 0.0) if st == _UPPER else 0.0
-                  for st, r in zip(states, rl)])
-    sol = MlcpSolution(z=z, w=w, v=v, residual=0.0, status="solved")
-    return MlcpSolution(z=z, w=w, v=v, residual=certify(p, sol),
-                        status="solved")
+    return _solution(p, states, got[0], got[2])
 
 
-def solve(p: MlcpProblem, method="auto") -> MlcpSolution:
-    """Solve with the given method, or pivoting / PSOR / enumerative fallback."""
-    if method == "enumerative":
-        return solve_enumerative(p)
-    if method == "psor":
-        return solve_psor(p)
-    if method == "pivot":
-        return solve_pivoting(p)
-    if method != "auto":
-        raise ValueError(f"unknown MLCP method {method!r}")
+def solve(p: MlcpProblem) -> MlcpSolution:
+    """The cold ladder: pivoting; projected SOR when pivoting does not
+    certify and the diagonal is positive; the enumerative oracle when
+    neither answers and m <= ENUM_MAX_M.  Returns the last rung's answer."""
     sol = solve_pivoting(p)
     if sol.status == "solved" and sol.residual <= CERT_TOL:
         return sol
@@ -433,16 +415,16 @@ def _certified(states, zl, rl):
     return abs(comp_l) <= lim and abs(comp_u) <= lim
 
 
-def sign_step_solver(W, method="auto"):
+def sign_step_solver(W):
     """The map b -> s in Sgn(b - W s) for the one-step problems of a run
     whose W stays the same; W is checked and converted once, here.
 
-    Under `auto` and `pivot`, m = 1 with W > 0 takes the closed form of
-    `_sign_step_1d`.  For m > 1 with W + W^T positive definite (so W is a
-    P-matrix and each step has one solution), least-index pivoting starts
-    from the previous step's final active set.  The solver keeps each
-    visited set's interior block, so a step on a known set pays for one
-    solve.  A warm answer is kept only if `_certified` passes it: it
+    `solve`'s ladder is the only selector: no caller picks a solver.  m = 1
+    with W > 0 takes the closed form of `_sign_step_1d`.  For m > 1 with
+    W + W^T positive definite (so W is a P-matrix and each step has one
+    solution), least-index pivoting starts from the previous step's final
+    active set.  The solver keeps each visited set's interior block, so a
+    step on a known set pays for one solve.  A warm answer is kept only if `_certified` passes it: it
     certifies at CERT_TOL, is finite, and no index is degenerate,
     because there a cold start may end at another active set and round
     differently.  All other steps encode the MLCP and run `solve`, and the
@@ -459,14 +441,13 @@ def sign_step_solver(W, method="auto"):
 
     def cold(b):
         enc = encode(W, b)
-        sol = solve(enc, method=method)
+        sol = solve(enc)
         if sol.status != "solved":
             raise StepFailure(f"one-step MLCP {sol.status}: {sol.reason}",
                               problem_text=format_problem(enc))
         return sol.z
 
-    fast = method in ("auto", "pivot")
-    if fast and m == 1 and W[0, 0] > 0:
+    if m == 1 and W[0, 0] > 0:
         w11 = float(W[0, 0])
 
         def closed_form(b):
@@ -477,7 +458,7 @@ def sign_step_solver(W, method="auto"):
                     return np.array([z])
             return cold(b)
         return closed_form
-    if not (fast and m > 1 and _sym_part_pd(W)):
+    if not (m > 1 and _sym_part_pd(W)):
         return cold
 
     lower, upper = [-1.0] * m, [1.0] * m

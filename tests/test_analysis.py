@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,12 @@ class TestArrivalStep:
             cycling = analysis.detect_period2(
                 analysis.tail(traj.outputs[:, 0]), 1e-11)
             assert not (arrived and cycling)
+
+    def test_nan_sample_has_not_arrived(self):
+        # NaN fails every comparison, including `|y| <= tol`: not arrived
+        nan = float("nan")
+        traj = SimpleNamespace(outputs=np.array([[1.0], [0.0], [nan], [0.0],
+                                                 [0.0]]))
+        assert analysis.arrival_step(traj, 0) == 3
+        traj.outputs[-1] = nan
+        assert analysis.arrival_step(traj, 0) is None

@@ -57,11 +57,6 @@ class TestRun:
             assert rc == 0
         assert (a / "traj.csv").read_bytes() == (b / "traj.csv").read_bytes()
 
-    def test_solver_override(self, tmp_path):
-        rc = cli.main(["run", "simple", "--solver", "enumerative",
-                       "--out", str(tmp_path)])
-        assert rc == 0
-
 
 class TestBadInput:
     # exit 1 means a property failed; bad input exits 2 with one line on
@@ -75,7 +70,18 @@ class TestBadInput:
         ["run", "zoh-siso", "--h", "0"],
         ["run", "observer", "--tau", "0"],
         ["convergence", "--points", "2"],
+        ["run", "simple", "--x0", "inf"],
+        ["run", "simple", "--x0", "nan"],
+        ["run", "galias2007", "--x0", "nan,0"],
+        ["run", "lyapunov", "--x0", "nan"],
+        ["run", "zoh-siso", "--alpha", "nan"],
+        ["convergence", "--points", "0"],
+        ["convergence", "--h-min", "0"],
+        ["convergence", "--h-min=-1e-3"],
+        ["convergence", "--h-max", "0"],
     ])
+    # bad input is reported before any numpy RuntimeWarning can be raised
+    @pytest.mark.filterwarnings("error")
     def test_exits_2_with_an_error_line(self, argv, tmp_path, capsys):
         assert cli.main([*argv, "--out", str(tmp_path)]) == 2
         out, err = capsys.readouterr()

@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 
@@ -132,13 +130,3 @@ class TestLyapunovControl:
         assert len(step.times) == 2
         assert abs(step.states[1, 0]) <= 1e-15
         assert abs(step.controls[0, 0] - 0.1 * np.sin(t)) <= 1e-14
-
-    def test_solver_comes_from_the_config(self):
-        sys = lyapunov_system(0.1)
-        cfg = SchemeConfig(h=0.1, solver="enumerative")
-        with mock.patch.object(mlcp, "sign_step_solver",
-                               wraps=mlcp.sign_step_solver) as spy:
-            traj = simulate_lyapunov(sys, [1.0], 0.0, 1.0, cfg)
-        assert traj.failure is None
-        assert [call.args[1] for call in spy.call_args_list] == \
-            ["enumerative"]

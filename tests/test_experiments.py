@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,24 @@ class TestObserverStabilityRule:
         E = observer_system(tau=0.001).E
         for h in (0.1, 0.004):
             assert abs(experiments._drift_radius(E, h, 1.0) - 1.0) <= 1e-12
+
+
+class TestBadParameters:
+    @pytest.mark.parametrize("name, overrides, key", [
+        ("simple", {"T": float("inf")}, "T"),
+        ("galias2007", {"x0": [float("nan"), 0.0]}, "x0"),
+        ("zoh-siso", {"alpha": float("nan")}, "alpha"),
+        ("convergence", {"h_max": float("nan")}, "h_max"),
+    ])
+    def test_non_finite_parameter_is_named(self, name, overrides, key):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            run_experiment(name, overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"h_min": 0.0}, {"h_max": -0.1}, {"points": 0}, {"points": 2},
+    ])
+    def test_sweep_is_checked_before_it_runs(self, overrides):
+        with mock.patch.object(experiments, "_simple_error_point") as point:
+            with pytest.raises(ValueError, match="the sweep needs h_min"):
+                run_experiment("convergence", overrides)
+        assert point.call_count == 0

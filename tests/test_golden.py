@@ -5,8 +5,9 @@ SHA-256 of every CSV it writes is compared with a recorded digest.  A change
 that alters any trajectory, selection, control or convergence number by one
 bit fails here.  `LIBRARY_DIGESTS` does the same for implicit library runs
 that no registry default reaches: Lyapunov loops with rho != 1, the
-theta = 0.5 scheme, the ZOH loop, an m = 4 P-matrix system under `pivot`,
-an m = 12 one under `auto` whose every step takes the warm-started pivoting,
+theta = 0.5 scheme, the ZOH loop, an m = 4 P-matrix system (recorded when
+a run could still pick `pivot` as its solver; the default gives the same
+bytes), an m = 12 one whose every step takes the warm-started pivoting,
 `filippov` to T = 20, whose warm m = 2 run takes 498 of its 10,000
 steps and fills the other 9,502 rows from the fixed point it reaches, and
 three outer-Newton runs beyond the scalar `hypomonotone` default: an m = 2
@@ -101,7 +102,7 @@ def _pivot_m4():
            [0.3, -0.5, 1.8, 0.4], [0.1, 0.2, -0.6, 1.2]],
         C=np.eye(4), D=[0.0, 0.1, -0.05, 0.0])
     return integrators.simulate_linear(sys, [1.0, -0.5, 0.3, 0.8], 0.0, 3.0,
-                                       SchemeConfig(h=0.01, solver="pivot"))
+                                       SchemeConfig(h=0.01))
 
 
 def _warm_m12():

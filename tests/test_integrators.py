@@ -44,11 +44,11 @@ def linear_step(sys, x_k, cfg, scheme="implicit"):
     return x, y, s
 
 
-def zoh_step(pair, C, D, x_k, mode="implicit", solver="auto"):
+def zoh_step(pair, C, D, x_k, mode="implicit"):
     """(x, y, s) of one step of the ZOH plan that simulate_zoh runs."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D = np.atleast_1d(np.asarray(D, dtype=float))
-    solve = (mlcp.sign_step_solver(C @ pair.Gamma, solver)
+    solve = (mlcp.sign_step_solver(C @ pair.Gamma)
              if mode == "implicit" else None)
     x, y, s, _, _ = step_plan(pair.Phi, pair.Gamma, C, D, solve=solve)(
         0, np.asarray(x_k, dtype=float), 0.0, None)
@@ -213,7 +213,7 @@ class TestStepZoh:
         # a point already on the surface stays on it
         x = np.array([1.0, -1.0])
         assert abs(np.asarray(C) @ x) <= 1e-14
-        _, y, _ = zoh_step(pair, C, [0.0], x, solver="enumerative")
+        _, y, _ = zoh_step(pair, C, [0.0], x)
         assert np.max(np.abs(y)) <= 1e-12
 
     def test_explicit_mode(self):

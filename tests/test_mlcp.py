@@ -206,10 +206,6 @@ class TestSolvePolicy:
             b = mlcp.solve_enumerative(p)
             assert np.allclose(a.z, b.z, atol=1e-8)
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            mlcp.solve(box_problem([[1.0]], [0.0]), method="magic")
-
     def test_dump_format(self):
         text = mlcp.format_problem(box_problem([[1.0]], [-0.5]))
         assert text.splitlines()[0] == "MLCP dim=1"

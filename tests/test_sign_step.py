@@ -5,7 +5,7 @@ proj_[-1,1](b / W).  It must give solve_pivoting's selection bit for bit,
 agree with the enumerative oracle, and certify; every other case must go
 through the general MLCP path.  For m > 1 it answers a run of steps with
 one P-matrix W by pivoting from the previous step's active set, and must
-give what a cold start gives, bit for bit.  The `auto` ladder must
+give what a cold start gives, bit for bit.  The cold ladder `solve` must
 answer W < 0 without running to a pivot cap or through projected SOR.
 """
 
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisurf import mlcp
-from multisurf.experiments import run_experiment
 from multisurf.mlcp import FEAS_TOL
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
@@ -61,9 +60,8 @@ def test_closed_form_matches_pivoting_bitwise(step):
     prob = sign_problem(W, b)
     ref = mlcp.solve_pivoting(prob)
     assert ref.status == "solved"
-    for method in ("auto", "pivot"):
-        z = mlcp.sign_step_solver(np.array([[W]]), method)(np.array([b]))
-        assert z.tobytes() == ref.z.tobytes()
+    z = mlcp.sign_step_solver(np.array([[W]]))(np.array([b]))
+    assert z.tobytes() == ref.z.tobytes()
     assert np.array([closed]).tobytes() == ref.z.tobytes()
 
 
@@ -81,33 +79,16 @@ def test_closed_form_matches_oracle_and_certifies(step):
     assert mlcp.certify(prob, sol) <= 1e2 * FEAS_TOL
 
 
-def _general_path(W, b, method):
-    with mock.patch.object(mlcp, "_sign_step_1d",
-                           side_effect=AssertionError("closed form taken")):
-        try:
-            return mlcp.sign_step_solver(np.array([[W]]),
-                                         method)(np.array([b]))
-        except mlcp.StepFailure:
-            return None
-
-
 @SETTINGS
 @given(st.floats(-1e2, 0.0), st.floats(-1e3, 1e3))
 def test_nonpositive_W_takes_the_general_path(W, b):
-    z = _general_path(W, b, "auto")
-    if z is not None:
-        assert z.shape == (1,)
-
-
-@pytest.mark.parametrize("method", ["psor", "enumerative"])
-@SETTINGS
-@given(step=positive_scalar_steps())
-def test_other_methods_take_the_general_path(method, step):
-    W, b = step
-    z = _general_path(W, b, method)
-    assert z is not None
-    assert abs(z[0] - mlcp.solve_enumerative(sign_problem(W, b)).z[0]) \
-        <= 1e-8
+    with mock.patch.object(mlcp, "_sign_step_1d",
+                           side_effect=AssertionError("closed form taken")):
+        try:
+            z = mlcp.sign_step_solver(np.array([[W]]))(np.array([b]))
+        except mlcp.StepFailure:
+            return
+    assert z.shape == (1,)
 
 
 def test_uncertified_closed_form_falls_back():
@@ -157,26 +138,29 @@ def warm_runs(draw):
     return W, bs, degenerate
 
 
-def _cold(W, b, method):
-    return mlcp.solve(mlcp.encode(W, b), method=method).z
+def _cold(W, b):
+    return mlcp.solve(mlcp.encode(W, b)).z
 
 
-@pytest.mark.parametrize("method", ["auto", "pivot"])
+# the cold starts a warm answer must equal bit for bit: the `solve` ladder
+# (auto) and plain least-index pivoting (pivot)
+COLD = {"auto": mlcp.solve, "pivot": mlcp.solve_pivoting}
+
+
+@pytest.mark.parametrize("cold", COLD)
 @SETTINGS
 @given(run=warm_runs())
-def test_warm_solver_matches_cold_pivoting_bitwise(method, run):
+def test_warm_solver_matches_cold_pivoting_bitwise(cold, run):
     W, bs, _ = run
-    solve = mlcp.sign_step_solver(W, method)
+    solve = mlcp.sign_step_solver(W)
     for b in bs:
-        ref = mlcp.solve_pivoting(mlcp.encode(W, b))
+        ref = COLD[cold](mlcp.encode(W, b))
         assert ref.status == "solved"
-        z = solve(b)
-        assert z.tobytes() == ref.z.tobytes()
-        assert z.tobytes() == _cold(W, b, method).tobytes()
+        assert solve(b).tobytes() == ref.z.tobytes()
 
 
-@pytest.mark.parametrize("method", ["auto", "pivot"])
-def test_warm_solver_matches_cold_on_a_singular_block(method):
+@pytest.mark.parametrize("cold", COLD)
+def test_warm_solver_matches_cold_on_a_singular_block(cold):
     # W is symmetric positive definite with determinant 2e-13, but LU
     # rounds its second pivot to exactly 0: np.linalg.solve raises on the
     # all-interior block and `_set_point` takes lstsq.  The gate refuses
@@ -191,19 +175,18 @@ def test_warm_solver_matches_cold_on_a_singular_block(method):
             ([0.3, -0.3], [0.0, 0.0]), ([0.6, 0.6], [0.0, 0.0]),
             ([0.4, -0.4], [0.0, 0.0])]
     with mock.patch.object(mlcp, "_sym_part_pd", return_value=True):
-        solve = mlcp.sign_step_solver(W, method)
+        solve = mlcp.sign_step_solver(W)
     warm_lstsq = []
     for z0, y in runs:
         b = W @ np.array(z0) + np.array(y)
-        ref = mlcp.solve_pivoting(mlcp.encode(W, b))
+        ref = COLD[cold](mlcp.encode(W, b))
         assert ref.status == "solved"
-        with mock.patch.object(mlcp, "solve", wraps=mlcp.solve) as cold, \
+        with mock.patch.object(mlcp, "solve", wraps=mlcp.solve) as ladder, \
                 mock.patch.object(np.linalg, "lstsq",
                                   wraps=np.linalg.lstsq) as lstsq:
             z = solve(b)
-        warm_lstsq.append(cold.call_count == 0 and lstsq.call_count > 0)
+        warm_lstsq.append(ladder.call_count == 0 and lstsq.call_count > 0)
         assert z.tobytes() == ref.z.tobytes()
-        assert z.tobytes() == _cold(W, b, method).tobytes()
     assert warm_lstsq == [True, True, False, True, False, True, True]
 
 
@@ -231,7 +214,7 @@ def test_gate_refuses_numerically_singular_W(W, bs):
         with mock.patch.object(mlcp, "solve", wraps=mlcp.solve) as cold:
             z = solve(np.array(b))
         assert cold.call_count == 1
-        assert z.tobytes() == _cold(W, np.array(b), "auto").tobytes()
+        assert z.tobytes() == _cold(W, np.array(b)).tobytes()
 
 
 @SETTINGS
@@ -245,7 +228,7 @@ def test_warm_answer_depends_only_on_b(run):
         solve(b)
     first, second = solve(bs[-1]), solve(bs[-1])
     assert first.tobytes() == second.tobytes()
-    assert first.tobytes() == _cold(W, bs[-1], "auto").tobytes()
+    assert first.tobytes() == _cold(W, bs[-1]).tobytes()
 
 
 @SETTINGS
@@ -308,17 +291,16 @@ def test_psor_reports_an_uncertified_answer():
     prob = sign_problem(-1.0, 3.0)
     sol = mlcp.solve_psor(prob)
     assert sol.status == "uncertified" and sol.residual == 4.0
-    with pytest.raises(mlcp.StepFailure, match="uncertified.*residual 4"):
-        mlcp.sign_step_solver(np.array([[-1.0]]), "psor")(np.array([3.0]))
+    assert sol.reason.startswith("certified residual 4 above")
 
 
 def test_psor_failure_names_a_non_symmetric_W():
     # filippov's W = h [[1, -2], [2, 1]] is positive definite but not
-    # symmetric; projected SOR stalls there at step 496
-    res = run_experiment("filippov", {"solver": "psor"})
-    fail = res.trajectories["traj"].failure
-    assert fail.step == 496
-    assert fail.message == (
-        "one-step MLCP max-iterations: sweep change 2 after 5000 sweeps; "
-        "M is not symmetric, and projected SOR is only guaranteed to "
-        "converge for symmetric positive definite M")
+    # symmetric; projected SOR stalls on its step-496 problem
+    W = 0.002 * np.array([[1.0, -2.0], [2.0, 1.0]])
+    sol = mlcp.solve_psor(mlcp.encode(W, [-1.9290125052862095e-14, 0.0]))
+    assert sol.status == "max-iterations"
+    assert sol.reason == (
+        "sweep change 2 after 5000 sweeps; M is not symmetric, and "
+        "projected SOR is only guaranteed to converge for symmetric "
+        "positive definite M")
