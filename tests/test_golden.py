@@ -10,9 +10,12 @@ a run could still pick `pivot` as its solver; the default gives the same
 bytes), an m = 12 one whose every step takes the warm-started pivoting,
 `filippov` to T = 20, whose warm m = 2 run takes 498 of its 10,000
 steps and fills the other 9,502 rows from the fixed point it reaches, and
-three outer-Newton runs beyond the scalar `hypomonotone` default: an m = 2
+six outer-Newton runs beyond the scalar `hypomonotone` default: an m = 2
 affine-gain system with a time-dependent drift and rho > 0 at
-(theta, gamma) = (1, 1) and (0.5, 0.5), and an m = 1 nonlinear system.
+(theta, gamma) = (1, 1) and (0.5, 0.5), an m = 1 nonlinear system, and
+three drift-free runs that reach a fixed tail -- an m = 2 affine-gain
+system with rho > 0 at the same two (theta, gamma), and
+`hypomonotone_system` from x0 = 2.5 with h = 1e-3 to T = 2.
 
 The digests are tied to the numpy / LAPACK build they were recorded with
 (numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64): another BLAS or LAPACK
@@ -153,10 +156,34 @@ def _newton_nonlinear_m1():
                                        SchemeConfig(h=0.01))
 
 
+def _newton_drift_free_m2(theta, gamma):
+    # no smooth drift: both surfaces reach zero, the state first repeats
+    # byte for byte at step 96 (theta = gamma = 1) or 83 (0.5) and the
+    # state and selection together one step later
+    sys = AffineGainSignSystem(
+        n=2, m=2,
+        A_list=([[0.5, 0.0], [0.0, 0.25]], [[0.0, 0.25], [0.5, 0.0]]),
+        B_list=([1.0, 0.25], [0.25, 1.0]), C_rows=([1.0, 0.0], [0.0, 1.0]),
+        D=[0.0, 0.0], f=lambda x, t: np.zeros(2),
+        f_jac=lambda x, t: np.zeros((2, 2)), rho_list=(0.1, 0.2))
+    return integrators.simulate_newton(
+        sys, [0.8, -0.6], 0.0, 2.0,
+        SchemeConfig(h=0.01, theta=theta, gamma=gamma))
+
+
+def _hypomonotone_long():
+    # x0 = 2.5 reaches zero at t = ln(3.5) < 1.26, well before T = 2
+    return integrators.simulate_newton(experiments.hypomonotone_system(),
+                                       [2.5], 0.0, 2.0, SchemeConfig(h=1e-3))
+
+
 NEWTON_RUNS = {
     "newton-affine-m2": lambda: _newton_affine_m2(1.0, 1.0),
     "newton-affine-m2-half": lambda: _newton_affine_m2(0.5, 0.5),
     "newton-nonlinear-m1": _newton_nonlinear_m1,
+    "newton-drift-free-m2": lambda: _newton_drift_free_m2(1.0, 1.0),
+    "newton-drift-free-m2-half": lambda: _newton_drift_free_m2(0.5, 0.5),
+    "newton-hypomonotone-T2": _hypomonotone_long,
 }
 
 LIBRARY_RUNS = {
@@ -187,6 +214,12 @@ LIBRARY_DIGESTS = {
                          "a4224fdf629fd80f9a28fca96248488a"),
     "newton-affine-m2-half": ("71f7890528a39a3d5cf6043658dc29a3"
                               "2ff94aa867c78a81254b0a9f6b40abda"),
+    "newton-drift-free-m2": ("90076643e0ffcf8eba5df85372c4462a"
+                             "858a76c7a2b8361f6ea90272793743b8"),
+    "newton-drift-free-m2-half": ("adfc312a92a0cb282fe0e8d68a85f409"
+                                  "e64d42b8a99b6ab9a235528a11ce18a0"),
+    "newton-hypomonotone-T2": ("5962d9e6cd635742eb7bf0e4729f014f"
+                               "f1144819c45f6d08fa23092f7aaa0d05"),
     "newton-nonlinear-m1": ("3fc2ee9ff84a4b093c2480e1456ea37a"
                             "4dfae969c4681f5110e5a053fa8a8edf"),
     "pivot-m4": ("07f4cadffb5c0305e16d7bc6dab285c3"
