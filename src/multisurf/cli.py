@@ -95,10 +95,12 @@ def _do_run(args):
     overrides = {k: getattr(args, k) for k in
                  ("h", "T", "theta", "gamma", "scheme", "x0", "tau",
                   "alpha")}
-    spec_keys = set(experiments.REGISTRY[args.name].defaults) \
-        if args.name in experiments.REGISTRY else set()
-    overrides = {k: v for k, v in overrides.items()
-                 if v is not None and k in spec_keys}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    spec = experiments.REGISTRY.get(args.name)
+    extra = [k for k in overrides if spec and k not in spec.defaults]
+    if extra:
+        print(f"error: {args.name} takes no --{extra[0]}", file=sys.stderr)
+        return 2
     return _run_and_report(args.name, overrides, args.out)
 
 

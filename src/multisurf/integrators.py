@@ -180,17 +180,34 @@ def newton_plan(sys, cfg: SchemeConfig):
     affine data the residual is affine and one iteration suffices.  f, f_jac
     and the gain must be functions of their arguments: an iterate's drift and
     gain serve both its residual and the next iteration.
+
+    An affine-gain system without f (no smooth drift) gets a zero drift and
+    Jacobian built here, and its step reads neither k nor t_k: it is a
+    function of (x_k, s_k), and its `time_invariant` attribute is true, so
+    `simulate` may stop once a step returns x_k and s_k byte for byte.  A
+    nonlinear system, or an affine-gain one with an f, is not marked.
     """
     if not isinstance(sys, (AffineGainSignSystem, NonlinearSignSystem)):
         raise TypeError("newton_plan needs an affine-gain or nonlinear system")
     h, th, ga, tol = cfg.h, cfg.theta, cfg.gamma, NEWTON_TOL
     h_rho, h_th, h_ga = h * sys.rho, h * th, h * ga
     shift = (1 - h_rho) * np.eye(sys.n)
+    drift_free = isinstance(sys, AffineGainSignSystem) and sys.f is None
+    if drift_free:
+        f_zero, jac_zero = np.zeros(sys.n), np.zeros((sys.n, sys.n))
+
+        def f(x, t):
+            return f_zero
+
+        def f_jac(x, t):
+            return jac_zero
+    else:
+        f, f_jac = sys.f, sys.f_jac
 
     def blend(x, x_k, t_th):
         x_th = th * x + (1 - th) * x_k
         x_ga = ga * x + (1 - ga) * x_k
-        return x_th, x_ga, np.asarray(sys.f(x_th, t_th)), sys.gain(x_ga)
+        return x_th, x_ga, np.asarray(f(x_th, t_th)), sys.gain(x_ga)
 
     def step(x_k, t_k, s_k=None):
         # x and s are only ever rebound, so neither input is copied
@@ -202,7 +219,7 @@ def newton_plan(sys, cfg: SchemeConfig):
         for it in range(1, NEWTON_MAX_ITER + 1):
             # (grad g obar s)_{kp} = sum_l dg[k,l]/dx[p] * s[l]
             gs = np.einsum("klp,l->kp", sys.gain_jac(x_ga), s)
-            M = shift - h_th * np.asarray(sys.f_jac(x_th, t_th)) + h_ga * gs
+            M = shift - h_th * np.asarray(f_jac(x_th, t_th)) + h_ga * gs
             try:
                 Minv = np.linalg.inv(M)
             except np.linalg.LinAlgError:
@@ -225,6 +242,7 @@ def newton_plan(sys, cfg: SchemeConfig):
                           f"{last_res:.3g} after {it} iterations",
                           residual=last_res)
 
+    step.time_invariant = drift_free
     return step
 
 
@@ -286,10 +304,14 @@ def simulate(step, x0, y0, t0, T, h, *, explicit_signs=False,
     StepFailure the partial trajectory is returned with failure diagnostics
     attached; a state magnitude above STATE_GUARD (blow-up) fails the step.
 
-    Once a step whose `time_invariant` attribute is true (see `step_plan`)
-    returns x_k byte for byte, every later step would repeat it: its state,
+    A step whose `time_invariant` attribute is true is a function of
+    (x_k, s_k) alone: a linear-class plan without a time-driven input (see
+    `step_plan`) or the Newton plan of a drift-free affine-gain system (see
+    `newton_plan`), which warm-starts from s_k.  Once such a step returns
+    x_k and s_k byte for byte, every later step would repeat it: its state,
     output, selection, control and iterations fill the remaining rows and
-    the run stops.  Unmarked (Newton, driven, user-supplied) steps run on.
+    the run stops.  s is compared only once x has repeated.  Unmarked
+    (driven, drifting Newton, user-supplied) steps run on.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -331,7 +353,8 @@ def simulate(step, x0, y0, t0, T, h, *, explicit_signs=False,
             controls[k] = u
         iters[k + 1] = it
         # bytes, not ==: a step from -0.0 need not repeat one from 0.0
-        if fixed_tail and states[k + 1].tobytes() == states[k].tobytes():
+        if (fixed_tail and states[k + 1].tobytes() == states[k].tobytes()
+                and selections[k + 1].tobytes() == selections[k].tobytes()):
             states[k + 2:] = x
             outputs[k + 2:] = y
             selections[k + 2:] = s
@@ -367,6 +390,7 @@ def simulate_newton(sys, x0, t0, T, cfg: SchemeConfig):
         x, s, y, it = plan(x_k, t_k, s_prev)
         return x, y, s, None, it
 
+    step.time_invariant = plan.time_invariant
     return simulate(step, x0, y0, t0, T, cfg.h)
 
 

@@ -18,7 +18,7 @@ Lyapunov-based discontinuous controller with a bounded matched disturbance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -65,7 +65,11 @@ class LinearSignSystem:
 class AffineGainSignSystem:
     """dx/dt in f(x,t) - sum_i (A_i x + B_i) sgn(C_i x + D_i).
 
-    ``f`` and ``f_jac`` evaluate the smooth drift and its state Jacobian.
+    ``f`` and ``f_jac`` evaluate the smooth drift and its state Jacobian;
+    both None (the default) means no smooth drift, and giving only one of
+    the two is an error.  The gain and surface never read t, so a system
+    without f is time-invariant: its Newton plan is marked for the fixed-tail
+    skip (see `integrators.newton_plan`), one with an f is not.
     ``rho_list`` holds the per-surface hypomonotonicity shifts used by the
     implicit one-step problem (0 disables the shift).  The gain and surface
     Jacobians are constant: they are built once and returned read-only.
@@ -77,11 +81,13 @@ class AffineGainSignSystem:
     B_list: tuple
     C_rows: tuple
     D: np.ndarray
-    f: Callable[[np.ndarray, float], np.ndarray]
-    f_jac: Callable[[np.ndarray, float], np.ndarray]
+    f: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    f_jac: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     rho_list: tuple = None
 
     def __post_init__(self):
+        if (self.f is None) != (self.f_jac is None):
+            raise ValueError("give f and f_jac together, or neither")
         if self.rho_list is None:
             object.__setattr__(self, "rho_list", tuple(0.0 for _ in range(self.m)))
         for name in ("A_list", "B_list", "C_rows", "rho_list"):

@@ -2,10 +2,11 @@ import argparse
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
-from multisurf import cli, experiments
+from multisurf import cli, experiments, integrators
 
 
 def run_cli(args, cwd=None):
@@ -79,6 +80,9 @@ class TestBadInput:
         ["convergence", "--h-min", "0"],
         ["convergence", "--h-min=-1e-3"],
         ["convergence", "--h-max", "0"],
+        ["run", "simple", "--tau", "5"],
+        ["run", "simple", "--alpha", "1"],
+        ["run", "galias2007", "--tau", "0.01"],
     ])
     # bad input is reported before any numpy RuntimeWarning can be raised
     @pytest.mark.filterwarnings("error")
@@ -88,6 +92,31 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not any(tmp_path.iterdir())
+
+
+    def test_option_the_experiment_does_not_take(self, capsys):
+        assert cli.main(["run", "simple", "--tau", "5", "--alpha", "1"]) == 2
+        assert capsys.readouterr().err == "error: simple takes no --tau\n"
+
+    def test_too_many_sweep_points_start_no_run(self, capsys):
+        # checked before numpy builds the grid; no step size is ever run
+        with mock.patch.object(integrators, "simulate",
+                               side_effect=AssertionError("ran")):
+            assert cli.main(["convergence", "--points", "100000000"]) == 2
+            assert cli.main(["convergence", "--points",
+                             str(experiments.SWEEP_MAX_POINTS + 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 2 and "3 to 100 points" in err
+
+    def test_huge_x0_fails_without_a_traceback(self, tmp_path):
+        # |x0| / h overflows; the guard stops the run at step 0
+        res = run_cli(["run", "simple", "--x0", "1e308", "--out",
+                       str(tmp_path)])
+        assert res.returncode == 1 and res.stderr == ""
+        assert "FAIL simple:completed (state magnitude exceeded guard " \
+            "1e+12)" in res.stdout
+        assert "FAIL simple:finite-time-zero (arrival None, bound inf)" \
+            in res.stdout
 
 
 class TestConvergence:

@@ -1,11 +1,13 @@
 """The fixed tail: `simulate` stops once a time-invariant step repeats.
 
-A step of a plan without a time-driven input depends on x_k alone, so once
-it returns x_k byte for byte every later step returns the same results, and
-`simulate` fills the remaining rows instead of stepping.  Each run here is
-compared, array by array as bytes, with a step-by-step reference: the same
-run with the plan's step wrapped in a plain function, which carries no
-`time_invariant` mark, so `simulate` takes every step.
+A marked step is a function of (x_k, s_k) alone: a linear-class plan
+without a time-driven input, or the Newton plan of an affine-gain system
+without smooth drift, which warm-starts from s_k.  Once a marked step
+returns both x_k and s_k byte for byte every later step returns the same
+results, and `simulate` fills the remaining rows instead of stepping.  Each
+run here is compared, array by array as bytes, with a step-by-step
+reference: the same run with the plan's step wrapped in a plain function,
+which carries no `time_invariant` mark, so `simulate` takes every step.
 """
 
 from unittest import mock
@@ -16,9 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisurf import controllers, integrators, mlcp
-from multisurf.experiments import run_experiment, simple_system
+from multisurf.experiments import (hypomonotone_system, run_experiment,
+                                   simple_system)
 from multisurf.integrators import SchemeConfig
-from multisurf.systems import LinearSignSystem
+from multisurf.systems import (AffineGainSignSystem, LinearSignSystem,
+                               NonlinearSignSystem)
 
 SIMULATE = integrators.simulate
 FIELDS = ("times", "states", "selections", "outputs", "controls",
@@ -123,10 +127,11 @@ def test_linear_runs_reach_fixed_points():
 
 
 def test_fixed_point_on_the_last_step():
-    # x = 1 - k/4 reaches 0 at step 4; step 4, the last of T = 1.25,
-    # returns 0 again, so there is nothing left to fill
+    # x = 1 - k/4 reaches 0 at step 4 with s = 1; step 4 returns 0 again
+    # but with s = 0, so the tail begins at step 5, the last of T = 1.5,
+    # which leaves nothing to fill
     sys, cfg = simple_system(), SchemeConfig(h=0.25)
-    for T, taken in ((1.25, 5), (1.5, 5), (3.0, 5)):
+    for T, taken in ((1.25, 5), (1.5, 6), (3.0, 6)):
         ref = stepwise(integrators.simulate_linear, sys, [1.0], 0.0, T, cfg)
         got, calls = step_calls(integrators.simulate_linear, sys, [1.0],
                                 0.0, T, cfg)
@@ -136,12 +141,13 @@ def test_fixed_point_on_the_last_step():
 
 @pytest.mark.parametrize("mode", ["implicit", "explicit"])
 def test_zoh_run_skips_its_fixed_tail(mode):
-    # F = 0, G = C = 1: x_{k+1} = x_k - h s reaches 0 at step 4 either way
+    # F = 0, G = C = 1: x_{k+1} = x_k - h s reaches 0 at step 4 either way;
+    # s falls from 1 to 0 on step 4, so step 5 is the first repeat
     pair = integrators.zoh_discretize([[0.0]], [[1.0]], [[1.0]], 0.25)
     args = (pair, [[1.0]], [0.0], [1.0], 0.0, 5.0, 0.25, mode)
     ref = stepwise(integrators.simulate_zoh, *args)
     got, calls = step_calls(integrators.simulate_zoh, *args)
-    assert calls == 5 and len(got.times) == 21
+    assert calls == 6 and len(got.times) == 21
     assert_same(got, ref)
 
 
@@ -191,7 +197,21 @@ def test_lyapunov_run_repeats_before_it_settles():
     assert any(rows[k + 1] != rows[k] for k in range(first, len(rows) - 1))
 
 
-def test_driven_and_newton_steps_are_never_marked():
+def _marks(module, name):
+    """The `time_invariant` marks of the steps the registry run `name`
+    hands to `simulate`, as `module` names it."""
+    seen = []
+
+    def capture(step, *a, **kw):
+        seen.append(getattr(step, "time_invariant", False))
+        return SIMULATE(step, *a, **kw)
+
+    with mock.patch.object(module, "simulate", capture):
+        run_experiment(name, {})
+    return seen
+
+
+def test_driven_steps_are_never_marked():
     one = np.eye(1)
     assert integrators.step_plan(one, one, one).time_invariant
     assert integrators.step_plan(one, one, one, c=np.ones(1)).time_invariant
@@ -200,14 +220,112 @@ def test_driven_and_newton_steps_are_never_marked():
     assert not integrators.theta_plan(
         one, one, one, None, lambda t: np.ones(1), SchemeConfig(h=0.1),
         "implicit").time_invariant
-    seen = []
+    assert _marks(controllers, "lyapunov") == [False]
 
-    def capture(step, *a, **kw):
-        seen.append(getattr(step, "time_invariant", False))
-        return SIMULATE(step, *a, **kw)
 
-    with mock.patch.object(integrators, "simulate", capture):
-        run_experiment("hypomonotone", {})
-    with mock.patch.object(controllers, "simulate", capture):
-        run_experiment("lyapunov", {})
-    assert seen == [False, False]
+def _drifting_affine():
+    return AffineGainSignSystem(
+        n=1, m=1, A_list=([[1.0]],), B_list=([1.0],), C_rows=([1.0],),
+        D=[0.0], f=lambda x, t: np.array([0.1 * np.sin(t)]),
+        f_jac=lambda x, t: np.zeros((1, 1)))
+
+
+def test_drift_free_newton_steps_are_marked():
+    cfg = SchemeConfig(h=0.1)
+    assert integrators.newton_plan(hypomonotone_system(), cfg).time_invariant
+    assert _marks(integrators, "hypomonotone") == [True]
+    assert not integrators.newton_plan(_drifting_affine(),
+                                       cfg).time_invariant
+    pendulum = NonlinearSignSystem(
+        n=1, m=1, f=lambda x, t: np.zeros(1),
+        f_jac=lambda x, t: np.zeros((1, 1)), g=lambda x: np.ones((1, 1)),
+        g_jac=lambda x: np.zeros((1, 1, 1)), h=lambda x: x,
+        h_jac=lambda x: np.ones((1, 1)))
+    assert not integrators.newton_plan(pendulum, cfg).time_invariant
+
+
+def test_drifting_affine_run_takes_every_step():
+    # f = 0.1 sin(t) moves the state again after it first repeats
+    got, calls = step_calls(integrators.simulate_newton, _drifting_affine(),
+                            [0.3], 0.0, 3.0, SchemeConfig(h=0.1))
+    assert calls == 30
+    ref = stepwise(integrators.simulate_newton, _drifting_affine(), [0.3],
+                   0.0, 3.0, SchemeConfig(h=0.1))
+    assert_same(got, ref)
+
+
+def test_changed_selection_is_not_a_repeat():
+    # a marked step that keeps x_k but moves s by 0.25 until it reaches 1
+    # repeats both only on step 4, so steps 0 to 4 run
+    calls = []
+
+    def climb(k, x_k, t_k, s_prev):
+        calls.append(k)
+        return x_k, x_k, np.minimum(s_prev + 0.25, 1.0), None, 0
+    climb.time_invariant = True
+    traj = integrators.simulate(climb, [0.5], [0.5], 0.0, 1.0, 0.1)
+    assert calls == [0, 1, 2, 3, 4]
+    assert traj.selections[:, 0].tolist() == \
+        [0.0, 0.25, 0.5, 0.75] + [1.0] * 7
+    ref = _unmarked(climb, [0.5], [0.5], 0.0, 1.0, 0.1)
+    assert_same(traj, ref)
+
+
+def newton_run(rng):
+    """(system, x0, T, cfg): a drift-free affine-gain system, n <= 2,
+    m <= n, rho >= 0, theta and gamma in {0.5, 1}, x0 with zeros among
+    its entries, h from 1e-3 to 0.25, up to 200 steps."""
+    n = int(rng.integers(1, 3))
+    m = int(rng.integers(1, n + 1))
+    C = rng.choice(DYADIC, (m, n))
+    C[np.arange(m), np.arange(m)] = 1.0
+    B = C.T + 0.25 * rng.choice(DYADIC, (n, m))
+    sys = AffineGainSignSystem(
+        n=n, m=m, A_list=tuple(0.25 * rng.choice(DYADIC, (n, n))
+                               for _ in range(m)),
+        B_list=tuple(B.T), C_rows=tuple(C),
+        D=0.25 * rng.choice(DYADIC, m) * (rng.random() < 0.5),
+        rho_list=tuple(rng.choice([0.0, 0.0, 0.1, 0.25], m)))
+    h = float(rng.choice([0.25, 0.125, 2.0 ** -5])
+              if rng.random() < 0.5 else rng.uniform(1e-3, 0.25))
+    cfg = SchemeConfig(h=h, theta=float(rng.choice([0.5, 1.0])),
+                       gamma=float(rng.choice([0.5, 1.0])))
+    x0 = rng.choice(DYADIC, n) * (rng.random() < 0.9)
+    return sys, x0, h * int(rng.integers(0, 201)), cfg
+
+
+def newton_pair(seed):
+    """The run of `newton_run` skipped and step by step, and the number
+    of steps the skipped one took."""
+    sys, x0, T, cfg = newton_run(np.random.default_rng(seed))
+    with np.errstate(all="ignore"):
+        got, taken = step_calls(integrators.simulate_newton, sys, x0, 0.0,
+                                T, cfg)
+        ref = stepwise(integrators.simulate_newton, sys, x0, 0.0, T, cfg)
+    return got, ref, taken
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_skipped_newton_run_equals_stepwise_run(seed):
+    got, ref, _ = newton_pair(seed)
+    assert_same(got, ref)
+
+
+def test_newton_runs_reach_fixed_points():
+    # the property above meets skipped Newton runs, not only full ones
+    skipped = 0
+    for seed in range(40):
+        got, ref, taken = newton_pair(seed)
+        assert_same(got, ref)
+        skipped += taken < len(got.times) - 1
+    assert skipped >= 10
+
+
+def test_hypomonotone_run_stops_at_its_tail():
+    # x0 = 2.5 reaches zero at t = ln(3.5) < 1.26: the state first repeats
+    # on step 1255 and state and selection on step 1256, of 2000
+    args = (hypomonotone_system(), [2.5], 0.0, 2.0, SchemeConfig(h=1e-3))
+    got, calls = step_calls(integrators.simulate_newton, *args)
+    assert calls == 1257 and len(got.times) == 2001
+    assert_same(got, stepwise(integrators.simulate_newton, *args))

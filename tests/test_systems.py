@@ -164,6 +164,19 @@ class TestAffineGainSignSystem:
         ref = np.column_stack([np.asarray(a) @ x + b for a, b in zip(A, B)])
         assert sys.gain(x).tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("drift", [
+        {"f": lambda x, t: np.zeros(1)},
+        {"f_jac": lambda x, t: np.zeros((1, 1))},
+    ])
+    def test_f_and_f_jac_come_together(self, drift):
+        # neither means no smooth drift; one alone is a mistake
+        args = dict(n=1, m=1, A_list=([[1.0]],), B_list=([1.0],),
+                    C_rows=([1.0],), D=[0.0])
+        sys = AffineGainSignSystem(**args)
+        assert sys.f is None and sys.f_jac is None
+        with pytest.raises(ValueError, match="f and f_jac"):
+            AffineGainSignSystem(**args, **drift)
+
     def test_length_mismatch(self):
         zero = np.zeros(1)
         with pytest.raises(ValueError):
