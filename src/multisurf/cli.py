@@ -8,8 +8,9 @@
 
 Each run writes trajectory CSVs under out/<experiment>/run/ (override with
 --out) and prints one verdict line per checked property.  Exit codes: 0 when
-every property passes, 1 when one fails, 2 on bad input or an unknown
-experiment (with the reason as "error: ..." on stderr).
+every property passes, 1 when one fails, 2 on bad input, an option the
+experiment does not take or an unknown experiment (with the reason as
+"error: ..." on stderr).
 """
 
 from __future__ import annotations

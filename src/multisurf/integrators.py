@@ -194,13 +194,8 @@ def newton_plan(sys, cfg: SchemeConfig):
     shift = (1 - h_rho) * np.eye(sys.n)
     drift_free = isinstance(sys, AffineGainSignSystem) and sys.f is None
     if drift_free:
-        f_zero, jac_zero = np.zeros(sys.n), np.zeros((sys.n, sys.n))
-
-        def f(x, t):
-            return f_zero
-
-        def f_jac(x, t):
-            return jac_zero
+        zero, zero_jac = np.zeros(sys.n), np.zeros((sys.n, sys.n))
+        f, f_jac = (lambda x, t: zero), (lambda x, t: zero_jac)
     else:
         f, f_jac = sys.f, sys.f_jac
 

@@ -8,8 +8,8 @@ that no registry default reaches: Lyapunov loops with rho != 1, the
 theta = 0.5 scheme, the ZOH loop, an m = 4 P-matrix system (recorded when
 a run could still pick `pivot` as its solver; the default gives the same
 bytes), an m = 12 one whose every step takes the warm-started pivoting,
-`filippov` to T = 20, whose warm m = 2 run takes 498 of its 10,000
-steps and fills the other 9,502 rows from the fixed point it reaches, and
+`filippov` to T = 20, whose warm m = 2 run takes 499 of its 10,000
+steps and fills the other 9,501 rows from the fixed point it reaches, and
 six outer-Newton runs beyond the scalar `hypomonotone` default: an m = 2
 affine-gain system with a time-dependent drift and rho > 0 at
 (theta, gamma) = (1, 1) and (0.5, 0.5), an m = 1 nonlinear system, and
