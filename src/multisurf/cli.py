@@ -98,7 +98,7 @@ def _do_run(args):
                   "alpha")}
     overrides = {k: v for k, v in overrides.items() if v is not None}
     spec = experiments.REGISTRY.get(args.name)
-    extra = [k for k in overrides if spec and k not in spec.defaults]
+    extra = [k for k in overrides if k not in spec.defaults] if spec else []
     if extra:
         print(f"error: {args.name} takes no --{extra[0]}", file=sys.stderr)
         return 2

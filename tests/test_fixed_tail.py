@@ -224,9 +224,10 @@ def test_driven_steps_are_never_marked():
 
 
 def _drifting_affine():
+    # no drift until t = 1.5, then a constant push that the sign term holds
     return AffineGainSignSystem(
         n=1, m=1, A_list=([[1.0]],), B_list=([1.0],), C_rows=([1.0],),
-        D=[0.0], f=lambda x, t: np.array([0.1 * np.sin(t)]),
+        D=[0.0], f=lambda x, t: np.array([0.5 if t > 1.5 else 0.0]),
         f_jac=lambda x, t: np.zeros((1, 1)))
 
 
@@ -236,22 +237,21 @@ def test_drift_free_newton_steps_are_marked():
     assert _marks(integrators, "hypomonotone") == [True]
     assert not integrators.newton_plan(_drifting_affine(),
                                        cfg).time_invariant
-    pendulum = NonlinearSignSystem(
+    nonlinear = NonlinearSignSystem(
         n=1, m=1, f=lambda x, t: np.zeros(1),
         f_jac=lambda x, t: np.zeros((1, 1)), g=lambda x: np.ones((1, 1)),
         g_jac=lambda x: np.zeros((1, 1, 1)), h=lambda x: x,
         h_jac=lambda x: np.ones((1, 1)))
-    assert not integrators.newton_plan(pendulum, cfg).time_invariant
+    assert not integrators.newton_plan(nonlinear, cfg).time_invariant
 
 
 def test_drifting_affine_run_takes_every_step():
-    # f = 0.1 sin(t) moves the state again after it first repeats
-    got, calls = step_calls(integrators.simulate_newton, _drifting_affine(),
-                            [0.3], 0.0, 3.0, SchemeConfig(h=0.1))
-    assert calls == 30
-    ref = stepwise(integrators.simulate_newton, _drifting_affine(), [0.3],
-                   0.0, 3.0, SchemeConfig(h=0.1))
-    assert_same(got, ref)
+    # x = 0 and s = 0 repeat from step 3 until the drift starts, which
+    # moves s to 0.5: a fixed tail there would miss it
+    args = (_drifting_affine(), [0.25], 0.0, 3.0, SchemeConfig(h=0.125))
+    got, calls = step_calls(integrators.simulate_newton, *args)
+    assert calls == 24 and got.selections[-1, 0] == 0.5
+    assert_same(got, stepwise(integrators.simulate_newton, *args))
 
 
 def test_changed_selection_is_not_a_repeat():
