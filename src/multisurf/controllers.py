@@ -13,7 +13,7 @@ import numpy as np
 from multisurf import mlcp
 from multisurf.integrators import (SchemeConfig, ZohPair, simulate,
                                    step_plan, theta_plan, zoh_discretize)
-from multisurf.systems import DisturbedLinearSystem
+from multisurf.systems import DisturbedLinearSystem, _as_vector
 
 
 def iec_control(x_k, h):
@@ -65,7 +65,7 @@ class EcbSmcController:
 def simulate_ecb(ctl: EcbSmcController, x0, t0, T):
     """Closed-loop ECB-SMC run: the ZOH step of ctl.pair, with the control
     u_k = -(C G)^-1 (C F x_k + alpha s) recorded per held interval."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = _as_vector(x0, ctl.n, "x0")
     C, Gamma, alpha = ctl.C, ctl.pair.Gamma, ctl.alpha
     implicit = ctl.mode == "implicit"
     neg_CGinv, CF = -np.linalg.inv(C @ ctl.G), C @ ctl.F
@@ -87,7 +87,7 @@ def simulate_lyapunov(sys: DisturbedLinearSystem, x0, t0, T,
     u_k = rho * s_{k+1} lives inside the multivalued band once the state
     sticks at 0.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = _as_vector(x0, sys.n, "x0")
     h, a, B, rho, S = cfg.h, sys.a, sys.B, sys.rho, sys.surface_matrix()
     step = theta_plan(sys.E, B, S, None,
                       lambda t: h * (a + B @ sys.disturbance(t)), cfg, scheme,

@@ -109,7 +109,12 @@ def lyapunov_system(alpha=0.1):
 def observer_system(k=1.0, tau=0.001):
     if not tau > 0:
         raise ValueError(f"observer time constant tau must be > 0, got {tau}")
+    # tau * tau underflows to 0 below about 1.6e-162, and 1 / tau^2
+    # overflows below about 7.5e-155
     t2 = tau * tau
+    if not (t2 > 0 and math.isfinite(1.0 / t2) and math.isfinite(2.0 / tau)):
+        raise ValueError(f"observer time constant tau = {tau} is too small: "
+                         f"1/tau^2 or 2/tau is not finite")
     E = [[0.0, 0.0, 0.0, 0.0],
          [k, -k, -k, 0.0],
          [0.0, 0.0, 0.0, 1.0],

@@ -21,7 +21,7 @@ import scipy.linalg
 from multisurf import mlcp
 from multisurf.mlcp import StepFailure
 from multisurf.systems import (AffineGainSignSystem, LinearSignSystem,
-                               NonlinearSignSystem, output)
+                               NonlinearSignSystem, _as_vector, output)
 
 # the outer Newton loop stops once the residual's max-norm is below
 # NEWTON_TOL, and fails after NEWTON_MAX_ITER iterations
@@ -29,6 +29,10 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
 # `simulate` stops a run whose state magnitude exceeds this (blow-up)
 STATE_GUARD = 1e12
+# `simulate` allocates every row of the grid before the first step; the
+# largest default run has 3,000 steps, and a grid of MAX_STEPS rows already
+# takes tens of MB per run
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -175,61 +179,87 @@ def newton_plan(sys, cfg: SchemeConfig):
         R(x, s) = x - x_k - h f(x_th) + h g(x_ga) s - h rho (x - x_k)
 
     around the current iterate, solves the resulting box MLCP for s, and
-    applies the Newton state update.  The rho shift moves hypomonotone sign
-    terms into the monotone regime.  Warm starts from s_k (0 when None).  On
-    affine data the residual is affine and one iteration suffices.  f, f_jac
-    and the gain must be functions of their arguments: an iterate's drift and
-    gain serve both its residual and the next iteration.
+    applies the Newton state update with the inverse of the iteration
+    matrix M = (1 - h rho) I - h theta f_jac(x_th) + h gamma (grad g . s).
+    The rho shift moves hypomonotone sign terms into the monotone regime.
+    Warm starts from s_k (0 when None).  On affine data the residual is
+    affine and one iteration suffices.  f, f_jac and the gain must be
+    functions of their arguments: an iterate's drift and gain serve both
+    its residual and the next iteration.
 
-    An affine-gain system without f (no smooth drift) gets a zero drift and
-    Jacobian built here, and its step reads neither k nor t_k: it is a
-    function of (x_k, s_k), and its `time_invariant` attribute is true, so
-    `simulate` may stop once a step returns x_k and s_k byte for byte.  A
-    nonlinear system, or an affine-gain one with an f, is not marked.
+    Built once per run: (1 - h rho) I, h rho, h theta, h gamma and an
+    affine-gain system's constant surface Jacobian.  An affine-gain system
+    without f (no smooth drift) also gets its zero drift terms h 0 and
+    (1 - h rho) I - h theta 0, and no x_th blend.  Its M depends on s
+    alone: the plan reuses its last inverse while s has the same bytes (inv
+    is deterministic).  That step is a function of (x_k, s_k): its
+    `time_invariant` attribute is true, so `simulate` may stop once a step
+    returns x_k and s_k byte for byte.  Nonlinear and drifting affine-gain
+    plans are unmarked and build M every iteration.
     """
     if not isinstance(sys, (AffineGainSignSystem, NonlinearSignSystem)):
         raise TypeError("newton_plan needs an affine-gain or nonlinear system")
-    h, th, ga, tol = cfg.h, cfg.theta, cfg.gamma, NEWTON_TOL
+    h, th, ga, tol, n = cfg.h, cfg.theta, cfg.gamma, NEWTON_TOL, sys.n
     h_rho, h_th, h_ga = h * sys.rho, h * th, h * ga
-    shift = (1 - h_rho) * np.eye(sys.n)
-    drift_free = isinstance(sys, AffineGainSignSystem) and sys.f is None
+    shift = (1 - h_rho) * np.eye(n)
+    affine = isinstance(sys, AffineGainSignSystem)
+    drift_free = affine and sys.f is None
+    H_affine = sys.surface_jac(np.zeros(n)) if affine else None
     if drift_free:
-        zero, zero_jac = np.zeros(sys.n), np.zeros((sys.n, sys.n))
-        f, f_jac = (lambda x, t: zero), (lambda x, t: zero_jac)
+        base, h_f = shift - h_th * np.zeros((n, n)), h * np.zeros(n)
+        gain_jac = sys.gain_jac(np.zeros(n))
+
+        def linearize(x, x_k, t_th):
+            return None, None, h_f, sys.gain(ga * x + (1 - ga) * x_k)
+
+        def matrix(x_th, x_ga, t_th, s):
+            return base + h_ga * np.einsum("klp,l->kp", gain_jac, s)
     else:
         f, f_jac = sys.f, sys.f_jac
 
-    def blend(x, x_k, t_th):
-        x_th = th * x + (1 - th) * x_k
-        x_ga = ga * x + (1 - ga) * x_k
-        return x_th, x_ga, np.asarray(f(x_th, t_th)), sys.gain(x_ga)
+        def linearize(x, x_k, t_th):
+            x_th = th * x + (1 - th) * x_k
+            x_ga = ga * x + (1 - ga) * x_k
+            return x_th, x_ga, h * np.asarray(f(x_th, t_th)), sys.gain(x_ga)
+
+        def matrix(x_th, x_ga, t_th, s):
+            # (grad g obar s)_{kp} = sum_l dg[k,l]/dx[p] * s[l]
+            gs = np.einsum("klp,l->kp", sys.gain_jac(x_ga), s)
+            return shift - h_th * np.asarray(f_jac(x_th, t_th)) + h_ga * gs
+    # the drift-free plan's last inverse and the bytes of the s it was
+    # built for, replaced as one pair; other plans leave it unset
+    memo = (None, None)
 
     def step(x_k, t_k, s_k=None):
+        nonlocal memo
         # x and s are only ever rebound, so neither input is copied
         x = x_k = np.asarray(x_k, dtype=float)
         s = np.zeros(sys.m) if s_k is None else np.asarray(s_k, dtype=float)
         t_th = t_k + h_th
-        x_th, x_ga, f_val, g_val = blend(x, x_k, t_th)
+        x_th, x_ga, h_f, g_val = linearize(x, x_k, t_th)
         last_res = np.inf
         for it in range(1, NEWTON_MAX_ITER + 1):
-            # (grad g obar s)_{kp} = sum_l dg[k,l]/dx[p] * s[l]
-            gs = np.einsum("klp,l->kp", sys.gain_jac(x_ga), s)
-            M = shift - h_th * np.asarray(f_jac(x_th, t_th)) + h_ga * gs
-            try:
-                Minv = np.linalg.inv(M)
-            except np.linalg.LinAlgError:
-                raise StepFailure("singular Newton iteration matrix",
-                                  residual=last_res) from None
-            H = sys.surface_jac(x)
-            r_smooth = x_k - x + h * f_val + h_rho * (x - x_k)
+            key = s.tobytes()
+            memo_key, Minv = memo
+            if key != memo_key:
+                M = matrix(x_th, x_ga, t_th, s)
+                try:
+                    Minv = np.linalg.inv(M)
+                except np.linalg.LinAlgError:
+                    raise StepFailure("singular Newton iteration matrix",
+                                      residual=last_res) from None
+                if drift_free:
+                    memo = key, Minv
+            H = H_affine if affine else sys.surface_jac(x)
+            r_smooth = x_k - x + h_f + h_rho * (x - x_k)
             W = h * H @ Minv @ g_val
             b = sys.surface(x) + H @ (Minv @ r_smooth)
             s = mlcp.sign_step_solver(W)(b)
             x = x + Minv @ (r_smooth - h * g_val @ s)
-            x_th, x_ga, f_val, g_val = blend(x, x_k, t_th)
+            x_th, x_ga, h_f, g_val = linearize(x, x_k, t_th)
             # stop once the updated pair satisfies R (the warm start can zero
             # R without the sign inclusion); unlike max(), .max() keeps a NaN
-            last_res = float(np.abs(x - x_k - h * f_val + h * g_val @ s
+            last_res = float(np.abs(x - x_k - h_f + h * g_val @ s
                                     - h_rho * (x - x_k)).max())
             if last_res < tol:
                 return x, s, sys.surface(x), it
@@ -277,14 +307,20 @@ def zoh_discretize(F, G, C, h, alpha=1.0) -> ZohPair:
 
 def grid_steps(t0, T, h):
     """Number of steps on the uniform grid (last step may overshoot T); as
-    every loop runs on it, the one check of h, t0 and T."""
+    every loop runs on it, the one check of h, t0 and T.  More than
+    MAX_STEPS steps is an error."""
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step size h must be finite and > 0, got {h}")
     if not (math.isfinite(t0) and math.isfinite(T)):
         raise ValueError(f"t0 and T must be finite, got {t0} and {T}")
     if T < t0:
         raise ValueError("need T >= t0")
-    return max(0, math.ceil((T - t0) / h))
+    # a float first: (T - t0) / h may overflow to inf, which ceil rejects
+    steps = (T - t0) / h
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"h = {h} and T = {T} give {steps:.3g} steps, more "
+                         f"than the limit of {MAX_STEPS}")
+    return max(0, math.ceil(steps))
 
 
 def simulate(step, x0, y0, t0, T, h, *, explicit_signs=False,
@@ -371,15 +407,16 @@ def simulate_linear(sys: LinearSignSystem, x0, t0, T, cfg: SchemeConfig,
                     scheme="implicit"):
     """Convenience loop for the linear class (implicit or explicit)."""
     step = theta_plan(sys.E, sys.B, sys.C, sys.D, cfg.h * sys.a, cfg, scheme)
-    y0 = output(sys, np.atleast_1d(np.asarray(x0, dtype=float)))
-    return simulate(step, x0, y0, t0, T, cfg.h,
+    x0 = _as_vector(x0, sys.n, "x0")
+    return simulate(step, x0, output(sys, x0), t0, T, cfg.h,
                     explicit_signs=(scheme == "explicit"))
 
 
 def simulate_newton(sys, x0, t0, T, cfg: SchemeConfig):
     """Convenience loop for the affine-gain / nonlinear classes."""
     plan = newton_plan(sys, cfg)
-    y0 = sys.surface(np.atleast_1d(np.asarray(x0, dtype=float)))
+    x0 = _as_vector(x0, sys.n, "x0")
+    y0 = sys.surface(x0)
 
     def step(k, x_k, t_k, s_prev):
         x, s, y, it = plan(x_k, t_k, s_prev)
@@ -396,7 +433,7 @@ def simulate_zoh(pair: ZohPair, C, D, x0, t0, T, h, mode="implicit"):
         raise ValueError(f"unknown ZOH mode {mode!r}")
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D = np.atleast_1d(np.asarray(D, dtype=float))
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = _as_vector(x0, pair.Phi.shape[0], "x0")
     solve = (mlcp.sign_step_solver(C @ pair.Gamma)
              if mode == "implicit" else None)
     step = step_plan(pair.Phi, pair.Gamma, C, D, solve=solve)

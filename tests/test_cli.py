@@ -83,6 +83,16 @@ class TestBadInput:
         ["run", "simple", "--tau", "5"],
         ["run", "simple", "--alpha", "1"],
         ["run", "galias2007", "--tau", "0.01"],
+        ["run", "simple", "--h", "1e-300"],
+        ["run", "simple", "--T", "1e10", "--h", "1e-300"],
+        ["run", "simple", "--T", "1e12", "--h", "1"],
+        ["convergence", "--h-min", "1e-9", "--h-max", "1e-9", "--points",
+         "3"],
+        ["run", "observer", "--tau", "1e-170"],
+        ["run", "observer", "--tau", "1e-160"],
+        ["run", "hypomonotone", "--x0", "1,2"],
+        ["run", "zoh-siso", "--x0", "1"],
+        ["run", "lyapunov", "--x0", "1,2"],
     ])
     # bad input is reported before any numpy RuntimeWarning can be raised
     @pytest.mark.filterwarnings("error")
@@ -93,6 +103,24 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
+
+    @pytest.mark.parametrize("argv, text", [
+        (["run", "simple", "--T", "1e12", "--h", "1"],
+         "h = 1.0 and T = 1000000000000.0 give 1e+12 steps, more than the "
+         "limit of 1000000"),
+        (["convergence", "--h-min", "1e-9", "--h-max", "1e-9", "--points",
+          "3"], "h = 1e-09 and T = 3.0 give 3e+09 steps"),
+        (["run", "observer", "--tau", "1e-170"],
+         "tau = 1e-170 is too small: 1/tau^2 or 2/tau is not finite"),
+        (["run", "hypomonotone", "--x0", "1,2"], "x0 must have length 1"),
+        (["run", "zoh-siso", "--x0", "1"], "x0 must have length 2"),
+        (["run", "lyapunov", "--x0", "1,2"], "x0 must have length 1"),
+        (["run", "galias2007", "--x0", "1"], "x0 must have length 2"),
+    ])
+    def test_error_names_the_bad_input(self, argv, text, capsys):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and text in err
 
     def test_option_the_experiment_does_not_take(self, capsys):
         assert cli.main(["run", "simple", "--tau", "5", "--alpha", "1"]) == 2

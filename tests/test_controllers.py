@@ -48,6 +48,11 @@ class TestEcbSmc:
         with pytest.raises(TypeError):
             EcbSmcController(F=F, G=G, C=C, alpha=2.0, h=0.3, pair=ref)
 
+    def test_x0_length_is_checked(self):
+        ctl = EcbSmcController(*zoh_siso_data(), alpha=1.0, h=0.3)
+        with pytest.raises(ValueError, match="^x0 must have length 2"):
+            simulate_ecb(ctl, [0.55], 0.0, 1.0)
+
     def test_siso_implicit_reaches_surface(self):
         F, G, C = zoh_siso_data()
         ctl = EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3)
@@ -94,6 +99,11 @@ class TestEcbSmc:
 
 
 class TestLyapunovControl:
+    def test_x0_length_is_checked(self):
+        with pytest.raises(ValueError, match="^x0 must have length 1"):
+            simulate_lyapunov(lyapunov_system(0.1), [1.0, 2.0], 0.0, 1.0,
+                              SchemeConfig(h=0.1))
+
     def test_implicit_reaches_zero_and_tracks(self):
         sys = lyapunov_system(0.1)
         cfg = SchemeConfig(h=0.1)

@@ -77,6 +77,13 @@ class TestObserverStabilityRule:
         with pytest.raises(ValueError, match="tau must be > 0"):
             observer_system(tau=tau)
 
+    @pytest.mark.parametrize("tau", [1e-170, 1e-160])
+    def test_tau_whose_drift_is_not_finite_is_rejected(self, tau):
+        # tau * tau underflows to 0 at 1e-170; 1 / tau^2 overflows at 1e-160
+        with pytest.raises(ValueError, match=f"tau = {tau} is too small"):
+            observer_system(tau=tau)
+        assert np.all(np.isfinite(observer_system(tau=1e-150).E))
+
     def test_drift_radius_implicit_is_one(self):
         E = observer_system(tau=0.001).E
         for h in (0.1, 0.004):

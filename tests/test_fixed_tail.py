@@ -10,6 +10,7 @@ reference: the same run with the plan's step wrapped in a plain function,
 which carries no `time_invariant` mark, so `simulate` takes every step.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -320,6 +321,29 @@ def test_newton_runs_reach_fixed_points():
         assert_same(got, ref)
         skipped += taken < len(got.times) - 1
     assert skipped >= 10
+
+
+def with_zero_drift(sys):
+    """sys with f and f_jac given as functions that return zeros: a system
+    with a drift, whose Newton plan is unmarked and builds M every
+    iteration."""
+    n = sys.n
+    return dataclasses.replace(sys, f=lambda x, t: np.zeros(n),
+                               f_jac=lambda x, t: np.zeros((n, n)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_drift_free_run_equals_zero_drift_run(seed):
+    # the drift-free plan builds its zero drift terms once, reuses the
+    # inverse of its last s and stops at its fixed tail; none of that may
+    # show in the rows, the iterations or the failure
+    sys, x0, T, cfg = newton_run(np.random.default_rng(seed))
+    with np.errstate(all="ignore"):
+        got = integrators.simulate_newton(sys, x0, 0.0, T, cfg)
+        ref = integrators.simulate_newton(with_zero_drift(sys), x0, 0.0, T,
+                                          cfg)
+    assert_same(got, ref)
 
 
 def test_hypomonotone_run_stops_at_its_tail():

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -149,6 +150,30 @@ class TestStepNewton:
                 assert got.tobytes() == want.tobytes()
             assert it == ref[3]
             x_k, s_k = list(x), s
+
+    def test_drift_free_plan_reuses_the_inverse_of_its_last_s(self):
+        # 6 iterations over 5 steps build M for s = 0 and for s = 1 only
+        plan = newton_plan(hypomonotone_system(), SchemeConfig(h=0.1))
+        x, s = np.array([2.0]), None
+        with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv:
+            iters = 0
+            for k in range(5):
+                x, s, _, it = plan(x, 0.1 * k, s)
+                iters += it
+        assert iters == 6 and inv.call_count == 2
+
+    def test_inverse_memo_belongs_to_one_plan(self):
+        # two plans of one system, with different M for the same s
+        sys = hypomonotone_system()
+        x_k, s_k = np.array([2.0]), np.array([1.0])
+        first = newton_plan(sys, SchemeConfig(h=0.1))
+        second = newton_plan(sys, SchemeConfig(h=0.5))
+        for plan, h in ((first, 0.1), (second, 0.5), (first, 0.1)):
+            got = plan(x_k, 0.0, s_k)
+            want = newton_plan(sys, SchemeConfig(h=h))(x_k, 0.0, s_k)
+            for a, b in zip(got[:3], want[:3]):
+                assert a.tobytes() == b.tobytes()
+            assert got[3] == want[3]
 
     def test_nan_drift_fails_the_step_with_its_residual(self):
         # a NaN iterate must not pass the convergence check
@@ -339,6 +364,33 @@ class TestSimulate:
         # a trailing positional m no longer lands in explicit_signs
         with pytest.raises(TypeError):
             integrators.simulate(step, [1.0], [0.0, 0.0], 0.0, 0.3, 0.1, 2)
+
+    @pytest.mark.parametrize("run, x0", [
+        (lambda x0: simulate_newton(hypomonotone_system(), x0, 0.0, 1.0,
+                                    SchemeConfig(h=0.1)), [1.0, 2.0]),
+        (lambda x0: simulate_zoh(zoh_discretize(*zoh_siso_data(), 0.3),
+                                 [[1.0, 1.0]], [0.0], x0, 0.0, 1.0, 0.3),
+         [1.0]),
+    ], ids=["newton", "zoh"])
+    def test_x0_length_is_checked(self, run, x0):
+        with pytest.raises(ValueError, match="^x0 must have length"):
+            run(x0)
+
+    def test_grid_is_capped(self):
+        cap = integrators.MAX_STEPS
+        assert integrators.grid_steps(0.0, float(cap), 1.0) == cap
+        with pytest.raises(ValueError, match=f"h = 1.0 and T = {cap + 1.0} "
+                           f"give .* steps, more than the limit of {cap}"):
+            integrators.grid_steps(0.0, cap + 1.0, 1.0)
+        # (T - t0) / h overflows to inf, which math.ceil would not take
+        with pytest.raises(ValueError, match="give inf steps"):
+            integrators.grid_steps(-1e308, 1e308, 1.0)
+
+    def test_capped_grid_fails_before_any_allocation(self):
+        # 1e12 rows: numpy itself refuses that much memory at once
+        with pytest.raises(ValueError, match="give 1e\\+12 steps"):
+            integrators.simulate(lambda *a: pytest.fail("stepped"), [1.0],
+                                 [0.0], 0.0, 1e12, 1.0)
 
     def test_grid_is_ceil(self):
         assert integrators.grid_steps(0.0, 3.0, 0.2) == 15
