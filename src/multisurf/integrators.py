@@ -173,8 +173,9 @@ def theta_plan(E, B, C, D, c, cfg: SchemeConfig, scheme, rho=None,
 
 def newton_plan(sys, cfg: SchemeConfig):
     """The outer Newton loop of the affine-gain and nonlinear classes, built
-    once per run: step(x_k, t_k, s_k) -> (x, s, y, iters).  A step
-    linearizes the one-step residual
+    once per run: step(x_k, t_k, s_k, y_k) -> (x, s, y, iters), with y the
+    surface at x.  y_k, the surface at x_k, is evaluated when not given.  A
+    step linearizes the one-step residual
 
         R(x, s) = x - x_k - h f(x_th) + h g(x_ga) s - h rho (x - x_k)
 
@@ -183,14 +184,14 @@ def newton_plan(sys, cfg: SchemeConfig):
     matrix M = (1 - h rho) I - h theta f_jac(x_th) + h gamma (grad g . s).
     The rho shift moves hypomonotone sign terms into the monotone regime.
     Warm starts from s_k (0 when None).  On affine data the residual is
-    affine and one iteration suffices.  f, f_jac and the gain must be
-    functions of their arguments: an iterate's drift and gain serve both
-    its residual and the next iteration.
+    affine and one iteration suffices.  f, f_jac, the gain and the surface
+    must be functions of their arguments: an iterate's drift, gain and
+    surface serve both its residual and the next iteration.
 
     Built once per run: (1 - h rho) I, h rho, h theta, h gamma and an
     affine-gain system's constant surface Jacobian.  An affine-gain system
-    without f (no smooth drift) also gets its zero drift terms h 0 and
-    (1 - h rho) I - h theta 0, and no x_th blend.  Its M depends on s
+    without f (no smooth drift) also gets (1 - h rho) I - h theta 0, and
+    its residual has no h f term and no x_th blend.  Its M depends on s
     alone: the plan reuses its last inverse while s has the same bytes (inv
     is deterministic).  That step is a function of (x_k, s_k): its
     `time_invariant` attribute is true, so `simulate` may stop once a step
@@ -206,11 +207,11 @@ def newton_plan(sys, cfg: SchemeConfig):
     drift_free = affine and sys.f is None
     H_affine = sys.surface_jac(np.zeros(n)) if affine else None
     if drift_free:
-        base, h_f = shift - h_th * np.zeros((n, n)), h * np.zeros(n)
+        base = shift - h_th * np.zeros((n, n))
         gain_jac = sys.gain_jac(np.zeros(n))
 
         def linearize(x, x_k, t_th):
-            return None, None, h_f, sys.gain(ga * x + (1 - ga) * x_k)
+            return None, None, None, sys.gain(ga * x + (1 - ga) * x_k)
 
         def matrix(x_th, x_ga, t_th, s):
             return base + h_ga * np.einsum("klp,l->kp", gain_jac, s)
@@ -230,11 +231,12 @@ def newton_plan(sys, cfg: SchemeConfig):
     # built for, replaced as one pair; other plans leave it unset
     memo = (None, None)
 
-    def step(x_k, t_k, s_k=None):
+    def step(x_k, t_k, s_k=None, y_k=None):
         nonlocal memo
         # x and s are only ever rebound, so neither input is copied
         x = x_k = np.asarray(x_k, dtype=float)
         s = np.zeros(sys.m) if s_k is None else np.asarray(s_k, dtype=float)
+        y = sys.surface(x) if y_k is None else y_k
         t_th = t_k + h_th
         x_th, x_ga, h_f, g_val = linearize(x, x_k, t_th)
         last_res = np.inf
@@ -251,18 +253,22 @@ def newton_plan(sys, cfg: SchemeConfig):
                 if drift_free:
                     memo = key, Minv
             H = H_affine if affine else sys.surface_jac(x)
-            r_smooth = x_k - x + h_f + h_rho * (x - x_k)
+            # h_f is None without smooth drift, where it would add zeros
+            r_smooth = ((x_k - x if h_f is None else x_k - x + h_f)
+                        + h_rho * (x - x_k))
             W = h * H @ Minv @ g_val
-            b = sys.surface(x) + H @ (Minv @ r_smooth)
+            b = y + H @ (Minv @ r_smooth)
             s = mlcp.sign_step_solver(W)(b)
             x = x + Minv @ (r_smooth - h * g_val @ s)
             x_th, x_ga, h_f, g_val = linearize(x, x_k, t_th)
+            y = sys.surface(x)
             # stop once the updated pair satisfies R (the warm start can zero
             # R without the sign inclusion); unlike max(), .max() keeps a NaN
-            last_res = float(np.abs(x - x_k - h_f + h * g_val @ s
+            res = x - x_k if h_f is None else x - x_k - h_f
+            last_res = float(np.abs(res + h * g_val @ s
                                     - h_rho * (x - x_k)).max())
             if last_res < tol:
-                return x, s, sys.surface(x), it
+                return x, s, y, it
         raise StepFailure(f"Newton loop did not converge: residual "
                           f"{last_res:.3g} after {it} iterations",
                           residual=last_res)
@@ -416,10 +422,13 @@ def simulate_newton(sys, x0, t0, T, cfg: SchemeConfig):
     """Convenience loop for the affine-gain / nonlinear classes."""
     plan = newton_plan(sys, cfg)
     x0 = _as_vector(x0, sys.n, "x0")
-    y0 = sys.surface(x0)
+    y = y0 = sys.surface(x0)
 
     def step(k, x_k, t_k, s_prev):
-        x, s, y, it = plan(x_k, t_k, s_prev)
+        # `simulate` steps from the state the last call returned, so the
+        # output it returned is the surface at x_k
+        nonlocal y
+        x, s, y, it = plan(x_k, t_k, s_prev, y)
         return x, y, s, None, it
 
     step.time_invariant = plan.time_invariant

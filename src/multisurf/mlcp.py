@@ -15,15 +15,22 @@ projected SOR iteration; `solve` tries them in that ladder's order
 one rule, `_violation`.  `sign_step_solver(W)` is the one entry point for
 the sign step, with the one-surface case in closed form: a run whose W stays
 the same builds it once, and the outer Newton loop, whose W changes with
-every iterate, builds one per iteration.
+every iterate, builds one per iteration.  For m > 1 it pivots warm from the
+previous step's active set over cached interior blocks, each of which,
+once `np.linalg.solve` has accepted it, is solved by a direct call of the
+LAPACK gufunc behind it; a warm answer is kept on one bound test per index
+(`_certified`) and otherwise re-solved by `solve`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+# the gufunc behind np.linalg.solve with a vector right-hand side
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 # one numerical policy for every solver: the feasibility tolerance, the
 # certified residual a "solved" answer must meet, the PSOR sweep cap
@@ -113,14 +120,18 @@ def _split_slacks(r):
 
 
 def certify(p: MlcpProblem, s: MlcpSolution) -> float:
-    """Max violation of box, equation, complementarity and sign conditions."""
+    """Max violation of box, equation, complementarity and sign conditions;
+    NaN when any of them is NaN."""
     if p.dim == 0:
         return 0.0
-    box = max(np.max(p.l - s.z, initial=0.0), np.max(s.z - p.u, initial=0.0))
-    eq = np.max(np.abs(p.M @ s.z + p.q - s.w + s.v))
-    comp = max(abs((s.z - p.l) @ s.w), abs((p.u - s.z) @ s.v))
-    sign = max(np.max(-s.w, initial=0.0), np.max(-s.v, initial=0.0))
-    return float(max(box, eq, comp, sign))
+    parts = (np.max(p.l - s.z, initial=0.0), np.max(s.z - p.u, initial=0.0),
+             np.max(np.abs(p.M @ s.z + p.q - s.w + s.v)),
+             abs((s.z - p.l) @ s.w), abs((p.u - s.z) @ s.v),
+             np.max(-s.w, initial=0.0), np.max(-s.v, initial=0.0))
+    # max() keeps an earlier argument over a later NaN
+    if any(map(math.isnan, parts)):
+        return math.nan
+    return float(max(parts))
 
 
 def _set_point(M, q, l, u, states, blocks=None):
@@ -130,11 +141,19 @@ def _set_point(M, q, l, u, states, blocks=None):
     Returns (z, regular).  A singular interior block takes the minimum-norm
     least-squares solve, canonical on degenerate rows, and regular False.
     `blocks`, a dict kept by a caller whose M, l and u stay the same, holds
-    each visited set's indexing and the products that do not involve q, so
-    a set met again repeats only the arithmetic on q and the solve.
+    each visited set's indexing, the products that do not involve q and
+    whether `np.linalg.solve` accepted the interior block, so a set met
+    again repeats only the arithmetic on q and the solve.  A block's first
+    solve goes through `np.linalg.solve`; after that a regular block calls
+    the LAPACK gufunc behind it directly (the same bytes, without the
+    wrapper's checks and error-state context), and a singular one goes
+    straight to lstsq.  LAPACK's singular verdict depends on the block
+    alone, so the direct call never meets it.  Uncached sets always take
+    `np.linalg.solve`.
     """
     key = tuple(states)
     blk = None if blocks is None else blocks.get(key)
+    stored = False
     if blk is None:
         z0 = np.zeros(len(key))
         for i, st in enumerate(key):
@@ -143,25 +162,37 @@ def _set_point(M, q, l, u, states, blocks=None):
             elif st == _UPPER:
                 z0[i] = u[i]
         interior = [i for i, st in enumerate(key) if st == _INTERIOR]
-        blk = (z0, None, None, None, None)
+        blk = (z0, None, None, None, None, None)
         if interior:
             I = np.array(interior)
             MI = M[np.ix_(I, I)]
             # M[I] @ z and MI @ z[I] of the set's z before its interior solve
-            blk = (z0, I, MI, M[I] @ z0, MI @ z0[I])
-        if blocks is not None and len(blocks) < _MAX_BLOCKS:
+            blk = (z0, I, MI, M[I] @ z0, MI @ z0[I], None)
+        stored = blocks is not None and len(blocks) < _MAX_BLOCKS
+        if stored:
             blocks[key] = blk
-    z0, I, MI, fixed, free = blk
+    # regular: None before the block's first solve, then whether
+    # np.linalg.solve accepted it
+    z0, I, MI, fixed, free, regular = blk
     z = z0.copy()
     if I is None:
         return z, True
     rhs = -q[I] - fixed + free
-    try:
-        z[I] = np.linalg.solve(MI, rhs)
-    except np.linalg.LinAlgError:
-        z[I] = np.linalg.lstsq(MI, rhs, rcond=None)[0]
-        return z, False
-    return z, True
+    if regular:
+        z[I] = _solve1(MI, rhs, signature="dd->d")
+        return z, True
+    if regular is None:
+        try:
+            z[I] = np.linalg.solve(MI, rhs)
+            regular = True
+        except np.linalg.LinAlgError:
+            regular = False
+        if stored:
+            blocks[key] = blk[:-1] + (regular,)
+        if regular:
+            return z, True
+    z[I] = np.linalg.lstsq(MI, rhs, rcond=None)[0]
+    return z, False
 
 
 def _violation(states, zl, rl, l, u):
@@ -201,11 +232,15 @@ def _solution(p, states, z, rl):
 
 def _assignment_solution(p, states, l, u):
     """The answer of one active-set assignment; None when its interior
-    block is singular, its point is not finite or violates a condition."""
+    block is singular, its point z or r = M z + q is not finite, or the
+    point violates a condition."""
     z, regular = _set_point(p.M, p.q, l, u, states)
     if not (regular and np.all(np.isfinite(z))):
         return None
-    rl = (p.M @ z + p.q).tolist()
+    r = p.M @ z + p.q
+    if not np.all(np.isfinite(r)):
+        return None
+    rl = r.tolist()
     if _violation(states, z.tolist(), rl, l, u) is not None:
         return None
     return _solution(p, states, z, rl)
@@ -289,11 +324,12 @@ def _pivot(M, q, l, u, states, blocks=None):
 
     l and u are the bounds as lists of floats.  Flips `states` in place,
     each pivot at the index that `_violation` names, and returns (z, zl, rl)
-    of the first set that violates none: z, and z and r = M z + q as lists.  Returns the reason as a string
-    after max(200, 3^min(m, 10)) pivots, or as soon as a set comes back: the
-    rule is deterministic, so a repeated set is a cycle that would run to
-    the cap, and least-index pivoting does not cycle on a P-matrix.
-    `blocks` is passed on to `_set_point`.
+    of the first set that violates none: z, and z and r = M z + q as
+    lists.  Returns the reason as a string after max(200, 3^min(m, 10))
+    pivots, or as soon as a set comes back: the rule is deterministic, so a
+    repeated set is a cycle that would run to the cap, and least-index
+    pivoting does not cycle on a P-matrix.  `blocks` is passed on to
+    `_set_point`.
     """
     m = len(states)
     max_pivots = max(200, 3 ** min(m, 10))
@@ -392,27 +428,25 @@ def _sym_part_pd(W):
 
 def _certified(states, zl, rl):
     """Whether a pivoting answer on the box [-1, 1]^m is kept: `certify`'s
-    box, equation, complementarity and sign conditions hold at
-    lim = CERT_TOL and no index is degenerate (a bound index with
-    |r_i| <= lim, or an interior one with |z_i| >= 1 - lim).  One pass of
-    Python floats over z and r = W z - b, with w and v the bound slacks as
-    `solve_pivoting` builds them; false on any NaN or infinity, which fails
-    every comparison."""
+    conditions hold at lim = CERT_TOL and no index is degenerate (a bound
+    index with |r_i| <= lim, or an interior one with |z_i| >= 1 - lim).
+    A pivoting answer puts every bound index at exactly -1.0 or 1.0, where
+    w and v are its slack r or -r, so those conditions come down to one
+    test per index on z and r = W z - b (Python floats): an interior index
+    needs |z_i| < 1 - lim and |r_i| <= lim, a lower one lim < r_i < inf and
+    an upper one -inf < r_i < -lim.  NaN fails every comparison."""
     lim = CERT_TOL
-    comp_l = comp_u = 0.0
+    inner = 1.0 - lim
     for st, z, r in zip(states, zl, rl):
-        w = max(r, 0.0) if st == _LOWER else 0.0
-        v = max(-r, 0.0) if st == _UPPER else 0.0
         if st == _INTERIOR:
-            kept = abs(z) < 1.0 - lim
-        else:
-            kept = abs(r) > lim
-        if not (kept and -1.0 - z <= lim and z - 1.0 <= lim
-                and abs(r - w + v) <= lim and -w <= lim and -v <= lim):
+            if not (abs(z) < inner and abs(r) <= lim):
+                return False
+        elif st == _LOWER:
+            if not lim < r < math.inf:
+                return False
+        elif not -math.inf < r < -lim:
             return False
-        comp_l += (z + 1.0) * w
-        comp_u += (1.0 - z) * v
-    return abs(comp_l) <= lim and abs(comp_u) <= lim
+    return True
 
 
 def sign_step_solver(W):
@@ -423,14 +457,16 @@ def sign_step_solver(W):
     with W > 0 takes the closed form of `_sign_step_1d`.  For m > 1 with
     W + W^T positive definite (so W is a P-matrix and each step has one
     solution), least-index pivoting starts from the previous step's final
-    active set.  The solver keeps each visited set's interior block, so a
-    step on a known set pays for one solve.  A warm answer is kept only if `_certified` passes it: it
-    certifies at CERT_TOL, is finite, and no index is degenerate,
-    because there a cold start may end at another active set and round
-    differently.  All other steps encode the MLCP and run `solve`, and the
-    next warm start begins from that answer, so every answer is
-    bit-identical to `solve`'s.  Raises StepFailure with the reason and the
-    MLCP dump when `solve` fails.
+    active set.  The solver keeps each visited set's interior block (see
+    `_set_point`), so a step on a known set pays for one direct LAPACK
+    solve.  A warm answer is kept only if `_certified` passes it: it
+    certifies at CERT_TOL, is finite, and no index is degenerate, because
+    there a cold start may end at another active set and round differently.
+    Its bound indices sit at exactly -1.0 or 1.0, which reduces that test to
+    one bound test per index.  All other steps, a NaN b among them, encode
+    the MLCP and run `solve`, and the next warm start begins from that
+    answer, so every answer is bit-identical to `solve`'s.  Raises
+    StepFailure with the reason and the MLCP dump when `solve` fails.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim < 2:

@@ -176,7 +176,8 @@ class TestStepNewton:
             assert got[3] == want[3]
 
     def test_nan_drift_fails_the_step_with_its_residual(self):
-        # a NaN iterate must not pass the convergence check
+        # a NaN drift makes the step's one-step MLCP NaN, which no solver
+        # certifies: the step fails there, with the problem's dump
         sys = AffineGainSignSystem(
             n=1, m=1, A_list=([[0.0]],), B_list=([1.0],), C_rows=([1.0],),
             D=[0.0], f=lambda x, t: np.array([math.nan if t > 0.05
@@ -185,8 +186,10 @@ class TestStepNewton:
         traj = simulate_newton(sys, [2.0], 0.0, 1.0, SchemeConfig(h=0.01))
         assert traj.failure is not None
         assert traj.failure.step == 5
-        assert traj.failure.message == ("Newton loop did not converge: "
-                                        "residual nan after 25 iterations")
+        assert traj.failure.message == ("one-step MLCP infeasible: no "
+                                        "active set is feasible")
+        assert traj.failure.detail.startswith("MLCP dim=1\n")
+        assert "\nq  nan\n" in traj.failure.detail
         assert np.all(np.isfinite(traj.states))
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,26 @@ class TestCertify:
         bad = mlcp.MlcpSolution(z=sol.z, w=sol.w, v=-sol.v, residual=0.0,
                                 status="solved")
         assert mlcp.certify(p, bad) >= np.max(np.abs(sol.v))
+
+    @pytest.mark.parametrize("part", ["z", "w", "v"])
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_nan_in_any_entry_propagates(self, part, i):
+        # max() kept its first argument and dropped a NaN after it
+        p = box_problem([[1.0, 0.2], [-0.3, 1.0]], [-0.5, 0.25])
+        sol = mlcp.solve_enumerative(p)
+        bad = getattr(sol, part).copy()
+        bad[i] = np.nan
+        assert np.isnan(mlcp.certify(p, replace(sol, **{part: bad})))
+
+    @pytest.mark.parametrize("solver", [mlcp.solve, mlcp.solve_pivoting,
+                                        mlcp.solve_psor,
+                                        mlcp.solve_enumerative])
+    @pytest.mark.parametrize("q", [[np.nan, 0.0], [0.0, np.nan]])
+    def test_nan_problem_is_not_certified(self, solver, q):
+        # pivoting meets no violation in NaN; its answer had residual 0.0
+        # and w = [nan, 0], and `solve` returned it as solved
+        sol = solver(box_problem([[1.0, 0.2], [-0.3, 1.0]], q))
+        assert not (sol.status == "solved" and sol.residual <= mlcp.CERT_TOL)
 
 
 class TestSolverAgreement:

@@ -159,6 +159,7 @@ def test_warm_solver_matches_cold_pivoting_bitwise(cold, run):
         assert solve(b).tobytes() == ref.z.tobytes()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("cold", COLD)
 def test_warm_solver_matches_cold_on_a_singular_block(cold):
     # W is symmetric positive definite with determinant 2e-13, but LU
@@ -259,6 +260,118 @@ def test_warm_solver_starts_from_the_last_cold_answer():
             z = solve(W @ np.array([1.0, 0.5]) + slack)
         assert cold.call_count == 1 and point.call_count == 1
     assert z[0] == 1.0 and abs(z[1] - 0.5) <= 1e-12
+
+
+def test_cached_block_calls_lapack_directly_after_its_first_solve():
+    # three steps on the all-interior set: np.linalg.solve accepts its
+    # block at step 1, and steps 2 and 3 call the gufunc behind it
+    W = 0.1 * np.array([[1.0, 0.2], [-0.3, 1.0]])
+    solve = mlcp.sign_step_solver(W)
+    calls = []
+    for z0 in ([0.5, -0.5], [0.25, 0.1], [-0.4, 0.3]):
+        b = W @ np.array(z0)
+        with mock.patch.object(np.linalg, "solve",
+                               wraps=np.linalg.solve) as checked, \
+                mock.patch.object(mlcp, "_solve1",
+                                  wraps=mlcp._solve1) as direct:
+            z = solve(b)
+        calls.append((checked.call_count, direct.call_count))
+        assert z.tobytes() == _cold(W, b).tobytes()
+    assert calls == [(1, 0), (0, 1), (0, 1)]
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_direct_lapack_solve_equals_numpy_solve_bitwise(m):
+    # `_set_point` calls this private gufunc of numpy on blocks that
+    # np.linalg.solve has accepted; a numpy without it fails here
+    from numpy.linalg._umath_linalg import solve1
+    assert mlcp._solve1 is solve1
+    rng = np.random.default_rng(m)
+    for _ in range(100):
+        scale = 10.0 ** rng.uniform(-4, 4)
+        M = scale * (rng.standard_normal((m + 2, m + 2))
+                     + (m + 2) * np.eye(m + 2))
+        I = np.sort(rng.choice(m + 2, m, replace=False))
+        MI = M[np.ix_(I, I)]
+        rhs = rng.standard_normal(m) * 10.0 ** rng.uniform(-4, 4)
+        want = np.linalg.solve(MI, rhs)
+        assert solve1(MI, rhs, signature="dd->d").tobytes() == want.tobytes()
+
+
+# W by path: m = 1 closed form and cold ladder, m = 2 warm pivoting and
+# (symmetric part not positive definite) cold ladder
+NAN_W = {"m1-closed": [[0.1]], "m1-cold": [[-0.1]],
+         "m2-warm": [[0.1, 0.02], [-0.03, 0.1]],
+         "m2-cold": [[0.1, 0.2], [0.3, 0.1]]}
+
+
+@pytest.mark.parametrize("path", NAN_W)
+def test_nan_b_fails_the_step_with_the_problem(path):
+    # the certificate dropped a NaN, so `solve` returned a selection for
+    # a NaN b; a step from a finite b comes first, so the warm path has
+    # its active set and cached block
+    W = np.array(NAN_W[path])
+    solve = mlcp.sign_step_solver(W)
+    solve(W @ np.full(len(W), 0.5))
+    b = np.full(len(W), 0.01)
+    b[-1] = np.nan
+    with pytest.raises(mlcp.StepFailure) as exc:
+        solve(b)
+    assert exc.value.message.startswith("one-step MLCP ")
+    assert exc.value.problem_text == mlcp.format_problem(mlcp.encode(W, b))
+
+
+I, LO, UP = mlcp._INTERIOR, mlcp._LOWER, mlcp._UPPER
+LIM = mlcp.CERT_TOL
+
+
+def _edges(x):
+    return [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
+
+
+# the values at which the certificate's decisions turn, with NaN, the
+# infinities and both zeros
+EDGES = sorted({e for x in (LIM, 1.0 - LIM, 1.0) for e in _edges(x)}
+               | {e for x in (LIM, 1.0 - LIM, 1.0) for e in _edges(-x)}
+               | {0.0, 2.0 * LIM, 0.5, np.inf, -np.inf})
+EDGE_VALUES = st.one_of(st.sampled_from(EDGES + [-0.0, np.nan]),
+                        st.floats(-2 * LIM, 2 * LIM),
+                        st.floats(1.0 - 2 * LIM, 1.0 + 2 * LIM),
+                        st.floats(-1.0 - 2 * LIM, -1.0 + 2 * LIM),
+                        st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def pivot_answers(draw):
+    """(states, zl, rl) as `_pivot` returns them on [-1, 1]^m: a bound
+    index at exactly -1.0 or 1.0, an interior z and every r drawn near
+    the certificate's edges."""
+    m = draw(st.integers(1, 6))
+    states = draw(st.lists(st.sampled_from([I, LO, UP]), min_size=m,
+                           max_size=m))
+    zl = [{LO: -1.0, UP: 1.0}.get(st_, None) for st_ in states]
+    zl = [draw(EDGE_VALUES) if z is None else z for z in zl]
+    rl = [draw(EDGE_VALUES) for _ in range(m)]
+    return states, zl, rl
+
+
+def _certified_by_definition(states, zl, rl):
+    """`certify` at CERT_TOL, with w and v as pivoting builds them, plus
+    the degeneracy guard; M = 0 and q = r give M z + q = r."""
+    m = len(states)
+    p = mlcp.MlcpProblem(dim=m, M=np.zeros((m, m)), q=rl, l=-np.ones(m),
+                         u=np.ones(m))
+    with np.errstate(invalid="ignore"):
+        sol = mlcp._solution(p, states, np.array(zl), rl)
+    degenerate = any(abs(z) >= 1.0 - LIM if s == I else abs(r) <= LIM
+                     for s, z, r in zip(states, zl, rl))
+    return bool(sol.residual <= LIM) and not degenerate
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(pivot_answers())
+def test_short_certificate_matches_its_definition(answer):
+    assert mlcp._certified(*answer) == _certified_by_definition(*answer)
 
 
 NEGATIVE_W = [-1e-6, -5e-324, -1.0]
