@@ -321,20 +321,14 @@ def test_nan_b_fails_the_step_with_the_problem(path):
     assert exc.value.problem_text == mlcp.format_problem(mlcp.encode(W, b))
 
 
-I, LO, UP = mlcp._INTERIOR, mlcp._LOWER, mlcp._UPPER
+IN, LO, UP = mlcp._INTERIOR, mlcp._LOWER, mlcp._UPPER
 LIM = mlcp.CERT_TOL
-
-
-def _edges(x):
-    return [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
-
-
-# the values at which the certificate's decisions turn, with NaN, the
-# infinities and both zeros
-EDGES = sorted({e for x in (LIM, 1.0 - LIM, 1.0) for e in _edges(x)}
-               | {e for x in (LIM, 1.0 - LIM, 1.0) for e in _edges(-x)}
-               | {0.0, 2.0 * LIM, 0.5, np.inf, -np.inf})
-EDGE_VALUES = st.one_of(st.sampled_from(EDGES + [-0.0, np.nan]),
+# the values at which the certificate's decisions turn, each with its two
+# float neighbours, and NaN, the infinities and both zeros
+EDGES = [e for x in (LIM, -LIM, 1.0 - LIM, LIM - 1.0, 1.0, -1.0)
+         for e in (x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf))] \
+    + [0.0, -0.0, 2.0 * LIM, 0.5, np.inf, -np.inf, np.nan]
+EDGE_VALUES = st.one_of(st.sampled_from(EDGES),
                         st.floats(-2 * LIM, 2 * LIM),
                         st.floats(1.0 - 2 * LIM, 1.0 + 2 * LIM),
                         st.floats(-1.0 - 2 * LIM, -1.0 + 2 * LIM),
@@ -347,10 +341,10 @@ def pivot_answers(draw):
     index at exactly -1.0 or 1.0, an interior z and every r drawn near
     the certificate's edges."""
     m = draw(st.integers(1, 6))
-    states = draw(st.lists(st.sampled_from([I, LO, UP]), min_size=m,
+    states = draw(st.lists(st.sampled_from([IN, LO, UP]), min_size=m,
                            max_size=m))
-    zl = [{LO: -1.0, UP: 1.0}.get(st_, None) for st_ in states]
-    zl = [draw(EDGE_VALUES) if z is None else z for z in zl]
+    zl = [-1.0 if s == LO else 1.0 if s == UP else draw(EDGE_VALUES)
+          for s in states]
     rl = [draw(EDGE_VALUES) for _ in range(m)]
     return states, zl, rl
 
@@ -363,7 +357,7 @@ def _certified_by_definition(states, zl, rl):
                          u=np.ones(m))
     with np.errstate(invalid="ignore"):
         sol = mlcp._solution(p, states, np.array(zl), rl)
-    degenerate = any(abs(z) >= 1.0 - LIM if s == I else abs(r) <= LIM
+    degenerate = any(abs(z) >= 1.0 - LIM if s == IN else abs(r) <= LIM
                      for s, z, r in zip(states, zl, rl))
     return bool(sol.residual <= LIM) and not degenerate
 
