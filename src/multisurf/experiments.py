@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -198,9 +199,14 @@ def run_simple(params):
                                        scheme=params["scheme"])
     props = [_completed(traj)]
     if params["scheme"] == "implicit":
-        # Python floats: |x0| / h may overflow to inf, and ceil(inf) raises
+        # ceil of the exact quotient q = |x0| / h of the float inputs
+        # (0.5 / 1e-6 rounds to 500000.0, below q) plus q^2 / 2^52 for the
+        # rounding of the steps x - h (derived in tests/test_experiments.py);
+        # inf where |x0| / h overflows
         k0_bound = abs(float(x0[0])) / h
-        k0_bound = math.ceil(k0_bound) if k0_bound < math.inf else k0_bound
+        if k0_bound < math.inf:
+            q = Fraction(abs(float(x0[0]))) / Fraction(h)
+            k0_bound = math.ceil(q + q * q / 2 ** 52)
         k = analysis.arrival_step(traj, 0)
         ok = k is not None and k <= k0_bound
         props.append(_prop("finite-time-zero", ok,

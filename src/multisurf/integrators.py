@@ -33,6 +33,12 @@ STATE_GUARD = 1e12
 # largest default run has 3,000 steps, and a grid of MAX_STEPS rows already
 # takes tens of MB per run
 MAX_STEPS = 1_000_000
+# `simulate` calls a reaching-phase block (see `step_plan`) once a step has
+# repeated the selection before it BLOCK_AFTER times: one call costs about
+# as much as that many saturated steps, so shorter phases step on.  It
+# predicts BLOCK_FIRST rows, then 16 times more after each prediction it
+# keeps whole, up to BLOCK_ROWS
+BLOCK_AFTER, BLOCK_FIRST, BLOCK_ROWS = 6, 16, 4096
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,22 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
     state, not change an answer).  Returns step(k, x_k, t_k, s_prev) ->
     (x, y, s, u, iters) for `simulate`.  Unless c is callable the step
     depends on x_k alone, and its `time_invariant` attribute is true.
+
+    The reaching-phase block.  An implicit, time-invariant plan without
+    control, with Phi and L (when given) exactly I, at most one nonzero
+    entry in each row of C and a solve with `saturated_run` (see
+    `mlcp.sign_step_solver`) also has block(X, Y, s): from the state X[0]
+    under a saturated s, each step is x_{k+1} = (x_k + c) - g with constant
+    g = Gamma (rho s), predicted up to BLOCK_ROWS at a time by one
+    `np.add.accumulate` over [x_k, c, -g, c, -g, ...] (a - b is a + (-b)).
+    It writes the leading steps that the solver answers with s and whose
+    states are finite and within STATE_GUARD to X[1:] and Y[1:], and
+    returns their count.  These are stepping's bytes: I @ v is v for a
+    finite v without -0.0, which the block starts from and a sum does not
+    make, and an entry of a product by C has at most one nonzero term, so
+    a batch rounds as each row does (an exact zero is +0.0 either way, and
+    the decision ignores its sign).  Plans of E != 0, ZOH, ECB, Lyapunov,
+    explicit and Newton runs get no block.
     """
     driven = callable(c)
 
@@ -140,6 +162,48 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
         return x, affine(C, x, D), s, u, 0
 
     step.time_invariant = not driven
+    run = getattr(solve, "saturated_run", None)
+    if run is None or driven or control is not None:
+        return step
+    eye = np.eye(len(Phi))
+    if not (np.array_equal(Phi, eye) and (L is None or np.array_equal(L, eye))
+            and (np.count_nonzero(C, axis=1) <= 1).all()):
+        return step
+
+    def block(X, Y, s):
+        # stepping fails from a state past the guard, I @ x turns -0.0 into
+        # 0.0, and a sliding selection takes no prediction
+        if not (all(abs(v) == 1.0 for v in s.tolist()) and all(
+                abs(v) <= STATE_GUARD and (v or math.copysign(1.0, v) > 0)
+                for v in X[0].tolist())):
+            return 0
+        g = Gamma @ (s if rho is None else rho * s)
+        cols = [np.reshape(v, (-1, 1)) for v in ([-g] if c is None
+                                                 else [c, -g])]
+        p, done, rows = len(cols), 0, BLOCK_FIRST
+        # predictions past the guard may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            while done < len(X) - 1:
+                rows = min(rows, len(X) - 1 - done)
+                # column j p holds x_{k+j}; with c, column j p + 1 holds
+                # the free response x_{k+j} + c
+                seq = np.empty((len(g), 1 + p * rows))
+                seq[:, 0] = X[done]
+                for i, col in enumerate(cols):
+                    seq[:, 1 + i::p] = col
+                np.add.accumulate(seq, axis=1, out=seq)
+                S, b = seq[:, p::p], (C @ seq[:, p - 1:-1:p]).T
+                j = min(mlcp._leading((np.abs(S) <= STATE_GUARD).all(axis=0)),
+                        run(b if D is None else b + D, s))
+                X[done + 1:done + 1 + j] = S[:, :j].T
+                Y[done + 1:done + 1 + j] = affine(S[:, :j].T, C.T, D)
+                done += j
+                if j < rows:
+                    break
+                rows = min(16 * rows, BLOCK_ROWS)
+        return done
+
+    step.block = block
     return step
 
 
@@ -349,6 +413,12 @@ def simulate(step, x0, y0, t0, T, h, *, explicit_signs=False,
     output, selection, control and iterations fill the remaining rows and
     the run stops.  s is compared only once x has repeated.  Unmarked
     (driven, drifting Newton, user-supplied) steps run on.
+
+    Once BLOCK_AFTER steps in a row repeat the selection before them byte
+    for byte, a step's `block` (see `step_plan`; such a step returns s as
+    a float64 vector) fills the leading rows ahead that stepping would
+    give, and stepping resumes after them; a block that fills none is not
+    called again until the selection changes.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -366,8 +436,14 @@ def simulate(step, x0, y0, t0, T, h, *, explicit_signs=False,
     s_prev = np.zeros(m)
     end = N + 1
     fixed_tail = getattr(step, "time_invariant", False)
+    block = getattr(step, "block", None)
+    # the bytes of the last state and selection, how often that selection
+    # has repeated, and the selection the block last took no step for
+    last_x, last = states[0].tobytes(), selections[0].tobytes()
+    repeats, idle = 0, None
     guard = STATE_GUARD
-    for k in range(N):
+    k = 0
+    while k < N:
         try:
             # one reduction: NaN propagates through max, and |x| = inf
             # also fails `< inf`
@@ -389,16 +465,35 @@ def simulate(step, x0, y0, t0, T, h, *, explicit_signs=False,
         if record_controls and u is not None:
             controls[k] = u
         iters[k + 1] = it
-        # bytes, not ==: a step from -0.0 need not repeat one from 0.0
-        if (fixed_tail and states[k + 1].tobytes() == states[k].tobytes()
-                and selections[k + 1].tobytes() == selections[k].tobytes()):
-            states[k + 2:] = x
-            outputs[k + 2:] = y
-            selections[k + 2:] = s
-            if record_controls and u is not None:
-                controls[k + 1:N] = u
-            iters[k + 2:] = it
-            break
+        if fixed_tail:
+            # bytes, not ==: a step from -0.0 need not repeat one from 0.0
+            key = states[k + 1].tobytes()
+            if (key == last_x and selections[k + 1].tobytes()
+                    == selections[k].tobytes()):
+                states[k + 2:] = x
+                outputs[k + 2:] = y
+                selections[k + 2:] = s
+                if record_controls and u is not None:
+                    controls[k + 1:N] = u
+                iters[k + 2:] = it
+                break
+            last_x = key
+        if block is not None:
+            key = s.tobytes()
+            if key != last:
+                last, repeats = key, 0
+            else:
+                repeats += 1
+                if repeats >= BLOCK_AFTER and key != idle:
+                    j = block(states[k + 1:], outputs[k + 1:], s)
+                    selections[k + 2:k + 2 + j] = s
+                    iters[k + 2:k + 2 + j] = it
+                    k += j
+                    if j:
+                        last_x = states[k + 1].tobytes()
+                    else:
+                        idle = key
+        k += 1
     if explicit_signs:
         selections[:end] = np.sign(outputs[:end])
     if record_controls and failure is None and N > 0:

@@ -352,7 +352,8 @@ def _pivot(M, q, l, u, states, blocks=None):
 
 def solve_pivoting(p: MlcpProblem) -> MlcpSolution:
     """Murty-style least-index principal pivoting on the box formulation,
-    started from the all-interior active set."""
+    started from the all-interior active set.  An answer whose certified
+    residual is not at most CERT_TOL (NaN included) is "uncertified"."""
     m = p.dim
     if m == 0:
         return _empty_solution()
@@ -360,7 +361,11 @@ def solve_pivoting(p: MlcpProblem) -> MlcpSolution:
     got = _pivot(p.M, p.q, p.l.tolist(), p.u.tolist(), states)
     if isinstance(got, str):
         return _unsolved(m, "infeasible", got)
-    return _solution(p, states, got[0], got[2])
+    sol = _solution(p, states, got[0], got[2])
+    if not sol.residual <= CERT_TOL:
+        return replace(sol, status="uncertified", reason=f"certified "
+                       f"residual {sol.residual:.3g} above {CERT_TOL:.0e}")
+    return sol
 
 
 def solve(p: MlcpProblem) -> MlcpSolution:
@@ -413,6 +418,23 @@ def _sign_step_1d(W, b):
         else None
 
 
+def _saturated_1d(W, b, s):
+    """Where `_sign_step_1d(W, b_i)` returns s = 1.0 or -1.0, by its
+    operations on an array b: (b_i + 0.0) / W beyond 1 + FEAS_TOL on the
+    side of s, s (W s - b_i) <= FEAS_TOL and b_i finite.  Its certificate
+    then holds (box, comp 0; sign <= 0; eq 0 or |r| <= FEAS_TOL), and an
+    infinite b_i makes eq NaN."""
+    z = (b + 0.0) / W
+    beyond = z > 1.0 + FEAS_TOL if s > 0 else z < -1.0 - FEAS_TOL
+    return beyond & (s * (W * s - b) <= FEAS_TOL) & np.isfinite(b)
+
+
+def _leading(ok):
+    """The number of leading True entries of a boolean vector."""
+    j = int(ok.argmin()) if ok.size else 0
+    return ok.size if ok.size and ok[j] else j
+
+
 def _sym_part_pd(W):
     """True when W + W^T is positive definite, which makes W a P-matrix,
     by a margin: its least squared Cholesky pivot exceeds m * eps times its
@@ -449,6 +471,17 @@ def _certified(states, zl, rl):
     return True
 
 
+def _cold(W, b):
+    """`solve`'s answer to the sign step with W and b, or StepFailure with
+    the reason and the MLCP dump."""
+    enc = encode(W, b)
+    sol = solve(enc)
+    if sol.status != "solved":
+        raise StepFailure(f"one-step MLCP {sol.status}: {sol.reason}",
+                          problem_text=format_problem(enc))
+    return sol.z
+
+
 def sign_step_solver(W):
     """The map b -> s in Sgn(b - W s) for the one-step problems of a run
     whose W stays the same; W is checked and converted once, here.
@@ -467,6 +500,14 @@ def sign_step_solver(W):
     the MLCP and run `solve`, and the next warm start begins from that
     answer, so every answer is bit-identical to `solve`'s.  Raises
     StepFailure with the reason and the MLCP dump when `solve` fails.
+
+    The closed form and the warm pivot carry one vectorised decision:
+    saturated_run(b, s) is the number of leading rows of b (shape (k, m))
+    that the solver would answer with exactly the saturated s (each s_i
+    1.0 or -1.0), by its own operations on each row: `_saturated_1d` at
+    m = 1; at m > 1, W s once, -b per row and `_certified`'s bound tests,
+    which apply while the warm start is s's all-bound set, as after a step
+    that answered s.  The cold solver has none.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim < 2:
@@ -474,28 +515,24 @@ def sign_step_solver(W):
     m = W.shape[0]
     if W.ndim != 2 or W.shape[1] != m:
         raise ValueError("W must be square")
-
-    def cold(b):
-        enc = encode(W, b)
-        sol = solve(enc)
-        if sol.status != "solved":
-            raise StepFailure(f"one-step MLCP {sol.status}: {sol.reason}",
-                              problem_text=format_problem(enc))
-        return sol.z
-
-    if m == 1 and W[0, 0] > 0:
-        w11 = float(W[0, 0])
-
+    w11 = float(W[0, 0]) if m == 1 else 0.0
+    if w11 > 0:
         def closed_form(b):
             b = np.asarray(b, dtype=float)
             if b.shape == (1,):
                 z = _sign_step_1d(w11, float(b[0]))
                 if z is not None:
                     return np.array([z])
-            return cold(b)
+            return _cold(W, b)
+
+        def saturated_run(b, s):
+            s = float(s[0])
+            return _leading(_saturated_1d(w11, b[:, 0], s)) \
+                if abs(s) == 1.0 else 0
+        closed_form.saturated_run = saturated_run
         return closed_form
     if not (m > 1 and _sym_part_pd(W)):
-        return cold
+        return lambda b: _cold(W, b)
 
     lower, upper = [-1.0] * m, [1.0] * m
     states = [_INTERIOR] * m
@@ -509,10 +546,21 @@ def sign_step_solver(W):
                 z, zl, rl = got
                 if _certified(states, zl, rl):
                     return z
-        z = cold(b)
+        z = _cold(W, b)
         states[:] = [_LOWER if zi <= -1.0 else _UPPER if zi >= 1.0
                      else _INTERIOR for zi in z.tolist()]
         return z
+
+    def saturated_run(b, s):
+        # from s's all-bound set, a warm step keeps that set's point, a
+        # copy of s, when `_certified` passes: -inf < s_i r_i < -CERT_TOL
+        # with r = W s - b as `_pivot` computes it
+        if states != [_UPPER if v == 1.0 else _LOWER if v == -1.0 else None
+                      for v in s.tolist()]:
+            return 0
+        sr = ((W @ s) - b) * s   # a - b is a + (-b) in IEEE arithmetic
+        return _leading(((sr < -CERT_TOL) & (sr > -math.inf)).all(axis=1))
+    warm.saturated_run = saturated_run
     return warm
 
 

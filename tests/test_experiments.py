@@ -1,9 +1,11 @@
+import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from multisurf import experiments
+from multisurf import analysis, experiments
 from multisurf.experiments import observer_system, run_experiment
 
 BOUNDED = ["bounded", "no-period2-y0", "selection-box"]
@@ -109,3 +111,60 @@ class TestBadParameters:
             with pytest.raises(ValueError, match="the sweep needs h_min"):
                 run_experiment("convergence", overrides)
         assert point.call_count == 0
+
+
+class TestSimpleArrivalBound:
+    """`simple`'s finite-time-zero bound on the arrival step.
+
+    With q = |x0| / h taken exactly from the float inputs, exact arithmetic
+    arrives at step ceil(q) at the latest: the implicit step saturates
+    while x_k / h > 1 + FEAS_TOL, and the step after the last saturated one
+    lands on 0.  In floats, take x0 > 0 (the run is odd in x0); the system
+    has W = Gamma = h and b = x_k exactly, and the interior step leaves a
+    residue of order u h, within arrival_step's tolerance.  A
+    saturated step computes fl(x_k - h) = (x_k - h)(1 + e) with |e| <= u =
+    2^-53, and x_k - h lies in (0, x0], so after k such steps the state is
+    x0 - k h + E_k with |E_k| <= k u x0.  A step k saturates only if
+    fl(x_k / h) > 1 + FEAS_TOL, so x_k > h (1 + FEAS_TOL) / (1 + u) > h,
+    which gives k < q - 1 + E_k / h <= q - 1 + k u q, so the last saturated
+    step K has K (1 - u q) < q - 1, and K < 2 q while u q <= 1/2.  Arrival
+    is at K + 2 < q + 1 + K u q < q + 1 + 2 u q^2: the arrival step is at
+    most ceil(q + q^2 / 2^52).  The allowance stays below 1 for q below
+    about 6.7e7, above any grid of MAX_STEPS rows.
+    """
+
+    @staticmethod
+    def sweep(seed, count, q_max):
+        """(x0, h): x0 a few ulps from a multiple of h below q_max h,
+        where rounding can carry the arrival past ceil(q)."""
+        rng = np.random.default_rng(seed)
+        cases = []
+        for _ in range(count):
+            h = float(10 ** rng.uniform(-4, 0))
+            x0 = int(rng.integers(1, q_max)) * h
+            for _ in range(int(rng.integers(0, 4))):
+                x0 = np.nextafter(x0, rng.choice([-np.inf, np.inf]))
+            cases.append((float(x0 * rng.choice([-1.0, 1.0])), h))
+        return cases
+
+    def test_bound_is_the_exact_quotient_ceiling(self):
+        # 0.5 / 1e-6 rounds to 500000.0, but the float 1e-6 lies below
+        # 1e-6, and the run arrives at 500001; a 1,000,000-row grid
+        res = run_experiment("simple", {"x0": [0.5], "h": 1e-6, "T": 1.0})
+        assert res.all_passed
+        assert res.properties[1].detail == "arrival 500001, bound 500001"
+        assert math.ceil(Fraction(0.5) / Fraction(1e-6)) == 500001
+
+    def test_seeded_sweep_stays_within_the_derived_bound(self):
+        past_exact = 0
+        for x0, h in self.sweep(2026, 200, 20000):
+            q = Fraction(abs(x0)) / Fraction(h)
+            res = run_experiment("simple", {"x0": [x0], "h": h,
+                                            "T": (math.ceil(q) + 5) * h})
+            k = analysis.arrival_step(res.trajectories["traj"], 0)
+            assert res.all_passed, (x0, h, k)
+            assert k <= math.ceil(q + q * q / 2 ** 52)
+            past_exact += k > math.ceil(q)
+        # rounding carries some runs one step past ceil(q) (36 of these
+        # 200): without the allowance they would fail
+        assert past_exact > 0

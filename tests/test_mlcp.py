@@ -173,6 +173,10 @@ class TestCertify:
         # and w = [nan, 0], and `solve` returned it as solved
         sol = solver(box_problem([[1.0, 0.2], [-0.3, 1.0]], q))
         assert not (sol.status == "solved" and sol.residual <= mlcp.CERT_TOL)
+        if solver is mlcp.solve_pivoting:
+            # its status comes from the certificate
+            assert sol.status == "uncertified"
+            assert sol.reason == "certified residual nan above 1e-08"
 
 
 class TestSolverAgreement:
