@@ -30,11 +30,11 @@ class ErrorReport:
 
 
 def error_norms(times, values, reference) -> ErrorReport:
-    """Norms of values minus reference(t) sampled on the trajectory grid."""
+    """Norms of values minus reference(times), called once on the whole
+    float array of grid times; a scalar result holds at every time."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    ref = np.array([reference(t) for t in times], dtype=float)
-    e = np.abs(values - ref)
+    e = np.abs(values - np.asarray(reference(times), dtype=float))
     h = float(times[1] - times[0]) if len(times) > 1 else 1.0
     return ErrorReport(inf_norm=float(np.max(e)),
                        l1_norm=float(h * np.sum(e)),

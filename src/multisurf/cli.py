@@ -16,6 +16,7 @@ experiment does not take or an unknown experiment (with the reason as
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,7 +31,9 @@ def _parse_vector(text):
         raise argparse.ArgumentTypeError(f"bad vector {text!r}") from None
 
 
+@functools.cache
 def build_parser():
+    """Built once per process: parse_args leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="multisurf",
         description="implicit time-stepping for sliding-mode systems")

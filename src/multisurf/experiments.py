@@ -66,7 +66,7 @@ def simple_system():
 
 def simple_selection_ref(x0):
     sgn = np.sign(x0)
-    return lambda t: sgn if t < abs(x0) else 0.0
+    return lambda t: np.where(t < abs(x0), sgn, 0.0)
 
 
 def galias2007_system():

@@ -39,6 +39,8 @@ MAX_STEPS = 1_000_000
 # predicts BLOCK_FIRST rows, then 16 times more after each prediction it
 # keeps whole, up to BLOCK_ROWS
 BLOCK_AFTER, BLOCK_FIRST, BLOCK_ROWS = 6, 16, 4096
+# `Trajectory.to_csv` formats and writes this many rows at a time
+CSV_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -105,11 +107,13 @@ class Trajectory:
             blocks.append(("u", self.controls))
         cols = ["t"] + [f"{p}{i}" for p, v in blocks
                         for i in range(v.shape[1])]
-        table = np.hstack([self.times[:, None]] + [v for _, v in blocks])
-        row = (",".join(["{:.17g}"] * len(cols)) + "\n").format
+        arrays = [self.times[:, None]] + [v for _, v in blocks]
+        row = ",".join(["%.17g"] * len(cols)) + "\n"
         with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n"
-                     + "".join(row(*r) for r in table.tolist()))
+            fh.write(",".join(cols) + "\n")
+            for i in range(0, len(self.times), CSV_ROWS):
+                chunk = np.hstack([v[i:i + CSV_ROWS] for v in arrays])
+                fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
@@ -253,14 +257,20 @@ def newton_plan(sys, cfg: SchemeConfig):
     surface serve both its residual and the next iteration.
 
     Built once per run: (1 - h rho) I, h rho, h theta, h gamma and an
-    affine-gain system's constant surface Jacobian.  An affine-gain system
+    affine-gain system's constant surface Jacobian H.  An affine-gain system
     without f (no smooth drift) also gets (1 - h rho) I - h theta 0, and
     its residual has no h f term and no x_th blend.  Its M depends on s
-    alone: the plan reuses its last inverse while s has the same bytes (inv
-    is deterministic).  That step is a function of (x_k, s_k): its
-    `time_invariant` attribute is true, so `simulate` may stop once a step
-    returns x_k and s_k byte for byte.  Nonlinear and drifting affine-gain
-    plans are unmarked and build M every iteration.
+    alone: the plan keeps M^-1 and (h H) M^-1 (so W = h H M^-1 g, grouped
+    from the left, is one product) while s has the same bytes (inv is
+    deterministic), and its last gain while the gain's argument has the same
+    bytes, as a step's first iterate has the last one's at gamma = 1 away
+    from signed zeros.  Its iteration 1 from a finite x_k, with h rho, H and
+    M^-1 finite, takes r_smooth = +0.0 and b = y + 0.0: x_k - x_k and h rho
+    times it are +0.0, and numpy's matmul sums each entry of a finite matrix
+    times +0.0 from +0.0, which stays +0.0.  That step is a function of
+    (x_k, s_k): its `time_invariant` attribute is true, so `simulate` may
+    stop once a step returns x_k and s_k byte for byte.  Nonlinear and
+    drifting affine-gain plans are unmarked and build M every iteration.
     """
     if not isinstance(sys, (AffineGainSignSystem, NonlinearSignSystem)):
         raise TypeError("newton_plan needs an affine-gain or nonlinear system")
@@ -273,9 +283,14 @@ def newton_plan(sys, cfg: SchemeConfig):
     if drift_free:
         base = shift - h_th * np.zeros((n, n))
         gain_jac = sys.gain_jac(np.zeros(n))
+        gains = (None, None)  # the last gain's argument as bytes, the gain
 
         def linearize(x, x_k, t_th):
-            return None, None, None, sys.gain(ga * x + (1 - ga) * x_k)
+            nonlocal gains
+            x_ga = ga * x + (1 - ga) * x_k
+            if x_ga.tobytes() != gains[0]:
+                gains = x_ga.tobytes(), sys.gain(x_ga)
+            return None, None, None, gains[1]
 
         def matrix(x_th, x_ga, t_th, s):
             return base + h_ga * np.einsum("klp,l->kp", gain_jac, s)
@@ -291,9 +306,10 @@ def newton_plan(sys, cfg: SchemeConfig):
             # (grad g obar s)_{kp} = sum_l dg[k,l]/dx[p] * s[l]
             gs = np.einsum("klp,l->kp", sys.gain_jac(x_ga), s)
             return shift - h_th * np.asarray(f_jac(x_th, t_th)) + h_ga * gs
-    # the drift-free plan's last inverse and the bytes of the s it was
-    # built for, replaced as one pair; other plans leave it unset
-    memo = (None, None)
+    lean = drift_free and math.isfinite(h_rho) and np.isfinite(H_affine).all()
+    zero = np.zeros(n)
+    # a drift-free plan's (s bytes, M^-1, (h H) M^-1, lean with finite M^-1)
+    memo = (None, None, None, False)
 
     def step(x_k, t_k, s_k=None, y_k=None):
         nonlocal memo
@@ -303,10 +319,13 @@ def newton_plan(sys, cfg: SchemeConfig):
         y = sys.surface(x) if y_k is None else y_k
         t_th = t_k + h_th
         x_th, x_ga, h_f, g_val = linearize(x, x_k, t_th)
+        # x - x_k, formed once per iteration: +0.0 from a finite x_k
+        d = zero if all(map(math.isfinite, x_k.ravel().tolist())) else x - x_k
         last_res = np.inf
         for it in range(1, NEWTON_MAX_ITER + 1):
+            H = H_affine if affine else sys.surface_jac(x)
             key = s.tobytes()
-            memo_key, Minv = memo
+            memo_key, Minv, hHMinv, finite = memo
             if key != memo_key:
                 M = matrix(x_th, x_ga, t_th, s)
                 try:
@@ -314,23 +333,27 @@ def newton_plan(sys, cfg: SchemeConfig):
                 except np.linalg.LinAlgError:
                     raise StepFailure("singular Newton iteration matrix",
                                       residual=last_res) from None
+                hHMinv = h * H @ Minv
+                finite = lean and np.isfinite(Minv).all()
                 if drift_free:
-                    memo = key, Minv
-            H = H_affine if affine else sys.surface_jac(x)
-            # h_f is None without smooth drift, where it would add zeros
-            r_smooth = ((x_k - x if h_f is None else x_k - x + h_f)
-                        + h_rho * (x - x_k))
-            W = h * H @ Minv @ g_val
-            b = y + H @ (Minv @ r_smooth)
-            s = mlcp.sign_step_solver(W)(b)
+                    memo = key, Minv, hHMinv, finite
+            W = hHMinv @ g_val
+            if d is zero and finite:  # iteration 1 from a finite x_k
+                r_smooth, b = zero, y + 0.0
+            else:
+                # h_f is None without smooth drift, where it would add zeros
+                r_smooth = ((x_k - x if h_f is None else x_k - x + h_f)
+                            + h_rho * d)
+                b = y + H @ (Minv @ r_smooth)
+            s = mlcp.sign_step(W, b)
             x = x + Minv @ (r_smooth - h * g_val @ s)
             x_th, x_ga, h_f, g_val = linearize(x, x_k, t_th)
             y = sys.surface(x)
             # stop once the updated pair satisfies R (the warm start can zero
             # R without the sign inclusion); unlike max(), .max() keeps a NaN
-            res = x - x_k if h_f is None else x - x_k - h_f
-            last_res = float(np.abs(res + h * g_val @ s
-                                    - h_rho * (x - x_k)).max())
+            d = x - x_k
+            res = d if h_f is None else d - h_f
+            last_res = float(np.abs(res + h * g_val @ s - h_rho * d).max())
             if last_res < tol:
                 return x, s, y, it
         raise StepFailure(f"Newton loop did not converge: residual "

@@ -14,8 +14,8 @@ projected SOR iteration; `solve` tries them in that ladder's order
 (pivoting, PSOR, oracle), and the oracle and pivoting test an active set by
 one rule, `_violation`.  `sign_step_solver(W)` is the one entry point for
 the sign step, with the one-surface case in closed form: a run whose W stays
-the same builds it once, and the outer Newton loop, whose W changes with
-every iterate, builds one per iteration.  For m > 1 it pivots warm from the
+the same builds it once; the outer Newton loop, whose W changes with every
+iterate, calls `sign_step(W, b)`.  For m > 1 it pivots warm from the
 previous step's active set over cached interior blocks, each of which,
 once `np.linalg.solve` has accepted it, is solved by a direct call of the
 LAPACK gufunc behind it; a warm answer is kept on one bound test per index
@@ -482,6 +482,24 @@ def _cold(W, b):
     return sol.z
 
 
+def _closed_form(W, w11, b):
+    """A 1 x 1 W = [[w11]] > 0: `_sign_step_1d`, or `_cold` where it fails."""
+    b = np.asarray(b, dtype=float)
+    if b.shape == (1,):
+        z = _sign_step_1d(w11, float(b[0]))
+        if z is not None:
+            return np.array([z])
+    return _cold(W, b)
+
+
+def sign_step(W, b):
+    """`sign_step_solver(W)(b)` for a W used once, as in the outer Newton
+    loop; a 1 x 1 W > 0 takes the closed form without building a solver."""
+    W = np.asarray(W, dtype=float)
+    w11 = W.item() if W.shape == (1, 1) else 0.0
+    return _closed_form(W, w11, b) if w11 > 0 else sign_step_solver(W)(b)
+
+
 def sign_step_solver(W):
     """The map b -> s in Sgn(b - W s) for the one-step problems of a run
     whose W stays the same; W is checked and converted once, here.
@@ -518,12 +536,7 @@ def sign_step_solver(W):
     w11 = float(W[0, 0]) if m == 1 else 0.0
     if w11 > 0:
         def closed_form(b):
-            b = np.asarray(b, dtype=float)
-            if b.shape == (1,):
-                z = _sign_step_1d(w11, float(b[0]))
-                if z is not None:
-                    return np.array([z])
-            return _cold(W, b)
+            return _closed_form(W, w11, b)
 
         def saturated_run(b, s):
             s = float(s[0])

@@ -30,6 +30,22 @@ class TestErrorNorms:
                                        simple_selection_ref(1.01))
             assert abs(rep.inf_norm - 1.0) <= 1e-9
 
+    def test_reference_is_called_once_on_the_grid(self):
+        # one call with the whole times array; the selection reference
+        # gives each row what the per-time reference gave
+        t = np.arange(40) * 0.05
+        calls = []
+
+        def ref(times):
+            calls.append(times)
+            return simple_selection_ref(-1.01)(times)
+
+        rep = analysis.error_norms(t, np.zeros(40), ref)
+        assert len(calls) == 1 and calls[0].shape == (40,)
+        old = [-1.0 if v < 1.01 else 0.0 for v in t]
+        assert calls and ref(t).tolist() == old
+        assert rep.l1_norm == 0.05 * sum(abs(v) for v in old)
+
     def test_monotone_under_domination(self):
         t = np.arange(10) * 0.1
         small = analysis.error_norms(t, 0.1 * np.ones(10), lambda s: 0.0)

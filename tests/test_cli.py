@@ -160,6 +160,19 @@ class TestConvergence:
         assert "PASS convergence:l1-slope-order-1" in out
 
 
+class TestParser:
+    def test_parses_are_independent(self):
+        # one parser serves every call in a process: an option given to
+        # one call does not carry over to the next
+        seen = []
+        with mock.patch.object(cli, "_run_and_report",
+                               lambda name, over, out: seen.append(over)):
+            cli.main(["run", "simple", "--h", "0.01"])
+            cli.main(["run", "simple"])
+        assert seen == [{"h": 0.01}, {}]
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestUsage:
     def test_docstring_lists_every_option(self):
         # the module docstring is the usage text; every parser option

@@ -70,6 +70,7 @@ def assert_same(got, ref):
 # dyadic entries and step sizes make exact fixed points common; the
 # uniform draws cover the rest
 DYADIC = [-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0]
+SIGNED_ZEROS = DYADIC + [-0.0, -0.0, 0.0]
 
 
 def linear_run(rng):
@@ -272,26 +273,30 @@ def test_changed_selection_is_not_a_repeat():
     assert_same(traj, ref)
 
 
-def newton_run(rng):
+def newton_run(rng, wide=False):
     """(system, x0, T, cfg): a drift-free affine-gain system, n <= 2,
     m <= n, rho >= 0, theta and gamma in {0.5, 1}, x0 with zeros among
-    its entries, h from 1e-3 to 0.25, up to 200 steps."""
-    n = int(rng.integers(1, 3))
+    its entries, h from 1e-3 to 0.25, up to 200 steps.  A wide run has
+    n <= 3 (so m <= 3) and signed zeros among the entries of x0 and D,
+    which start the run from -0.0 in x_k and y_k."""
+    n = int(rng.integers(1, 4 if wide else 3))
     m = int(rng.integers(1, n + 1))
     C = rng.choice(DYADIC, (m, n))
     C[np.arange(m), np.arange(m)] = 1.0
     B = C.T + 0.25 * rng.choice(DYADIC, (n, m))
+    zeros = SIGNED_ZEROS if wide else DYADIC
     sys = AffineGainSignSystem(
         n=n, m=m, A_list=tuple(0.25 * rng.choice(DYADIC, (n, n))
                                for _ in range(m)),
         B_list=tuple(B.T), C_rows=tuple(C),
-        D=0.25 * rng.choice(DYADIC, m) * (rng.random() < 0.5),
+        D=(rng.choice(zeros, m) if wide and rng.random() < 0.5
+           else 0.25 * rng.choice(DYADIC, m) * (rng.random() < 0.5)),
         rho_list=tuple(rng.choice([0.0, 0.0, 0.1, 0.25], m)))
     h = float(rng.choice([0.25, 0.125, 2.0 ** -5])
               if rng.random() < 0.5 else rng.uniform(1e-3, 0.25))
     cfg = SchemeConfig(h=h, theta=float(rng.choice([0.5, 1.0])),
                        gamma=float(rng.choice([0.5, 1.0])))
-    x0 = rng.choice(DYADIC, n) * (rng.random() < 0.9)
+    x0 = rng.choice(zeros, n) * (rng.random() < 0.9)
     return sys, x0, h * int(rng.integers(0, 201)), cfg
 
 
@@ -332,18 +337,58 @@ def with_zero_drift(sys):
                                f_jac=lambda x, t: np.zeros((n, n)))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_drift_free_run_equals_zero_drift_run(seed):
     # the drift-free plan builds its zero drift terms once, reuses the
-    # inverse of its last s and stops at its fixed tail; none of that may
-    # show in the rows, the iterations or the failure
-    sys, x0, T, cfg = newton_run(np.random.default_rng(seed))
+    # inverse of its last s with (h H) M^-1 and its last gain, takes
+    # iteration 1's r_smooth and b without their products and stops at
+    # its fixed tail; none of that may show in the rows, the iterations
+    # or the failure, from signed zeros in x_k and y_k and at m <= 3
+    sys, x0, T, cfg = newton_run(np.random.default_rng(seed), wide=True)
     with np.errstate(all="ignore"):
         got = integrators.simulate_newton(sys, x0, 0.0, T, cfg)
         ref = integrators.simulate_newton(with_zero_drift(sys), x0, 0.0, T,
                                           cfg)
     assert_same(got, ref)
+
+
+def _step_outcome(plan, x_k, y_k):
+    """The bytes of plan's step from x_k (s_k None), or its failure."""
+    try:
+        return [v.tobytes() if isinstance(v, np.ndarray) else v
+                for v in plan(np.array(x_k), 0.0, None, y_k)]
+    except mlcp.StepFailure as exc:
+        return [exc.message, exc.problem_text, exc.residual]
+
+
+def _scalar_affine(A=1.0, B=1.0, C=1.0, D=0.0, rho=0.0):
+    return AffineGainSignSystem(n=1, m=1, A_list=([[A]],), B_list=([B],),
+                                C_rows=([C],), D=[D], rho_list=(rho,))
+
+
+# a NaN gain or M^-1, and an infinite h rho or H, make iteration 1's r_smooth
+# or b non-finite, where b = y + 0.0 does not hold
+NON_FINITE = {"hypomonotone": _scalar_affine(),
+              "NaN gain": _scalar_affine(B=np.nan, D=-0.0),
+              "NaN M": _scalar_affine(A=np.nan),
+              "inf rho": _scalar_affine(rho=np.inf),
+              "inf H": _scalar_affine(C=np.inf)}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sys", NON_FINITE.values(), ids=NON_FINITE)
+@pytest.mark.parametrize("x_k, y_k", [
+    ([-0.0], np.array([-0.0])), ([0.5], np.array([-0.0])), ([-0.0], None),
+    ([np.inf], None), ([-np.inf], None), ([np.nan], None)])
+def test_drift_free_step_equals_zero_drift_step(sys, x_k, y_k):
+    # iteration 1 takes b = y + 0.0 only from a finite x_k with h rho, H
+    # and M^-1 finite; the one-step problem's dump (q = -b) shows the sign
+    # of a zero b, and a NaN gain fails that problem
+    cfg = SchemeConfig(h=0.25)
+    assert _step_outcome(integrators.newton_plan(sys, cfg), x_k, y_k) == \
+        _step_outcome(integrators.newton_plan(with_zero_drift(sys), cfg),
+                      x_k, y_k)
 
 
 def test_hypomonotone_run_stops_at_its_tail():

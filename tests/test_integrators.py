@@ -175,6 +175,25 @@ class TestStepNewton:
                 assert a.tobytes() == b.tobytes()
             assert got[3] == want[3]
 
+    def test_drift_free_step_evaluates_each_iterate_once(self):
+        # from x0 = 2.5 the run takes 1,257 steps of one iteration each
+        # before its fixed tail; a step's first gain repeats the previous
+        # step's last, so only the first step's start adds a call, and no
+        # solver is built
+        sys = hypomonotone_system()
+        args = (sys, [2.5], 0.0, 2.0, SchemeConfig(h=1e-3))
+        ref = simulate_newton(*args)
+        gain = mock.Mock(wraps=sys.gain)
+        with mock.patch.object(type(sys), "gain",
+                               lambda self, x: gain(x)), \
+                mock.patch.object(mlcp, "sign_step_solver",
+                                  side_effect=AssertionError("built")):
+            traj = simulate_newton(*args)
+        assert gain.call_count == 1257 + 1
+        for name in ("states", "selections", "outputs", "newton_iters"):
+            assert getattr(traj, name).tobytes() == \
+                getattr(ref, name).tobytes()
+
     def test_nan_drift_fails_the_step_with_its_residual(self):
         # a NaN drift makes the step's one-step MLCP NaN, which no solver
         # certifies: the step fails there, with the problem's dump
@@ -421,6 +440,28 @@ class TestTrajectoryCsv:
         # full double precision round-trips
         first = [float(v) for v in lines[2].split(",")]
         assert first[1] == traj.states[1, 0]
+
+    def test_streamed_rows_match_one_format_per_row(self, tmp_path):
+        # the chunked `%.17g` writer against a writer that formats each
+        # row with `{:.17g}`: signed zeros, NaN, the infinities, subnormals
+        # and the largest finite value, over one row more than a chunk
+        edge = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                2.2250738585072014e-308 / 3, 1.7976931348623157e308, 0.1,
+                -1.0 / 3.0, 1e-300, 123456789.0]
+        rows = integrators.CSV_ROWS + 1
+        col = np.resize(np.array(edge), rows)
+        traj = integrators.Trajectory(
+            times=np.arange(rows) * 0.1, states=np.stack([col, col[::-1]], 1),
+            selections=-col[:, None], outputs=np.roll(col, 5)[:, None],
+            controls=np.roll(col, 2)[:, None])
+        path = tmp_path / "edge.csv"
+        traj.to_csv(path)
+        row = ",".join(["{:.17g}"] * 6).format
+        table = np.hstack([traj.times[:, None], traj.states,
+                           traj.selections, traj.outputs, traj.controls])
+        want = "t,x0,x1,s0,y0,u0\n" + "".join(
+            row(*r) + "\n" for r in table.tolist())
+        assert path.read_text() == want
 
     def test_controls_columns(self, tmp_path):
         from multisurf.controllers import EcbSmcController, simulate_ecb

@@ -9,6 +9,7 @@ give what a cold start gives, bit for bit.  The cold ladder `solve` must
 answer W < 0 without running to a pivot cap or through projected SOR.
 """
 
+import math
 import warnings
 from unittest import mock
 
@@ -411,3 +412,60 @@ def test_psor_failure_names_a_non_symmetric_W():
         "sweep change 2 after 5000 sweeps; M is not symmetric, and "
         "projected SOR is only guaranteed to converge for symmetric "
         "positive definite M")
+
+
+@SETTINGS
+@given(positive_scalar_steps())
+def test_one_step_entry_builds_no_solver_at_m1(step):
+    # the Newton loop's entry: the closed form, with no solver built
+    W, b = step
+    want = mlcp.sign_step_solver([[W]])([b])
+    with mock.patch.object(mlcp, "sign_step_solver",
+                           side_effect=AssertionError("solver built")):
+        got = mlcp.sign_step(np.array([[W]]), np.array([b]))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _outcome(call):
+    """The answer's bytes, or the StepFailure's message, dump and residual."""
+    try:
+        z = call()
+    except mlcp.StepFailure as exc:
+        return exc.message, exc.problem_text, exc.residual
+    return z.dtype.str, z.shape, z.tobytes()
+
+
+INFEASIBLE = "one-step MLCP infeasible: no active set is feasible"
+# (W, b) that the m = 1 entry hands to the cold ladder, and the dump of
+# the StepFailure that `sign_step_solver(W)(b)` raises on it, or None
+ONE_STEP_COLD = {
+    "W < 0": ([[-0.1]], [0.5], None),
+    "W = 0": ([[0.0]], [1.0], None),
+    "W = -0.0": ([[-0.0]], [-1.0], None),
+    "NaN W": ([[math.nan]], [0.5], "MLCP dim=1\nM  nan\nq  -0.5\nl  -1\nu  1"),
+    "uncertified b": ([[1298011.9315177805]], [-975370.0], None),
+    "NaN b": ([[1.0]], [math.nan], "MLCP dim=1\nM  1\nq  nan\nl  -1\nu  1"),
+    "inf b": ([[1.0]], [math.inf], "MLCP dim=1\nM  1\nq  -inf\nl  -1\nu  1"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", ONE_STEP_COLD)
+def test_one_step_entry_falls_back_as_the_solver_does(case):
+    W, b, dump = ONE_STEP_COLD[case]
+    W, b = np.array(W), np.array(b)
+    want = _outcome(lambda: mlcp.sign_step_solver(W)(b))
+    with mock.patch.object(mlcp, "_cold", wraps=mlcp._cold) as cold:
+        got = _outcome(lambda: mlcp.sign_step(W, b))
+    assert cold.call_count == 1 and got == want
+    if dump is not None:
+        assert got == (INFEASIBLE, dump, None)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(run=warm_runs())
+def test_one_step_entry_takes_the_solver_above_m1(run):
+    W, bs, _ = run
+    for b in bs:
+        want = _outcome(lambda: mlcp.sign_step_solver(W)(b))
+        assert _outcome(lambda: mlcp.sign_step(W, b)) == want
