@@ -15,7 +15,11 @@ affine-gain system with a time-dependent drift and rho > 0 at
 (theta, gamma) = (1, 1) and (0.5, 0.5), an m = 1 nonlinear system, and
 three drift-free runs that reach a fixed tail -- an m = 2 affine-gain
 system with rho > 0 at the same two (theta, gamma), and
-`hypomonotone_system` from x0 = 2.5 with h = 1e-3 to T = 2.
+`hypomonotone_system` from x0 = 2.5 with h = 1e-3 to T = 2.  Two E = 0
+runs, whose step plans have Phi and L exactly I, pin the identity rule of
+`integrators.step_plan`: an m = 4 system with C = I and -0.0 entries in a,
+D and x0, and an m = 3 one at theta = 0.5 whose C has one nonzero entry in
+each row, none of them 1.
 
 The digests are tied to the numpy / LAPACK build they were recorded with
 (numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64): another BLAS or LAPACK
@@ -125,6 +129,29 @@ def _warm_m12():
                                        2.0, SchemeConfig(h=0.01))
 
 
+def _signed_zero_m4():
+    # E = 0 and C = I: every operator of the step but Gamma is exactly I
+    sys = LinearSignSystem(
+        n=4, m=4, E=np.zeros((4, 4)), a=[0.3, -0.0, -0.25, -0.0],
+        B=[[1.0, 0.2, -0.1, 0.05], [-0.15, 1.2, 0.1, 0.0],
+           [0.1, -0.2, 0.9, 0.2], [0.0, 0.1, -0.25, 1.1]],
+        C=np.eye(4), D=[-0.0, 0.1, -0.0, -0.05])
+    return integrators.simulate_linear(sys, [0.5, -0.0, -0.4, -0.0], 0.0,
+                                       2.0, SchemeConfig(h=0.01))
+
+
+def _scaled_rows_m3():
+    # E = 0 with C a signed, scaled permutation: C B has a positive definite
+    # symmetric part, so the run pivots warm
+    sys = LinearSignSystem(
+        n=3, m=3, E=np.zeros((3, 3)), a=[0.3, -0.2, 0.1],
+        B=[[0.2, -2.0, -0.4], [0.5, 0.1, -0.05], [0.1, -0.2, 1.0]],
+        C=[[0.0, 2.0, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.0, 1.5]],
+        D=[0.1, -0.05, 0.0])
+    return integrators.simulate_linear(sys, [0.4, -0.3, 0.6], 0.0, 2.0,
+                                       SchemeConfig(h=0.01, theta=0.5))
+
+
 def _newton_affine_m2(theta, gamma):
     # both surfaces slide (|s_i| < 1 on most steps) and the x-dependent gain
     # makes most steps take two Newton iterations
@@ -186,6 +213,10 @@ NEWTON_RUNS = {
 }
 
 LIBRARY_RUNS = {
+    "identity-scaled-rows-m3-half": ("6bc863e4696f98622ef957bd8e88d850"
+                                     "9e91333a3e15263c1daf6a4df54ab0df"),
+    "identity-signed-zero-m4": ("d478524f29c05798523861e588f01cbd"
+                                "89163ced09bd5fa8e6a2501e298fc99a"),
     "lyapunov-rho0.7": lambda: _lyapunov_rho(0.7),
     "lyapunov-rho1.3": lambda: _lyapunov_rho(1.3),
     "galias2007-theta0.5": _galias_theta_half,
@@ -195,6 +226,8 @@ LIBRARY_RUNS = {
                                       [0.05, -0.5, 0.02], 15.0),
     "pivot-m4": _pivot_m4,
     "warm-m12": _warm_m12,
+    "identity-signed-zero-m4": _signed_zero_m4,
+    "identity-scaled-rows-m3-half": _scaled_rows_m3,
     "filippov-T20": lambda: experiments.run_experiment(
         "filippov", {"T": 20.0}).trajectories["traj"],
     **NEWTON_RUNS,
@@ -205,6 +238,10 @@ LIBRARY_DIGESTS = {
                      "1a242d68ccf75df4cd0e2f6e3740d621"),
     "galias2007-theta0.5": ("8c44290a53d3eb3923063853b682a6e6"
                             "08640bdd49fd6c1c1460aac43969f4ea"),
+    "identity-scaled-rows-m3-half": ("6bc863e4696f98622ef957bd8e88d850"
+                                     "9e91333a3e15263c1daf6a4df54ab0df"),
+    "identity-signed-zero-m4": ("d478524f29c05798523861e588f01cbd"
+                                "89163ced09bd5fa8e6a2501e298fc99a"),
     "lyapunov-rho0.7": ("73ab9455ea303097d1f57a4077aef690"
                         "29c8c7728d3d6732fdc5067d35b8e6b1"),
     "lyapunov-rho1.3": ("222aa19b36a57177ffa75406b4634265"
