@@ -130,7 +130,20 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
     must be functions of their arguments alone (a warm start may keep
     state, not change an answer).  Returns step(k, x_k, t_k, s_prev) ->
     (x, y, s, u, iters) for `simulate`.  Unless c is callable the step
-    depends on x_k alone, and its `time_invariant` attribute is true.
+    depends on x_k alone, and its `time_invariant` attribute is true.  The
+    step's contract, which `simulate` and the `mlcp` solvers keep: x_k is
+    finite with |x_k| <= STATE_GUARD, and s lies in [-1, 1]^m to rounding.
+
+    Operators that are exactly I, resolved once per plan with c constant.
+    I @ v has the bytes of v + 0.0 for a finite v, and (v + 0.0) + d those
+    of v + (d + 0.0), so such an operator folds into the constant added
+    after it, formed once.  Phi = I steps free = x_k + (c + 0.0), which
+    holds no -0.0, and neither does x = free - Gamma (rho s).  When L is
+    exactly I too and STATE_GUARD + |c| + |D| + 2 |Gamma diag(rho)| (max
+    norms) is below 1e308, free, x, b and y are finite: L is dropped (it
+    would add +0.0 to vectors without -0.0), and C = I makes b = free +
+    (D + 0.0) and y = x + (D + 0.0).  Otherwise, as under a callable c, L
+    and C stay products, since I @ v turns an infinite entry into NaN.
 
     The reaching-phase block.  An implicit, time-invariant plan without
     control, with Phi and L (when given) exactly I, at most one nonzero
@@ -149,28 +162,41 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
     explicit and Newton runs get no block.
     """
     driven = callable(c)
+    eye = np.eye(len(Phi))
+    ident = not driven and np.array_equal(Phi, eye)
+    flat = ident and (L is None or np.array_equal(L, eye))
+    c0, D0 = (0.0 if v is None or driven else np.add(v, 0.0) for v in (c, D))
+    with np.errstate(over="ignore", invalid="ignore"):
+        G_rho = np.abs(np.multiply(Gamma, 1.0 if rho is None else rho))
+        reach = (STATE_GUARD + np.max(np.abs(c0)) + np.max(np.abs(D0))
+                 + 2 * np.max(G_rho.sum(axis=1), initial=0.0))
+    bare = flat and reach < 1e308
+    # the operators as a step applies them, None where one is folded
+    Phi_op, c_op = (None, c0) if ident else (Phi, c)
+    L_op = None if bare else L
+    C_op, D_op = (None, D0) if bare and np.array_equal(C, eye) else (C, D)
 
     def affine(M, v, d):
+        if M is None:
+            return v + d
         return M @ v if d is None else M @ v + d
 
     def step(k, x_k, t_k, s_prev):
-        free = affine(Phi, x_k, c(t_k) if driven else c)
+        free = affine(Phi_op, x_k, c(t_k) if driven else c_op)
         if solve is None:
-            s = np.sign(affine(C, x_k, D))
+            s = np.sign(affine(C_op, x_k, D_op))
         else:
-            s = solve(affine(C, free if L is None else L @ free, D))
+            s = solve(affine(C_op, free if L_op is None else L_op @ free,
+                             D_op))
         x = free - Gamma @ (s if rho is None else rho * s)
-        if L is not None:
-            x = L @ x
+        if L_op is not None:
+            x = L_op @ x
         u = None if control is None else control(x_k, s)
-        return x, affine(C, x, D), s, u, 0
+        return x, affine(C_op, x, D_op), s, u, 0
 
     step.time_invariant = not driven
     run = getattr(solve, "saturated_run", None)
-    if run is None or driven or control is not None:
-        return step
-    eye = np.eye(len(Phi))
-    if not (np.array_equal(Phi, eye) and (L is None or np.array_equal(L, eye))
+    if not (run is not None and control is None and flat
             and (np.count_nonzero(C, axis=1) <= 1).all()):
         return step
 

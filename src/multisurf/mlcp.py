@@ -134,16 +134,16 @@ def certify(p: MlcpProblem, s: MlcpSolution) -> float:
     return float(max(parts))
 
 
-def _set_point(M, q, l, u, states, blocks=None):
-    """The point of one active set: bound indices at their bounds, the
-    interior block of M z + q = 0 solved for the rest.
+def _set_point(M, b, l, u, key, blocks=None):
+    """The point of the active set `key` (a tuple of states): bound indices
+    at their bounds, the interior block of M z = b solved for the rest.
 
     Returns (z, regular).  A singular interior block takes the minimum-norm
     least-squares solve, canonical on degenerate rows, and regular False.
     `blocks`, a dict kept by a caller whose M, l and u stay the same, holds
-    each visited set's indexing, the products that do not involve q and
+    each visited set's indexing, the products that do not involve b and
     whether `np.linalg.solve` accepted the interior block, so a set met
-    again repeats only the arithmetic on q and the solve.  A block's first
+    again repeats only the arithmetic on b and the solve.  A block's first
     solve goes through `np.linalg.solve`; after that a regular block calls
     the LAPACK gufunc behind it directly (the same bytes, without the
     wrapper's checks and error-state context), and a singular one goes
@@ -151,7 +151,6 @@ def _set_point(M, q, l, u, states, blocks=None):
     alone, so the direct call never meets it.  Uncached sets always take
     `np.linalg.solve`.
     """
-    key = tuple(states)
     blk = None if blocks is None else blocks.get(key)
     stored = False
     if blk is None:
@@ -177,7 +176,7 @@ def _set_point(M, q, l, u, states, blocks=None):
     z = z0.copy()
     if I is None:
         return z, True
-    rhs = -q[I] - fixed + free
+    rhs = b[I] - fixed + free
     if regular:
         z[I] = _solve1(MI, rhs, signature="dd->d")
         return z, True
@@ -234,7 +233,7 @@ def _assignment_solution(p, states, l, u):
     """The answer of one active-set assignment; None when its interior
     block is singular, its point z or r = M z + q is not finite, or the
     point violates a condition."""
-    z, regular = _set_point(p.M, p.q, l, u, states)
+    z, regular = _set_point(p.M, -p.q, l, u, states)
     if not (regular and np.all(np.isfinite(z))):
         return None
     r = p.M @ z + p.q
@@ -271,13 +270,17 @@ def solve_psor(p: MlcpProblem) -> MlcpSolution:
 
     Reports "solved" only for an answer whose certified residual is at most
     CERT_TOL; a converged sweep with a larger residual is "uncertified".
-    The reason of an unsolved answer says when M is not symmetric.
+    The reason of an unsolved answer says when M is not symmetric.  A
+    non-finite M or q is "infeasible" without a sweep: the sweep's change
+    test would drop a NaN and stop as if it had converged.
     """
     m = p.dim
     if m == 0:
         return _empty_solution()
     if np.any(p.M.diagonal() == 0):
         raise ValueError("PSOR needs a nonzero diagonal")
+    if not (np.isfinite(p.M).all() and np.isfinite(p.q).all()):
+        return _unsolved(m, "infeasible", "M or q is not finite")
     M, q, l, u = np.ascontiguousarray(p.M), p.q, p.l, p.u
     z = np.clip(np.zeros(m), l, u)
     # z_i <- clamp(z_i - (M z + q)_i / M_ii) coordinate by coordinate, to a
@@ -319,35 +322,37 @@ def solve_psor(p: MlcpProblem) -> MlcpSolution:
     return replace(sol, residual=res, status=status, reason=reason)
 
 
-def _pivot(M, q, l, u, states, blocks=None):
-    """Murty's least-index principal pivoting from the active set `states`.
+def _pivot(M, b, l, u, states, blocks=None):
+    """Murty's least-index principal pivoting from the active set `states`
+    on M z - b = w - v, the box MLCP with q = -b.
 
     l and u are the bounds as lists of floats.  Flips `states` in place,
     each pivot at the index that `_violation` names, and returns (z, zl, rl)
-    of the first set that violates none: z, and z and r = M z + q as
-    lists.  Returns the reason as a string after max(200, 3^min(m, 10))
-    pivots, or as soon as a set comes back: the rule is deterministic, so a
-    repeated set is a cycle that would run to the cap, and least-index
-    pivoting does not cycle on a P-matrix.  `blocks` is passed on to
-    `_set_point`.
+    of the first set that violates none: z, and z and r = M z - b as lists
+    (the bytes of M z + q, as a - b is a + (-b) for a b that is not NaN).
+    Returns the reason as a string after max(200, 3^min(m, 10)) pivots, or
+    as soon as a set comes back: the rule is deterministic, so a repeated
+    set is a cycle that would run to the cap, and least-index pivoting does
+    not cycle on a P-matrix.  `blocks` is passed on to `_set_point`.
     """
-    m = len(states)
-    max_pivots = max(200, 3 ** min(m, 10))
-    seen = set()
-    for _ in range(max_pivots):
-        key = tuple(states)
-        if key in seen:
-            return "W is not a P-matrix (pivoting cycled)"
-        seen.add(key)
-        z, _ = _set_point(M, q, l, u, key, blocks)
-        r = M @ z + q
+    key, seen = tuple(states), None
+    while True:
+        z, _ = _set_point(M, b, l, u, key, blocks)
+        r = M @ z - b
         zl, rl = z.tolist(), r.tolist()
         # least-index violated condition decides the next pivot
-        flip = _violation(states, zl, rl, l, u)
+        flip = _violation(key, zl, rl, l, u)
         if flip is None:
             return z, zl, rl
         states[flip[0]] = flip[1]
-    return f"no solution within {max_pivots} pivots"
+        if seen is None:
+            seen, cap = set(), max(200, 3 ** min(len(key), 10))
+        seen.add(key)
+        if len(seen) == cap:
+            return f"no solution within {cap} pivots"
+        key = tuple(states)
+        if key in seen:
+            return "W is not a P-matrix (pivoting cycled)"
 
 
 def solve_pivoting(p: MlcpProblem) -> MlcpSolution:
@@ -358,7 +363,7 @@ def solve_pivoting(p: MlcpProblem) -> MlcpSolution:
     if m == 0:
         return _empty_solution()
     states = [_INTERIOR] * m
-    got = _pivot(p.M, p.q, p.l.tolist(), p.u.tolist(), states)
+    got = _pivot(p.M, -p.q, p.l.tolist(), p.u.tolist(), states)
     if isinstance(got, str):
         return _unsolved(m, "infeasible", got)
     sol = _solution(p, states, got[0], got[2])
@@ -523,9 +528,9 @@ def sign_step_solver(W):
     saturated_run(b, s) is the number of leading rows of b (shape (k, m))
     that the solver would answer with exactly the saturated s (each s_i
     1.0 or -1.0), by its own operations on each row: `_saturated_1d` at
-    m = 1; at m > 1, W s once, -b per row and `_certified`'s bound tests,
-    which apply while the warm start is s's all-bound set, as after a step
-    that answered s.  The cold solver has none.
+    m = 1; at m > 1, W s once, W s - b per row and `_certified`'s bound
+    tests, which apply while the warm start is s's all-bound set, as after
+    a step that answered s.  The cold solver has none.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim < 2:
@@ -554,7 +559,7 @@ def sign_step_solver(W):
     def warm(b):
         b = np.asarray(b, dtype=float)
         if b.shape == (m,):
-            got = _pivot(W, -b, lower, upper, states, blocks)
+            got = _pivot(W, b, lower, upper, states, blocks)
             if not isinstance(got, str):
                 z, zl, rl = got
                 if _certified(states, zl, rl):
@@ -571,7 +576,7 @@ def sign_step_solver(W):
         if states != [_UPPER if v == 1.0 else _LOWER if v == -1.0 else None
                       for v in s.tolist()]:
             return 0
-        sr = ((W @ s) - b) * s   # a - b is a + (-b) in IEEE arithmetic
+        sr = ((W @ s) - b) * s
         return _leading(((sr < -CERT_TOL) & (sr > -math.inf)).all(axis=1))
     warm.saturated_run = saturated_run
     return warm

@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multisurf import integrators, mlcp
 from multisurf.experiments import (galias2007_system, hypomonotone_system,
@@ -490,3 +492,132 @@ class TestZohSimulation:
         tail = traj.outputs[-12:, 0]
         assert np.max(np.abs(tail[2:] - tail[:-2])) <= 1e-6
         assert np.min(np.abs(tail[1:] - tail[:-1])) > 1e-2
+
+
+def product_step(Phi, Gamma, C, D, L, c, solve, rho):
+    """`step_plan`'s step with every operator applied as a product."""
+    def step(k, x_k, t_k, s_prev):
+        free = Phi @ x_k if c is None else Phi @ x_k + c
+        if solve is None:
+            s = np.sign(C @ x_k if D is None else C @ x_k + D)
+        else:
+            b = C @ (free if L is None else L @ free)
+            s = solve(b if D is None else b + D)
+        x = free - Gamma @ (s if rho is None else rho * s)
+        if L is not None:
+            x = L @ x
+        return x, (C @ x if D is None else C @ x + D), s, None, 0
+    return step
+
+
+def _values(rng, k, kind):
+    """None, or k entries of one kind: signed zeros among small values, or
+    magnitudes near 1e300."""
+    if kind == "none":
+        return None
+    v = rng.uniform(-1.0, 1.0, k)
+    if kind == "signed-zero":
+        zero = rng.random(k) < 0.5
+        v[zero] = rng.choice([-0.0, 0.0], zero.sum())
+    else:
+        v = rng.choice([-1.0, 1.0], k) * rng.uniform(0.5, 1.0, k) * 1e300
+    return v
+
+
+def operator_run(seed, E_kind, C_kind, c_kind, D_kind, theta, scheme, big,
+                 with_rho):
+    """A plan's arguments, with one solver each for it and a reference, and
+    an x0 with signed zeros, subnormals and entries at +-STATE_GUARD."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    m = n if C_kind == "eye" else int(rng.integers(1, n + 1))
+    h = 0.01
+    E = (rng.choice([-0.0, 0.0], (n, n)) if E_kind == "zero"
+         else 0.3 * rng.standard_normal((n, n)))
+    if C_kind == "eye":
+        C = np.eye(n)
+    elif C_kind == "rows":
+        C = np.zeros((m, n))
+        C[np.arange(m), rng.integers(0, n, m)] = rng.uniform(0.5, 2.0, m) \
+            * rng.choice([-1.0, 1.0], m)
+    else:
+        C = rng.standard_normal((m, n))
+    Gamma = h * (rng.standard_normal((n, m)) + np.eye(n, m))
+    if rng.random() < 0.5:
+        # g_i = +0.0: x_i keeps the sign of a zero free_i
+        Gamma[rng.integers(n)] = rng.choice([-0.0, 0.0])
+    if big:
+        # Gamma s overflows where two entries of s share a sign; W stays
+        # finite when C does not read x_0 (lstsq can hang on an infinite W)
+        Gamma[0] = 1e308 * rng.choice([-1.0, 1.0])
+        if scheme == "implicit":
+            C[:, 0] = 0.0
+    rho = rng.uniform(0.5, 2.0, m) if with_rho else None
+    x0 = rng.uniform(-1.0, 1.0, n)
+    pick = rng.integers(0, 4, n)
+    x0[pick == 1] = rng.choice([-0.0, -0.0, 0.0], (pick == 1).sum())
+    x0[pick == 2] = rng.integers(-3, 4, (pick == 2).sum()) * 5e-324
+    x0[pick == 3] = rng.choice([-1e12, 1e12], (pick == 3).sum())
+    args = dict(C=C, D=_values(rng, m, D_kind), c=_values(rng, n, c_kind),
+                rho=rho)
+    if scheme == "explicit":
+        args.update(Phi=np.eye(n) + h * E, Gamma=Gamma, L=None)
+        solvers = (None, None)
+    else:
+        L = np.linalg.inv(np.eye(n) - h * theta * E)
+        W = C @ L @ Gamma
+        W = W if rho is None else W @ np.diag(rho)
+        args.update(Phi=np.eye(n) + h * (1 - theta) * E, Gamma=Gamma, L=L)
+        solvers = (mlcp.sign_step_solver(W), mlcp.sign_step_solver(W))
+    return args, solvers, x0, h
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       E_kind=st.sampled_from(["zero", "general"]),
+       C_kind=st.sampled_from(["eye", "rows", "general"]),
+       c_kind=st.sampled_from(["none", "signed-zero", "huge"]),
+       D_kind=st.sampled_from(["none", "signed-zero", "huge"]),
+       theta=st.sampled_from([0.5, 1.0]),
+       scheme=st.sampled_from(["implicit", "explicit"]),
+       big=st.booleans(), with_rho=st.booleans())
+def test_plan_step_equals_the_all_product_step(seed, E_kind, C_kind, c_kind,
+                                               D_kind, theta, scheme, big,
+                                               with_rho):
+    # an operator that is exactly I applies as + 0.0 only where its operand
+    # stays finite; a Gamma whose product overflows keeps the products, and
+    # the run records the same states and failure
+    args, (solve, ref_solve), x0, h = operator_run(
+        seed, E_kind, C_kind, c_kind, D_kind, theta, scheme, big, with_rho)
+    C, D = args["C"], args["D"]
+    y0 = C @ x0 if D is None else C @ x0 + D
+    explicit = scheme == "explicit"
+    with np.errstate(all="ignore"):
+        got = integrators.simulate(step_plan(**args, solve=solve), x0, y0,
+                                   0.0, 4 * h, h, explicit_signs=explicit)
+        ref = integrators.simulate(
+            product_step(**{k: args[k] for k in ("Phi", "Gamma", "C", "D",
+                                                 "L", "c", "rho")},
+                         solve=ref_solve),
+            x0, y0, 0.0, 4 * h, h, explicit_signs=explicit)
+    for name in ("times", "states", "selections", "outputs", "newton_iters"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), \
+            name
+    assert got.failure == ref.failure
+
+
+def test_overflowing_gamma_keeps_its_products():
+    # E = 0, so Phi and L are exactly I; C does not see x_0, whose step
+    # overflows: L @ [-inf, v] is [-inf, nan], which the run records
+    Gamma = np.array([[1.7e308], [0.01]])
+    args = dict(Phi=np.eye(2), Gamma=Gamma, C=np.array([[0.0, 1.0]]),
+                D=None, L=np.eye(2), c=np.array([-1e308, 1.0]), rho=None)
+    x0 = np.array([0.5, 0.25])
+    with np.errstate(all="ignore"):
+        got = integrators.simulate(
+            step_plan(**args, solve=mlcp.sign_step_solver([[0.01]])), x0,
+            [0.25], 0.0, 0.03, 0.01)
+    assert got.failure.step == 1 and got.failure.message == \
+        "state is not finite"
+    assert got.states[1][0] == -np.inf and np.isnan(got.states[1][1])
+

@@ -111,6 +111,19 @@ class TestPsor:
         with pytest.raises(ValueError):
             mlcp.solve_psor(box_problem([[0.0]], [1.0]))
 
+    @pytest.mark.parametrize("M, q", [
+        ([[1.0, 0.2], [-0.3, 1.0]], [np.nan, 0.0]),
+        ([[1.0, 0.2], [0.2, 1.0]], [0.0, -np.inf]),
+        ([[1.0, np.inf], [0.2, 1.0]], [0.5, 0.0]),
+        ([[1.0, 0.2], [np.nan, 1.0]], [0.5, 0.0])])
+    def test_non_finite_problem_is_reported_as_such(self, M, q):
+        # the sweep's change test dropped a NaN: this problem stopped after
+        # one sweep, and its reason blamed the symmetry of M
+        sol = mlcp.solve_psor(box_problem(M, q))
+        assert (sol.status, sol.reason) == ("infeasible",
+                                            "M or q is not finite")
+        assert np.isnan(sol.z).all() and sol.residual == np.inf
+
 
 class TestPivoting:
     def test_matches_enumerative_on_examples(self):
