@@ -20,7 +20,7 @@ from multisurf.integrators import (SchemeConfig, StepFailure, Trajectory,
                                    simulate_zoh, zoh_discretize)
 from multisurf.mlcp import (MlcpProblem, MlcpSolution, certify, encode,
                             sign_step_solver, solve, solve_enumerative,
-                            solve_pivoting, solve_psor)
+                            solve_pivoting)
 from multisurf.systems import (AffineGainSignSystem, DisturbedLinearSystem,
                                LinearSignSystem, NonlinearSignSystem,
                                check_cb_positive, output)

@@ -8,11 +8,11 @@ The set-valued sign inclusion s in Sgn(y) with y = b - W s maps onto this
 with M = W, q = -b and the box [-1, 1]^m; the recovered output is
 y = -(M z + q) = v - w.
 
-Three solvers share the same contract: an enumerative oracle (exponential,
-reference only), a Murty least-index principal pivoting method, and a
-projected SOR iteration; `solve` tries them in that ladder's order
-(pivoting, PSOR, oracle), and the oracle and pivoting test an active set by
-one rule, `_violation`.  `sign_step_solver(W)` is the one entry point for
+Two solvers share the same contract: an enumerative oracle (exponential,
+reference only) and a Murty least-index principal pivoting method; `solve`
+tries pivoting, then the oracle.  Both test an active set by one rule,
+`_violation`, and report "solved" only for an answer that certifies at
+CERT_TOL (`_solution`).  `sign_step_solver(W)` is the one entry point for
 the sign step, with the one-surface case in closed form: a run whose W stays
 the same builds it once; the outer Newton loop, whose W changes with every
 iterate, calls `sign_step(W, b)`.  For m > 1 it pivots warm from the
@@ -26,17 +26,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 # the gufunc behind np.linalg.solve with a vector right-hand side
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
-# one numerical policy for every solver: the feasibility tolerance, the
-# certified residual a "solved" answer must meet, the PSOR sweep cap
+# one numerical policy for every solver: the feasibility tolerance (an
+# interior equation's, relative to its scale past 1; see `_violation`) and
+# the certified residual a "solved" answer must meet
 FEAS_TOL = 1e-10
 CERT_TOL = 1e2 * FEAS_TOL
-PSOR_MAX_ITER = 5000
 # largest m the 3^m enumerative oracle takes
 ENUM_MAX_M = 12
 
@@ -115,10 +115,6 @@ def _unsolved(m, status, reason):
                         reason=reason)
 
 
-def _split_slacks(r):
-    return np.maximum(r, 0.0), np.maximum(-r, 0.0)
-
-
 def certify(p: MlcpProblem, s: MlcpSolution) -> float:
     """Max violation of box, equation, complementarity and sign conditions;
     NaN when any of them is NaN."""
@@ -139,7 +135,9 @@ def _set_point(M, b, l, u, key, blocks=None):
     at their bounds, the interior block of M z = b solved for the rest.
 
     Returns (z, regular).  A singular interior block takes the minimum-norm
-    least-squares solve, canonical on degenerate rows, and regular False.
+    least-squares solve, canonical on degenerate rows, and regular False;
+    a non-finite one makes the interior NaN, as lstsq never returns on some
+    blocks with an infinite entry (OpenBLAS DLASCL spins).
     `blocks`, a dict kept by a caller whose M, l and u stay the same, holds
     each visited set's indexing, the products that do not involve b and
     whether `np.linalg.solve` accepted the interior block, so a set met
@@ -190,16 +188,19 @@ def _set_point(M, b, l, u, key, blocks=None):
             blocks[key] = blk[:-1] + (regular,)
         if regular:
             return z, True
-    z[I] = np.linalg.lstsq(MI, rhs, rcond=None)[0]
+    z[I] = np.linalg.lstsq(MI, rhs, rcond=None)[0] \
+        if np.isfinite(MI).all() else np.nan
     return z, False
 
 
-def _violation(states, zl, rl, l, u):
-    """The least index whose condition the point of the active set `states`
-    violates, with the state that a pivot gives it; None when it violates
-    none.  An interior index must lie in [l_i, u_i] and solve its equation,
-    a lower one needs r_i >= 0 and an upper one r_i <= 0, all to FEAS_TOL;
-    z, r = M z + q, l and u come as lists of floats."""
+def _violation(states, M, b, z, zl, rl, l, u):
+    """The least index whose condition the point z of the active set
+    `states` violates, with the state that a pivot gives it; None when it
+    violates none.  An interior index must lie in [l_i, u_i] and solve its
+    equation, a lower one needs r_i >= 0 and an upper one r_i <= 0, all to
+    FEAS_TOL, the equation to FEAS_TOL max(1, sum_j |M_ij| |z_j| + |b_i|)
+    (a componentwise backward error, Higham ch. 7), which one ulp of a
+    large row passes.  zl, rl = M z - b, l and u are lists of floats."""
     tol = FEAS_TOL
     for i, st in enumerate(states):
         if st == _INTERIOR:
@@ -207,7 +208,11 @@ def _violation(states, zl, rl, l, u):
                 return i, _LOWER
             if zl[i] > u[i] + tol:
                 return i, _UPPER
-            if abs(rl[i]) > tol:
+            r = abs(rl[i])
+            # the scale is computed only past the absolute bound; a NaN or
+            # infinite scale fails
+            if r > tol and not r <= tol * (
+                    float(np.abs(M[i]) @ np.abs(z)) + abs(b[i])) < math.inf:
                 # a singular block (lstsq) left the equation unsatisfied
                 return i, (_LOWER if rl[i] > 0 else _UPPER)
         elif st == _LOWER:
@@ -219,28 +224,36 @@ def _violation(states, zl, rl, l, u):
 
 
 def _solution(p, states, z, rl):
-    """The certified answer of the active set `states` with point z and
-    r = M z + q (a list): w and v are the bound indices' slacks."""
+    """The answer of the active set `states` with point z and r = M z + q
+    (a list): w and v are the bound indices' slacks.  Every solver's one
+    rule for "solved": a certified residual at most CERT_TOL; any other,
+    NaN included, is "uncertified"."""
     w = np.array([max(r, 0.0) if st == _LOWER else 0.0
                   for st, r in zip(states, rl)])
     v = np.array([max(-r, 0.0) if st == _UPPER else 0.0
                   for st, r in zip(states, rl)])
-    sol = MlcpSolution(z=z, w=w, v=v, residual=0.0, status="solved")
-    return replace(sol, residual=certify(p, sol))
+    res = certify(p, MlcpSolution(z=z, w=w, v=v, residual=0.0,
+                                  status="solved"))
+    if res <= CERT_TOL:
+        return MlcpSolution(z=z, w=w, v=v, residual=res, status="solved")
+    return MlcpSolution(z=z, w=w, v=v, residual=res, status="uncertified",
+                        reason=f"certified residual {res:.3g} above "
+                        f"{CERT_TOL:.0e}")
 
 
 def _assignment_solution(p, states, l, u):
     """The answer of one active-set assignment; None when its interior
     block is singular, its point z or r = M z + q is not finite, or the
     point violates a condition."""
-    z, regular = _set_point(p.M, -p.q, l, u, states)
+    b = -p.q
+    z, regular = _set_point(p.M, b, l, u, states)
     if not (regular and np.all(np.isfinite(z))):
         return None
     r = p.M @ z + p.q
     if not np.all(np.isfinite(r)):
         return None
     rl = r.tolist()
-    if _violation(states, z.tolist(), rl, l, u) is not None:
+    if _violation(states, p.M, b, z, z.tolist(), rl, l, u) is not None:
         return None
     return _solution(p, states, z, rl)
 
@@ -264,64 +277,6 @@ def solve_enumerative(p: MlcpProblem) -> MlcpSolution:
     return _unsolved(m, "infeasible", "no active set is feasible")
 
 
-def solve_psor(p: MlcpProblem) -> MlcpSolution:
-    """Projected SOR sweep at omega = 1 (projected Gauss-Seidel); needs a
-    nonzero diagonal.
-
-    Reports "solved" only for an answer whose certified residual is at most
-    CERT_TOL; a converged sweep with a larger residual is "uncertified".
-    The reason of an unsolved answer says when M is not symmetric.  A
-    non-finite M or q is "infeasible" without a sweep: the sweep's change
-    test would drop a NaN and stop as if it had converged.
-    """
-    m = p.dim
-    if m == 0:
-        return _empty_solution()
-    if np.any(p.M.diagonal() == 0):
-        raise ValueError("PSOR needs a nonzero diagonal")
-    if not (np.isfinite(p.M).all() and np.isfinite(p.q).all()):
-        return _unsolved(m, "infeasible", "M or q is not finite")
-    M, q, l, u = np.ascontiguousarray(p.M), p.q, p.l, p.u
-    z = np.clip(np.zeros(m), l, u)
-    # z_i <- clamp(z_i - (M z + q)_i / M_ii) coordinate by coordinate, to a
-    # tighter iterate tolerance: the certified residual trails the per-sweep
-    # change by the contraction rate
-    tol, sweep_tol = FEAS_TOL, FEAS_TOL * 1e-2
-    delta = 0.0
-    for _ in range(PSOR_MAX_ITER):
-        delta = 0.0
-        for i in range(m):
-            zi = z[i] - (M[i] @ z + q[i]) / M[i, i]
-            if zi < l[i]:
-                zi = l[i]
-            elif zi > u[i]:
-                zi = u[i]
-            delta = max(delta, abs(zi - z[i]))
-            z[i] = zi
-        if delta < sweep_tol:
-            break
-    r = p.M @ z + p.q
-    w, v = _split_slacks(r)
-    # slack parts on interior coordinates are residual noise, not activity
-    interior = (z > p.l + tol) & (z < p.u - tol)
-    w[interior & (np.abs(r) <= tol)] = 0.0
-    v[interior & (np.abs(r) <= tol)] = 0.0
-    sol = MlcpSolution(z=z, w=w, v=v, residual=0.0, status="solved")
-    res = certify(p, sol)
-    status, reason = "solved", ""
-    if not delta < tol:
-        status = "max-iterations"
-        reason = f"sweep change {delta:.3g} after {PSOR_MAX_ITER} sweeps"
-    elif not res <= CERT_TOL:
-        status = "uncertified"
-        reason = f"certified residual {res:.3g} above {CERT_TOL:.0e}"
-    if reason and not np.array_equal(p.M, p.M.T):
-        # Cottle, Pang & Stone (1992), ch. 5
-        reason += ("; M is not symmetric, and projected SOR is only "
-                   "guaranteed to converge for symmetric positive definite M")
-    return replace(sol, residual=res, status=status, reason=reason)
-
-
 def _pivot(M, b, l, u, states, blocks=None):
     """Murty's least-index principal pivoting from the active set `states`
     on M z - b = w - v, the box MLCP with q = -b.
@@ -341,7 +296,7 @@ def _pivot(M, b, l, u, states, blocks=None):
         r = M @ z - b
         zl, rl = z.tolist(), r.tolist()
         # least-index violated condition decides the next pivot
-        flip = _violation(key, zl, rl, l, u)
+        flip = _violation(key, M, b, z, zl, rl, l, u)
         if flip is None:
             return z, zl, rl
         states[flip[0]] = flip[1]
@@ -357,8 +312,7 @@ def _pivot(M, b, l, u, states, blocks=None):
 
 def solve_pivoting(p: MlcpProblem) -> MlcpSolution:
     """Murty-style least-index principal pivoting on the box formulation,
-    started from the all-interior active set.  An answer whose certified
-    residual is not at most CERT_TOL (NaN included) is "uncertified"."""
+    started from the all-interior active set."""
     m = p.dim
     if m == 0:
         return _empty_solution()
@@ -366,28 +320,16 @@ def solve_pivoting(p: MlcpProblem) -> MlcpSolution:
     got = _pivot(p.M, -p.q, p.l.tolist(), p.u.tolist(), states)
     if isinstance(got, str):
         return _unsolved(m, "infeasible", got)
-    sol = _solution(p, states, got[0], got[2])
-    if not sol.residual <= CERT_TOL:
-        return replace(sol, status="uncertified", reason=f"certified "
-                       f"residual {sol.residual:.3g} above {CERT_TOL:.0e}")
-    return sol
+    return _solution(p, states, got[0], got[2])
 
 
 def solve(p: MlcpProblem) -> MlcpSolution:
-    """The cold ladder: pivoting; projected SOR when pivoting does not
-    certify and the diagonal is positive; the enumerative oracle when
-    neither answers and m <= ENUM_MAX_M.  Returns the last rung's answer."""
+    """The cold ladder: pivoting, then the enumerative oracle when pivoting
+    does not answer and m <= ENUM_MAX_M.  Returns the last rung's answer."""
     sol = solve_pivoting(p)
-    if sol.status == "solved" and sol.residual <= CERT_TOL:
+    if sol.status == "solved" or p.dim > ENUM_MAX_M:
         return sol
-    # projected SOR can not converge on a diagonal entry <= 0
-    if np.all(p.M.diagonal() > 0):
-        sol = solve_psor(p)
-        if sol.status == "solved":
-            return sol
-    if p.dim <= ENUM_MAX_M:
-        return solve_enumerative(p)
-    return sol
+    return solve_enumerative(p)
 
 
 def _sign_step_1d(W, b):
@@ -396,16 +338,17 @@ def _sign_step_1d(W, b):
     Reproduces solve_pivoting's m = 1 answer bit for bit: its right-hand
     side is b + 0.0 (-0.0 becomes 0.0), its 1x1 solve is b / W, and it
     saturates only past 1 + FEAS_TOL.  Returns None where pivoting would
-    pivot again (an interior residual above FEAS_TOL, or a bound slack of
-    the wrong sign) or where the scalar certificate -- box, equation,
-    complementarity and sign, as `certify` computes them -- exceeds
-    CERT_TOL.
+    pivot again (an interior residual above `_violation`'s mixed bound, or
+    a bound slack of the wrong sign) or where the scalar certificate --
+    box, equation, complementarity and sign, as `certify` computes them --
+    exceeds CERT_TOL.
     """
     tol = FEAS_TOL
     z = (b + 0.0) / W
     if -1.0 - tol <= z <= 1.0 + tol:
         r = W * z - b
-        if abs(r) > tol:
+        if abs(r) > tol and not abs(r) <= tol * (
+                abs(W) * abs(z) + abs(b)) < math.inf:
             return None
         w = v = 0.0
     else:

@@ -39,6 +39,13 @@ def _as_vector(a, length, name):
     return v
 
 
+def _require_finite(system, names):
+    """ValueError naming the first field in `names` that is not finite."""
+    for name in names:
+        if not np.isfinite(getattr(system, name)).all():
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class LinearSignSystem:
     """dx/dt in E x + a - B Sgn(C x + D)."""
@@ -59,6 +66,7 @@ class LinearSignSystem:
         object.__setattr__(self, "B", _as_matrix(self.B, self.n, self.m, "B"))
         object.__setattr__(self, "C", _as_matrix(self.C, self.m, self.n, "C"))
         object.__setattr__(self, "D", _as_vector(self.D, self.m, "D"))
+        _require_finite(self, ("E", "a", "B", "C", "D"))
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,7 @@ class AffineGainSignSystem:
             tuple(_as_vector(C, self.n, f"C_rows[{i}]")
                   for i, C in enumerate(self.C_rows)))
         object.__setattr__(self, "D", _as_vector(self.D, self.m, "D"))
+        _require_finite(self, ("A_list", "B_list", "C_rows", "D", "rho_list"))
         if any(r < 0 for r in self.rho_list):
             raise ValueError("rho_list entries must be >= 0")
         T, H = np.stack(self.A_list, axis=1), np.vstack(self.C_rows)

@@ -102,12 +102,12 @@ def test_criterion_4_solver_oracle_equivalence():
         p = mlcp.MlcpProblem(dim=m, M=M, q=rng.standard_normal(m),
                              l=-np.ones(m), u=np.ones(m))
         ref = mlcp.solve_enumerative(p)
-        for solver in (mlcp.solve_pivoting, mlcp.solve_psor):
+        for solver in (mlcp.solve_pivoting, mlcp.solve):
             sol = solver(p)
             worst_z = max(worst_z, float(np.max(np.abs(sol.z - ref.z))))
             worst_res = max(worst_res, mlcp.certify(p, sol))
     ok = worst_z <= 1e-8 and worst_res <= 1e-9
-    verdict(4, "pivoting and PSOR match the enumerative oracle",
+    verdict(4, "pivoting and solve match the enumerative oracle",
             ok, f"max dz {worst_z:.2e}, max residual {worst_res:.2e}")
 
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -91,40 +94,6 @@ class TestEnumerative:
             mlcp.solve_enumerative(box_problem(np.eye(13), np.zeros(13)))
 
 
-class TestPsor:
-    def test_diagonal_exact(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            q = rng.uniform(-4.9, 4.9, size=2)
-            sol = mlcp.solve_psor(box_problem(5 * np.eye(2), q))
-            assert sol.status == "solved"
-            assert np.allclose(sol.z, -q / 5, atol=1e-10)
-
-    def test_saturation(self):
-        for M, q, z in (([[1.0]], [-2.0], [1.0]),
-                        (2 * np.eye(2), [-1.0, 3.0], [0.5, -1.0])):
-            sol = mlcp.solve_psor(box_problem(M, q))
-            assert sol.status == "solved"
-            assert np.allclose(sol.z, z)
-
-    def test_zero_diagonal_rejected(self):
-        with pytest.raises(ValueError):
-            mlcp.solve_psor(box_problem([[0.0]], [1.0]))
-
-    @pytest.mark.parametrize("M, q", [
-        ([[1.0, 0.2], [-0.3, 1.0]], [np.nan, 0.0]),
-        ([[1.0, 0.2], [0.2, 1.0]], [0.0, -np.inf]),
-        ([[1.0, np.inf], [0.2, 1.0]], [0.5, 0.0]),
-        ([[1.0, 0.2], [np.nan, 1.0]], [0.5, 0.0])])
-    def test_non_finite_problem_is_reported_as_such(self, M, q):
-        # the sweep's change test dropped a NaN: this problem stopped after
-        # one sweep, and its reason blamed the symmetry of M
-        sol = mlcp.solve_psor(box_problem(M, q))
-        assert (sol.status, sol.reason) == ("infeasible",
-                                            "M or q is not finite")
-        assert np.isnan(sol.z).all() and sol.residual == np.inf
-
-
 class TestPivoting:
     def test_matches_enumerative_on_examples(self):
         for M, q in ([[1.0]], [-0.5]), ([[1.0]], [-2.0]), ([[0.2]], [-0.01]):
@@ -145,6 +114,36 @@ class TestPivoting:
             a = mlcp.solve_enumerative(p)
             b = mlcp.solve_pivoting(p)
             assert np.allclose(a.z, b.z, atol=1e-8)
+
+
+# each call in a child process, so a solve that never returns fails the
+# test at the timeout instead of holding the suite
+INFINITE_ENTRY = """
+import numpy as np
+from multisurf import mlcp
+for i, entry in ((1, np.inf), (2, -np.inf)):
+    W = np.eye(3)
+    W[i, 0] = entry
+    b = np.array([0.5, 0.1, 0.2])
+    p = mlcp.encode(W, b)
+    print(mlcp.solve_pivoting(p).status, mlcp.solve_enumerative(p).status)
+    try:
+        mlcp.sign_step_solver(W)(b)
+    except mlcp.StepFailure as exc:
+        print(exc.message)
+"""
+
+
+def test_an_infinite_W_entry_ends_the_solve():
+    # lstsq on the singular interior block spun in OpenBLAS DLASCL
+    src = os.path.dirname(os.path.dirname(mlcp.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-W", "ignore", "-c",
+                          INFINITE_ENTRY], capture_output=True, text=True,
+                         env=env, timeout=30, check=True).stdout
+    failure = "one-step MLCP infeasible: no active set is feasible"
+    assert out.splitlines() == ["uncertified infeasible", failure] * 2
 
 
 class TestCertify:
@@ -178,7 +177,6 @@ class TestCertify:
         assert np.isnan(mlcp.certify(p, replace(sol, **{part: bad})))
 
     @pytest.mark.parametrize("solver", [mlcp.solve, mlcp.solve_pivoting,
-                                        mlcp.solve_psor,
                                         mlcp.solve_enumerative])
     @pytest.mark.parametrize("q", [[np.nan, 0.0], [0.0, np.nan]])
     def test_nan_problem_is_not_certified(self, solver, q):
@@ -200,11 +198,10 @@ class TestSolverAgreement:
             p = random_spd_problem(rng, m)
             ref = mlcp.solve_enumerative(p)
             assert ref.status == "solved"
-            for solver in (mlcp.solve_pivoting, mlcp.solve_psor):
-                sol = solver(p)
-                assert sol.status == "solved"
-                assert np.max(np.abs(sol.z - ref.z)) <= 1e-8
-                assert mlcp.certify(p, sol) <= 1e-9
+            sol = mlcp.solve_pivoting(p)
+            assert sol.status == "solved"
+            assert np.max(np.abs(sol.z - ref.z)) <= 1e-8
+            assert mlcp.certify(p, sol) <= 1e-9
 
     def test_encoding_soundness(self):
         rng = np.random.default_rng(5)
@@ -253,7 +250,8 @@ class TestSolvePolicy:
 
 # ---------------------------------------------------------------------------
 # oracle net: every solver against the enumerative oracle on generated box
-# MLCPs, m <= 8, scaled by h in [1e-6, 1]
+# MLCPs, m <= 8, scaled by h in [1e-6, 1], and for scales past 1 in
+# [1, 1e6], where the interior equation test is relative
 
 P_KINDS = ["spd", "pd-nonsymmetric", "p-matrix"]
 OTHER_KINDS = ["singular-minor", "positive-diagonal", "symmetric-indefinite",
@@ -307,11 +305,11 @@ def generated_problem(rng, m, m_kind, q_kind, h):
 
 
 @st.composite
-def problems(draw, kinds):
+def problems(draw, kinds, log_scales=(-6.0, 0.0)):
     m = draw(st.integers(1, 8))
     m_kind = draw(st.sampled_from(kinds))
     q_kind = draw(st.sampled_from(Q_KINDS))
-    h = 10.0 ** draw(st.floats(-6.0, 0.0))
+    h = 10.0 ** draw(st.floats(*log_scales))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return generated_problem(rng, m, m_kind, q_kind, h)
 
@@ -320,24 +318,42 @@ ORACLE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                            database=None)
 
 
-def _answers(p):
-    """Each solver's answer by name; PSOR only on a nonzero diagonal."""
-    out = {"pivot": mlcp.solve_pivoting(p), "auto": mlcp.solve(p)}
-    if np.all(p.M.diagonal() != 0):
-        out["psor"] = mlcp.solve_psor(p)
-    return out
+def _check_solved_answers(p):
+    """Every solver's "solved" answer certifies at CERT_TOL, and `solve`
+    answers wherever the oracle does."""
+    oracle = mlcp.solve_enumerative(p)
+    answers = {"oracle": oracle, "pivot": mlcp.solve_pivoting(p),
+               "auto": mlcp.solve(p)}
+    for name, sol in answers.items():
+        if sol.status == "solved":
+            assert mlcp.certify(p, sol) <= LIM, name
+    if oracle.status == "solved":
+        assert answers["auto"].status == "solved"
 
 
 @ORACLE_SETTINGS
 @given(problems(P_KINDS + OTHER_KINDS))
 def test_solved_answers_certify_and_auto_answers_where_the_oracle_does(p):
-    oracle = mlcp.solve_enumerative(p)
-    answers = _answers(p)
-    for name, sol in [("oracle", oracle), *answers.items()]:
-        if sol.status == "solved":
-            assert mlcp.certify(p, sol) <= LIM, name
-    if oracle.status == "solved":
-        assert answers["auto"].status == "solved"
+    _check_solved_answers(p)
+
+
+@ORACLE_SETTINGS
+@given(problems(P_KINDS + OTHER_KINDS, log_scales=(0.0, 6.0)))
+def test_solved_answers_certify_at_scales_past_one(p):
+    _check_solved_answers(p)
+
+
+def test_an_answer_above_the_certificate_bound_is_not_solved():
+    # the interior set passes the mixed equation test, but its certified
+    # residual is 2.98e-8 > CERT_TOL: no solver calls it solved
+    W = [[1e9, 3e8], [2e8, 1.1e9]]
+    b = [3e8 + 0.1234567, -2e8 + 0.7654321]
+    p = mlcp.encode(W, b)
+    for solver in (mlcp.solve_pivoting, mlcp.solve_enumerative, mlcp.solve):
+        sol = solver(p)
+        assert sol.status == "uncertified" and sol.residual > mlcp.CERT_TOL
+    with pytest.raises(mlcp.StepFailure, match="^one-step MLCP uncertified"):
+        mlcp.sign_step_solver(W)(np.array(b))
 
 
 @ORACLE_SETTINGS
@@ -348,12 +364,3 @@ def test_pivoting_and_auto_match_the_oracle_on_p_matrices(p):
     for sol in (mlcp.solve_pivoting(p), mlcp.solve(p)):
         assert sol.status == "solved"
         assert np.max(np.abs(sol.z - oracle.z)) <= 1e-8
-
-
-@ORACLE_SETTINGS
-@given(problems(["spd"]))
-def test_psor_matches_the_oracle_on_spd(p):
-    oracle = mlcp.solve_enumerative(p)
-    sol = mlcp.solve_psor(p)
-    assert sol.status == "solved"
-    assert np.max(np.abs(sol.z - oracle.z)) <= 1e-8

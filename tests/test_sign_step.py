@@ -6,7 +6,7 @@ agree with the enumerative oracle, and certify; every other case must go
 through the general MLCP path.  For m > 1 it answers a run of steps with
 one P-matrix W by pivoting from the previous step's active set, and must
 give what a cold start gives, bit for bit.  The cold ladder `solve` must
-answer W < 0 without running to a pivot cap or through projected SOR.
+answer W < 0 without running to a pivot cap.
 """
 
 import math
@@ -75,7 +75,8 @@ def test_closed_form_matches_oracle_and_certifies(step):
     oracle = mlcp.solve_enumerative(prob)
     assert oracle.status == "solved"
     assert abs(z[0] - oracle.z[0]) <= 1e-12
-    w, v = mlcp._split_slacks(prob.M @ z + prob.q)
+    r = prob.M @ z + prob.q
+    w, v = np.maximum(r, 0.0), np.maximum(-r, 0.0)
     sol = mlcp.MlcpSolution(z=z, w=w, v=v, residual=0.0, status="solved")
     assert mlcp.certify(prob, sol) <= 1e2 * FEAS_TOL
 
@@ -92,15 +93,21 @@ def test_nonpositive_W_takes_the_general_path(W, b):
     assert z.shape == (1,)
 
 
-def test_uncertified_closed_form_falls_back():
-    # b / W is interior but the equation residual W z - b exceeds the
-    # tolerance at this scale: the full solve ladder answers instead
+def test_closed_form_answers_a_badly_scaled_step():
+    # b / W is interior and its equation residual W z - b is one ulp at
+    # this scale, above FEAS_TOL itself but within the mixed bound: the
+    # closed form answers b / W, with the bytes of `solve`, and no cold solve
     W, b = 1298011.9315177805, -975370.0
     assert abs(W * (b / W) - b) > FEAS_TOL
-    assert mlcp._sign_step_1d(W, b) is None
+    assert mlcp._sign_step_1d(W, b) == b / W
     prob = sign_problem(W, b)
-    z = mlcp.sign_step_solver(prob.M)(-prob.q)
-    assert z.tobytes() == mlcp.solve(prob).z.tobytes()
+    with mock.patch.object(mlcp, "_cold", wraps=mlcp._cold) as cold:
+        z = mlcp.sign_step_solver(prob.M)(-prob.q)
+        one = mlcp.sign_step(prob.M, -prob.q)
+    assert cold.call_count == 0
+    ref = mlcp.solve(prob)
+    assert ref.status == "solved"
+    assert z.tobytes() == one.tobytes() == ref.z.tobytes()
 
 
 # per-index kinds of a step's solution: interior well inside the box, at a
@@ -379,10 +386,7 @@ def test_auto_ladder_on_negative_W(W, b):
     prob = sign_problem(W, b)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with mock.patch.object(mlcp, "solve_psor",
-                               wraps=mlcp.solve_psor) as psor:
-            z = mlcp.sign_step_solver(np.array([[W]]))(np.array([b]))
-        assert psor.call_count == 0
+        z = mlcp.sign_step_solver(np.array([[W]]))(np.array([b]))
         assert z.tobytes() == mlcp.solve_enumerative(prob).z.tobytes()
         # pivoting stops at its first repeated active set: at most the
         # three sets of m = 1, where the parent ran to its 200-pivot cap
@@ -393,25 +397,6 @@ def test_auto_ladder_on_negative_W(W, b):
     if piv.status != "solved":
         assert piv.status == "infeasible"
         assert piv.reason == "W is not a P-matrix (pivoting cycled)"
-
-
-def test_psor_reports_an_uncertified_answer():
-    prob = sign_problem(-1.0, 3.0)
-    sol = mlcp.solve_psor(prob)
-    assert sol.status == "uncertified" and sol.residual == 4.0
-    assert sol.reason.startswith("certified residual 4 above")
-
-
-def test_psor_failure_names_a_non_symmetric_W():
-    # filippov's W = h [[1, -2], [2, 1]] is positive definite but not
-    # symmetric; projected SOR stalls on its step-496 problem
-    W = 0.002 * np.array([[1.0, -2.0], [2.0, 1.0]])
-    sol = mlcp.solve_psor(mlcp.encode(W, [-1.9290125052862095e-14, 0.0]))
-    assert sol.status == "max-iterations"
-    assert sol.reason == (
-        "sweep change 2 after 5000 sweeps; M is not symmetric, and "
-        "projected SOR is only guaranteed to converge for symmetric "
-        "positive definite M")
 
 
 @SETTINGS
@@ -443,7 +428,6 @@ ONE_STEP_COLD = {
     "W = 0": ([[0.0]], [1.0], None),
     "W = -0.0": ([[-0.0]], [-1.0], None),
     "NaN W": ([[math.nan]], [0.5], "MLCP dim=1\nM  nan\nq  -0.5\nl  -1\nu  1"),
-    "uncertified b": ([[1298011.9315177805]], [-975370.0], None),
     "NaN b": ([[1.0]], [math.nan], "MLCP dim=1\nM  1\nq  nan\nl  -1\nu  1"),
     "inf b": ([[1.0]], [math.inf], "MLCP dim=1\nM  1\nq  -inf\nl  -1\nu  1"),
 }

@@ -186,6 +186,36 @@ class TestAffineGainSignSystem:
                 f_jac=lambda x, t: np.zeros((1, 1)))
 
 
+LINEAR_ARGS = dict(n=2, m=1, E=np.zeros((2, 2)), a=[0.0, 0.0],
+                   B=[[1.0], [0.0]], C=[[1.0, 0.0]], D=[0.0])
+AFFINE_ARGS = dict(n=1, m=2, A_list=([[1.0]], [[0.0]]),
+                   B_list=([1.0], [0.5]), C_rows=([1.0], [-1.0]),
+                   D=[0.0, 0.1], rho_list=(0.0, 0.2))
+
+
+def _with_entry(value, entry):
+    """`value` (an array, or a tuple of them) with its last entry set."""
+    if isinstance(value, tuple):
+        return value[:-1] + (_with_entry(value[-1], entry),)
+    a = np.array(value, dtype=float)
+    a.flat[-1] = entry
+    return a
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cls, args, name", [
+    *[(LinearSignSystem, LINEAR_ARGS, name)
+      for name in ("E", "a", "B", "C", "D")],
+    *[(AffineGainSignSystem, AFFINE_ARGS, name)
+      for name in ("A_list", "B_list", "C_rows", "D", "rho_list")]])
+def test_non_finite_system_data_is_named(cls, args, name, entry):
+    # a NaN rho passed `r < 0` and the run failed at step 0 with a NaN dump
+    cls(**args)
+    bad = {**args, name: _with_entry(args[name], entry)}
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        cls(**bad)
+
+
 class TestDisturbedLinearSystem:
     def make(self, alpha=0.1):
         return DisturbedLinearSystem(
