@@ -110,6 +110,22 @@ def test_closed_form_answers_a_badly_scaled_step():
     assert z.tobytes() == one.tobytes() == ref.z.tobytes()
 
 
+def test_uncertified_closed_form_falls_back():
+    # b / W is interior and its equation residual W z - b is within the
+    # mixed bound, but at this scale it exceeds CERT_TOL: the closed form
+    # declines, and the full solve ladder answers, here with the
+    # StepFailure of an uncertified answer
+    W, b = 162910815.15397093, 85430911.0
+    assert abs(W * (b / W) - b) > mlcp.CERT_TOL
+    assert mlcp._sign_step_1d(W, b) is None
+    prob = sign_problem(W, b)
+    assert mlcp.solve(prob).status == "uncertified"
+    with mock.patch.object(mlcp, "_cold", wraps=mlcp._cold) as cold:
+        with pytest.raises(mlcp.StepFailure, match="uncertified"):
+            mlcp.sign_step_solver(prob.M)(-prob.q)
+    assert cold.call_count == 1
+
+
 # per-index kinds of a step's solution: interior well inside the box, at a
 # bound with a clear slack, or at a bound with zero slack (degenerate)
 KINDS = ["interior", "interior", "lower", "upper", "lower", "upper",
@@ -430,6 +446,7 @@ ONE_STEP_COLD = {
     "NaN W": ([[math.nan]], [0.5], "MLCP dim=1\nM  nan\nq  -0.5\nl  -1\nu  1"),
     "NaN b": ([[1.0]], [math.nan], "MLCP dim=1\nM  1\nq  nan\nl  -1\nu  1"),
     "inf b": ([[1.0]], [math.inf], "MLCP dim=1\nM  1\nq  -inf\nl  -1\nu  1"),
+    "uncertified b": ([[162910815.15397093]], [85430911.0], None),
 }
 
 
