@@ -142,8 +142,10 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
     exactly I too and STATE_GUARD + |c| + |D| + 2 |Gamma diag(rho)| (max
     norms) is below 1e308, free, x, b and y are finite: L is dropped (it
     would add +0.0 to vectors without -0.0), and C = I makes b = free +
-    (D + 0.0) and y = x + (D + 0.0).  Otherwise, as under a callable c, L
-    and C stay products, since I @ v turns an infinite entry into NaN.
+    (D + 0.0) and y = x + (D + 0.0), or b = free and y = x where D is
+    absent or all +-0.0 (and the explicit sign takes sgn(x_k), as sgn(-0.0)
+    is 0.0).  Otherwise, as under a callable c, L and C stay products,
+    since I @ v turns an infinite entry into NaN.
 
     The reaching-phase block.  An implicit, time-invariant plan without
     control, with Phi and L (when given) exactly I, at most one nonzero
@@ -174,11 +176,16 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
     # the operators as a step applies them, None where one is folded
     Phi_op, c_op = (None, c0) if ident else (Phi, c)
     L_op = None if bare else L
-    C_op, D_op = (None, D0) if bare and np.array_equal(C, eye) else (C, D)
+    if bare and np.array_equal(C, eye):
+        # adding a zero D changes only a -0.0, which b and y do not hold
+        # and np.sign maps to 0.0
+        C_op, D_op = None, (D0 if np.any(D0) else None)
+    else:
+        C_op, D_op = C, D
 
     def affine(M, v, d):
         if M is None:
-            return v + d
+            return v if d is None else v + d
         return M @ v if d is None else M @ v + d
 
     def step(k, x_k, t_k, s_prev):

@@ -16,10 +16,11 @@ CERT_TOL (`_solution`).  `sign_step_solver(W)` is the one entry point for
 the sign step, with the one-surface case in closed form: a run whose W stays
 the same builds it once; the outer Newton loop, whose W changes with every
 iterate, calls `sign_step(W, b)`.  For m > 1 it pivots warm from the
-previous step's active set over cached interior blocks, each of which,
-once `np.linalg.solve` has accepted it, is solved by a direct call of the
-LAPACK gufunc behind it; a warm answer is kept on one bound test per index
-(`_certified`) and otherwise re-solved by `solve`.
+previous step's active set over cached interior blocks.  Every interior
+block, cached or not, is solved by one direct call of the LAPACK gufunc
+behind `np.linalg.solve`, on a set's first visit inside the error state
+that `np.linalg.solve` sets (`_set_point`).  A warm answer is kept on one
+bound test per index (`_certified`) and otherwise re-solved by `solve`.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ ENUM_MAX_M = 12
 _INTERIOR, _LOWER, _UPPER = 0, 1, 2
 # active sets whose blocks one solver keeps (about 1.5 MB at m = 12)
 _MAX_BLOCKS = 1024
+
+
+def _singular(err, flag):
+    """np.linalg.solve's error-state call: LAPACK found the block singular."""
+    raise np.linalg.LinAlgError("Singular matrix")
 
 
 class StepFailure(Exception):
@@ -134,20 +140,19 @@ def _set_point(M, b, l, u, key, blocks=None):
     """The point of the active set `key` (a tuple of states): bound indices
     at their bounds, the interior block of M z = b solved for the rest.
 
-    Returns (z, regular).  A singular interior block takes the minimum-norm
+    Returns (z, regular).  The LAPACK gufunc behind `np.linalg.solve`
+    solves the block, called directly; on a set's first visit inside the
+    error state that `np.linalg.solve` sets, so the bytes and the singular
+    verdict are its own.  A singular interior block takes the minimum-norm
     least-squares solve, canonical on degenerate rows, and regular False;
     a non-finite one makes the interior NaN, as lstsq never returns on some
-    blocks with an infinite entry (OpenBLAS DLASCL spins).
+    blocks with an infinite entry (OpenBLAS DLASCL spins).  The set's
+    products do not warn where an infinite entry of M meets a zero of z.
     `blocks`, a dict kept by a caller whose M, l and u stay the same, holds
-    each visited set's indexing, the products that do not involve b and
-    whether `np.linalg.solve` accepted the interior block, so a set met
-    again repeats only the arithmetic on b and the solve.  A block's first
-    solve goes through `np.linalg.solve`; after that a regular block calls
-    the LAPACK gufunc behind it directly (the same bytes, without the
-    wrapper's checks and error-state context), and a singular one goes
-    straight to lstsq.  LAPACK's singular verdict depends on the block
-    alone, so the direct call never meets it.  Uncached sets always take
-    `np.linalg.solve`.
+    each visited set's indexing, the products that do not involve b and the
+    verdict, so a set met again repeats only the arithmetic on b and the
+    solve: the gufunc without the error state on a regular block (LAPACK's
+    verdict depends on the block alone), lstsq on a singular one.
     """
     blk = None if blocks is None else blocks.get(key)
     stored = False
@@ -162,14 +167,15 @@ def _set_point(M, b, l, u, key, blocks=None):
         blk = (z0, None, None, None, None, None)
         if interior:
             I = np.array(interior)
-            MI = M[np.ix_(I, I)]
+            rows = M.take(I, 0)
+            MI = rows.take(I, 1)
             # M[I] @ z and MI @ z[I] of the set's z before its interior solve
-            blk = (z0, I, MI, M[I] @ z0, MI @ z0[I], None)
+            with np.errstate(invalid="ignore"):
+                blk = (z0, I, MI, rows @ z0, MI @ z0[I], None)
         stored = blocks is not None and len(blocks) < _MAX_BLOCKS
         if stored:
             blocks[key] = blk
-    # regular: None before the block's first solve, then whether
-    # np.linalg.solve accepted it
+    # regular: None before the block's first solve, then LAPACK's verdict
     z0, I, MI, fixed, free, regular = blk
     z = z0.copy()
     if I is None:
@@ -180,7 +186,9 @@ def _set_point(M, b, l, u, key, blocks=None):
         return z, True
     if regular is None:
         try:
-            z[I] = np.linalg.solve(MI, rhs)
+            with np.errstate(call=_singular, invalid="call", over="ignore",
+                             divide="ignore", under="ignore"):
+                z[I] = _solve1(MI, rhs, signature="dd->d")
             regular = True
         except np.linalg.LinAlgError:
             regular = False
@@ -277,7 +285,7 @@ def solve_enumerative(p: MlcpProblem) -> MlcpSolution:
     return _unsolved(m, "infeasible", "no active set is feasible")
 
 
-def _pivot(M, b, l, u, states, blocks=None):
+def _pivot(M, b, l, u, states, blocks=None, certified=False):
     """Murty's least-index principal pivoting from the active set `states`
     on M z - b = w - v, the box MLCP with q = -b.
 
@@ -289,15 +297,25 @@ def _pivot(M, b, l, u, states, blocks=None):
     as soon as a set comes back: the rule is deterministic, so a repeated
     set is a cycle that would run to the cap, and least-index pivoting does
     not cycle on a P-matrix.  `blocks` is passed on to `_set_point`.
+
+    With `certified`, on the box [-1, 1]^m, only an answer that
+    `_certified` keeps is returned, any other as a reason.  A set is kept
+    on one scan, `_certified` with every interior |r_i| <= FEAS_TOL, under
+    which `_violation` names nothing; only a set that fails it goes
+    through `_violation`.
     """
     key, seen = tuple(states), None
     while True:
         z, _ = _set_point(M, b, l, u, key, blocks)
         r = M @ z - b
         zl, rl = z.tolist(), r.tolist()
+        if certified and _certified(key, zl, rl, FEAS_TOL):
+            return z, zl, rl
         # least-index violated condition decides the next pivot
         flip = _violation(key, M, b, z, zl, rl, l, u)
         if flip is None:
+            if certified and not _certified(key, zl, rl):
+                return "uncertified or degenerate answer"
             return z, zl, rl
         states[flip[0]] = flip[1]
         if seen is None:
@@ -396,20 +414,21 @@ def _sym_part_pd(W):
     return bool(np.diag(L).min() ** 2 > len(S) * eps * np.abs(S).max())
 
 
-def _certified(states, zl, rl):
+def _certified(states, zl, rl, eq_tol=CERT_TOL):
     """Whether a pivoting answer on the box [-1, 1]^m is kept: `certify`'s
     conditions hold at lim = CERT_TOL and no index is degenerate (a bound
     index with |r_i| <= lim, or an interior one with |z_i| >= 1 - lim).
     A pivoting answer puts every bound index at exactly -1.0 or 1.0, where
     w and v are its slack r or -r, so those conditions come down to one
     test per index on z and r = W z - b (Python floats): an interior index
-    needs |z_i| < 1 - lim and |r_i| <= lim, a lower one lim < r_i < inf and
-    an upper one -inf < r_i < -lim.  NaN fails every comparison."""
+    needs |z_i| < 1 - lim and |r_i| <= eq_tol (lim unless a tighter bound
+    is asked for), a lower one lim < r_i < inf and an upper one -inf < r_i
+    < -lim.  NaN fails every comparison."""
     lim = CERT_TOL
     inner = 1.0 - lim
     for st, z, r in zip(states, zl, rl):
         if st == _INTERIOR:
-            if not (abs(z) < inner and abs(r) <= lim):
+            if not (abs(z) < inner and abs(r) <= eq_tol):
                 return False
         elif st == _LOWER:
             if not lim < r < math.inf:
@@ -502,11 +521,9 @@ def sign_step_solver(W):
     def warm(b):
         b = np.asarray(b, dtype=float)
         if b.shape == (m,):
-            got = _pivot(W, b, lower, upper, states, blocks)
+            got = _pivot(W, b, lower, upper, states, blocks, certified=True)
             if not isinstance(got, str):
-                z, zl, rl = got
-                if _certified(states, zl, rl):
-                    return z
+                return got[0]
         z = _cold(W, b)
         states[:] = [_LOWER if zi <= -1.0 else _UPPER if zi >= 1.0
                      else _INTERIOR for zi in z.tolist()]

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multisurf import integrators, mlcp
@@ -511,10 +511,12 @@ def product_step(Phi, Gamma, C, D, L, c, solve, rho):
 
 
 def _values(rng, k, kind):
-    """None, or k entries of one kind: signed zeros among small values, or
-    magnitudes near 1e300."""
+    """None, or k entries of one kind: signed zeros alone, signed zeros
+    among small values, or magnitudes near 1e300."""
     if kind == "none":
         return None
+    if kind == "zero":
+        return rng.choice([-0.0, 0.0], k)
     v = rng.uniform(-1.0, 1.0, k)
     if kind == "signed-zero":
         zero = rng.random(k) < 0.5
@@ -577,10 +579,16 @@ def operator_run(seed, E_kind, C_kind, c_kind, D_kind, theta, scheme, big,
        E_kind=st.sampled_from(["zero", "general"]),
        C_kind=st.sampled_from(["eye", "rows", "general"]),
        c_kind=st.sampled_from(["none", "signed-zero", "huge"]),
-       D_kind=st.sampled_from(["none", "signed-zero", "huge"]),
+       D_kind=st.sampled_from(["none", "zero", "signed-zero", "huge"]),
        theta=st.sampled_from([0.5, 1.0]),
        scheme=st.sampled_from(["implicit", "explicit"]),
        big=st.booleans(), with_rho=st.booleans())
+# a zero D folded away under C = I, from an x0 with -0.0 entries, whose
+# explicit sign is 0.0
+@example(seed=0, E_kind="zero", C_kind="eye", c_kind="none", D_kind="zero",
+         theta=1.0, scheme="explicit", big=False, with_rho=False)
+@example(seed=0, E_kind="zero", C_kind="eye", c_kind="none", D_kind="zero",
+         theta=1.0, scheme="implicit", big=False, with_rho=False)
 def test_plan_step_equals_the_all_product_step(seed, E_kind, C_kind, c_kind,
                                                D_kind, theta, scheme, big,
                                                with_rho):

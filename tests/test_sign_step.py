@@ -286,28 +286,58 @@ def test_warm_solver_starts_from_the_last_cold_answer():
     assert z[0] == 1.0 and abs(z[1] - 0.5) <= 1e-12
 
 
-def test_cached_block_calls_lapack_directly_after_its_first_solve():
-    # three steps on the all-interior set: np.linalg.solve accepts its
-    # block at step 1, and steps 2 and 3 call the gufunc behind it
+def test_every_block_visit_calls_lapack_directly():
+    # three steps on the all-interior set, one gufunc call each: the first
+    # inside np.linalg.solve's error state, where a singular block raises,
+    # the cached ones without it; np.linalg.solve itself is never called,
+    # by the warm steps or by the cold ladder and the oracle
     W = 0.1 * np.array([[1.0, 0.2], [-0.3, 1.0]])
-    solve = mlcp.sign_step_solver(W)
-    calls = []
-    for z0 in ([0.5, -0.5], [0.25, 0.1], [-0.4, 0.3]):
-        b = W @ np.array(z0)
-        with mock.patch.object(np.linalg, "solve",
-                               wraps=np.linalg.solve) as checked, \
-                mock.patch.object(mlcp, "_solve1",
-                                  wraps=mlcp._solve1) as direct:
-            z = solve(b)
-        calls.append((checked.call_count, direct.call_count))
-        assert z.tobytes() == _cold(W, b).tobytes()
-    assert calls == [(1, 0), (0, 1), (0, 1)]
+    solve1, default = mlcp._solve1, np.geterr()["invalid"]
+    modes = []
+
+    def direct(*args, **kwargs):
+        modes.append(np.geterr()["invalid"])
+        return solve1(*args, **kwargs)
+
+    with mock.patch.object(np.linalg, "solve", side_effect=AssertionError(
+            "np.linalg.solve called")):
+        solve = mlcp.sign_step_solver(W)
+        for z0 in ([0.5, -0.5], [0.25, 0.1], [-0.4, 0.3]):
+            b = W @ np.array(z0)
+            with mock.patch.object(mlcp, "_solve1", side_effect=direct):
+                z = solve(b)
+            assert z.tobytes() == _cold(W, b).tobytes()
+            assert z.tobytes() == mlcp.solve_enumerative(
+                mlcp.encode(W, b)).z.tobytes()
+    assert modes == ["call", default, default]
+
+
+IN, LO, UP = mlcp._INTERIOR, mlcp._LOWER, mlcp._UPPER
+
+
+def _numpy_point(M, b, key):
+    """`_set_point`'s first visit by its definition: the interior block
+    M[ix_(I, I)] solved by np.linalg.solve, and on its LinAlgError lstsq,
+    or NaN for a non-finite block.  Returns (z, regular)."""
+    z = np.array([-1.0 if st == LO else 1.0 if st == UP else 0.0
+                  for st in key])
+    I = np.array([i for i, st in enumerate(key) if st == IN])
+    MI = M[np.ix_(I, I)]
+    with np.errstate(invalid="ignore"):
+        rhs = b[I] - M[I] @ z + MI @ z[I]
+    try:
+        z[I] = np.linalg.solve(MI, rhs)
+        return z, True
+    except np.linalg.LinAlgError:
+        z[I] = np.linalg.lstsq(MI, rhs, rcond=None)[0] \
+            if np.isfinite(MI).all() else np.nan
+        return z, False
 
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_direct_lapack_solve_equals_numpy_solve_bitwise(m):
-    # `_set_point` calls this private gufunc of numpy on blocks that
-    # np.linalg.solve has accepted; a numpy without it fails here
+    # `_set_point` calls this private gufunc of numpy; a numpy without it
+    # fails here
     from numpy.linalg._umath_linalg import solve1
     assert mlcp._solve1 is solve1
     rng = np.random.default_rng(m)
@@ -320,6 +350,28 @@ def test_direct_lapack_solve_equals_numpy_solve_bitwise(m):
         rhs = rng.standard_normal(m) * 10.0 ** rng.uniform(-4, 4)
         want = np.linalg.solve(MI, rhs)
         assert solve1(MI, rhs, signature="dd->d").tobytes() == want.tobytes()
+    # a first visit of a regular, an exactly singular (a zero column) and
+    # a non-finite interior block: np.linalg.solve's bytes, or its
+    # LinAlgError and then lstsq or NaN, and no warning
+    for kind in ("regular", "singular", "inf", "-inf", "nan") * 10:
+        M = rng.standard_normal((m + 2, m + 2)) + (m + 2) * np.eye(m + 2)
+        key = [IN] * (m + 2)
+        for i in rng.choice(m + 2, 2, replace=False):
+            key[i] = LO if rng.random() < 0.5 else UP
+        I = [i for i, st in enumerate(key) if st == IN]
+        if kind == "singular":
+            M[:, rng.choice(I)] = 0.0
+        elif kind != "regular":
+            M[rng.choice(I), rng.choice(I)] = float(kind)
+        b = rng.standard_normal(m + 2)
+        want = _numpy_point(M, b, key)
+        if kind in ("regular", "singular"):
+            assert want[1] == (kind == "regular")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mlcp._set_point(M, b, [-1.0] * (m + 2), [1.0] * (m + 2),
+                                  tuple(key))
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
 
 
 # W by path: m = 1 closed form and cold ladder, m = 2 warm pivoting and
@@ -345,12 +397,14 @@ def test_nan_b_fails_the_step_with_the_problem(path):
     assert exc.value.problem_text == mlcp.format_problem(mlcp.encode(W, b))
 
 
-IN, LO, UP = mlcp._INTERIOR, mlcp._LOWER, mlcp._UPPER
 LIM = mlcp.CERT_TOL
-# the values at which the certificate's decisions turn, each with its two
-# float neighbours, and NaN, the infinities and both zeros
+# the values at which the certificate's and the keep scan's decisions
+# turn, each with its two float neighbours, and NaN, the infinities and
+# both zeros
 EDGES = [e for x in (LIM, -LIM, 1.0 - LIM, LIM - 1.0, 1.0, -1.0)
          for e in (x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf))] \
+    + [e for x in (FEAS_TOL, -FEAS_TOL)
+       for e in (x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf))] \
     + [0.0, -0.0, 2.0 * LIM, 0.5, np.inf, -np.inf, np.nan]
 EDGE_VALUES = st.one_of(st.sampled_from(EDGES),
                         st.floats(-2 * LIM, 2 * LIM),
@@ -390,6 +444,22 @@ def _certified_by_definition(states, zl, rl):
 @given(pivot_answers())
 def test_short_certificate_matches_its_definition(answer):
     assert mlcp._certified(*answer) == _certified_by_definition(*answer)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(pivot_answers())
+def test_keep_scan_is_the_certificate_with_exact_equations(answer):
+    # the warm step keeps a set on this one scan; where it does,
+    # `_violation` (here M = 0 and b = -r, so M z - b = r) names nothing
+    states, zl, rl = answer
+    kept = mlcp._certified(states, zl, rl, FEAS_TOL)
+    exact = all(abs(r) <= FEAS_TOL for s, r in zip(states, rl) if s == IN)
+    assert kept == (_certified_by_definition(states, zl, rl) and exact)
+    if kept:
+        m = len(states)
+        assert mlcp._violation(states, np.zeros((m, m)), [-r for r in rl],
+                               np.array(zl), zl, rl, [-1.0] * m,
+                               [1.0] * m) is None
 
 
 NEGATIVE_W = [-1e-6, -5e-324, -1.0]
