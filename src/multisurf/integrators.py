@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -27,17 +28,17 @@ from multisurf.systems import (AffineGainSignSystem, LinearSignSystem,
 # NEWTON_TOL, and fails after NEWTON_MAX_ITER iterations
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
-# `simulate` stops a run whose state magnitude exceeds this (blow-up)
+# a run stops at a state whose magnitude exceeds this (blow-up)
 STATE_GUARD = 1e12
 # `simulate` allocates every row of the grid before the first step; the
 # largest default run has 3,000 steps, and a grid of MAX_STEPS rows already
 # takes tens of MB per run
 MAX_STEPS = 1_000_000
-# `simulate` calls a reaching-phase block (see `step_plan`) once a step has
-# repeated the selection before it BLOCK_AFTER times: one call costs about
-# as much as that many saturated steps, so shorter phases step on.  It
-# predicts BLOCK_FIRST rows, then 16 times more after each prediction it
-# keeps whole, up to BLOCK_ROWS
+# a plan's `advance` calls its reaching-phase block (see `step_plan`) once
+# a step has repeated the selection before it BLOCK_AFTER times: one call
+# costs about as much as that many saturated steps, so shorter phases step
+# on.  It predicts BLOCK_FIRST rows, then 16 times more after each
+# prediction it keeps whole, up to BLOCK_ROWS
 BLOCK_AFTER, BLOCK_FIRST, BLOCK_ROWS = 6, 16, 4096
 # `Trajectory.to_csv` formats and writes this many rows at a time
 CSV_ROWS = 4096
@@ -78,6 +79,7 @@ class Trajectory:
     selections[0] is a placeholder 0 for implicit schemes (the scheme only
     defines s from step 1 on); explicit schemes store sgn(y_k) at every k.
     controls[k], when present, is the input held on [t_k, t_{k+1}).
+    steps_taken counts the rows a step computed, not the rows filled.
     """
 
     times: np.ndarray
@@ -87,6 +89,7 @@ class Trajectory:
     controls: Optional[np.ndarray] = None
     newton_iters: Optional[np.ndarray] = None
     failure: Optional[FailureInfo] = None
+    steps_taken: int = 0
 
     @property
     def n(self):
@@ -129,10 +132,11 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
     when given, is the input held on [t_k, t_{k+1}).  solve and control
     must be functions of their arguments alone (a warm start may keep
     state, not change an answer).  Returns step(k, x_k, t_k, s_prev) ->
-    (x, y, s, u, iters) for `simulate`.  Unless c is callable the step
-    depends on x_k alone, and its `time_invariant` attribute is true.  The
-    step's contract, which `simulate` and the `mlcp` solvers keep: x_k is
-    finite with |x_k| <= STATE_GUARD, and s lies in [-1, 1]^m to rounding.
+    (x, y, s, u, iters), one step (`simulate`'s reference), whose
+    `advance` runs them.  Unless c is callable the step depends on x_k
+    alone, and its `time_invariant` attribute is true.  The step's
+    contract, which `advance` and the `mlcp` solvers keep: x_k is finite
+    with |x_k| <= STATE_GUARD, and s lies in [-1, 1]^m to rounding.
 
     Operators that are exactly I, resolved once per plan with c constant.
     I @ v has the bytes of v + 0.0 for a finite v, and (v + 0.0) + d those
@@ -147,6 +151,16 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
     is 0.0).  Otherwise, as under a callable c, L and C stay products,
     since I @ v turns an infinite entry into NaN.
 
+    advance(k0, N, X, Y, S, U, iters, times) fills rows k0 + 1 to N of the
+    trajectory arrays in one loop that owns every rule of a linear run:
+    the guard before each step (see `_check_state`), the fixed tail and
+    the block.  It records u in U when both are given, no iterations, and
+    Y as a copy of X where y is x, and returns (k, taken, why): the row it
+    stopped at, the steps it evaluated, and the StepFailure of step k,
+    "tail" or "end".  The fixed tail: once a time-invariant step returns
+    x_k and s_k byte for byte (-0.0 is not 0.0), every later step would
+    repeat it, so its results fill the remaining rows and the run stops.
+
     The reaching-phase block.  An implicit, time-invariant plan without
     control, with Phi and L (when given) exactly I, at most one nonzero
     entry in each row of C and a solve with `saturated_run` (see
@@ -160,7 +174,9 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
     finite v without -0.0, which the block starts from and a sum does not
     make, and an entry of a product by C has at most one nonzero term, so
     a batch rounds as each row does (an exact zero is +0.0 either way, and
-    the decision ignores its sign).  Plans of E != 0, ZOH, ECB, Lyapunov,
+    the decision ignores its sign).  advance calls it once BLOCK_AFTER
+    steps in a row repeated the selection before them, but not for the
+    selection it last took no row for.  Plans of E != 0, ZOH, ECB, Lyapunov,
     explicit and Newton runs get no block.
     """
     driven = callable(c)
@@ -201,7 +217,66 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
         u = None if control is None else control(x_k, s)
         return x, affine(C_op, x, D_op), s, u, 0
 
-    step.time_invariant = not driven
+    invariant = step.time_invariant = not driven
+    y_is_x = C_op is None and D_op is None
+
+    def advance(k0, N, X, Y, S, U, iters, times):
+        block = getattr(step, "block", None)  # as the step carries it
+        record = U is not None and control is not None
+        x_k, last = X[k0], S[k0].tobytes()
+        k, taken, repeats, idle, why = k0, 0, 0, None, "end"
+        while k < N:
+            try:
+                _check_state(x_k)
+                c_k = c(times[k]) if driven else c_op
+                free = (x_k + c_k if Phi_op is None else Phi_op @ x_k
+                        if c_k is None else Phi_op @ x_k + c_k)
+                b = (x_k if solve is None else free if L_op is None
+                     else L_op @ free)
+                b = b if C_op is None else C_op @ b
+                b = b if D_op is None else b + D_op
+                s = np.sign(b) if solve is None else solve(b)
+                x = free - Gamma @ (s if rho is None else rho * s)
+                if L_op is not None:
+                    x = L_op @ x
+                y = x if C_op is None else C_op @ x
+                y = y if D_op is None else y + D_op
+                u = control(x_k, s) if record else None
+            except StepFailure as exc:
+                why = exc
+                break
+            k, taken = k + 1, taken + 1
+            X[k], S[k] = x, s
+            if not y_is_x:
+                Y[k] = y
+            if record:
+                U[k - 1] = u
+            if invariant:
+                key = s.tobytes()
+                if key != last:
+                    last, repeats = key, 0
+                elif x.tobytes() == x_k.tobytes():
+                    X[k + 1:], Y[k + 1:], S[k + 1:] = x, y, s
+                    if record:
+                        U[k:N] = u
+                    why = "tail"
+                    break
+                else:
+                    repeats += 1
+                    if (block is not None and repeats >= BLOCK_AFTER
+                            and key != idle):
+                        j = block(X[k:], Y[k:], s)
+                        S[k + 1:k + 1 + j] = s
+                        k += j
+                        x = X[k]
+                        if not j:
+                            idle = key
+            x_k = x
+        if y_is_x:
+            Y[k0 + 1:] = X[k0 + 1:]
+        return k, taken, why
+
+    step.advance = advance
     run = getattr(solve, "saturated_run", None)
     if not (run is not None and control is None and flat
             and (np.count_nonzero(C, axis=1) <= 1).all()):
@@ -301,9 +376,12 @@ def newton_plan(sys, cfg: SchemeConfig):
     M^-1 finite, takes r_smooth = +0.0 and b = y + 0.0: x_k - x_k and h rho
     times it are +0.0, and numpy's matmul sums each entry of a finite matrix
     times +0.0 from +0.0, which stays +0.0.  That step is a function of
-    (x_k, s_k): its `time_invariant` attribute is true, so `simulate` may
-    stop once a step returns x_k and s_k byte for byte.  Nonlinear and
+    (x_k, s_k): its `time_invariant` attribute is true.  Nonlinear and
     drifting affine-gain plans are unmarked and build M every iteration.
+
+    Its `advance` is the run's loop, as in `step_plan` (U unused): the
+    guard, the step from the y_k the last one returned (Y[k0] first), its
+    iterations, and a marked plan's fixed tail.
     """
     if not isinstance(sys, (AffineGainSignSystem, NonlinearSignSystem)):
         raise TypeError("newton_plan needs an affine-gain or nonlinear system")
@@ -393,7 +471,24 @@ def newton_plan(sys, cfg: SchemeConfig):
                           f"{last_res:.3g} after {it} iterations",
                           residual=last_res)
 
+    def advance(k0, N, X, Y, S, U, iters, times):
+        x_k, s_k, y_k = X[k0], S[k0], Y[k0]
+        for k in range(k0, N):
+            try:
+                _check_state(x_k)
+                x, s, y, it = step(x_k, times[k], s_k, y_k)
+            except StepFailure as exc:
+                return k, k - k0, exc
+            X[k + 1], Y[k + 1], S[k + 1], iters[k + 1] = x, y, s, it
+            if (drift_free and x.tobytes() == x_k.tobytes()
+                    and s.tobytes() == s_k.tobytes()):
+                X[k + 2:], Y[k + 2:], S[k + 2:], iters[k + 2:] = x, y, s, it
+                return k + 1, k + 1 - k0, "tail"
+            x_k, s_k, y_k = x, s, y
+        return N, N - k0, "end"
+
     step.time_invariant = drift_free
+    step.advance = advance
     return step
 
 
@@ -449,32 +544,59 @@ def grid_steps(t0, T, h):
     return max(0, math.ceil(steps))
 
 
+def _check_state(x):
+    """Fail a step from x unless x is finite with max |x_i| <= STATE_GUARD,
+    checked in that order.  fsum(|x_i|) <= STATE_GUARD accepts soundly on
+    every Python: fsum rounds the exact sum once, which is at least the
+    largest |x_i|, and rounding is monotone; NaN or inf fails <=, and a
+    finite sum that overflows raises.  The rest takes one reduction: NaN
+    propagates through .max(), and |x_i| = inf fails `< inf`.
+    """
+    try:
+        if math.fsum(map(abs, x.tolist())) <= STATE_GUARD:
+            return
+    except OverflowError:
+        pass
+    mag = float(np.abs(x).max())
+    if not mag < math.inf:
+        raise StepFailure("state is not finite")
+    if mag > STATE_GUARD:
+        raise StepFailure(f"state magnitude exceeded guard {STATE_GUARD:g}")
+
+
+def _stepwise(step, k0, N, X, Y, S, U, iters, times):
+    """`advance` for a plain step: each step in turn, after the guard."""
+    s = S[k0].copy()
+    for k in range(k0, N):
+        try:
+            _check_state(X[k])
+            x, y, s, u, it = step(k, X[k], times[k], s)
+        except StepFailure as exc:
+            return k, k - k0, exc
+        X[k + 1], Y[k + 1], S[k + 1], iters[k + 1] = x, y, s, it
+        if U is not None and u is not None:
+            U[k] = u
+    return N, N - k0, "end"
+
+
 def simulate(step, x0, y0, t0, T, h, *, explicit_signs=False,
              record_controls=False):
-    """Drive a one-step map over the uniform grid and record everything.
+    """Run a step over the uniform grid and record everything.
 
     step(k, x_k, t_k, s_k) returns (x, y, s, u, iters): the next state and
     output, the selection the step used (s_{k+1} of an implicit step,
     sgn(y_k) of an explicit one), the control held on [t_k, t_{k+1}) or
     None, and the Newton iterations.  s_k is the previous selection (warm
-    start), 0 initially, and y0 fixes the number of surfaces m.  On
-    StepFailure the partial trajectory is returned with failure diagnostics
-    attached; a state magnitude above STATE_GUARD (blow-up) fails the step.
+    start), 0 initially, and y0 fixes the number of surfaces m.
 
-    A step whose `time_invariant` attribute is true is a function of
-    (x_k, s_k) alone: a linear-class plan without a time-driven input (see
-    `step_plan`) or the Newton plan of a drift-free affine-gain system (see
-    `newton_plan`), which warm-starts from s_k.  Once such a step returns
-    x_k and s_k byte for byte, every later step would repeat it: its state,
-    output, selection, control and iterations fill the remaining rows and
-    the run stops.  s is compared only once x has repeated.  Unmarked
-    (driven, drifting Newton, user-supplied) steps run on.
-
-    Once BLOCK_AFTER steps in a row repeat the selection before them byte
-    for byte, a step's `block` (see `step_plan`; such a step returns s as
-    a float64 vector) fills the leading rows ahead that stepping would
-    give, and stepping resumes after them; a block that fills none is not
-    called again until the selection changes.
+    simulate owns the grid, the rows, the failure record, the explicit
+    signs (selections = sgn(outputs)) and the last held control.  A
+    plan's `advance` (see `step_plan` and `newton_plan`) owns the loop and
+    the plan's rules, the fixed tail and the block among them; any other
+    callable takes every step in turn, the reference for every plan.  A
+    state that is not finite or exceeds STATE_GUARD (blow-up) fails the
+    step (see `_check_state`); on StepFailure the partial trajectory is
+    returned with failure diagnostics attached.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -488,68 +610,14 @@ def simulate(step, x0, y0, t0, T, h, *, explicit_signs=False,
     iters = np.zeros(N + 1, dtype=int)
     states[0] = x0
     outputs[0] = y0
-    failure = None
-    s_prev = np.zeros(m)
-    end = N + 1
-    fixed_tail = getattr(step, "time_invariant", False)
-    block = getattr(step, "block", None)
-    # the bytes of the last state and selection, how often that selection
-    # has repeated, and the selection the block last took no step for
-    last_x, last = states[0].tobytes(), selections[0].tobytes()
-    repeats, idle = 0, None
-    guard = STATE_GUARD
-    k = 0
-    while k < N:
-        try:
-            # one reduction: NaN propagates through max, and |x| = inf
-            # also fails `< inf`
-            mag = float(np.abs(states[k]).max())
-            if not mag < math.inf:
-                raise StepFailure("state is not finite")
-            if mag > guard:
-                raise StepFailure(f"state magnitude exceeded guard {guard:g}")
-            x, y, s, u, it = step(k, states[k], times[k], s_prev)
-        except StepFailure as exc:
-            failure = FailureInfo(step=k, time=float(times[k]),
-                                  message=exc.message,
-                                  detail=exc.problem_text)
-            end = k + 1
-            break
-        states[k + 1] = x
-        outputs[k + 1] = y
-        selections[k + 1] = s_prev = s
-        if record_controls and u is not None:
-            controls[k] = u
-        iters[k + 1] = it
-        if fixed_tail:
-            # bytes, not ==: a step from -0.0 need not repeat one from 0.0
-            key = states[k + 1].tobytes()
-            if (key == last_x and selections[k + 1].tobytes()
-                    == selections[k].tobytes()):
-                states[k + 2:] = x
-                outputs[k + 2:] = y
-                selections[k + 2:] = s
-                if record_controls and u is not None:
-                    controls[k + 1:N] = u
-                iters[k + 2:] = it
-                break
-            last_x = key
-        if block is not None:
-            key = s.tobytes()
-            if key != last:
-                last, repeats = key, 0
-            else:
-                repeats += 1
-                if repeats >= BLOCK_AFTER and key != idle:
-                    j = block(states[k + 1:], outputs[k + 1:], s)
-                    selections[k + 2:k + 2 + j] = s
-                    iters[k + 2:k + 2 + j] = it
-                    k += j
-                    if j:
-                        last_x = states[k + 1].tobytes()
-                    else:
-                        idle = key
-        k += 1
+    advance = getattr(step, "advance", None) or partial(_stepwise, step)
+    k, taken, why = advance(0, N, states, outputs, selections, controls,
+                            iters, times)
+    failure, end = None, N + 1
+    if isinstance(why, StepFailure):
+        failure = FailureInfo(step=k, time=float(times[k]),
+                              message=why.message, detail=why.problem_text)
+        end = k + 1
     if explicit_signs:
         selections[:end] = np.sign(outputs[:end])
     if record_controls and failure is None and N > 0:
@@ -557,7 +625,8 @@ def simulate(step, x0, y0, t0, T, h, *, explicit_signs=False,
     return Trajectory(times=times[:end], states=states[:end],
                       selections=selections[:end], outputs=outputs[:end],
                       controls=controls[:end] if record_controls else None,
-                      newton_iters=iters[:end], failure=failure)
+                      newton_iters=iters[:end], failure=failure,
+                      steps_taken=taken)
 
 
 def simulate_linear(sys: LinearSignSystem, x0, t0, T, cfg: SchemeConfig,
@@ -570,20 +639,11 @@ def simulate_linear(sys: LinearSignSystem, x0, t0, T, cfg: SchemeConfig,
 
 
 def simulate_newton(sys, x0, t0, T, cfg: SchemeConfig):
-    """Convenience loop for the affine-gain / nonlinear classes."""
+    """Convenience loop for the affine-gain / nonlinear classes: the plan's
+    `advance` owns the rows (see `newton_plan`), `simulate` the grid."""
     plan = newton_plan(sys, cfg)
     x0 = _as_vector(x0, sys.n, "x0")
-    y = y0 = sys.surface(x0)
-
-    def step(k, x_k, t_k, s_prev):
-        # `simulate` steps from the state the last call returned, so the
-        # output it returned is the surface at x_k
-        nonlocal y
-        x, s, y, it = plan(x_k, t_k, s_prev, y)
-        return x, y, s, None, it
-
-    step.time_invariant = plan.time_invariant
-    return simulate(step, x0, y0, t0, T, cfg.h)
+    return simulate(plan, x0, sys.surface(x0), t0, T, cfg.h)
 
 
 def simulate_zoh(pair: ZohPair, C, D, x0, t0, T, h, mode="implicit"):

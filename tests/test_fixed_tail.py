@@ -1,13 +1,14 @@
-"""The fixed tail: `simulate` stops once a time-invariant step repeats.
+"""The fixed tail: a time-invariant plan stops once a step repeats.
 
-A marked step is a function of (x_k, s_k) alone: a linear-class plan
+A marked plan is a function of (x_k, s_k) alone: a linear-class plan
 without a time-driven input, or the Newton plan of an affine-gain system
-without smooth drift, which warm-starts from s_k.  Once a marked step
-returns both x_k and s_k byte for byte every later step returns the same
-results, and `simulate` fills the remaining rows instead of stepping.  Each
-run here is compared, array by array as bytes, with a step-by-step
-reference: the same run with the plan's step wrapped in a plain function,
-which carries no `time_invariant` mark, so `simulate` takes every step.
+without smooth drift, which warm-starts from s_k.  Once a marked plan's
+step returns both x_k and s_k byte for byte every later step returns the
+same results, and the plan's `advance` fills the remaining rows instead of
+stepping.  Each run here is compared, array by array as bytes, with a
+step-by-step reference: the same run with the plan's step wrapped in a
+plain function, which `simulate` steps in its generic loop, every step
+taken.  `Trajectory.steps_taken` counts the steps a run took.
 """
 
 import dataclasses
@@ -30,31 +31,27 @@ FIELDS = ("times", "states", "selections", "outputs", "controls",
           "newton_iters")
 
 
-def _unmarked(step, *args, **kwargs):
+def _plain(step, *args, **kwargs):
     return SIMULATE(lambda *a: step(*a), *args, **kwargs)
 
 
 def stepwise(run, *args, module=integrators, **kwargs):
     """run(*args, **kwargs) with every step taken: `simulate`, as `module`
-    names it, gets the plan's step wrapped in an unmarked function."""
-    with mock.patch.object(module, "simulate", _unmarked):
+    names it, gets the linear plan's step wrapped in a plain function."""
+    with mock.patch.object(module, "simulate", _plain):
         return run(*args, **kwargs)
 
 
-def step_calls(run, *args, module=integrators, **kwargs):
-    """(trajectory, steps taken) of run(*args, **kwargs), mark kept."""
-    calls = []
+def newton_stepwise(sys, x0, t0, T, cfg):
+    """`simulate_newton` with every step taken: the Newton plan's step as a
+    plain function, which evaluates the surface at x_k itself."""
+    plan = integrators.newton_plan(sys, cfg)
 
-    def counting(step, *a, **kw):
-        def counted(*s):
-            calls.append(s[0])
-            return step(*s)
-        counted.time_invariant = getattr(step, "time_invariant", False)
-        return SIMULATE(counted, *a, **kw)
-
-    with mock.patch.object(module, "simulate", counting):
-        traj = run(*args, **kwargs)
-    return traj, len(calls)
+    def step(k, x_k, t_k, s_k):
+        x, s, y, it = plan(x_k, t_k, s_k)
+        return x, y, s, None, it
+    x0 = np.asarray(x0, dtype=float)
+    return SIMULATE(step, x0, sys.surface(x0), t0, T, cfg.h)
 
 
 def assert_same(got, ref):
@@ -65,6 +62,7 @@ def assert_same(got, ref):
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
     assert got.failure == ref.failure
+    assert ref.steps_taken == len(ref.times) - 1
 
 
 # dyadic entries and step sizes make exact fixed points common; the
@@ -103,11 +101,10 @@ def linear_pair(seed):
     of steps the skipped one took."""
     sys, x0, T, cfg, scheme = linear_run(np.random.default_rng(seed))
     with np.errstate(all="ignore"):
-        got, taken = step_calls(integrators.simulate_linear, sys, x0, 0.0,
-                                T, cfg, scheme)
+        got = integrators.simulate_linear(sys, x0, 0.0, T, cfg, scheme)
         ref = stepwise(integrators.simulate_linear, sys, x0, 0.0, T, cfg,
                        scheme)
-    return got, ref, taken
+    return got, ref, got.steps_taken
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -135,9 +132,8 @@ def test_fixed_point_on_the_last_step():
     sys, cfg = simple_system(), SchemeConfig(h=0.25)
     for T, taken in ((1.25, 5), (1.5, 6), (3.0, 6)):
         ref = stepwise(integrators.simulate_linear, sys, [1.0], 0.0, T, cfg)
-        got, calls = step_calls(integrators.simulate_linear, sys, [1.0],
-                                0.0, T, cfg)
-        assert calls == taken and got.states[-1, 0] == 0.0
+        got = integrators.simulate_linear(sys, [1.0], 0.0, T, cfg)
+        assert got.steps_taken == taken and got.states[-1, 0] == 0.0
         assert_same(got, ref)
 
 
@@ -148,9 +144,25 @@ def test_zoh_run_skips_its_fixed_tail(mode):
     pair = integrators.zoh_discretize([[0.0]], [[1.0]], [[1.0]], 0.25)
     args = (pair, [[1.0]], [0.0], [1.0], 0.0, 5.0, 0.25, mode)
     ref = stepwise(integrators.simulate_zoh, *args)
-    got, calls = step_calls(integrators.simulate_zoh, *args)
-    assert calls == 6 and len(got.times) == 21
+    got = integrators.simulate_zoh(*args)
+    assert got.steps_taken == 6 and len(got.times) == 21
     assert_same(got, ref)
+
+
+def test_advance_says_where_and_why_it_stopped():
+    # x = 1 - k/4 repeats x and s on step 5 (row 6); a grid of 3 steps ends
+    # first; from a state past the guard step 0 fails
+    h = 0.25
+    plan = integrators.step_plan(np.eye(1), h * np.eye(1), np.eye(1),
+                                 solve=mlcp.sign_step_solver(h * np.eye(1)))
+    for x0, N, want in ((1.0, 12, (6, 6, "tail")), (1.0, 3, (3, 3, "end")),
+                        (2e12, 12, (0, 0, "state magnitude exceeded "
+                                          "guard 1e+12"))):
+        X, Y, S = (np.zeros((N + 1, 1)) for _ in range(3))
+        X[0] = Y[0] = x0
+        k, taken, why = plan.advance(0, N, X, Y, S, None, np.zeros(N + 1),
+                                     h * np.arange(N + 1))
+        assert (k, taken, getattr(why, "message", why)) == want
 
 
 def _control_run(h, T):
@@ -166,24 +178,20 @@ def test_recorded_controls_fill_the_fixed_tail():
     # no registry ECB-SMC run reaches a fixed point (both decay
     # geometrically), so the scalar system carries the control here
     ref = stepwise(_control_run, 0.1, 2.0)
-    got, calls = step_calls(_control_run, 0.1, 2.0)
-    assert calls < 20 and got.controls[-1, 0] == 1.0
+    got = _control_run(0.1, 2.0)
+    assert got.steps_taken < 20 and got.controls[-1, 0] == 1.0
     assert_same(got, ref)
 
 
 def test_signed_zero_is_not_a_repeat():
-    # a marked step that maps 0.0 to -0.0 and back never repeats its input
-    # byte for byte, so every step runs
-    calls = []
-
-    def flip(k, x_k, t_k, s_prev):
-        calls.append(k)
-        return -x_k, -x_k, np.zeros(1), None, 0
-    flip.time_invariant = True
-    traj = integrators.simulate(flip, [0.0], [0.0], 0.0, 1.0, 0.1)
-    assert len(calls) == 10
-    assert [np.signbit(x) for x in traj.states[:, 0]] == \
-        [k % 2 == 1 for k in range(11)]
+    # from x0 = -0.0 the simple plan's first step returns +0.0 under the
+    # placeholder selection 0.0: equal to x_0, but not its bytes, so the
+    # tail starts one step later, at the first repeat byte for byte
+    args = (simple_system(), [-0.0], 0.0, 1.0, SchemeConfig(h=0.1))
+    got = integrators.simulate_linear(*args)
+    assert got.steps_taken == 2 and got.states[1, 0] == got.states[0, 0]
+    assert [np.signbit(x) for x in got.states[:, 0]] == [True] + [False] * 10
+    assert_same(got, stepwise(integrators.simulate_linear, *args))
 
 
 def test_lyapunov_run_repeats_before_it_settles():
@@ -251,26 +259,38 @@ def test_drifting_affine_run_takes_every_step():
     # x = 0 and s = 0 repeat from step 3 until the drift starts, which
     # moves s to 0.5: a fixed tail there would miss it
     args = (_drifting_affine(), [0.25], 0.0, 3.0, SchemeConfig(h=0.125))
-    got, calls = step_calls(integrators.simulate_newton, *args)
-    assert calls == 24 and got.selections[-1, 0] == 0.5
-    assert_same(got, stepwise(integrators.simulate_newton, *args))
+    got = integrators.simulate_newton(*args)
+    assert got.steps_taken == 24 and got.selections[-1, 0] == 0.5
+    assert_same(got, newton_stepwise(*args))
+
+
+def _changed_selection_run(kind):
+    """(run, step-by-step run) of a marked plan whose state repeats first on
+    a step that changes the selection: x = (1, 0.5) - k h s on two
+    decoupled surfaces, or the hypomonotone Newton plan from 0.5, both at
+    h = 0.25."""
+    h = 0.25
+    if kind == "newton":
+        args = (hypomonotone_system(), [0.5], 0.0, 3.0, SchemeConfig(h=h))
+        return integrators.simulate_newton(*args), newton_stepwise(*args)
+    plan = integrators.step_plan(np.eye(2), h * np.eye(2), np.eye(2),
+                                 solve=mlcp.sign_step_solver(h * np.eye(2)))
+    args = ([1.0, 0.5], [1.0, 0.5], 0.0, 3.0, h)
+    return integrators.simulate(plan, *args), _plain(plan, *args)
 
 
 def test_changed_selection_is_not_a_repeat():
-    # a marked step that keeps x_k but moves s by 0.25 until it reaches 1
-    # repeats both only on step 4, so steps 0 to 4 run
-    calls = []
-
-    def climb(k, x_k, t_k, s_prev):
-        calls.append(k)
-        return x_k, x_k, np.minimum(s_prev + 0.25, 1.0), None, 0
-    climb.time_invariant = True
-    traj = integrators.simulate(climb, [0.5], [0.5], 0.0, 1.0, 0.1)
-    assert calls == [0, 1, 2, 3, 4]
-    assert traj.selections[:, 0].tolist() == \
-        [0.0, 0.25, 0.5, 0.75] + [1.0] * 7
-    ref = _unmarked(climb, [0.5], [0.5], 0.0, 1.0, 0.1)
-    assert_same(traj, ref)
+    # the step on which x_k first repeats moves s, so the run takes one
+    # step more, and the tail starts on the step after it
+    for kind in ("linear", "newton"):
+        got, ref = _changed_selection_run(kind)
+        X, S = got.states, got.selections
+        r = next(k for k in range(1, len(X))
+                 if X[k].tobytes() == X[k - 1].tobytes())
+        assert S[r].tobytes() != S[r - 1].tobytes(), kind
+        assert S[r + 1].tobytes() == S[r].tobytes(), kind
+        assert got.steps_taken == r + 1 < len(got.times) - 1, kind
+        assert_same(got, ref)
 
 
 def newton_run(rng, wide=False):
@@ -305,10 +325,9 @@ def newton_pair(seed):
     of steps the skipped one took."""
     sys, x0, T, cfg = newton_run(np.random.default_rng(seed))
     with np.errstate(all="ignore"):
-        got, taken = step_calls(integrators.simulate_newton, sys, x0, 0.0,
-                                T, cfg)
-        ref = stepwise(integrators.simulate_newton, sys, x0, 0.0, T, cfg)
-    return got, ref, taken
+        got = integrators.simulate_newton(sys, x0, 0.0, T, cfg)
+        ref = newton_stepwise(sys, x0, 0.0, T, cfg)
+    return got, ref, got.steps_taken
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -404,6 +423,55 @@ def test_hypomonotone_run_stops_at_its_tail():
     # x0 = 2.5 reaches zero at t = ln(3.5) < 1.26: the state first repeats
     # on step 1255 and state and selection on step 1256, of 2000
     args = (hypomonotone_system(), [2.5], 0.0, 2.0, SchemeConfig(h=1e-3))
-    got, calls = step_calls(integrators.simulate_newton, *args)
-    assert calls == 1257 and len(got.times) == 2001
-    assert_same(got, stepwise(integrators.simulate_newton, *args))
+    got = integrators.simulate_newton(*args)
+    assert got.steps_taken == 1257 and len(got.times) == 2001
+    assert_same(got, newton_stepwise(*args))
+
+
+def _nan_drift_affine():
+    # a drift that turns NaN after t = 1: the one-step MLCP fails with a dump
+    return AffineGainSignSystem(
+        n=1, m=1, A_list=([[1.0]],), B_list=([1.0],), C_rows=([1.0],),
+        D=[0.0], f=lambda x, t: np.array([np.nan if t > 1.0 else 0.5]),
+        f_jac=lambda x, t: np.zeros((1, 1)))
+
+
+def _failing_run(case, plain):
+    """A run that fails, through the plans or (plain) step by step."""
+    def through(run, *args, module=integrators):
+        return stepwise(run, *args, module=module) if plain else run(*args)
+    if case == "simple-overflow":
+        # as `multisurf run simple --x0 1e308`: the guard fails step 0
+        return through(run_experiment, "simple",
+                       {"x0": 1e308}).trajectories["traj"]
+    if case == "explicit-guard":
+        # forward Euler grows x_0 by 1.5 a step past the guard
+        sys = LinearSignSystem(n=2, m=1, E=[[1.0, 0.0], [0.0, -1.0]],
+                               a=[0.0, 0.0], B=[[0.5], [1.0]],
+                               C=[[0.0, 1.0]], D=[0.0])
+        return through(integrators.simulate_linear, sys, [1.0, 0.5], 0.0,
+                       50.0, SchemeConfig(h=0.5), "explicit")
+    if case == "ecb-controls":
+        # x_0 grows as e^{2t} off the surface, and the recorded control
+        # -(x_0 + s) with it
+        ctl = controllers.EcbSmcController(
+            F=[[2.0, 0.0], [1.0, 0.0]], G=[[0.0], [1.0]], C=[[0.0, 1.0]],
+            alpha=1.0, h=0.1)
+        return through(controllers.simulate_ecb, ctl, [1.0, 0.5], 0.0, 20.0,
+                       module=controllers)
+    args = (_nan_drift_affine(), [0.25], 0.0, 3.0, SchemeConfig(h=0.125))
+    return (newton_stepwise if plain else integrators.simulate_newton)(*args)
+
+
+@pytest.mark.parametrize("case, step", [
+    ("simple-overflow", 0), ("explicit-guard", 69), ("ecb-controls", 139),
+    ("newton-mlcp", 8)])
+def test_failure_through_a_plan_matches_the_stepwise_run(case, step):
+    # the failure's step, time, message and MLCP dump, the controls and the
+    # Newton iterations, byte for byte
+    got = _failing_run(case, plain=False)
+    assert got.failure.step == step and got.steps_taken == step
+    assert (got.failure.detail is not None) == (case == "newton-mlcp")
+    if case == "ecb-controls":
+        assert got.controls[step - 1, 0] != 0.0
+    assert_same(got, _failing_run(case, plain=True))

@@ -629,3 +629,40 @@ def test_overflowing_gamma_keeps_its_products():
         "state is not finite"
     assert got.states[1][0] == -np.inf and np.isnan(got.states[1][1])
 
+
+
+GUARD = integrators.STATE_GUARD
+# the guard's edge values: signed zeros, NaN, the infinities, the guard and
+# its float neighbours, subnormals, and finite values whose sum overflows
+GUARD_EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf, GUARD, -GUARD,
+               np.nextafter(GUARD, 0.0), np.nextafter(GUARD, math.inf),
+               -np.nextafter(GUARD, math.inf), 5e-324, -5e-324,
+               2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+               0.6 * GUARD]
+
+
+def _reduction_verdict(x):
+    """The message of the guard as one reduction, or None where it passes."""
+    mag = float(np.abs(x).max())
+    if not mag < math.inf:
+        return "state is not finite"
+    if mag > GUARD:
+        return "state magnitude exceeded guard 1e+12"
+    return None
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.sampled_from(GUARD_EDGES), st.floats()),
+                min_size=1, max_size=12))
+@example([1e308, 1e308])                   # finite entries, the sum overflows
+@example([1e308, 1e308, math.nan])
+@example([0.6 * GUARD, 0.6 * GUARD])      # sum above the guard, max within
+@example([GUARD, 5e-324])
+def test_guard_accepts_what_the_reduction_accepts(x):
+    x = np.array(x)
+    try:
+        integrators._check_state(x)
+        verdict = None
+    except StepFailure as exc:
+        verdict = exc.message
+    assert verdict == _reduction_verdict(x)

@@ -2,13 +2,13 @@
 operation.
 
 While every surface stays saturated, a step of an implicit plan with
-Phi = L = I is x_{k+1} = (x_k + c) - g with a constant g, and `simulate`
-hands the rows ahead to the plan's `block`, which predicts them by one
+Phi = L = I is x_{k+1} = (x_k + c) - g with a constant g, and the plan's
+`advance` hands the rows ahead to its `block`, which predicts them by one
 accumulate and keeps those that the solver's vectorised decision
 (`saturated_run`) answers with the same selection.  Each run here is
 compared, array by array as bytes, with the same plan wrapped in a plain
-function that carries only the `time_invariant` mark, so `simulate` takes
-every step that the fixed tail does not fill.
+function, which `simulate` steps in its generic loop, every step taken.
+`Trajectory.steps_taken` counts the steps a run took.
 """
 
 import warnings
@@ -30,22 +30,10 @@ FIELDS = ("times", "states", "selections", "outputs", "newton_iters")
 
 
 def per_step(plan):
-    """The plan without its block: every step that the fixed tail does not
-    fill is taken."""
+    """The plan's step as a plain function: every step is taken."""
     def plain(*args):
         return plan(*args)
-    plain.time_invariant = plan.time_invariant
     return plain
-
-
-def counted(plan, calls):
-    """The plan, block and mark kept, appending each step it takes."""
-    def step(*args):
-        calls.append(args[0])
-        return plan(*args)
-    step.time_invariant = plan.time_invariant
-    step.block = plan.block
-    return step
 
 
 def assert_same(got, ref):
@@ -54,6 +42,7 @@ def assert_same(got, ref):
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
     assert got.failure == ref.failure
+    assert ref.steps_taken == len(ref.times) - 1
 
 
 def linear_plan(sys, h):
@@ -66,12 +55,10 @@ def linear_pair(sys, x0, T, h):
     system."""
     x0 = np.asarray(x0, dtype=float)
     y0 = sys.C @ x0 + sys.D
-    calls = []
-    got = integrators.simulate(counted(linear_plan(sys, h), calls), x0, y0,
-                               0.0, T, h)
+    got = integrators.simulate(linear_plan(sys, h), x0, y0, 0.0, T, h)
     ref = integrators.simulate(per_step(linear_plan(sys, h)), x0, y0, 0.0,
                                T, h)
-    return got, ref, len(calls)
+    return got, ref, got.steps_taken
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +103,12 @@ def test_only_identity_plans_with_a_decision_get_a_block():
     ("zoh-mimo", False), ("lyapunov", False), ("observer", False),
     ("hypomonotone", False)])
 def test_registry_experiments_that_take_the_block(name, block, monkeypatch):
+    # every registry run hands `simulate` a plan, which runs its own loop
     seen = []
     simulate = integrators.simulate
 
     def capture(step, *a, **kw):
+        assert hasattr(step, "advance")
         seen.append(hasattr(step, "block"))
         return simulate(step, *a, **kw)
     monkeypatch.setattr(integrators, "simulate", capture)
