@@ -95,11 +95,7 @@ def _run_and_report(name, overrides, out_dir):
     return 0 if result.all_passed else 1
 
 
-def _do_run(args):
-    overrides = {k: getattr(args, k) for k in
-                 ("h", "T", "theta", "gamma", "scheme", "x0", "tau",
-                  "alpha")}
-    overrides = {k: v for k, v in overrides.items() if v is not None}
+def _do_run(args, overrides):
     spec = experiments.REGISTRY.get(args.name)
     extra = [k for k in overrides if k not in spec.defaults] if spec else []
     if extra:
@@ -121,19 +117,16 @@ def _do_list(args):
     return 0
 
 
-def _do_convergence(args):
-    overrides = {k: getattr(args, k) for k in ("h_min", "h_max", "points")}
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    return _run_and_report("convergence", overrides, args.out)
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _do_run(args)
     if args.command == "list":
         return _do_list(args)
-    return _do_convergence(args)
+    # the options given, under their parser names (the one list of flags)
+    overrides = {k: v for k, v in vars(args).items()
+                 if k not in ("command", "name", "out") and v is not None}
+    if args.command == "run":
+        return _do_run(args, overrides)
+    return _run_and_report("convergence", overrides, args.out)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from multisurf.systems import DisturbedLinearSystem, _as_vector
 
 def iec_control(x_k, h):
     """Scalar implicit Euler controller u_k = -proj_[-1,1](x_k / h)."""
-    if h <= 0:
+    if not h > 0:
         raise ValueError("h must be > 0")
     return -float(np.clip(x_k / h, -1.0, 1.0))
 

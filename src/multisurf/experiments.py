@@ -187,8 +187,9 @@ def _completed(traj):
 # runners
 
 def _cfg(params):
-    return SchemeConfig(h=params["h"], theta=params["theta"],
-                        gamma=params["gamma"])
+    """The scheme the entry's keys set; a key it lacks keeps its default."""
+    return SchemeConfig(**{k: params[k] for k in ("h", "theta", "gamma")
+                           if k in params})
 
 
 def run_simple(params):
@@ -375,7 +376,11 @@ def _drift_radius(E, h, theta):
     eigenvalue lambda < 0 of E.
     """
     eye = np.eye(len(E))
-    M = np.linalg.solve(eye - h * theta * E, eye + h * (1 - theta) * E)
+    try:
+        M = np.linalg.solve(eye - h * theta * E, eye + h * (1 - theta) * E)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"I - h*theta*E is singular at h = {h}, theta = "
+                         f"{theta}: the drift map is undefined") from None
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
@@ -439,46 +444,47 @@ def run_hypomonotone(params):
 # ---------------------------------------------------------------------------
 # registry
 
-def _base(h, T, x0, scheme="implicit", **extra):
-    return {"h": h, "T": T, "x0": x0, "scheme": scheme, "theta": 1.0,
-            "gamma": 1.0, **extra}
+def _theta_scheme(h, T, x0, **extra):
+    return {"h": h, "T": T, "x0": x0, "scheme": "implicit", "theta": 1.0,
+            **extra}
 
 
+# an entry's defaults are exactly the keys its runner reads
 REGISTRY = {
     "simple": ExperimentSpec(
         "simple", "scalar sign system, finite-time exact stabilization",
-        _base(0.2, 3.0, [1.01]), run_simple),
+        _theta_scheme(0.2, 3.0, [1.01]), run_simple),
     "convergence": ExperimentSpec(
         "convergence", "h-sweep of the selection error on the scalar system",
-        _base(0.01, 3.0, [1.01], h_min=1e-3, h_max=1e-1, points=8),
+        dict(T=3.0, x0=[1.01], h_min=1e-3, h_max=1e-1, points=8),
         run_convergence),
     "galias2007": ExperimentSpec(
         "galias2007", "second-order SMC loop, implicit vs explicit Euler",
-        _base(0.3, 15.0, [0.0, 2.21]), run_galias2007),
+        _theta_scheme(0.3, 15.0, [0.0, 2.21]), run_galias2007),
     "multisurface": ExperimentSpec(
         "multisurface", "two sliding surfaces reached in sequence",
-        _base(0.02, 2.0, [1.0, -1.0]), run_multisurface),
+        _theta_scheme(0.02, 2.0, [1.0, -1.0]), run_multisurface),
     "filippov": ExperimentSpec(
         "filippov", "codimension-2 sliding at the origin",
-        _base(0.002, 2.0, [1.0, -1.0]), run_filippov),
+        _theta_scheme(0.002, 2.0, [1.0, -1.0]), run_filippov),
     "zoh-siso": ExperimentSpec(
         "zoh-siso", "sampled ECB-SMC, single surface, implicit vs explicit",
-        _base(0.3, 30.0, [0.55, 0.55], scheme="zoh-implicit", alpha=1.0),
-        run_zoh_siso),
+        dict(h=0.3, T=30.0, x0=[0.55, 0.55], scheme="zoh-implicit",
+             alpha=1.0), run_zoh_siso),
     "zoh-mimo": ExperimentSpec(
         "zoh-mimo", "sampled ECB-SMC with two inputs and two surfaces",
-        _base(0.3, 15.0, [0.05, -0.5, 0.02], scheme="zoh-implicit",
-              alpha=1.0), run_zoh_mimo),
+        dict(h=0.3, T=15.0, x0=[0.05, -0.5, 0.02], scheme="zoh-implicit",
+             alpha=1.0), run_zoh_mimo),
     "lyapunov": ExperimentSpec(
         "lyapunov", "discontinuous robust control under a sine disturbance",
-        _base(0.1, 15.0, [1.0], alpha=0.1), run_lyapunov),
+        _theta_scheme(0.1, 15.0, [1.0], alpha=0.1), run_lyapunov),
     "observer": ExperimentSpec(
         "observer", "observer-based SMC with fast parasitic dynamics",
-        _base(0.1, 10.0, [2.0, 0.0, 0.0, 0.0], k=1.0, tau=0.001),
+        _theta_scheme(0.1, 10.0, [2.0, 0.0, 0.0, 0.0], k=1.0, tau=0.001),
         run_observer),
     "hypomonotone": ExperimentSpec(
         "hypomonotone", "scalar hypomonotone gain, Newton one-step problems",
-        _base(0.5, 5.0, [2.0]), run_hypomonotone),
+        dict(h=0.5, T=5.0, x0=[2.0], theta=1.0, gamma=1.0), run_hypomonotone),
 }
 
 

@@ -58,8 +58,8 @@ class SchemeConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("h must be > 0")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"h must be finite and > 0, got {self.h}")
         if not 0 <= self.theta <= 1 or not 0 <= self.gamma <= 1:
             raise ValueError("theta and gamma must lie in [0, 1]")
 

@@ -126,6 +126,25 @@ class TestBadInput:
         assert cli.main(["run", "simple", "--tau", "5", "--alpha", "1"]) == 2
         assert capsys.readouterr().err == "error: simple takes no --tau\n"
 
+    # a key the runner never reads is not in its entry's defaults, so
+    # setting it is rejected instead of quietly changing nothing
+    @pytest.mark.parametrize("name, key, value", [
+        *[(name, "gamma", "0.5") for name in
+          ("simple", "convergence", "galias2007", "multisurface", "filippov",
+           "zoh-siso", "zoh-mimo", "lyapunov", "observer")],
+        *[(name, "theta", "0.5") for name in
+          ("zoh-siso", "zoh-mimo", "convergence")],
+        ("convergence", "scheme", "explicit"),
+        ("hypomonotone", "scheme", "explicit"),
+        ("convergence", "h", "0.05"),
+    ])
+    def test_key_the_runner_does_not_read(self, name, key, value, tmp_path,
+                                          capsys):
+        argv = ["run", name, f"--{key}", value, "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {name} takes no --{key}\n")
+        assert not any(tmp_path.iterdir())
+
     def test_too_many_sweep_points_start_no_run(self, capsys):
         # checked before numpy builds the grid; no step size is ever run
         with mock.patch.object(integrators, "simulate",

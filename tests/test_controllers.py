@@ -22,6 +22,8 @@ class TestIecControl:
     def test_bad_h(self):
         with pytest.raises(ValueError):
             iec_control(1.0, 0.0)
+        with pytest.raises(ValueError):
+            iec_control(1.0, float("nan"))
 
     def test_equals_negated_mlcp_selection(self):
         # the control is minus the one-step selection of the scalar system

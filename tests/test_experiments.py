@@ -91,6 +91,13 @@ class TestObserverStabilityRule:
         for h in (0.1, 0.004):
             assert abs(experiments._drift_radius(E, h, 1.0) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("k, h", [(-1.0, 1.0), (-10.0, 0.1)])
+    def test_singular_drift_is_named(self, k, h):
+        # E has the eigenvalue -k = 1 / h, so I - h E is singular
+        with pytest.raises(ValueError, match=r"I - h\*theta\*E is singular "
+                           f"at h = {h}, theta = 1.0"):
+            run_experiment("observer", {"k": k, "h": h})
+
 
 class TestBadParameters:
     @pytest.mark.parametrize("name, overrides, key", [
@@ -111,6 +118,28 @@ class TestBadParameters:
             with pytest.raises(ValueError, match="the sweep needs h_min"):
                 run_experiment("convergence", overrides)
         assert point.call_count == 0
+
+
+class _Recorded(dict):
+    """A parameter mapping that records every key a runner reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name", sorted(experiments.REGISTRY))
+def test_runner_reads_every_default(name):
+    # an entry's defaults are exactly what its runner reads: a key it never
+    # reads would be an override that changes nothing
+    spec = experiments.REGISTRY[name]
+    params = _Recorded(spec.defaults)
+    assert spec.runner(params).all_passed
+    assert params.read == set(spec.defaults)
 
 
 class TestSimpleArrivalBound:

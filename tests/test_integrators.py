@@ -67,6 +67,12 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             SchemeConfig(h=0.1, theta=1.5)
 
+    # rejected before any plan multiplies by it
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_h_is_rejected(self):
+        with pytest.raises(ValueError, match="h must be finite and > 0"):
+            SchemeConfig(h=float("inf"))
+
 
 class TestStepLinear:
     cfg = SchemeConfig(h=0.2, theta=0.0)
