@@ -2,7 +2,7 @@
 
     multisurf run <name> [--h F] [--T F] [--theta F] [--gamma F]
                          [--scheme S] [--x0 v1,v2,...] [--out DIR]
-                         [--tau F] [--alpha F]
+                         [--tau F] [--alpha F] [--k F]
     multisurf list [--json]
     multisurf convergence [--h-min F] [--h-max F] [--points N] [--out DIR]
 
@@ -52,6 +52,7 @@ def build_parser():
     run.add_argument("--out", default=None)
     run.add_argument("--tau", type=float, help="observer parasitic constant")
     run.add_argument("--alpha", type=float, help="controller/disturbance gain")
+    run.add_argument("--k", type=float, help="observer gain")
 
     lst = sub.add_parser("list", help="list registered experiments")
     lst.add_argument("--json", action="store_true")

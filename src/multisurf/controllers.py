@@ -73,8 +73,7 @@ def simulate_ecb(ctl: EcbSmcController, x0, t0, T):
         ctl.pair.Phi, Gamma, C,
         solve=mlcp.sign_step_solver(C @ Gamma) if implicit else None,
         control=lambda x, s: neg_CGinv @ (CF @ x + alpha * s))
-    return simulate(step, x0, C @ x0, t0, T, ctl.h,
-                    explicit_signs=not implicit, record_controls=True)
+    return simulate(step, x0, C @ x0, t0, T, ctl.h)
 
 
 def simulate_lyapunov(sys: DisturbedLinearSystem, x0, t0, T,
@@ -92,6 +91,4 @@ def simulate_lyapunov(sys: DisturbedLinearSystem, x0, t0, T,
     step = theta_plan(sys.E, B, S, None,
                       lambda t: h * (a + B @ sys.disturbance(t)), cfg, scheme,
                       rho=rho, control=lambda x, s: rho * s)
-    return simulate(step, x0, S @ x0, t0, T, h,
-                    explicit_signs=(scheme == "explicit"),
-                    record_controls=True)
+    return simulate(step, x0, S @ x0, t0, T, h)

@@ -498,6 +498,10 @@ def run_experiment(name, overrides=None) -> ExperimentResult:
         if unknown:
             raise KeyError(f"unknown overrides for {name}: {sorted(unknown)}")
         params.update({k: v for k, v in overrides.items() if v is not None})
+        if overrides.get("theta") is not None and \
+                params.get("scheme") == "explicit":
+            raise ValueError(f"{name} takes no theta under scheme "
+                             f"'explicit' (forward Euler)")
     for k, v in params.items():
         if not isinstance(v, str) and not np.all(np.isfinite(v)):
             raise ValueError(f"{k} must be finite, got {v}")

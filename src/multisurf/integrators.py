@@ -132,11 +132,13 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
     when given, is the input held on [t_k, t_{k+1}).  solve and control
     must be functions of their arguments alone (a warm start may keep
     state, not change an answer).  Returns step(k, x_k, t_k, s_prev) ->
-    (x, y, s, u, iters), one step (`simulate`'s reference), whose
-    `advance` runs them.  Unless c is callable the step depends on x_k
-    alone, and its `time_invariant` attribute is true.  The step's
-    contract, which `advance` and the `mlcp` solvers keep: x_k is finite
-    with |x_k| <= STATE_GUARD, and s lies in [-1, 1]^m to rounding.
+    (x, y, s, u, iters), `advance` over one row (the guard included, its
+    StepFailure raised), marked `explicit` when solve is None and
+    `controlled` when control is given, the marks `simulate` reads.
+    Unless c is callable the step depends on x_k alone, and its
+    `time_invariant` attribute is true.  The step's contract, which
+    `advance` and the `mlcp` solvers keep: x_k is finite with
+    |x_k| <= STATE_GUARD, and s lies in [-1, 1]^m to rounding.
 
     Operators that are exactly I, resolved once per plan with c constant.
     I @ v has the bytes of v + 0.0 for a finite v, and (v + 0.0) + d those
@@ -154,7 +156,7 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
     advance(k0, N, X, Y, S, U, iters, times) fills rows k0 + 1 to N of the
     trajectory arrays in one loop that owns every rule of a linear run:
     the guard before each step (see `_check_state`), the fixed tail and
-    the block.  It records u in U when both are given, no iterations, and
+    the block.  It records u in U when control is given, no iterations, and
     Y as a copy of X where y is x, and returns (k, taken, why): the row it
     stopped at, the steps it evaluated, and the StepFailure of step k,
     "tail" or "end".  The fixed tail: once a time-invariant step returns
@@ -199,30 +201,23 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
     else:
         C_op, D_op = C, D
 
-    def affine(M, v, d):
-        if M is None:
-            return v if d is None else v + d
-        return M @ v if d is None else M @ v + d
-
     def step(k, x_k, t_k, s_prev):
-        free = affine(Phi_op, x_k, c(t_k) if driven else c_op)
-        if solve is None:
-            s = np.sign(affine(C_op, x_k, D_op))
-        else:
-            s = solve(affine(C_op, free if L_op is None else L_op @ free,
-                             D_op))
-        x = free - Gamma @ (s if rho is None else rho * s)
-        if L_op is not None:
-            x = L_op @ x
-        u = None if control is None else control(x_k, s)
-        return x, affine(C_op, x, D_op), s, u, 0
+        X, Y, S = np.zeros((2, len(x_k))), np.zeros((2, m)), np.zeros((2, m))
+        U = None if control is None else np.zeros((2, m))
+        X[0] = x_k
+        _, _, why = advance(0, 1, X, Y, S, U, None, (t_k,))
+        if isinstance(why, StepFailure):
+            raise why
+        return X[1], Y[1], S[1], None if U is None else U[0], 0
 
+    m = len(C)
     invariant = step.time_invariant = not driven
+    step.explicit, step.controlled = solve is None, control is not None
     y_is_x = C_op is None and D_op is None
 
     def advance(k0, N, X, Y, S, U, iters, times):
         block = getattr(step, "block", None)  # as the step carries it
-        record = U is not None and control is not None
+        record = control is not None
         x_k, last = X[k0], S[k0].tobytes()
         k, taken, repeats, idle, why = k0, 0, 0, None, "end"
         while k < N:
@@ -308,7 +303,8 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
                 j = min(mlcp._leading((np.abs(S) <= STATE_GUARD).all(axis=0)),
                         run(b if D is None else b + D, s))
                 X[done + 1:done + 1 + j] = S[:, :j].T
-                Y[done + 1:done + 1 + j] = affine(S[:, :j].T, C.T, D)
+                Y[done + 1:done + 1 + j] = (S[:, :j].T @ C.T if D is None
+                                            else S[:, :j].T @ C.T + D)
                 done += j
                 if j < rows:
                     break
@@ -340,6 +336,7 @@ def theta_plan(E, B, C, D, c, cfg: SchemeConfig, scheme, rho=None,
     except np.linalg.LinAlgError:
         def fail(k, x_k, t_k, s_prev):
             raise StepFailure("singular implicit drift matrix I - h*theta*E")
+        fail.controlled = control is not None
         return fail
     W = h * C @ L @ B
     solve = mlcp.sign_step_solver(W if rho is None else W @ np.diag(rho))
@@ -579,8 +576,7 @@ def _stepwise(step, k0, N, X, Y, S, U, iters, times):
     return N, N - k0, "end"
 
 
-def simulate(step, x0, y0, t0, T, h, *, explicit_signs=False,
-             record_controls=False):
+def simulate(step, x0, y0, t0, T, h):
     """Run a step over the uniform grid and record everything.
 
     step(k, x_k, t_k, s_k) returns (x, y, s, u, iters): the next state and
@@ -589,11 +585,12 @@ def simulate(step, x0, y0, t0, T, h, *, explicit_signs=False,
     None, and the Newton iterations.  s_k is the previous selection (warm
     start), 0 initially, and y0 fixes the number of surfaces m.
 
-    simulate owns the grid, the rows, the failure record, the explicit
-    signs (selections = sgn(outputs)) and the last held control.  A
-    plan's `advance` (see `step_plan` and `newton_plan`) owns the loop and
-    the plan's rules, the fixed tail and the block among them; any other
-    callable takes every step in turn, the reference for every plan.  A
+    simulate owns the grid, the rows, the failure record and what a
+    step's marks ask for (see `step_plan`): an `explicit` step's selections
+    are sgn(outputs), a `controlled` step's controls are kept, the last
+    held one repeated.  A plan's `advance` (see `step_plan` and
+    `newton_plan`) owns the loop and the plan's rules, the fixed tail and
+    the block among them; any other callable takes every step in turn.  A
     state that is not finite or exceeds STATE_GUARD (blow-up) fails the
     step (see `_check_state`); on StepFailure the partial trajectory is
     returned with failure diagnostics attached.
@@ -606,7 +603,8 @@ def simulate(step, x0, y0, t0, T, h, *, explicit_signs=False,
     states = np.zeros((N + 1, n))
     selections = np.zeros((N + 1, m))
     outputs = np.zeros((N + 1, m))
-    controls = np.zeros((N + 1, m)) if record_controls else None
+    controlled = getattr(step, "controlled", False)
+    controls = np.zeros((N + 1, m)) if controlled else None
     iters = np.zeros(N + 1, dtype=int)
     states[0] = x0
     outputs[0] = y0
@@ -618,13 +616,13 @@ def simulate(step, x0, y0, t0, T, h, *, explicit_signs=False,
         failure = FailureInfo(step=k, time=float(times[k]),
                               message=why.message, detail=why.problem_text)
         end = k + 1
-    if explicit_signs:
+    if getattr(step, "explicit", False):
         selections[:end] = np.sign(outputs[:end])
-    if record_controls and failure is None and N > 0:
+    if controlled and failure is None and N > 0:
         controls[N] = controls[N - 1]
     return Trajectory(times=times[:end], states=states[:end],
                       selections=selections[:end], outputs=outputs[:end],
-                      controls=controls[:end] if record_controls else None,
+                      controls=controls[:end] if controlled else None,
                       newton_iters=iters[:end], failure=failure,
                       steps_taken=taken)
 
@@ -634,8 +632,7 @@ def simulate_linear(sys: LinearSignSystem, x0, t0, T, cfg: SchemeConfig,
     """Convenience loop for the linear class (implicit or explicit)."""
     step = theta_plan(sys.E, sys.B, sys.C, sys.D, cfg.h * sys.a, cfg, scheme)
     x0 = _as_vector(x0, sys.n, "x0")
-    return simulate(step, x0, output(sys, x0), t0, T, cfg.h,
-                    explicit_signs=(scheme == "explicit"))
+    return simulate(step, x0, output(sys, x0), t0, T, cfg.h)
 
 
 def simulate_newton(sys, x0, t0, T, cfg: SchemeConfig):
@@ -657,5 +654,4 @@ def simulate_zoh(pair: ZohPair, C, D, x0, t0, T, h, mode="implicit"):
     solve = (mlcp.sign_step_solver(C @ pair.Gamma)
              if mode == "implicit" else None)
     step = step_plan(pair.Phi, pair.Gamma, C, D, solve=solve)
-    return simulate(step, x0, C @ x0 + D, t0, T, h,
-                    explicit_signs=(mode == "explicit"))
+    return simulate(step, x0, C @ x0 + D, t0, T, h)

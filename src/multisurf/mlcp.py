@@ -357,31 +357,20 @@ def _sign_step_1d(W, b):
     side is b + 0.0 (-0.0 becomes 0.0), its 1x1 solve is b / W, and it
     saturates only past 1 + FEAS_TOL.  Returns None where pivoting would
     pivot again (an interior residual above `_violation`'s mixed bound, or
-    a bound slack of the wrong sign) or where the scalar certificate --
-    box, equation, complementarity and sign, as `certify` computes them --
-    exceeds CERT_TOL.
+    a bound slack of the wrong sign) or where `certify` would exceed
+    CERT_TOL.  Of that certificate only two terms can fail: an interior
+    z has box <= FEAS_TOL and no slacks, so it needs eq = |r| <= CERT_TOL;
+    a saturated one needs a finite b (see `_saturated_1d`).
     """
     tol = FEAS_TOL
     z = (b + 0.0) / W
     if -1.0 - tol <= z <= 1.0 + tol:
-        r = W * z - b
-        if abs(r) > tol and not abs(r) <= tol * (
-                abs(W) * abs(z) + abs(b)) < math.inf:
+        r = abs(W * z - b)
+        if r > tol and not r <= tol * (W * abs(z) + abs(b)) < math.inf:
             return None
-        w = v = 0.0
-    else:
-        z = 1.0 if z > 0 else -1.0
-        r = W * z - b
-        if z * r > tol:
-            return None
-        w, v = (0.0, max(-r, 0.0)) if z > 0 else (max(r, 0.0), 0.0)
-    lim = CERT_TOL
-    box = max(-1.0 - z, z - 1.0, 0.0)
-    eq = abs(r - w + v)
-    comp = max(abs((z + 1.0) * w), abs((1.0 - z) * v))
-    sign = max(-w, -v, 0.0)
-    return z if box <= lim and eq <= lim and comp <= lim and sign <= lim \
-        else None
+        return z if r <= CERT_TOL else None
+    z = 1.0 if z > 0 else -1.0
+    return z if z * (W * z - b) <= tol and math.isfinite(b) else None
 
 
 def _saturated_1d(W, b, s):

@@ -43,6 +43,23 @@ class TestRun:
         assert rc == 0
         assert "PASS galias2007:period2-detected-y0" in out
 
+    def test_observer_gain(self, tmp_path, capsys):
+        rc = cli.main(["run", "observer", "--k", "0.5", "--out",
+                       str(tmp_path)])
+        out = capsys.readouterr().out
+        res = experiments.run_experiment("observer", {"k": 0.5})
+        assert rc == 0 and res.all_passed
+        lines = out.splitlines()
+        assert [ln for ln in lines if not ln.startswith("wrote")] == [
+            f"PASS observer:{p.name}" + (f" ({p.detail})" if p.detail else "")
+            for p in res.properties]
+        # the gain reaches the run: its states are not the default gain's
+        ref = tmp_path / "ref.csv"
+        res.trajectories["traj"].to_csv(ref)
+        assert (tmp_path / "traj.csv").read_bytes() == ref.read_bytes()
+        experiments.run_experiment("observer").trajectories["traj"].to_csv(ref)
+        assert (tmp_path / "traj.csv").read_bytes() != ref.read_bytes()
+
     def test_unknown_name(self, capsys):
         assert cli.main(["run", "nonsense", "--out", "/tmp/x"]) == 2
 
@@ -93,6 +110,8 @@ class TestBadInput:
         ["run", "hypomonotone", "--x0", "1,2"],
         ["run", "zoh-siso", "--x0", "1"],
         ["run", "lyapunov", "--x0", "1,2"],
+        ["run", "simple", "--scheme", "explicit", "--theta", "0.5"],
+        ["run", "observer", "--scheme", "explicit", "--theta", "0.5"],
     ])
     # bad input is reported before any numpy RuntimeWarning can be raised
     @pytest.mark.filterwarnings("error")
@@ -116,6 +135,10 @@ class TestBadInput:
         (["run", "zoh-siso", "--x0", "1"], "x0 must have length 2"),
         (["run", "lyapunov", "--x0", "1,2"], "x0 must have length 1"),
         (["run", "galias2007", "--x0", "1"], "x0 must have length 2"),
+        # forward Euler never reads theta
+        *[(["run", name, "--scheme", "explicit", "--theta", "0.5"],
+           f"{name} takes no theta under scheme 'explicit'")
+          for name in ("simple", "observer")],
     ])
     def test_error_names_the_bad_input(self, argv, text, capsys):
         assert cli.main(argv) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from unittest import mock
@@ -118,6 +119,23 @@ class TestBadParameters:
             with pytest.raises(ValueError, match="the sweep needs h_min"):
                 run_experiment("convergence", overrides)
         assert point.call_count == 0
+
+
+    @pytest.mark.parametrize("name", ["simple", "galias2007",
+                                      "multisurface", "filippov", "lyapunov",
+                                      "observer"])
+    def test_theta_under_the_explicit_scheme_is_rejected(self, name):
+        # forward Euler never reads theta, so a given one would change
+        # nothing; the default theta stays
+        run = mock.Mock()
+        spec = dataclasses.replace(experiments.REGISTRY[name], runner=run)
+        with mock.patch.dict(experiments.REGISTRY, {name: spec}):
+            with pytest.raises(ValueError, match=f"^{name} takes no theta "
+                               "under scheme 'explicit'"):
+                run_experiment(name, {"scheme": "explicit", "theta": 0.5})
+            run_experiment(name, {"scheme": "explicit"})
+            run_experiment(name, {"theta": 0.5})
+        assert run.call_count == 2
 
 
 class _Recorded(dict):

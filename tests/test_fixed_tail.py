@@ -32,7 +32,13 @@ FIELDS = ("times", "states", "selections", "outputs", "controls",
 
 
 def _plain(step, *args, **kwargs):
-    return SIMULATE(lambda *a: step(*a), *args, **kwargs)
+    """`simulate` of the step wrapped in a plain function, which carries
+    the step's `explicit` and `controlled` marks but not its `advance`."""
+    def plain(*a):
+        return step(*a)
+    plain.explicit = getattr(step, "explicit", False)
+    plain.controlled = getattr(step, "controlled", False)
+    return SIMULATE(plain, *args, **kwargs)
 
 
 def stepwise(run, *args, module=integrators, **kwargs):
@@ -170,8 +176,7 @@ def _control_run(h, T):
         np.eye(1), h * np.eye(1), np.eye(1),
         solve=mlcp.sign_step_solver(h * np.eye(1)),
         control=lambda x, s: 1.0 - 2.0 * s + x)
-    return integrators.simulate(step, [0.7], [0.7], 0.0, T, h,
-                                record_controls=True)
+    return integrators.simulate(step, [0.7], [0.7], 0.0, T, h)
 
 
 def test_recorded_controls_fill_the_fixed_tail():

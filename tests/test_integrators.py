@@ -391,7 +391,7 @@ class TestSimulate:
 
         traj = integrators.simulate(step, [1.0], [0.0, 0.0], 0.0, 0.3, 0.1)
         assert traj.m == 2 and traj.selections.shape == (4, 2)
-        # a trailing positional m no longer lands in explicit_signs
+        # a trailing positional m is rejected
         with pytest.raises(TypeError):
             integrators.simulate(step, [1.0], [0.0, 0.0], 0.0, 0.3, 0.1, 2)
 
@@ -500,6 +500,87 @@ class TestZohSimulation:
         assert np.min(np.abs(tail[1:] - tail[:-1])) > 1e-2
 
 
+class TestStepMarks:
+    """`simulate` records what a step's marks ask for: a `step_plan` step
+    is `explicit` without a solve and `controlled` with a control, and a
+    plain callable has neither mark.  Each case runs a plan through bare
+    `simulate`, with nothing else telling it the scheme."""
+
+    @pytest.mark.parametrize("flag", ["explicit_signs", "record_controls"])
+    def test_simulate_takes_no_flags(self, flag):
+        def step(k, x_k, t_k, s_prev):
+            return x_k, np.zeros(1), np.zeros(1), None, 0
+
+        with pytest.raises(TypeError):
+            integrators.simulate(step, [1.0], [0.0], 0.0, 0.3, 0.1,
+                                 **{flag: True})
+
+    @pytest.mark.parametrize("scheme", ["implicit", "explicit"])
+    def test_selections_follow_the_scheme(self, scheme):
+        sys, cfg, x0 = simple_system(), SchemeConfig(h=0.3), np.array([1.0])
+        plan = theta_plan(sys.E, sys.B, sys.C, sys.D, cfg.h * sys.a, cfg,
+                          scheme)
+        assert plan.explicit == (scheme == "explicit")
+        assert not plan.controlled
+        traj = integrators.simulate(plan, x0, sys.C @ x0, 0.0, 3.0, cfg.h)
+        # the plan stepped row by row: an implicit step's selection is
+        # s_{k+1}, an explicit one's the sign of y_k, which the record
+        # holds in row k
+        ys, ss = [sys.C @ x0], [np.zeros(1)]
+        for k, x_k in enumerate(traj.states[:-1]):
+            _, y, s, _, _ = plan(k, x_k, traj.times[k], ss[-1])
+            ys.append(y)
+            ss.append(s)
+        if scheme == "explicit":
+            assert np.array_equal(ss[1:], np.sign(ys[:-1]))
+            want = np.sign(ys)
+        else:
+            want = np.array(ss)
+            # sliding: |s| < 1 holds the output at 0
+            assert np.any(np.abs(want[1:, 0]) < 1.0)
+        assert traj.selections.tobytes() == want.tobytes()
+        assert traj.controls is None
+
+    @pytest.mark.parametrize("mode", ["implicit", "explicit"])
+    def test_controlled_plan_records_its_controls(self, mode):
+        from multisurf import controllers
+        F, G, C = zoh_siso_data()
+        ctl = controllers.EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3,
+                                           mode=mode)
+        plans = []
+
+        def capture(step, *args):
+            plans.append(step)
+            return integrators.simulate(step, *args)
+
+        with mock.patch.object(controllers, "simulate", capture):
+            controllers.simulate_ecb(ctl, [0.55, 0.55], 0.0, 3.0)
+        plan = plans[0]
+        assert plan.controlled and plan.explicit == (mode == "explicit")
+        x0 = np.array([0.55, 0.55])
+        traj = integrators.simulate(plan, x0, ctl.C @ x0, 0.0, 3.0, ctl.h)
+        # u_k = -(C G)^-1 (C F x_k + alpha s), s the selection of step k,
+        # and the last held control repeated in the final row
+        neg_CGinv, CF = -np.linalg.inv(ctl.C @ ctl.G), ctl.C @ ctl.F
+        used = traj.selections[:-1] if mode == "explicit" \
+            else traj.selections[1:]
+        want = [neg_CGinv @ (CF @ x + ctl.alpha * s)
+                for x, s in zip(traj.states[:-1], used)]
+        assert traj.controls.tobytes() == np.array(
+            want + want[-1:]).tobytes()
+
+    def test_plain_callable_records_what_it_returns(self, tmp_path):
+        def step(k, x_k, t_k, s_prev):
+            return x_k - 0.25, x_k - 0.25, np.full(1, 0.5), np.ones(1), 0
+
+        traj = integrators.simulate(step, [1.0], [1.0], 0.0, 1.0, 0.5)
+        assert traj.selections[:, 0].tolist() == [0.0, 0.5, 0.5]
+        assert traj.controls is None
+        traj.to_csv(tmp_path / "traj.csv")
+        assert (tmp_path / "traj.csv").read_text().splitlines()[0] == \
+            "t,x0,s0,y0"
+
+
 def product_step(Phi, Gamma, C, D, L, c, solve, rho):
     """`step_plan`'s step with every operator applied as a product."""
     def step(k, x_k, t_k, s_prev):
@@ -605,15 +686,14 @@ def test_plan_step_equals_the_all_product_step(seed, E_kind, C_kind, c_kind,
         seed, E_kind, C_kind, c_kind, D_kind, theta, scheme, big, with_rho)
     C, D = args["C"], args["D"]
     y0 = C @ x0 if D is None else C @ x0 + D
-    explicit = scheme == "explicit"
+    ref_step = product_step(**{k: args[k] for k in ("Phi", "Gamma", "C",
+                                                    "D", "L", "c", "rho")},
+                            solve=ref_solve)
+    ref_step.explicit, ref_step.controlled = scheme == "explicit", False
     with np.errstate(all="ignore"):
         got = integrators.simulate(step_plan(**args, solve=solve), x0, y0,
-                                   0.0, 4 * h, h, explicit_signs=explicit)
-        ref = integrators.simulate(
-            product_step(**{k: args[k] for k in ("Phi", "Gamma", "C", "D",
-                                                 "L", "c", "rho")},
-                         solve=ref_solve),
-            x0, y0, 0.0, 4 * h, h, explicit_signs=explicit)
+                                   0.0, 4 * h, h)
+        ref = integrators.simulate(ref_step, x0, y0, 0.0, 4 * h, h)
     for name in ("times", "states", "selections", "outputs", "newton_iters"):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), \
             name

@@ -30,9 +30,12 @@ FIELDS = ("times", "states", "selections", "outputs", "newton_iters")
 
 
 def per_step(plan):
-    """The plan's step as a plain function: every step is taken."""
+    """The plan's step as a plain function with the plan's `explicit` and
+    `controlled` marks: every step is taken."""
     def plain(*args):
         return plan(*args)
+    plain.explicit = getattr(plan, "explicit", False)
+    plain.controlled = getattr(plan, "controlled", False)
     return plain
 
 

@@ -110,6 +110,66 @@ def test_closed_form_answers_a_badly_scaled_step():
     assert z.tobytes() == one.tobytes() == ref.z.tobytes()
 
 
+def full_certificate_1d(W, b):
+    """The m = 1 closed form with `certify`'s whole scalar certificate --
+    box, equation, complementarity and sign -- the reference for the lean
+    `_sign_step_1d`, which tests only the terms that can fail."""
+    tol, lim = FEAS_TOL, mlcp.CERT_TOL
+    z = (b + 0.0) / W
+    if -1.0 - tol <= z <= 1.0 + tol:
+        r = W * z - b
+        if abs(r) > tol and not abs(r) <= tol * (
+                abs(W) * abs(z) + abs(b)) < math.inf:
+            return None
+        w = v = 0.0
+    else:
+        z = 1.0 if z > 0 else -1.0
+        r = W * z - b
+        if z * r > tol:
+            return None
+        w, v = (0.0, max(-r, 0.0)) if z > 0 else (max(r, 0.0), 0.0)
+    box = max(-1.0 - z, z - 1.0, 0.0)
+    eq = abs(r - w + v)
+    comp = max(abs((z + 1.0) * w), abs((1.0 - z) * v))
+    sign = max(-w, -v, 0.0)
+    return z if box <= lim and eq <= lim and comp <= lim and sign <= lim \
+        else None
+
+
+# W > 0 from the least subnormal to inf; b at the signed zeros, the
+# subnormals, the infinities, NaN and within 1e-10 of +-W
+EDGE_W = [5e-324, 2.2250738585072014e-308, 1e-6, 0.5, 1.0, 1.3e8, 1e300,
+          1.5e308, 1.7976931348623157e308, math.inf]
+EDGE_B = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e308,
+          -1.7976931348623157e308]
+BOUND_OFFSETS = [0.0, 1e-10, -1e-10, 2e-10, -2e-10, 1e-11, 1e-9]
+
+
+def _same_answer(W, b):
+    got, ref = mlcp._sign_step_1d(W, b), full_certificate_1d(W, b)
+    assert (got is None) == (ref is None), (W, b)
+    if got is not None:
+        assert np.array([got]).tobytes() == np.array([ref]).tobytes(), (W, b)
+
+
+def test_lean_certificate_matches_the_full_one_on_edge_values():
+    for W in EDGE_W:
+        near = [sign * W * (1.0 + e) for sign in (-1.0, 1.0)
+                for e in BOUND_OFFSETS]
+        for b in EDGE_B + near + [np.nextafter(v, -v) for v in near]:
+            _same_answer(W, float(b))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.sampled_from(EDGE_W),
+                 st.floats(min_value=0.0, exclude_min=True)),
+       st.one_of(st.sampled_from(EDGE_B), st.floats()),
+       st.sampled_from([None] + BOUND_OFFSETS), SIGNS)
+def test_lean_certificate_matches_the_full_one(W, b, offset, sign):
+    # offset puts b next to the bound +-W instead
+    _same_answer(W, b if offset is None else sign * W * (1.0 + offset))
+
+
 def test_uncertified_closed_form_falls_back():
     # b / W is interior and its equation residual W z - b is within the
     # mixed bound, but at this scale it exceeds CERT_TOL: the closed form
