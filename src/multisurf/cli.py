@@ -1,16 +1,19 @@
 """Command-line front end.
 
-    multisurf run <name> [--h F] [--T F] [--theta F] [--gamma F]
-                         [--scheme S] [--x0 v1,v2,...] [--out DIR]
-                         [--tau F] [--alpha F] [--k F]
+    multisurf run <name> [--h F] [--T F] [--x0 v1,v2,...] [--scheme S]
+                         [--theta F] [--h-min F] [--h-max F] [--points N]
+                         [--alpha F] [--k F] [--tau F] [--gamma F]
+                         [--out DIR]
     multisurf list [--json]
-    multisurf convergence [--h-min F] [--h-max F] [--points N] [--out DIR]
 
-Each run writes trajectory CSVs under out/<experiment>/run/ (override with
---out) and prints one verdict line per checked property.  Exit codes: 0 when
-every property passes, 1 when one fails, 2 on bad input, an option the
-experiment does not take or an unknown experiment (with the reason as
-"error: ..." on stderr).
+`run` has one option per key of the experiment registry's defaults, typed
+by the default's value (a list is a comma-separated vector); an experiment
+takes only the keys of its own entry (`list --json` shows them).  S is
+`implicit` or `explicit`.  Each run writes trajectory CSVs and tables under
+out/<experiment>/run/ (override with --out) and prints one verdict line per
+checked property.  Exit codes: 0 when every property passes, 1 when one
+fails, 2 on bad input, an option the experiment does not take or an unknown
+experiment (with the reason as "error: ..." on stderr).
 """
 
 from __future__ import annotations
@@ -41,27 +44,16 @@ def build_parser():
 
     run = sub.add_parser("run", help="run a registered experiment")
     run.add_argument("name")
-    run.add_argument("--h", type=float)
-    run.add_argument("--T", type=float)
-    run.add_argument("--theta", type=float)
-    run.add_argument("--gamma", type=float)
-    run.add_argument("--scheme",
-                     choices=["implicit", "explicit", "zoh-implicit",
-                              "zoh-explicit"])
-    run.add_argument("--x0", type=_parse_vector)
+    # a key has one value type across the entries that take it
+    kinds = {key: type(value) for spec in experiments.REGISTRY.values()
+             for key, value in spec.defaults.items()}
+    for key, kind in kinds.items():
+        run.add_argument("--" + key.replace("_", "-"),
+                         type=_parse_vector if kind is list else kind)
     run.add_argument("--out", default=None)
-    run.add_argument("--tau", type=float, help="observer parasitic constant")
-    run.add_argument("--alpha", type=float, help="controller/disturbance gain")
-    run.add_argument("--k", type=float, help="observer gain")
 
     lst = sub.add_parser("list", help="list registered experiments")
     lst.add_argument("--json", action="store_true")
-
-    conv = sub.add_parser("convergence", help="run the h-sweep study")
-    conv.add_argument("--h-min", type=float, dest="h_min")
-    conv.add_argument("--h-max", type=float, dest="h_max")
-    conv.add_argument("--points", type=int)
-    conv.add_argument("--out", default=None)
     return parser
 
 
@@ -96,15 +88,6 @@ def _run_and_report(name, overrides, out_dir):
     return 0 if result.all_passed else 1
 
 
-def _do_run(args, overrides):
-    spec = experiments.REGISTRY.get(args.name)
-    extra = [k for k in overrides if k not in spec.defaults] if spec else []
-    if extra:
-        print(f"error: {args.name} takes no --{extra[0]}", file=sys.stderr)
-        return 2
-    return _run_and_report(args.name, overrides, args.out)
-
-
 def _do_list(args):
     if args.json:
         payload = [{"name": s.name, "description": s.description,
@@ -122,12 +105,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "list":
         return _do_list(args)
-    # the options given, under their parser names (the one list of flags)
+    # the options given, under their registry keys
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "name", "out") and v is not None}
-    if args.command == "run":
-        return _do_run(args, overrides)
-    return _run_and_report("convergence", overrides, args.out)
+    return _run_and_report(args.name, overrides, args.out)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 from multisurf import analysis, controllers, integrators
 from multisurf.integrators import SchemeConfig
 from multisurf.systems import (AffineGainSignSystem, DisturbedLinearSystem,
-                               LinearSignSystem)
+                               LinearSignSystem, _as_vector)
 
 PERIOD2_TOL = 1e-6
 DRIFT_RADIUS_TOL = 1e-9
@@ -183,6 +183,42 @@ def _completed(traj):
     return _prop("completed", traj.failure is None, msg)
 
 
+def _on(check, *args, **kwargs):
+    """`check(traj, *args, **kwargs)` as a check of (traj, params)."""
+    return lambda traj, params: check(traj, *args, **kwargs)
+
+
+def _simple_arrival(traj, params):
+    # ceil of the exact quotient q = |x0| / h of the float inputs
+    # (0.5 / 1e-6 rounds to 500000.0, below q) plus q^2 / 2^52 for the
+    # rounding of the steps x - h (derived in tests/test_experiments.py);
+    # inf where |x0| / h overflows
+    x0, h = abs(float(traj.states[0, 0])), params["h"]
+    k0_bound = x0 / h
+    if k0_bound < math.inf:
+        q = Fraction(x0) / Fraction(h)
+        k0_bound = math.ceil(q + q * q / 2 ** 52)
+    k = analysis.arrival_step(traj, 0)
+    return _prop("finite-time-zero", k is not None and k <= k0_bound,
+                 f"arrival {k}, bound {k0_bound}")
+
+
+def _ordered_arrival(traj, params):
+    k0, k1 = analysis.arrival_step(traj, 0), analysis.arrival_step(traj, 1)
+    return _prop("ordered-arrival", k0 is not None and k1 is not None
+                 and k0 < k1, f"surface0 at {k0}, surface1 at {k1}")
+
+
+def _origin_reached(traj, params):
+    final = float(np.max(np.abs(traj.states[-1])))
+    return _prop("origin-reached", final <= 1e-10, f"final |x| = {final:.3e}")
+
+
+_BOX = _on(_selection_box)
+_SETTLES = (_on(_surface_zero_persist, 0), _on(_surface_zero_persist, 1))
+_PERIOD2 = _on(_period2, 0, expected=True)
+
+
 # ---------------------------------------------------------------------------
 # runners
 
@@ -192,30 +228,22 @@ def _cfg(params):
                            if k in params})
 
 
-def run_simple(params):
-    sys = simple_system()
-    x0 = np.atleast_1d(np.asarray(params["x0"], dtype=float))
-    h, T = params["h"], params["T"]
-    traj = integrators.simulate_linear(sys, x0, 0.0, T, _cfg(params),
-                                       scheme=params["scheme"])
-    props = [_completed(traj)]
-    if params["scheme"] == "implicit":
-        # ceil of the exact quotient q = |x0| / h of the float inputs
-        # (0.5 / 1e-6 rounds to 500000.0, below q) plus q^2 / 2^52 for the
-        # rounding of the steps x - h (derived in tests/test_experiments.py);
-        # inf where |x0| / h overflows
-        k0_bound = abs(float(x0[0])) / h
-        if k0_bound < math.inf:
-            q = Fraction(abs(float(x0[0]))) / Fraction(h)
-            k0_bound = math.ceil(q + q * q / 2 ** 52)
-        k = analysis.arrival_step(traj, 0)
-        ok = k is not None and k <= k0_bound
-        props.append(_prop("finite-time-zero", ok,
-                           f"arrival {k}, bound {k0_bound}"))
-        props.append(_selection_box(traj))
-    else:
-        props.append(_period2(traj, 0, expected=True, tol=1e-9))
-    return ExperimentResult("simple", {"traj": traj}, props)
+def _theta_study(name, description, defaults, system, implicit, explicit):
+    """A registry entry that runs `system` under the theta-scheme.
+
+    Its runner prints `completed`, then the checks of the chosen scheme in
+    order; a check is a function of (traj, params).
+    """
+    def run(params):
+        traj = integrators.simulate_linear(
+            system(), params["x0"], 0.0, params["T"], _cfg(params),
+            scheme=params["scheme"])
+        checks = implicit if params["scheme"] == "implicit" else explicit
+        return ExperimentResult(name, {"traj": traj}, [
+            _completed(traj), *(check(traj, params) for check in checks)])
+    # the name a trace or a profile shows, as for the other runners
+    run.__name__ = run.__qualname__ = f"run_{name}"
+    return ExperimentSpec(name, description, defaults, run)
 
 
 def _simple_error_point(h, x0, T):
@@ -227,7 +255,7 @@ def _simple_error_point(h, x0, T):
 
 
 def run_convergence(params):
-    x0 = float(np.atleast_1d(np.asarray(params["x0"], dtype=float))[0])
+    x0 = float(_as_vector(params["x0"], 1, "x0")[0])
     h_min, h_max, n = params["h_min"], params["h_max"], params["points"]
     if not (h_min > 0 and h_max > 0 and 3 <= n <= SWEEP_MAX_POINTS):
         raise ValueError(f"the sweep needs h_min, h_max > 0 and 3 to "
@@ -255,67 +283,14 @@ def run_convergence(params):
                             tables={"convergence.csv": "\n".join(lines) + "\n"})
 
 
-def run_galias2007(params):
-    sys = galias2007_system()
-    traj = integrators.simulate_linear(sys, params["x0"], 0.0, params["T"],
-                                       _cfg(params), scheme=params["scheme"])
-    props = [_completed(traj)]
-    if params["scheme"] == "implicit":
-        props.append(_surface_zero_persist(traj, 0))
-        props.append(_period2(traj, 0, expected=False))
-        props.append(_selection_box(traj))
-    else:
-        props.append(_period2(traj, 0, expected=True))
-    return ExperimentResult("galias2007", {"traj": traj}, props)
-
-
-def run_multisurface(params):
-    sys = multisurface_system()
-    traj = integrators.simulate_linear(sys, params["x0"], 0.0, params["T"],
-                                       _cfg(params), scheme=params["scheme"])
-    props = [_completed(traj)]
-    if params["scheme"] == "implicit":
-        k0 = analysis.arrival_step(traj, 0)
-        k1 = analysis.arrival_step(traj, 1)
-        props.append(_surface_zero_persist(traj, 0))
-        props.append(_surface_zero_persist(traj, 1))
-        ordered = k0 is not None and k1 is not None and k0 < k1
-        props.append(_prop("ordered-arrival", ordered,
-                           f"surface0 at {k0}, surface1 at {k1}"))
-        final = float(np.max(np.abs(traj.states[-1])))
-        props.append(_prop("origin-reached", final <= 1e-10,
-                           f"final |x| = {final:.3e}"))
-        props.append(_selection_box(traj))
-    else:
-        props.append(_period2(traj, 0, expected=True))
-    return ExperimentResult("multisurface", {"traj": traj}, props)
-
-
-def run_filippov(params):
-    sys = filippov_system()
-    traj = integrators.simulate_linear(sys, params["x0"], 0.0, params["T"],
-                                       _cfg(params), scheme=params["scheme"])
-    props = [_completed(traj)]
-    if params["scheme"] == "implicit":
-        props.append(_surface_zero_persist(traj, 0))
-        props.append(_surface_zero_persist(traj, 1))
-        final = float(np.max(np.abs(traj.states[-1])))
-        props.append(_prop("origin-reached", final <= 1e-10,
-                           f"final |x| = {final:.3e}"))
-        props.append(_selection_box(traj))
-    return ExperimentResult("filippov", {"traj": traj}, props)
-
-
 def _run_zoh(name, data, params):
     F, G, C = data
-    mode = "implicit" if params["scheme"] in ("implicit", "zoh-implicit") \
-        else "explicit"
     ctl = controllers.EcbSmcController(F=F, G=G, C=C, alpha=params["alpha"],
-                                      h=params["h"], mode=mode)
+                                      h=params["h"], mode=params["scheme"])
     traj = controllers.simulate_ecb(ctl, params["x0"], 0.0, params["T"])
     props = [_completed(traj)]
     m = ctl.m
-    if mode == "implicit":
+    if ctl.mode == "implicit":
         for i in range(m):
             props.append(_surface_zero_persist(traj, i))
         props.append(_selection_box(traj))
@@ -451,29 +426,36 @@ def _theta_scheme(h, T, x0, **extra):
 
 # an entry's defaults are exactly the keys its runner reads
 REGISTRY = {
-    "simple": ExperimentSpec(
+    "simple": _theta_study(
         "simple", "scalar sign system, finite-time exact stabilization",
-        _theta_scheme(0.2, 3.0, [1.01]), run_simple),
+        _theta_scheme(0.2, 3.0, [1.01]), simple_system,
+        implicit=(_simple_arrival, _BOX),
+        explicit=(_on(_period2, 0, expected=True, tol=1e-9),)),
     "convergence": ExperimentSpec(
         "convergence", "h-sweep of the selection error on the scalar system",
         dict(T=3.0, x0=[1.01], h_min=1e-3, h_max=1e-1, points=8),
         run_convergence),
-    "galias2007": ExperimentSpec(
+    "galias2007": _theta_study(
         "galias2007", "second-order SMC loop, implicit vs explicit Euler",
-        _theta_scheme(0.3, 15.0, [0.0, 2.21]), run_galias2007),
-    "multisurface": ExperimentSpec(
+        _theta_scheme(0.3, 15.0, [0.0, 2.21]), galias2007_system,
+        implicit=(_SETTLES[0], _on(_period2, 0, expected=False), _BOX),
+        explicit=(_PERIOD2,)),
+    "multisurface": _theta_study(
         "multisurface", "two sliding surfaces reached in sequence",
-        _theta_scheme(0.02, 2.0, [1.0, -1.0]), run_multisurface),
-    "filippov": ExperimentSpec(
+        _theta_scheme(0.02, 2.0, [1.0, -1.0]), multisurface_system,
+        implicit=(*_SETTLES, _ordered_arrival, _origin_reached, _BOX),
+        explicit=(_PERIOD2,)),
+    "filippov": _theta_study(
         "filippov", "codimension-2 sliding at the origin",
-        _theta_scheme(0.002, 2.0, [1.0, -1.0]), run_filippov),
+        _theta_scheme(0.002, 2.0, [1.0, -1.0]), filippov_system,
+        implicit=(*_SETTLES, _origin_reached, _BOX), explicit=()),
     "zoh-siso": ExperimentSpec(
         "zoh-siso", "sampled ECB-SMC, single surface, implicit vs explicit",
-        dict(h=0.3, T=30.0, x0=[0.55, 0.55], scheme="zoh-implicit",
+        dict(h=0.3, T=30.0, x0=[0.55, 0.55], scheme="implicit",
              alpha=1.0), run_zoh_siso),
     "zoh-mimo": ExperimentSpec(
         "zoh-mimo", "sampled ECB-SMC with two inputs and two surfaces",
-        dict(h=0.3, T=15.0, x0=[0.05, -0.5, 0.02], scheme="zoh-implicit",
+        dict(h=0.3, T=15.0, x0=[0.05, -0.5, 0.02], scheme="implicit",
              alpha=1.0), run_zoh_mimo),
     "lyapunov": ExperimentSpec(
         "lyapunov", "discontinuous robust control under a sine disturbance",
@@ -494,9 +476,11 @@ def run_experiment(name, overrides=None) -> ExperimentResult:
     spec = REGISTRY[name]
     params = dict(spec.defaults)
     if overrides:
-        unknown = set(overrides) - set(params)
+        unknown = sorted(set(overrides) - set(params))
         if unknown:
-            raise KeyError(f"unknown overrides for {name}: {sorted(unknown)}")
+            # spelled as the CLI options they come from
+            raise KeyError(f"{name} takes no " + ", ".join(
+                "--" + k.replace("_", "-") for k in unknown))
         params.update({k: v for k, v in overrides.items() if v is not None})
         if overrides.get("theta") is not None and \
                 params.get("scheme") == "explicit":

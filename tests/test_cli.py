@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,17 @@ from unittest import mock
 import pytest
 
 from multisurf import cli, experiments, integrators
+from tests.test_golden import DIGESTS
+from tests.test_verdicts import DEFAULT_VERDICTS
+
+# the entries whose defaults include a scheme
+SCHEMED = sorted(n for n, spec in experiments.REGISTRY.items()
+                 if "scheme" in spec.defaults)
+
+
+def _subparsers():
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def run_cli(args, cwd=None):
@@ -87,24 +99,24 @@ class TestBadInput:
         ["run", "zoh-siso", "--h", "-0.3"],
         ["run", "zoh-siso", "--h", "0"],
         ["run", "observer", "--tau", "0"],
-        ["convergence", "--points", "2"],
+        ["run", "convergence", "--points", "2"],
         ["run", "simple", "--x0", "inf"],
         ["run", "simple", "--x0", "nan"],
         ["run", "galias2007", "--x0", "nan,0"],
         ["run", "lyapunov", "--x0", "nan"],
         ["run", "zoh-siso", "--alpha", "nan"],
-        ["convergence", "--points", "0"],
-        ["convergence", "--h-min", "0"],
-        ["convergence", "--h-min=-1e-3"],
-        ["convergence", "--h-max", "0"],
+        ["run", "convergence", "--points", "0"],
+        ["run", "convergence", "--h-min", "0"],
+        ["run", "convergence", "--h-min=-1e-3"],
+        ["run", "convergence", "--h-max", "0"],
         ["run", "simple", "--tau", "5"],
         ["run", "simple", "--alpha", "1"],
         ["run", "galias2007", "--tau", "0.01"],
         ["run", "simple", "--h", "1e-300"],
         ["run", "simple", "--T", "1e10", "--h", "1e-300"],
         ["run", "simple", "--T", "1e12", "--h", "1"],
-        ["convergence", "--h-min", "1e-9", "--h-max", "1e-9", "--points",
-         "3"],
+        ["run", "convergence", "--h-min", "1e-9", "--h-max", "1e-9",
+         "--points", "3"],
         ["run", "observer", "--tau", "1e-170"],
         ["run", "observer", "--tau", "1e-160"],
         ["run", "hypomonotone", "--x0", "1,2"],
@@ -112,6 +124,8 @@ class TestBadInput:
         ["run", "lyapunov", "--x0", "1,2"],
         ["run", "simple", "--scheme", "explicit", "--theta", "0.5"],
         ["run", "observer", "--scheme", "explicit", "--theta", "0.5"],
+        ["run", "convergence", "--x0", ""],
+        ["run", "convergence", "--x0", "1,2"],
     ])
     # bad input is reported before any numpy RuntimeWarning can be raised
     @pytest.mark.filterwarnings("error")
@@ -127,8 +141,8 @@ class TestBadInput:
         (["run", "simple", "--T", "1e12", "--h", "1"],
          "h = 1.0 and T = 1000000000000.0 give 1e+12 steps, more than the "
          "limit of 1000000"),
-        (["convergence", "--h-min", "1e-9", "--h-max", "1e-9", "--points",
-          "3"], "h = 1e-09 and T = 3.0 give 3e+09 steps"),
+        (["run", "convergence", "--h-min", "1e-9", "--h-max", "1e-9",
+          "--points", "3"], "h = 1e-09 and T = 3.0 give 3e+09 steps"),
         (["run", "observer", "--tau", "1e-170"],
          "tau = 1e-170 is too small: 1/tau^2 or 2/tau is not finite"),
         (["run", "hypomonotone", "--x0", "1,2"], "x0 must have length 1"),
@@ -139,6 +153,7 @@ class TestBadInput:
         *[(["run", name, "--scheme", "explicit", "--theta", "0.5"],
            f"{name} takes no theta under scheme 'explicit'")
           for name in ("simple", "observer")],
+        (["run", "convergence", "--x0", "1,2"], "x0 must have length 1"),
     ])
     def test_error_names_the_bad_input(self, argv, text, capsys):
         assert cli.main(argv) == 2
@@ -147,7 +162,20 @@ class TestBadInput:
 
     def test_option_the_experiment_does_not_take(self, capsys):
         assert cli.main(["run", "simple", "--tau", "5", "--alpha", "1"]) == 2
-        assert capsys.readouterr().err == "error: simple takes no --tau\n"
+        assert capsys.readouterr().err == \
+            "error: simple takes no --alpha, --tau\n"
+
+    @pytest.mark.parametrize("name", SCHEMED)
+    def test_unknown_scheme(self, name, tmp_path, capsys):
+        # one spelling, implicit or explicit: any other is bad input, not a
+        # quiet forward Euler run
+        argv = ["run", name, "--scheme", "bogus", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'bogus'" in err
+        assert not any(tmp_path.iterdir())
 
     # a key the runner never reads is not in its entry's defaults, so
     # setting it is rejected instead of quietly changing nothing
@@ -172,8 +200,9 @@ class TestBadInput:
         # checked before numpy builds the grid; no step size is ever run
         with mock.patch.object(integrators, "simulate",
                                side_effect=AssertionError("ran")):
-            assert cli.main(["convergence", "--points", "100000000"]) == 2
-            assert cli.main(["convergence", "--points",
+            assert cli.main(["run", "convergence", "--points",
+                             "100000000"]) == 2
+            assert cli.main(["run", "convergence", "--points",
                              str(experiments.SWEEP_MAX_POINTS + 1)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 2 and "3 to 100 points" in err
@@ -191,8 +220,10 @@ class TestBadInput:
 
 class TestConvergence:
     def test_sweep_writes_table(self, tmp_path, capsys):
-        rc = cli.main(["convergence", "--h-min", "1e-3", "--h-max", "1e-1",
-                       "--points", "8", "--out", str(tmp_path)])
+        # every key of the sweep has its option
+        rc = cli.main(["run", "convergence", "--h-min", "1e-3", "--h-max",
+                       "1e-1", "--points", "8", "--T", "3", "--x0", "1.01",
+                       "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
         lines = (tmp_path / "convergence.csv").read_text().splitlines()
@@ -200,6 +231,41 @@ class TestConvergence:
         assert len([ln for ln in lines if not ln.startswith("#")]) == 9
         assert lines[-1].startswith("# slopes:")
         assert "PASS convergence:l1-slope-order-1" in out
+
+
+class TestGeneratedOptions:
+    """`run` has one option per registry key, typed by its default."""
+
+    def test_run_options_are_the_registry_keys(self):
+        opts = {o for a in _subparsers()["run"]._actions
+                for o in a.option_strings} - {"-h", "--help"}
+        keys = {k for spec in experiments.REGISTRY.values()
+                for k in spec.defaults}
+        assert opts == {"--out"} | {"--" + k.replace("_", "-") for k in keys}
+
+    def test_each_key_has_one_type(self):
+        kinds = {}
+        for spec in experiments.REGISTRY.values():
+            for key, value in spec.defaults.items():
+                kinds.setdefault(key, set()).add(type(value))
+        assert {k: v for k, v in kinds.items() if len(v) > 1} == {}
+
+    @pytest.mark.parametrize("name", sorted(experiments.REGISTRY))
+    def test_every_default_given_as_an_option(self, name, tmp_path, capsys):
+        # each default, spelled out, reaches the run unchanged: the same
+        # verdict lines and the same bytes as the bare run
+        argv = ["run", name, "--out", str(tmp_path)]
+        for key, value in experiments.REGISTRY[name].defaults.items():
+            text = (",".join(map(str, value)) if isinstance(value, list)
+                    else str(value))
+            argv += ["--" + key.replace("_", "-"), text]
+        assert cli.main(argv) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if not ln.startswith("wrote ")]
+        assert lines == DEFAULT_VERDICTS[name]
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.glob("*.csv"))}
+        assert got == DIGESTS[name]
 
 
 class TestParser:
@@ -219,10 +285,8 @@ class TestUsage:
     def test_docstring_lists_every_option(self):
         # the module docstring is the usage text; every parser option
         # appears in its command's block, bracketed as optional
-        sub = next(a for a in cli.build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
         blocks = cli.__doc__.split("\n\n")[1].split("multisurf ")[1:]
-        for name, parser in sub.choices.items():
+        for name, parser in _subparsers().items():
             block = next(b for b in blocks if b.startswith(name))
             for action in parser._actions:
                 for opt in action.option_strings:

@@ -111,6 +111,15 @@ class TestBadParameters:
         with pytest.raises(ValueError, match=f"^{key} must be finite"):
             run_experiment(name, overrides)
 
+    @pytest.mark.parametrize("name", sorted(
+        n for n, spec in experiments.REGISTRY.items()
+        if "scheme" in spec.defaults))
+    def test_unknown_scheme_is_rejected(self, name):
+        # implicit and explicit are the only schemes; no entry falls back
+        # to forward Euler on another
+        with pytest.raises(ValueError, match="'bogus'"):
+            run_experiment(name, {"scheme": "bogus"})
+
     @pytest.mark.parametrize("overrides", [
         {"h_min": 0.0}, {"h_max": -0.1}, {"points": 0}, {"points": 2},
     ])

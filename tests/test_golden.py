@@ -213,10 +213,6 @@ NEWTON_RUNS = {
 }
 
 LIBRARY_RUNS = {
-    "identity-scaled-rows-m3-half": ("6bc863e4696f98622ef957bd8e88d850"
-                                     "9e91333a3e15263c1daf6a4df54ab0df"),
-    "identity-signed-zero-m4": ("d478524f29c05798523861e588f01cbd"
-                                "89163ced09bd5fa8e6a2501e298fc99a"),
     "lyapunov-rho0.7": lambda: _lyapunov_rho(0.7),
     "lyapunov-rho1.3": lambda: _lyapunov_rho(1.3),
     "galias2007-theta0.5": _galias_theta_half,

@@ -91,7 +91,7 @@ EXPLICIT_VERDICTS = {
         "PASS simple:completed (completed)",
         "PASS simple:period2-detected-y0 (tail drift 0.000e+00)",
     ],
-    ("zoh-siso", "zoh-explicit"): [
+    ("zoh-siso", "explicit"): [
         "PASS zoh-siso:completed (completed)",
         "PASS zoh-siso:period2-detected-y0 (tail drift 2.578e-07)",
     ],
