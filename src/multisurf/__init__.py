@@ -12,12 +12,12 @@ finite-time-exact stabilization on the sliding surfaces.
 
 from multisurf.analysis import (ErrorReport, arrival_step, convergence_slope,
                                 detect_period2, error_norms)
-from multisurf.controllers import (EcbSmcController, iec_control,
-                                   simulate_ecb, simulate_lyapunov)
+from multisurf.controllers import (EcbSmcController, ecb_plan, iec_control,
+                                   lyapunov_plan)
 from multisurf.integrators import (SchemeConfig, StepFailure, Trajectory,
                                    ZohPair, newton_plan, simulate, theta_plan,
                                    simulate_linear, simulate_newton, step_plan,
-                                   simulate_zoh, zoh_discretize)
+                                   zoh_discretize)
 from multisurf.mlcp import (MlcpProblem, MlcpSolution, certify, encode,
                             sign_step_solver, solve, solve_enumerative,
                             solve_pivoting)

@@ -2,7 +2,9 @@
 
 The implicit controllers are causal: the selection s_{k+1} consumed at step
 k is the solution of a small MLCP whose data depend only on x_k, so the
-control is computable at t_k.
+control is computable at t_k.  `ecb_plan` and `lyapunov_plan` build the
+step plans of the two closed loops, with their controls recorded; run one
+with `integrators.simulate(plan, x0, t0, T)`.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from multisurf import mlcp
-from multisurf.integrators import (SchemeConfig, ZohPair, simulate,
-                                   step_plan, theta_plan, zoh_discretize)
-from multisurf.systems import DisturbedLinearSystem, _as_vector
+from multisurf.integrators import (SchemeConfig, ZohPair, step_plan,
+                                   theta_plan, zoh_discretize)
+from multisurf.systems import DisturbedLinearSystem
 
 
 def iec_control(x_k, h):
@@ -62,23 +64,21 @@ class EcbSmcController:
         return self.C.shape[0]
 
 
-def simulate_ecb(ctl: EcbSmcController, x0, t0, T):
-    """Closed-loop ECB-SMC run: the ZOH step of ctl.pair, with the control
-    u_k = -(C G)^-1 (C F x_k + alpha s) recorded per held interval."""
-    x0 = _as_vector(x0, ctl.n, "x0")
+def ecb_plan(ctl: EcbSmcController):
+    """The closed-loop ECB-SMC plan: the ZOH step of ctl.pair, with the
+    control u_k = -(C G)^-1 (C F x_k + alpha s) recorded per held interval."""
     C, Gamma, alpha = ctl.C, ctl.pair.Gamma, ctl.alpha
     implicit = ctl.mode == "implicit"
     neg_CGinv, CF = -np.linalg.inv(C @ ctl.G), C @ ctl.F
-    step = step_plan(
-        ctl.pair.Phi, Gamma, C,
+    return step_plan(
+        ctl.h, ctl.pair.Phi, Gamma, C,
         solve=mlcp.sign_step_solver(C @ Gamma) if implicit else None,
         control=lambda x, s: neg_CGinv @ (CF @ x + alpha * s))
-    return simulate(step, x0, C @ x0, t0, T, ctl.h)
 
 
-def simulate_lyapunov(sys: DisturbedLinearSystem, x0, t0, T,
-                      cfg: SchemeConfig, scheme="implicit"):
-    """Closed-loop run of the disturbed Lyapunov-controlled system.
+def lyapunov_plan(sys: DisturbedLinearSystem, cfg: SchemeConfig,
+                  scheme="implicit"):
+    """The closed-loop plan of the disturbed Lyapunov-controlled system.
 
     The drift uses the theta blend (forward Euler under the explicit
     scheme), the disturbance is sampled at t_k, and the sign inclusion on
@@ -86,9 +86,7 @@ def simulate_lyapunov(sys: DisturbedLinearSystem, x0, t0, T,
     u_k = rho * s_{k+1} lives inside the multivalued band once the state
     sticks at 0.
     """
-    x0 = _as_vector(x0, sys.n, "x0")
-    h, a, B, rho, S = cfg.h, sys.a, sys.B, sys.rho, sys.surface_matrix()
-    step = theta_plan(sys.E, B, S, None,
+    h, a, B, rho = cfg.h, sys.a, sys.B, sys.rho
+    return theta_plan(sys.E, B, sys.surface_matrix(), None,
                       lambda t: h * (a + B @ sys.disturbance(t)), cfg, scheme,
                       rho=rho, control=lambda x, s: rho * s)
-    return simulate(step, x0, S @ x0, t0, T, h)

@@ -287,7 +287,8 @@ def _run_zoh(name, data, params):
     F, G, C = data
     ctl = controllers.EcbSmcController(F=F, G=G, C=C, alpha=params["alpha"],
                                       h=params["h"], mode=params["scheme"])
-    traj = controllers.simulate_ecb(ctl, params["x0"], 0.0, params["T"])
+    traj = integrators.simulate(controllers.ecb_plan(ctl), params["x0"], 0.0,
+                                params["T"])
     props = [_completed(traj)]
     m = ctl.m
     if ctl.mode == "implicit":
@@ -316,9 +317,8 @@ def run_zoh_mimo(params):
 def run_lyapunov(params):
     sys = lyapunov_system(alpha=params["alpha"])
     h = params["h"]
-    traj = controllers.simulate_lyapunov(sys, params["x0"], 0.0, params["T"],
-                                         _cfg(params),
-                                         scheme=params["scheme"])
+    plan = controllers.lyapunov_plan(sys, _cfg(params), params["scheme"])
+    traj = integrators.simulate(plan, params["x0"], 0.0, params["T"])
     props = [_completed(traj)]
     if params["scheme"] == "implicit":
         k, arrived = _arrival(traj)
@@ -392,17 +392,22 @@ def run_observer(params):
 
 def run_hypomonotone(params):
     sys = hypomonotone_system()
-    h = params["h"]
+    h, gamma = params["h"], params["gamma"]
     traj = integrators.simulate_newton(sys, params["x0"], 0.0, params["T"],
                                        _cfg(params))
     props = [_completed(traj)]
-    # closed form away from the sticking band [-h, h]
+    # closed form away from the sticking band: with the gain x + 1 taken at
+    # x_k + gamma (x_{k+1} - x_k), a step that keeps s = sgn(x_k) = sg
+    # solves x_{k+1} (1 + h gamma sg) = x_k (1 - h (1 - gamma) sg) - h sg,
+    # which keeps the sign of x_k while |x_k| den > h, den = 1 - h (1 -
+    # gamma) sg; where den <= 0 every x_k of that sign sticks at 0
     worst = 0.0
     for k in range(len(traj.times) - 1):
         xk = traj.states[k, 0]
-        if abs(xk) > h:
-            sg = np.sign(xk)
-            pred = (xk - h * sg) / (1 + h * sg)
+        sg = np.sign(xk)
+        den = 1 - h * (1 - gamma) * sg
+        if den > 0 and abs(xk) > h / den:
+            pred = (xk * den - h * sg) / (1 + h * gamma * sg)
             worst = max(worst, abs(traj.states[k + 1, 0] - pred),
                         abs(traj.selections[k + 1, 0] - sg))
     props.append(_prop("closed-form-match", worst <= 1e-12,
@@ -466,7 +471,7 @@ REGISTRY = {
         run_observer),
     "hypomonotone": ExperimentSpec(
         "hypomonotone", "scalar hypomonotone gain, Newton one-step problems",
-        dict(h=0.5, T=5.0, x0=[2.0], theta=1.0, gamma=1.0), run_hypomonotone),
+        dict(h=0.5, T=5.0, x0=[2.0], gamma=1.0), run_hypomonotone),
 }
 
 

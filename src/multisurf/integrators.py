@@ -5,15 +5,21 @@ via the one-step problem y = b - W s.  The linear classes -- theta-scheme,
 ZOH, ECB-SMC and Lyapunov loops, implicit or explicit -- share one affine
 step plan (`step_plan`) with a single solve per step; the nonlinear/
 affine-gain classes run an outer Newton loop that re-linearizes the residual
-around the current iterate.  A ZOH path discretizes sampled closed loops
-exactly through matrix exponentials.
+around the current iterate (`newton_plan`).  A ZOH path discretizes sampled
+closed loops exactly through matrix exponentials.
+
+A plan carries its step size h, its state and surface counts n and m, its
+output map and whether it records controls, and owns the loop over the
+rows (`advance`).  `simulate(plan, x0, t0, T)` is the one way to run a
+plan: it checks x0, builds the grid and the rows, and keeps the failure
+record.  `simulate_linear` and `simulate_newton` compose the two for the
+theta-scheme and the Newton classes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -22,7 +28,7 @@ import scipy.linalg
 from multisurf import mlcp
 from multisurf.mlcp import StepFailure
 from multisurf.systems import (AffineGainSignSystem, LinearSignSystem,
-                               NonlinearSignSystem, _as_vector, output)
+                               NonlinearSignSystem, _as_vector)
 
 # the outer Newton loop stops once the residual's max-norm is below
 # NEWTON_TOL, and fails after NEWTON_MAX_ITER iterations
@@ -119,8 +125,8 @@ class Trajectory:
                 fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
-def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
-              control=None):
+def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solve=None,
+              rho=None, control=None):
     """The affine step shared by every linear-class loop, built once per run.
 
     With free = Phi x_k + c_k, a step selects s = solve(C L free + D)
@@ -131,14 +137,16 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
     as zero, identity or one, so no -0.0 turns into 0.0.  control(x_k, s),
     when given, is the input held on [t_k, t_{k+1}).  solve and control
     must be functions of their arguments alone (a warm start may keep
-    state, not change an answer).  Returns step(k, x_k, t_k, s_prev) ->
-    (x, y, s, u, iters), `advance` over one row (the guard included, its
-    StepFailure raised), marked `explicit` when solve is None and
-    `controlled` when control is given, the marks `simulate` reads.
-    Unless c is callable the step depends on x_k alone, and its
-    `time_invariant` attribute is true.  The step's contract, which
-    `advance` and the `mlcp` solvers keep: x_k is finite with
-    |x_k| <= STATE_GUARD, and s lies in [-1, 1]^m to rounding.
+    state, not change an answer); a solve may raise StepFailure.  h is the
+    grid's step, which the operators already hold.  Returns the plan
+    step(k, x_k, t_k, s_prev) -> (x, y, s, u, iters), `advance` over one
+    row (the guard included, its StepFailure raised): row k + 1 as a run
+    records it, with the control held on [t_k, t_{k+1}).  It carries h,
+    n, m, output(x) = C x + D and `controlled`, true when control is given,
+    which `simulate` reads.  Unless c is callable the step depends on x_k
+    alone, and its `time_invariant` attribute is true.  The step's
+    contract, which `advance` and the `mlcp` solvers keep: x_k is finite
+    with |x_k| <= STATE_GUARD, and s lies in [-1, 1]^m to rounding.
 
     Operators that are exactly I, resolved once per plan with c constant.
     I @ v has the bytes of v + 0.0 for a finite v, and (v + 0.0) + d those
@@ -156,8 +164,10 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
     advance(k0, N, X, Y, S, U, iters, times) fills rows k0 + 1 to N of the
     trajectory arrays in one loop that owns every rule of a linear run:
     the guard before each step (see `_check_state`), the fixed tail and
-    the block.  It records u in U when control is given, no iterations, and
-    Y as a copy of X where y is x, and returns (k, taken, why): the row it
+    the block.  It records u in U when control is given, repeating the last
+    held one in row N once the run completes, no iterations, and Y as a
+    copy of X where y is x.  An explicit run's selections are sgn(Y), the
+    selection of step k in row k.  It returns (k, taken, why): the row it
     stopped at, the steps it evaluated, and the StepFailure of step k,
     "tail" or "end".  The fixed tail: once a time-invariant step returns
     x_k and s_k byte for byte (-0.0 is not 0.0), every later step would
@@ -212,7 +222,9 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
 
     m = len(C)
     invariant = step.time_invariant = not driven
-    step.explicit, step.controlled = solve is None, control is not None
+    step.h, step.n, step.m = h, len(Phi), m
+    step.controlled = control is not None
+    step.output = lambda x: C @ x if D is None else C @ x + D
     y_is_x = C_op is None and D_op is None
 
     def advance(k0, N, X, Y, S, U, iters, times):
@@ -269,6 +281,10 @@ def step_plan(Phi, Gamma, C, D=None, L=None, c=None, solve=None, rho=None,
             x_k = x
         if y_is_x:
             Y[k0 + 1:] = X[k0 + 1:]
+        if solve is None:
+            S[k0:] = np.sign(Y[k0:])
+        if record and not isinstance(why, StepFailure):
+            U[N] = U[N - 1]
         return k, taken, why
 
     step.advance = advance
@@ -322,26 +338,29 @@ def theta_plan(E, B, C, D, c, cfg: SchemeConfig, scheme, rho=None,
 
     The implicit scheme blends the drift by cfg.theta: Phi = I + h(1-theta)E,
     L = (I - h theta E)^-1, Gamma = h B and W = h C L B diag(rho), whose
-    one-step solver is built here; a singular I - h theta E fails the first
-    step.  The explicit scheme is forward Euler, Phi = I + h E.
+    one-step solver is built here; under a singular I - h theta E the
+    solve fails, so the run fails at step 0 (after the guard).  The
+    explicit scheme is forward Euler, Phi = I + h E.
     """
     h, n = cfg.h, E.shape[0]
     if scheme == "explicit":
-        return step_plan(np.eye(n) + h * E, h * B, C, D, c=c, rho=rho,
+        return step_plan(h, np.eye(n) + h * E, h * B, C, D, c=c, rho=rho,
                          control=control)
     if scheme != "implicit":
         raise ValueError(f"unknown scheme {scheme!r}")
     try:
         L = np.linalg.inv(np.eye(n) - h * cfg.theta * E)
     except np.linalg.LinAlgError:
-        def fail(k, x_k, t_k, s_prev):
-            raise StepFailure("singular implicit drift matrix I - h*theta*E")
-        fail.controlled = control is not None
-        return fail
-    W = h * C @ L @ B
-    solve = mlcp.sign_step_solver(W if rho is None else W @ np.diag(rho))
-    return step_plan(np.eye(n) + h * (1 - cfg.theta) * E, h * B, C, D, L=L,
-                     c=c, solve=solve, rho=rho, control=control)
+        L, solve = None, _singular_drift
+    else:
+        W = h * C @ L @ B
+        solve = mlcp.sign_step_solver(W if rho is None else W @ np.diag(rho))
+    return step_plan(h, np.eye(n) + h * (1 - cfg.theta) * E, h * B, C, D,
+                     L=L, c=c, solve=solve, rho=rho, control=control)
+
+
+def _singular_drift(b):
+    raise StepFailure("singular implicit drift matrix I - h*theta*E")
 
 
 def newton_plan(sys, cfg: SchemeConfig):
@@ -378,7 +397,8 @@ def newton_plan(sys, cfg: SchemeConfig):
 
     Its `advance` is the run's loop, as in `step_plan` (U unused): the
     guard, the step from the y_k the last one returned (Y[k0] first), its
-    iterations, and a marked plan's fixed tail.
+    iterations, and a marked plan's fixed tail.  The plan carries h, n, m,
+    output = sys.surface and `controlled` (false), as `step_plan`'s does.
     """
     if not isinstance(sys, (AffineGainSignSystem, NonlinearSignSystem)):
         raise TypeError("newton_plan needs an affine-gain or nonlinear system")
@@ -485,7 +505,8 @@ def newton_plan(sys, cfg: SchemeConfig):
         return N, N - k0, "end"
 
     step.time_invariant = drift_free
-    step.advance = advance
+    step.h, step.n, step.m, step.output = h, n, sys.m, sys.surface
+    step.advance, step.controlled = advance, False
     return step
 
 
@@ -561,97 +582,53 @@ def _check_state(x):
         raise StepFailure(f"state magnitude exceeded guard {STATE_GUARD:g}")
 
 
-def _stepwise(step, k0, N, X, Y, S, U, iters, times):
-    """`advance` for a plain step: each step in turn, after the guard."""
-    s = S[k0].copy()
-    for k in range(k0, N):
-        try:
-            _check_state(X[k])
-            x, y, s, u, it = step(k, X[k], times[k], s)
-        except StepFailure as exc:
-            return k, k - k0, exc
-        X[k + 1], Y[k + 1], S[k + 1], iters[k + 1] = x, y, s, it
-        if U is not None and u is not None:
-            U[k] = u
-    return N, N - k0, "end"
+def simulate(plan, x0, t0, T):
+    """Run a plan (see `step_plan` and `newton_plan`) from t0 to T on the
+    uniform grid of the plan's step plan.h, and record everything.
 
-
-def simulate(step, x0, y0, t0, T, h):
-    """Run a step over the uniform grid and record everything.
-
-    step(k, x_k, t_k, s_k) returns (x, y, s, u, iters): the next state and
-    output, the selection the step used (s_{k+1} of an implicit step,
-    sgn(y_k) of an explicit one), the control held on [t_k, t_{k+1}) or
-    None, and the Newton iterations.  s_k is the previous selection (warm
-    start), 0 initially, and y0 fixes the number of surfaces m.
-
-    simulate owns the grid, the rows, the failure record and what a
-    step's marks ask for (see `step_plan`): an `explicit` step's selections
-    are sgn(outputs), a `controlled` step's controls are kept, the last
-    held one repeated.  A plan's `advance` (see `step_plan` and
-    `newton_plan`) owns the loop and the plan's rules, the fixed tail and
-    the block among them; any other callable takes every step in turn.  A
-    state that is not finite or exceeds STATE_GUARD (blow-up) fails the
-    step (see `_check_state`); on StepFailure the partial trajectory is
-    returned with failure diagnostics attached.
+    simulate checks that x0 has the plan's n entries, starts the outputs
+    from y0 = plan.output(x0) and owns the grid, the preallocated rows
+    (m selections and outputs, controls when the plan records them) and
+    the failure record.  The plan's `advance` owns the loop and the plan's
+    rules, the fixed tail, the block, an explicit run's selections and the
+    last held control among them.  A state that is not finite or exceeds
+    STATE_GUARD (blow-up) fails the step (see `_check_state`); on
+    StepFailure the partial trajectory is returned with failure
+    diagnostics attached.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    n, m = x0.shape[0], y0.shape[0]
+    x0 = _as_vector(x0, plan.n, "x0")
+    h, m = plan.h, plan.m
     N = grid_steps(t0, T, h)
     times = t0 + h * np.arange(N + 1)
-    states = np.zeros((N + 1, n))
+    states = np.zeros((N + 1, plan.n))
     selections = np.zeros((N + 1, m))
     outputs = np.zeros((N + 1, m))
-    controlled = getattr(step, "controlled", False)
-    controls = np.zeros((N + 1, m)) if controlled else None
+    controls = np.zeros((N + 1, m)) if plan.controlled else None
     iters = np.zeros(N + 1, dtype=int)
     states[0] = x0
-    outputs[0] = y0
-    advance = getattr(step, "advance", None) or partial(_stepwise, step)
-    k, taken, why = advance(0, N, states, outputs, selections, controls,
-                            iters, times)
+    outputs[0] = plan.output(x0)
+    k, taken, why = plan.advance(0, N, states, outputs, selections, controls,
+                                 iters, times)
     failure, end = None, N + 1
     if isinstance(why, StepFailure):
         failure = FailureInfo(step=k, time=float(times[k]),
                               message=why.message, detail=why.problem_text)
         end = k + 1
-    if getattr(step, "explicit", False):
-        selections[:end] = np.sign(outputs[:end])
-    if controlled and failure is None and N > 0:
-        controls[N] = controls[N - 1]
     return Trajectory(times=times[:end], states=states[:end],
                       selections=selections[:end], outputs=outputs[:end],
-                      controls=controls[:end] if controlled else None,
+                      controls=None if controls is None else controls[:end],
                       newton_iters=iters[:end], failure=failure,
                       steps_taken=taken)
 
 
 def simulate_linear(sys: LinearSignSystem, x0, t0, T, cfg: SchemeConfig,
                     scheme="implicit"):
-    """Convenience loop for the linear class (implicit or explicit)."""
-    step = theta_plan(sys.E, sys.B, sys.C, sys.D, cfg.h * sys.a, cfg, scheme)
-    x0 = _as_vector(x0, sys.n, "x0")
-    return simulate(step, x0, output(sys, x0), t0, T, cfg.h)
+    """The theta-scheme plan of the linear class, run by `simulate`."""
+    return simulate(theta_plan(sys.E, sys.B, sys.C, sys.D, cfg.h * sys.a,
+                               cfg, scheme), x0, t0, T)
 
 
 def simulate_newton(sys, x0, t0, T, cfg: SchemeConfig):
-    """Convenience loop for the affine-gain / nonlinear classes: the plan's
-    `advance` owns the rows (see `newton_plan`), `simulate` the grid."""
-    plan = newton_plan(sys, cfg)
-    x0 = _as_vector(x0, sys.n, "x0")
-    return simulate(plan, x0, sys.surface(x0), t0, T, cfg.h)
-
-
-def simulate_zoh(pair: ZohPair, C, D, x0, t0, T, h, mode="implicit"):
-    """Convenience loop for a ZOH-discretized closed loop; implicit mode
-    solves the one-step MLCP with W = C Gamma."""
-    if mode not in ("implicit", "explicit"):
-        raise ValueError(f"unknown ZOH mode {mode!r}")
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    D = np.atleast_1d(np.asarray(D, dtype=float))
-    x0 = _as_vector(x0, pair.Phi.shape[0], "x0")
-    solve = (mlcp.sign_step_solver(C @ pair.Gamma)
-             if mode == "implicit" else None)
-    step = step_plan(pair.Phi, pair.Gamma, C, D, solve=solve)
-    return simulate(step, x0, C @ x0 + D, t0, T, h)
+    """The Newton plan of the affine-gain / nonlinear classes, run by
+    `simulate`."""
+    return simulate(newton_plan(sys, cfg), x0, t0, T)

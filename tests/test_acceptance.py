@@ -11,14 +11,13 @@ import time
 import numpy as np
 
 from multisurf import analysis, mlcp
-from multisurf.controllers import EcbSmcController, simulate_ecb, \
-    simulate_lyapunov
+from multisurf.controllers import EcbSmcController, ecb_plan, lyapunov_plan
 from multisurf.experiments import (galias2007_system, hypomonotone_system,
                                    lyapunov_system, multisurface_system,
                                    observer_system, simple_selection_ref,
                                    simple_system, zoh_mimo_data,
                                    zoh_siso_data)
-from multisurf.integrators import (SchemeConfig, simulate_linear,
+from multisurf.integrators import (SchemeConfig, simulate, simulate_linear,
                                    simulate_newton, zoh_discretize)
 from tests.test_integrators import rk4_matrix_pair
 
@@ -149,10 +148,10 @@ def test_criterion_7_zoh_siso():
     F, G, C = zoh_siso_data()
     ctl_x = EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3,
                              mode="explicit")
-    expl = simulate_ecb(ctl_x, [0.55, 0.55], 0.0, 30.0)
+    expl = simulate(ecb_plan(ctl_x), [0.55, 0.55], 0.0, 30.0)
     cycling = analysis.detect_period2(analysis.tail(expl.outputs[:, 0]), 1e-6)
     ctl_i = EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3)
-    impl = simulate_ecb(ctl_i, [0.55, 0.55], 0.0, 30.0)
+    impl = simulate(ecb_plan(ctl_i), [0.55, 0.55], 0.0, 30.0)
     k = analysis.arrival_step(impl, 0, tol=1e-12)
     pair = zoh_discretize(F, G, C, 0.3)
     eFh, intexp = rk4_matrix_pair(F, 0.3)
@@ -170,14 +169,14 @@ def test_criterion_8_zoh_mimo():
     F, G, C = zoh_mimo_data()
     x0 = [0.05, -0.5, 0.02]
     ctl_i = EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3)
-    impl = simulate_ecb(ctl_i, x0, 0.0, 15.0)
+    impl = simulate(ecb_plan(ctl_i), x0, 0.0, 15.0)
     ok = True
     for i in range(2):
         if analysis.arrival_step(impl, i, tol=1e-12) is None:
             ok = False
     ctl_x = EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3,
                              mode="explicit")
-    expl = simulate_ecb(ctl_x, x0, 0.0, 15.0)
+    expl = simulate(ecb_plan(ctl_x), x0, 0.0, 15.0)
     ytail = analysis.tail(np.max(np.abs(expl.outputs), axis=1))
     frac = float(np.mean(ytail > 0.3 / 10))
     ok &= frac >= 0.25
@@ -214,7 +213,7 @@ def test_criterion_9_hypomonotone_scalar():
 def test_criterion_10_lyapunov_robust_control():
     sys = lyapunov_system(0.1)
     cfg = SchemeConfig(h=0.1)
-    impl = simulate_lyapunov(sys, [1.0], 0.0, 15.0, cfg)
+    impl = simulate(lyapunov_plan(sys, cfg), [1.0], 0.0, 15.0)
     xs = np.abs(impl.states[:, 0])
     bad = np.nonzero(xs > 1e-12)[0]
     k = int(bad[-1]) + 1 if len(bad) else 0
@@ -225,7 +224,7 @@ def test_criterion_10_lyapunov_robust_control():
             worst = max(worst, abs(impl.controls[j, 0]
                                    - 0.1 * np.sin(impl.times[j])))
         ok &= worst <= 2 * cfg.h
-    expl = simulate_lyapunov(sys, [1.0], 0.0, 15.0, cfg, scheme="explicit")
+    expl = simulate(lyapunov_plan(sys, cfg, "explicit"), [1.0], 0.0, 15.0)
     u = analysis.tail(expl.controls[:-1, 0])
     ok &= bool(np.all(np.abs(np.abs(u) - 1.0) < 1e-12))
     ok &= float(np.mean(u[1:] * u[:-1] < 0)) >= 0.5

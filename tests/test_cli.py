@@ -187,6 +187,8 @@ class TestBadInput:
           ("zoh-siso", "zoh-mimo", "convergence")],
         ("convergence", "scheme", "explicit"),
         ("hypomonotone", "scheme", "explicit"),
+        # the system has no smooth drift for theta to blend
+        ("hypomonotone", "theta", "0.5"),
         ("convergence", "h", "0.05"),
     ])
     def test_key_the_runner_does_not_read(self, name, key, value, tmp_path,

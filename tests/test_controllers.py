@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from multisurf import mlcp
-from multisurf.controllers import (EcbSmcController, iec_control,
-                                   simulate_ecb, simulate_lyapunov)
+from multisurf.controllers import (EcbSmcController, ecb_plan, iec_control,
+                                   lyapunov_plan)
 from multisurf.experiments import (lyapunov_system, zoh_mimo_data,
                                    zoh_siso_data)
-from multisurf.integrators import SchemeConfig, zoh_discretize
+from multisurf.integrators import SchemeConfig, simulate, zoh_discretize
 
 
 class TestIecControl:
@@ -53,12 +53,12 @@ class TestEcbSmc:
     def test_x0_length_is_checked(self):
         ctl = EcbSmcController(*zoh_siso_data(), alpha=1.0, h=0.3)
         with pytest.raises(ValueError, match="^x0 must have length 2"):
-            simulate_ecb(ctl, [0.55], 0.0, 1.0)
+            simulate(ecb_plan(ctl), [0.55], 0.0, 1.0)
 
     def test_siso_implicit_reaches_surface(self):
         F, G, C = zoh_siso_data()
         ctl = EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3)
-        traj = simulate_ecb(ctl, [0.55, 0.55], 0.0, 15.0)
+        traj = simulate(ecb_plan(ctl), [0.55, 0.55], 0.0, 15.0)
         y = np.abs(traj.outputs[:, 0])
         hits = np.nonzero(y <= 1e-12)[0]
         assert len(hits) > 0 and np.all(y[hits[0]:] <= 1e-12)
@@ -67,14 +67,14 @@ class TestEcbSmc:
         F, G, C = zoh_siso_data()
         ctl = EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3,
                                mode="explicit")
-        traj = simulate_ecb(ctl, [0.55, 0.55], 0.0, 30.0)
+        traj = simulate(ecb_plan(ctl), [0.55, 0.55], 0.0, 30.0)
         tail = traj.outputs[-12:, 0]
         assert np.max(np.abs(tail[2:] - tail[:-2])) <= 1e-6
 
     def test_mimo_implicit_both_surfaces(self):
         F, G, C = zoh_mimo_data()
         ctl = EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3)
-        traj = simulate_ecb(ctl, [0.05, -0.5, 0.02], 0.0, 15.0)
+        traj = simulate(ecb_plan(ctl), [0.05, -0.5, 0.02], 0.0, 15.0)
         for i in range(2):
             y = np.abs(traj.outputs[:, i])
             hits = np.nonzero(y <= 1e-12)[0]
@@ -83,17 +83,17 @@ class TestEcbSmc:
     def test_selection_box_in_implicit_mode(self):
         F, G, C = zoh_siso_data()
         ctl = EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3)
-        traj = simulate_ecb(ctl, [0.55, 0.55], 0.0, 15.0)
+        traj = simulate(ecb_plan(ctl), [0.55, 0.55], 0.0, 15.0)
         assert np.max(np.abs(traj.selections[1:])) <= 1 + 1e-9
 
     def test_causality_replay(self):
         # re-deriving each control from the recorded state reproduces it
         F, G, C = zoh_siso_data()
         ctl = EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3)
-        traj = simulate_ecb(ctl, [0.55, 0.55], 0.0, 6.0)
+        traj = simulate(ecb_plan(ctl), [0.55, 0.55], 0.0, 6.0)
         for k in range(len(traj.times) - 1):
             # one step of the plan, started from the recorded x_k alone
-            step = simulate_ecb(ctl, traj.states[k], 0.0, ctl.h)
+            step = simulate(ecb_plan(ctl), traj.states[k], 0.0, ctl.h)
             assert len(step.times) == 2
             assert np.allclose(step.states[1], traj.states[k + 1], atol=1e-13)
             assert np.allclose(step.controls[0], traj.controls[k],
@@ -103,13 +103,13 @@ class TestEcbSmc:
 class TestLyapunovControl:
     def test_x0_length_is_checked(self):
         with pytest.raises(ValueError, match="^x0 must have length 1"):
-            simulate_lyapunov(lyapunov_system(0.1), [1.0, 2.0], 0.0, 1.0,
-                              SchemeConfig(h=0.1))
+            simulate(lyapunov_plan(lyapunov_system(0.1), SchemeConfig(h=0.1)),
+                     [1.0, 2.0], 0.0, 1.0)
 
     def test_implicit_reaches_zero_and_tracks(self):
         sys = lyapunov_system(0.1)
         cfg = SchemeConfig(h=0.1)
-        traj = simulate_lyapunov(sys, [1.0], 0.0, 15.0, cfg)
+        traj = simulate(lyapunov_plan(sys, cfg), [1.0], 0.0, 15.0)
         xs = np.abs(traj.states[:, 0])
         bad = np.nonzero(xs > 1e-12)[0]
         k = int(bad[-1]) + 1
@@ -121,15 +121,14 @@ class TestLyapunovControl:
     def test_zero_disturbance_equilibrium(self):
         sys = lyapunov_system(0.0)
         cfg = SchemeConfig(h=0.1)
-        traj = simulate_lyapunov(sys, [0.0], 0.0, 2.0, cfg)
+        traj = simulate(lyapunov_plan(sys, cfg), [0.0], 0.0, 2.0)
         assert np.all(traj.states == 0.0)
         assert np.all(traj.controls == 0.0)
 
     def test_explicit_chatters(self):
         sys = lyapunov_system(0.1)
         cfg = SchemeConfig(h=0.1)
-        traj = simulate_lyapunov(sys, [1.0], 0.0, 15.0, cfg,
-                                 scheme="explicit")
+        traj = simulate(lyapunov_plan(sys, cfg, "explicit"), [1.0], 0.0, 15.0)
         u = traj.controls[-40:-1, 0]
         assert np.all(np.abs(np.abs(u) - 1.0) < 1e-12)
         assert np.mean(u[1:] * u[:-1] < 0) >= 0.5
@@ -138,7 +137,7 @@ class TestLyapunovControl:
         sys = lyapunov_system(0.1)
         cfg = SchemeConfig(h=0.1)
         t = 2.0
-        step = simulate_lyapunov(sys, [0.0], t, t + cfg.h / 2, cfg)
+        step = simulate(lyapunov_plan(sys, cfg), [0.0], t, t + cfg.h / 2)
         assert len(step.times) == 2
         assert abs(step.states[1, 0]) <= 1e-15
         assert abs(step.controls[0, 0] - 0.1 * np.sin(t)) <= 1e-14

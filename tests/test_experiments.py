@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -224,3 +225,87 @@ class TestSimpleArrivalBound:
         # rounding carries some runs one step past ceil(q) (36 of these
         # 200): without the allowance they would fail
         assert past_exact > 0
+
+
+class TestHypomonotoneClosedForm:
+    """`closed-form-match` under the gamma-scheme: with the gain x + 1 taken
+    at x_k + gamma (x_{k+1} - x_k) and rho = 0, a step that keeps
+    s = sgn(x_k) = sg solves
+
+        x_{k+1} - x_k + h ((1 - gamma) x_k + gamma x_{k+1} + 1) sg = 0,
+
+    so x_{k+1} = (x_k (1 - h (1 - gamma) sg) - h sg) / (1 + h gamma sg),
+    which keeps the sign of x_k past the band edge
+    |x_k| = h / (1 - h (1 - gamma) sg).  Where 1 - h (1 - gamma) sg <= 0
+    the band covers every x_k of that sign: x_{k+1} = 0 with
+    s = x_k / (h ((1 - gamma) x_k + 1)), inside [-1, 1]."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("x0", [2.0, -2.0, 0.9, -0.7])
+    def test_gamma_runs_match_the_closed_form(self, gamma, x0):
+        res = run_experiment("hypomonotone", {"gamma": gamma, "x0": [x0]})
+        check = res.properties[1]
+        assert check.name == "closed-form-match" and check.passed
+        assert float(check.detail.split()[-1]) <= 1e-14
+        # below x = -1 the gain x + 1 is negative and the run moves away
+        # from 0, so only x0 = -2 never arrives
+        assert res.all_passed == (x0 != -2.0)
+
+    def test_default_deviation_keeps_its_bytes(self):
+        res = run_experiment("hypomonotone")
+        assert res.properties[1].detail == "max deviation 5.551e-17"
+
+    def test_band_covering_a_half_line(self):
+        # h (1 - gamma) = 1.5: every positive x_k sticks at once
+        res = run_experiment("hypomonotone", {"gamma": 0.0, "h": 1.5})
+        assert res.all_passed
+        assert res.trajectories["traj"].states[1:, 0].tolist() == [0.0] * 4
+
+
+def _fingerprint(result):
+    """A run's trajectory bytes, tables and verdict lines."""
+    rows = [(label, [None if v is None else v.tobytes()
+                     for v in (t.times, t.states, t.selections, t.outputs,
+                               t.controls)])
+            for label, t in result.trajectories.items()]
+    verdicts = [(p.name, p.passed, p.detail) for p in result.properties]
+    return rows, result.tables, verdicts
+
+
+@functools.cache
+def _default_fingerprint(name):
+    return _fingerprint(run_experiment(name))
+
+
+def _second_value(value):
+    """A second valid value of a registry default: the other scheme, or
+    half the default (half of each entry of a vector)."""
+    if isinstance(value, str):
+        return {"implicit": "explicit", "explicit": "implicit"}[value]
+    if isinstance(value, list):
+        return [0.5 * v for v in value]
+    return type(value)(0.5 * value)
+
+
+# half of the sweep's T = 3 still covers the arrival at |x0| = 1.01, after
+# which the selection error is 0 and no norm moves; a horizon before it does
+SECOND_VALUES = {("convergence", "T"): 1.0}
+# E = 0 in these systems: the theta blend of a zero drift gives Phi = L = I
+# whatever theta is, so no value of it changes a byte (FOUND in CHANGES.md)
+DEAD_KEYS = {("simple", "theta"), ("multisurface", "theta"),
+             ("filippov", "theta")}
+
+
+@pytest.mark.parametrize("name, key", [
+    pytest.param(name, key, marks=pytest.mark.xfail(
+        (name, key) in DEAD_KEYS, reason="theta of a zero drift",
+        strict=True))
+    for name, spec in sorted(experiments.REGISTRY.items())
+    for key in spec.defaults])
+def test_every_key_is_live(name, key):
+    # a settable key whose second value changes neither a byte of the run
+    # nor a verdict would be an option that does nothing
+    value = SECOND_VALUES.get((name, key)) or _second_value(
+        experiments.REGISTRY[name].defaults[key])
+    changed = _fingerprint(run_experiment(name, {key: value}))
+    assert changed != _default_fingerprint(name)

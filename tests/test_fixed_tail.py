@@ -6,9 +6,9 @@ without smooth drift, which warm-starts from s_k.  Once a marked plan's
 step returns both x_k and s_k byte for byte every later step returns the
 same results, and the plan's `advance` fills the remaining rows instead of
 stepping.  Each run here is compared, array by array as bytes, with a
-step-by-step reference: the same run with the plan's step wrapped in a
-plain function, which `simulate` steps in its generic loop, every step
-taken.  `Trajectory.steps_taken` counts the steps a run took.
+step-by-step reference: the same plan run by `tests/stepwise.py`, which
+takes its one-row step for every row.  `Trajectory.steps_taken` counts
+the steps a run took.
 """
 
 import dataclasses
@@ -25,39 +25,21 @@ from multisurf.experiments import (hypomonotone_system, run_experiment,
 from multisurf.integrators import SchemeConfig
 from multisurf.systems import (AffineGainSignSystem, LinearSignSystem,
                                NonlinearSignSystem)
+from tests import stepwise as reference
 
 SIMULATE = integrators.simulate
 FIELDS = ("times", "states", "selections", "outputs", "controls",
           "newton_iters")
 
 
-def _plain(step, *args, **kwargs):
-    """`simulate` of the step wrapped in a plain function, which carries
-    the step's `explicit` and `controlled` marks but not its `advance`."""
-    def plain(*a):
-        return step(*a)
-    plain.explicit = getattr(step, "explicit", False)
-    plain.controlled = getattr(step, "controlled", False)
-    return SIMULATE(plain, *args, **kwargs)
-
-
-def stepwise(run, *args, module=integrators, **kwargs):
-    """run(*args, **kwargs) with every step taken: `simulate`, as `module`
-    names it, gets the linear plan's step wrapped in a plain function."""
-    with mock.patch.object(module, "simulate", _plain):
+def stepwise(run, *args, explicit=False, **kwargs):
+    """run(*args, **kwargs) with every step taken: `integrators.simulate`
+    is the step-by-step reference run, told whether the plan is
+    explicit."""
+    def simulate(plan, x0, t0, T):
+        return reference.run(plan, x0, t0, T, explicit=explicit)
+    with mock.patch.object(integrators, "simulate", simulate):
         return run(*args, **kwargs)
-
-
-def newton_stepwise(sys, x0, t0, T, cfg):
-    """`simulate_newton` with every step taken: the Newton plan's step as a
-    plain function, which evaluates the surface at x_k itself."""
-    plan = integrators.newton_plan(sys, cfg)
-
-    def step(k, x_k, t_k, s_k):
-        x, s, y, it = plan(x_k, t_k, s_k)
-        return x, y, s, None, it
-    x0 = np.asarray(x0, dtype=float)
-    return SIMULATE(step, x0, sys.surface(x0), t0, T, cfg.h)
 
 
 def assert_same(got, ref):
@@ -109,7 +91,7 @@ def linear_pair(seed):
     with np.errstate(all="ignore"):
         got = integrators.simulate_linear(sys, x0, 0.0, T, cfg, scheme)
         ref = stepwise(integrators.simulate_linear, sys, x0, 0.0, T, cfg,
-                       scheme)
+                       scheme, explicit=scheme == "explicit")
     return got, ref, got.steps_taken
 
 
@@ -148,9 +130,12 @@ def test_zoh_run_skips_its_fixed_tail(mode):
     # F = 0, G = C = 1: x_{k+1} = x_k - h s reaches 0 at step 4 either way;
     # s falls from 1 to 0 on step 4, so step 5 is the first repeat
     pair = integrators.zoh_discretize([[0.0]], [[1.0]], [[1.0]], 0.25)
-    args = (pair, [[1.0]], [0.0], [1.0], 0.0, 5.0, 0.25, mode)
-    ref = stepwise(integrators.simulate_zoh, *args)
-    got = integrators.simulate_zoh(*args)
+    solve = (mlcp.sign_step_solver(pair.Gamma) if mode == "implicit"
+             else None)
+    plan = integrators.step_plan(0.25, pair.Phi, pair.Gamma, np.eye(1),
+                                 np.zeros(1), solve=solve)
+    ref = reference.run(plan, [1.0], 0.0, 5.0, explicit=mode == "explicit")
+    got = integrators.simulate(plan, [1.0], 0.0, 5.0)
     assert got.steps_taken == 6 and len(got.times) == 21
     assert_same(got, ref)
 
@@ -159,7 +144,7 @@ def test_advance_says_where_and_why_it_stopped():
     # x = 1 - k/4 repeats x and s on step 5 (row 6); a grid of 3 steps ends
     # first; from a state past the guard step 0 fails
     h = 0.25
-    plan = integrators.step_plan(np.eye(1), h * np.eye(1), np.eye(1),
+    plan = integrators.step_plan(h, np.eye(1), h * np.eye(1), np.eye(1),
                                  solve=mlcp.sign_step_solver(h * np.eye(1)))
     for x0, N, want in ((1.0, 12, (6, 6, "tail")), (1.0, 3, (3, 3, "end")),
                         (2e12, 12, (0, 0, "state magnitude exceeded "
@@ -172,11 +157,11 @@ def test_advance_says_where_and_why_it_stopped():
 
 
 def _control_run(h, T):
-    step = integrators.step_plan(
-        np.eye(1), h * np.eye(1), np.eye(1),
+    plan = integrators.step_plan(
+        h, np.eye(1), h * np.eye(1), np.eye(1),
         solve=mlcp.sign_step_solver(h * np.eye(1)),
         control=lambda x, s: 1.0 - 2.0 * s + x)
-    return integrators.simulate(step, [0.7], [0.7], 0.0, T, h)
+    return integrators.simulate(plan, [0.7], 0.0, T)
 
 
 def test_recorded_controls_fill_the_fixed_tail():
@@ -203,8 +188,7 @@ def test_lyapunov_run_repeats_before_it_settles():
     # the disturbance drives the registry Lyapunov loop: its state repeats
     # exactly at step 10 and moves again later, so its plan must not skip
     got = run_experiment("lyapunov", {}).trajectories["traj"]
-    ref = stepwise(run_experiment, "lyapunov", {},
-                   module=controllers).trajectories["traj"]
+    ref = stepwise(run_experiment, "lyapunov", {}).trajectories["traj"]
     assert_same(got, ref)
     rows = [row.tobytes() for row in got.states]
     first = next(k for k in range(len(rows) - 1) if rows[k + 1] == rows[k])
@@ -212,30 +196,31 @@ def test_lyapunov_run_repeats_before_it_settles():
     assert any(rows[k + 1] != rows[k] for k in range(first, len(rows) - 1))
 
 
-def _marks(module, name):
-    """The `time_invariant` marks of the steps the registry run `name`
-    hands to `simulate`, as `module` names it."""
+def _marks(name):
+    """The `time_invariant` marks of the plans the registry run `name`
+    hands to `simulate`."""
     seen = []
 
-    def capture(step, *a, **kw):
-        seen.append(getattr(step, "time_invariant", False))
-        return SIMULATE(step, *a, **kw)
+    def capture(plan, *a):
+        seen.append(plan.time_invariant)
+        return SIMULATE(plan, *a)
 
-    with mock.patch.object(module, "simulate", capture):
+    with mock.patch.object(integrators, "simulate", capture):
         run_experiment(name, {})
     return seen
 
 
 def test_driven_steps_are_never_marked():
     one = np.eye(1)
-    assert integrators.step_plan(one, one, one).time_invariant
-    assert integrators.step_plan(one, one, one, c=np.ones(1)).time_invariant
-    assert not integrators.step_plan(one, one, one,
+    assert integrators.step_plan(0.1, one, one, one).time_invariant
+    assert integrators.step_plan(0.1, one, one, one,
+                                 c=np.ones(1)).time_invariant
+    assert not integrators.step_plan(0.1, one, one, one,
                                      c=lambda t: np.ones(1)).time_invariant
     assert not integrators.theta_plan(
         one, one, one, None, lambda t: np.ones(1), SchemeConfig(h=0.1),
         "implicit").time_invariant
-    assert _marks(controllers, "lyapunov") == [False]
+    assert _marks("lyapunov") == [False]
 
 
 def _drifting_affine():
@@ -249,7 +234,7 @@ def _drifting_affine():
 def test_drift_free_newton_steps_are_marked():
     cfg = SchemeConfig(h=0.1)
     assert integrators.newton_plan(hypomonotone_system(), cfg).time_invariant
-    assert _marks(integrators, "hypomonotone") == [True]
+    assert _marks("hypomonotone") == [True]
     assert not integrators.newton_plan(_drifting_affine(),
                                        cfg).time_invariant
     nonlinear = NonlinearSignSystem(
@@ -266,7 +251,7 @@ def test_drifting_affine_run_takes_every_step():
     args = (_drifting_affine(), [0.25], 0.0, 3.0, SchemeConfig(h=0.125))
     got = integrators.simulate_newton(*args)
     assert got.steps_taken == 24 and got.selections[-1, 0] == 0.5
-    assert_same(got, newton_stepwise(*args))
+    assert_same(got, reference.newton(*args))
 
 
 def _changed_selection_run(kind):
@@ -277,11 +262,11 @@ def _changed_selection_run(kind):
     h = 0.25
     if kind == "newton":
         args = (hypomonotone_system(), [0.5], 0.0, 3.0, SchemeConfig(h=h))
-        return integrators.simulate_newton(*args), newton_stepwise(*args)
-    plan = integrators.step_plan(np.eye(2), h * np.eye(2), np.eye(2),
+        return integrators.simulate_newton(*args), reference.newton(*args)
+    plan = integrators.step_plan(h, np.eye(2), h * np.eye(2), np.eye(2),
                                  solve=mlcp.sign_step_solver(h * np.eye(2)))
-    args = ([1.0, 0.5], [1.0, 0.5], 0.0, 3.0, h)
-    return integrators.simulate(plan, *args), _plain(plan, *args)
+    args = ([1.0, 0.5], 0.0, 3.0)
+    return integrators.simulate(plan, *args), reference.run(plan, *args)
 
 
 def test_changed_selection_is_not_a_repeat():
@@ -331,7 +316,7 @@ def newton_pair(seed):
     sys, x0, T, cfg = newton_run(np.random.default_rng(seed))
     with np.errstate(all="ignore"):
         got = integrators.simulate_newton(sys, x0, 0.0, T, cfg)
-        ref = newton_stepwise(sys, x0, 0.0, T, cfg)
+        ref = reference.newton(sys, x0, 0.0, T, cfg)
     return got, ref, got.steps_taken
 
 
@@ -430,7 +415,7 @@ def test_hypomonotone_run_stops_at_its_tail():
     args = (hypomonotone_system(), [2.5], 0.0, 2.0, SchemeConfig(h=1e-3))
     got = integrators.simulate_newton(*args)
     assert got.steps_taken == 1257 and len(got.times) == 2001
-    assert_same(got, newton_stepwise(*args))
+    assert_same(got, reference.newton(*args))
 
 
 def _nan_drift_affine():
@@ -443,8 +428,9 @@ def _nan_drift_affine():
 
 def _failing_run(case, plain):
     """A run that fails, through the plans or (plain) step by step."""
-    def through(run, *args, module=integrators):
-        return stepwise(run, *args, module=module) if plain else run(*args)
+    def through(run, *args, explicit=False):
+        return (stepwise(run, *args, explicit=explicit) if plain
+                else run(*args))
     if case == "simple-overflow":
         # as `multisurf run simple --x0 1e308`: the guard fails step 0
         return through(run_experiment, "simple",
@@ -455,17 +441,17 @@ def _failing_run(case, plain):
                                a=[0.0, 0.0], B=[[0.5], [1.0]],
                                C=[[0.0, 1.0]], D=[0.0])
         return through(integrators.simulate_linear, sys, [1.0, 0.5], 0.0,
-                       50.0, SchemeConfig(h=0.5), "explicit")
+                       50.0, SchemeConfig(h=0.5), "explicit", explicit=True)
     if case == "ecb-controls":
         # x_0 grows as e^{2t} off the surface, and the recorded control
         # -(x_0 + s) with it
         ctl = controllers.EcbSmcController(
             F=[[2.0, 0.0], [1.0, 0.0]], G=[[0.0], [1.0]], C=[[0.0, 1.0]],
             alpha=1.0, h=0.1)
-        return through(controllers.simulate_ecb, ctl, [1.0, 0.5], 0.0, 20.0,
-                       module=controllers)
+        args = (controllers.ecb_plan(ctl), [1.0, 0.5], 0.0, 20.0)
+        return reference.run(*args) if plain else integrators.simulate(*args)
     args = (_nan_drift_affine(), [0.25], 0.0, 3.0, SchemeConfig(h=0.125))
-    return (newton_stepwise if plain else integrators.simulate_newton)(*args)
+    return (reference.newton if plain else integrators.simulate_newton)(*args)
 
 
 @pytest.mark.parametrize("case, step", [

@@ -34,7 +34,7 @@ import io
 import numpy as np
 import pytest
 
-from multisurf import cli, controllers, experiments, integrators
+from multisurf import cli, controllers, experiments, integrators, mlcp
 from multisurf.integrators import SchemeConfig
 from multisurf.systems import (AffineGainSignSystem, DisturbedLinearSystem,
                                LinearSignSystem, NonlinearSignSystem)
@@ -82,8 +82,8 @@ def _lyapunov_rho(rho):
     sys = DisturbedLinearSystem(
         n=1, m=1, E=[[-1.0]], a=[0.0], B=[[1.0]], rho=[rho], P=[[1.0]],
         gamma=lambda t: np.array([0.1 * np.sin(t)]), rho_bounds=[rho])
-    return controllers.simulate_lyapunov(sys, [1.0], 0.0, 15.0,
-                                         SchemeConfig(h=0.1))
+    plan = controllers.lyapunov_plan(sys, SchemeConfig(h=0.1))
+    return integrators.simulate(plan, [1.0], 0.0, 15.0)
 
 
 def _galias_theta_half():
@@ -94,7 +94,11 @@ def _galias_theta_half():
 def _zoh(data, x0, T):
     F, G, C = data
     pair = integrators.zoh_discretize(F, G, C, 0.3)
-    return integrators.simulate_zoh(pair, C, [0.0] * len(C), x0, 0.0, T, 0.3)
+    C = np.asarray(C, dtype=float)
+    plan = integrators.step_plan(0.3, pair.Phi, pair.Gamma, C,
+                                 np.zeros(len(C)),
+                                 solve=mlcp.sign_step_solver(C @ pair.Gamma))
+    return integrators.simulate(plan, x0, 0.0, T)
 
 
 def _pivot_m4():

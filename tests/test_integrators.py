@@ -6,15 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multisurf import integrators, mlcp
+from multisurf import controllers, integrators, mlcp
 from multisurf.experiments import (galias2007_system, hypomonotone_system,
-                                   multisurface_system, simple_system,
-                                   zoh_siso_data)
+                                   lyapunov_system, multisurface_system,
+                                   simple_system, zoh_siso_data)
 from multisurf.integrators import (SchemeConfig, StepFailure, newton_plan,
-                                   simulate_linear, simulate_newton,
-                                   simulate_zoh, step_plan, theta_plan,
-                                   zoh_discretize)
+                                   simulate, simulate_linear, simulate_newton,
+                                   step_plan, theta_plan, zoh_discretize)
 from multisurf.systems import AffineGainSignSystem, LinearSignSystem
+from tests import stepwise
 
 
 def rk4_matrix_pair(F, h, steps=10000):
@@ -47,15 +47,43 @@ def linear_step(sys, x_k, cfg, scheme="implicit"):
     return x, y, s
 
 
-def zoh_step(pair, C, D, x_k, mode="implicit"):
-    """(x, y, s) of one step of the ZOH plan that simulate_zoh runs."""
+def zoh_plan(pair, h, C, D, mode="implicit"):
+    """The ZOH loop of `pair`, sampled at h, as a bare `step_plan`; implicit
+    mode solves the one-step MLCP with W = C Gamma."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D = np.atleast_1d(np.asarray(D, dtype=float))
     solve = (mlcp.sign_step_solver(C @ pair.Gamma)
              if mode == "implicit" else None)
-    x, y, s, _, _ = step_plan(pair.Phi, pair.Gamma, C, D, solve=solve)(
+    return step_plan(h, pair.Phi, pair.Gamma, C, D, solve=solve)
+
+
+def zoh_step(pair, h, C, D, x_k, mode="implicit"):
+    """(x, y, s) of one step of the ZOH plan: row k + 1 as a run records
+    it, so an explicit step's s is sgn(y)."""
+    x, y, s, _, _ = zoh_plan(pair, h, C, D, mode)(
         0, np.asarray(x_k, dtype=float), 0.0, None)
     return x, y, s
+
+
+PLAN_KINDS = ["theta", "newton", "ecb", "lyapunov", "zoh"]
+
+
+def plan_kinds():
+    """A plan of each kind: the theta-scheme (n = 2), Newton (n = 1), the
+    ECB-SMC loop (n = 2), the Lyapunov loop (n = 1) and a bare ZOH
+    `step_plan` (n = 2)."""
+    F, G, C = zoh_siso_data()
+    ctl = controllers.EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3)
+    cfg = SchemeConfig(h=0.1)
+    sys = galias2007_system()
+    return {
+        "theta": theta_plan(sys.E, sys.B, sys.C, sys.D, cfg.h * sys.a, cfg,
+                            "implicit"),
+        "newton": newton_plan(hypomonotone_system(), cfg),
+        "ecb": controllers.ecb_plan(ctl),
+        "lyapunov": controllers.lyapunov_plan(lyapunov_system(), cfg),
+        "zoh": zoh_plan(zoh_discretize(F, G, C, 0.3), 0.3, C, [0.0]),
+    }
 
 
 class TestSchemeConfig:
@@ -256,7 +284,7 @@ class TestZohDiscretize:
 class TestStepZoh:
     def test_reduces_to_linear_step(self):
         pair = integrators.ZohPair(Phi=np.eye(1), Gamma=0.2 * np.eye(1))
-        zx, _, zs = zoh_step(pair, [[1.0]], [0.0], [1.01])
+        zx, _, zs = zoh_step(pair, 0.2, [[1.0]], [0.0], [1.01])
         lx, _, ls = linear_step(simple_system(), [1.01],
                                 SchemeConfig(h=0.2, theta=0.0))
         assert np.allclose(zx, lx, atol=1e-14)
@@ -268,16 +296,17 @@ class TestStepZoh:
         # a point already on the surface stays on it
         x = np.array([1.0, -1.0])
         assert abs(np.asarray(C) @ x) <= 1e-14
-        _, y, _ = zoh_step(pair, C, [0.0], x)
+        _, y, _ = zoh_step(pair, 0.3, C, [0.0], x)
         assert np.max(np.abs(y)) <= 1e-12
 
     def test_explicit_mode(self):
         F, G, C = zoh_siso_data()
         pair = zoh_discretize(F, G, C, 0.3)
         x = np.array([0.55, 0.55])
-        x1, _, s = zoh_step(pair, C, [0.0], x, mode="explicit")
-        assert s[0] == 1.0
-        assert np.allclose(x1, pair.Phi @ x - pair.Gamma @ s)
+        x1, y1, s = zoh_step(pair, 0.3, C, [0.0], x, mode="explicit")
+        # the step selects sgn(C x) = 1; the row it fills records sgn(y1)
+        assert np.allclose(x1, pair.Phi @ x - pair.Gamma @ [1.0])
+        assert s.tobytes() == np.sign(y1).tobytes()
 
 
 class TestSimulate:
@@ -361,50 +390,47 @@ class TestSimulate:
         (-2e12, "state magnitude exceeded guard 1e+12"),
     ])
     def test_state_check_names_the_failing_step(self, bad, message):
-        # step 2 writes `bad` into x_3; the check before step 3 stops the run
-        def step(k, x_k, t_k, s_prev):
-            x = x_k + 1.0
-            if k == 2:
-                x[1] = bad
-            return x, x[:1], np.zeros(1), None, 0
+        # step 2 adds `bad` to x_3; the check before step 3 stops the run
+        def c(t):
+            return np.array([1.0, bad if t == 0.2 else 1.0])
 
-        traj = integrators.simulate(step, [0.0, 0.0], [0.0], 0.0, 1.0, 0.1)
+        plan = step_plan(0.1, np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)),
+                         c=c)
+        with np.errstate(invalid="ignore"):
+            traj = simulate(plan, [0.0, 0.0], 0.0, 1.0)
         assert traj.failure.step == 3 and traj.failure.message == message
         assert traj.failure.time == traj.times[3] and len(traj.times) == 4
-        assert traj.states[3, 1] == bad or math.isnan(traj.states[3, 1])
+        assert np.array_equal(traj.states[3], [3.0, 2.0 + bad],
+                              equal_nan=True)
 
     def test_state_check_prefers_non_finite_and_keeps_the_guard_value(self):
-        def step(k, x_k, t_k, s_prev):
-            return (np.array([-3e12, math.nan]) if k == 1 else x_k,
-                    np.zeros(1), np.zeros(1), None, 0)
+        def c(t):
+            return np.array([-4e12, math.nan] if t == 0.1 else [0.0, 0.0])
 
-        traj = integrators.simulate(step, [1e12, 0.0], [0.0], 0.0, 1.0, 0.1)
+        plan = step_plan(0.1, np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)),
+                         c=c)
+        with np.errstate(invalid="ignore"):
+            traj = simulate(plan, [1e12, 0.0], 0.0, 1.0)
+            nan0 = simulate(plan, [math.nan, 0.0], 0.0, 1.0).failure
         assert traj.failure.step == 2
         assert traj.failure.message == "state is not finite"
-        nan0 = integrators.simulate(step, [math.nan, 0.0], [0.0], 0.0, 1.0,
-                                    0.1).failure
         assert (nan0.step, nan0.message) == (0, "state is not finite")
 
-    def test_surface_count_comes_from_y0(self):
-        def step(k, x_k, t_k, s_prev):
-            return x_k, np.zeros(2), np.ones(2), None, 0
-
-        traj = integrators.simulate(step, [1.0], [0.0, 0.0], 0.0, 0.3, 0.1)
-        assert traj.m == 2 and traj.selections.shape == (4, 2)
+    def test_surface_count_comes_from_the_plan(self):
+        plan = step_plan(0.1, np.eye(1), np.ones((1, 2)), np.ones((2, 1)))
+        traj = simulate(plan, [1.0], 0.0, 0.3)
+        assert plan.m == traj.m == 2 and traj.selections.shape == (4, 2)
         # a trailing positional m is rejected
         with pytest.raises(TypeError):
-            integrators.simulate(step, [1.0], [0.0, 0.0], 0.0, 0.3, 0.1, 2)
+            simulate(plan, [1.0], 0.0, 0.3, 2)
 
-    @pytest.mark.parametrize("run, x0", [
-        (lambda x0: simulate_newton(hypomonotone_system(), x0, 0.0, 1.0,
-                                    SchemeConfig(h=0.1)), [1.0, 2.0]),
-        (lambda x0: simulate_zoh(zoh_discretize(*zoh_siso_data(), 0.3),
-                                 [[1.0, 1.0]], [0.0], x0, 0.0, 1.0, 0.3),
-         [1.0]),
-    ], ids=["newton", "zoh"])
-    def test_x0_length_is_checked(self, run, x0):
-        with pytest.raises(ValueError, match="^x0 must have length"):
-            run(x0)
+    @pytest.mark.parametrize("kind", PLAN_KINDS)
+    def test_x0_length_is_checked(self, kind):
+        plan = plan_kinds()[kind]
+        for x0 in ([1.0] * (plan.n + 1), [1.0] * (plan.n - 1)):
+            with pytest.raises(ValueError,
+                               match=f"^x0 must have length {plan.n}"):
+                simulate(plan, x0, 0.0, 1.0)
 
     def test_grid_is_capped(self):
         cap = integrators.MAX_STEPS
@@ -418,9 +444,10 @@ class TestSimulate:
 
     def test_capped_grid_fails_before_any_allocation(self):
         # 1e12 rows: numpy itself refuses that much memory at once
+        plan = step_plan(1.0, np.eye(1), np.eye(1), np.eye(1))
+        plan.advance = lambda *a: pytest.fail("stepped")
         with pytest.raises(ValueError, match="give 1e\\+12 steps"):
-            integrators.simulate(lambda *a: pytest.fail("stepped"), [1.0],
-                                 [0.0], 0.0, 1e12, 1.0)
+            simulate(plan, [1.0], 0.0, 1e12)
 
     def test_grid_is_ceil(self):
         assert integrators.grid_steps(0.0, 3.0, 0.2) == 15
@@ -472,10 +499,9 @@ class TestTrajectoryCsv:
         assert path.read_text() == want
 
     def test_controls_columns(self, tmp_path):
-        from multisurf.controllers import EcbSmcController, simulate_ecb
         F, G, C = zoh_siso_data()
-        ctl = EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3)
-        traj = simulate_ecb(ctl, [0.55, 0.55], 0.0, 3.0)
+        ctl = controllers.EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3)
+        traj = simulate(controllers.ecb_plan(ctl), [0.55, 0.55], 0.0, 3.0)
         path = tmp_path / "cl.csv"
         traj.to_csv(path)
         assert path.read_text().splitlines()[0] == "t,x0,x1,s0,y0,u0"
@@ -485,7 +511,8 @@ class TestZohSimulation:
     def test_implicit_no_chatter(self):
         F, G, C = zoh_siso_data()
         pair = zoh_discretize(F, G, C, 0.3)
-        traj = simulate_zoh(pair, C, [0.0], [0.55, 0.55], 0.0, 15.0, 0.3)
+        traj = simulate(zoh_plan(pair, 0.3, C, [0.0]), [0.55, 0.55], 0.0,
+                        15.0)
         y = np.abs(traj.outputs[:, 0])
         hits = np.nonzero(y <= 1e-12)[0]
         assert len(hits) > 0 and np.all(y[hits[0]:] <= 1e-12)
@@ -493,72 +520,85 @@ class TestZohSimulation:
     def test_explicit_period2_tail(self):
         F, G, C = zoh_siso_data()
         pair = zoh_discretize(F, G, C, 0.3)
-        traj = simulate_zoh(pair, C, [0.0], [0.55, 0.55], 0.0, 30.0, 0.3,
-                            mode="explicit")
+        traj = simulate(zoh_plan(pair, 0.3, C, [0.0], "explicit"),
+                        [0.55, 0.55], 0.0, 30.0)
         tail = traj.outputs[-12:, 0]
         assert np.max(np.abs(tail[2:] - tail[:-2])) <= 1e-6
         assert np.min(np.abs(tail[1:] - tail[:-1])) > 1e-2
 
 
 class TestStepMarks:
-    """`simulate` records what a step's marks ask for: a `step_plan` step
-    is `explicit` without a solve and `controlled` with a control, and a
-    plain callable has neither mark.  Each case runs a plan through bare
-    `simulate`, with nothing else telling it the scheme."""
+    """What a plan carries -- h, n, m, its output map and whether it
+    records controls -- is all that `simulate(plan, x0, t0, T)` reads, so
+    a run takes no flag, step size or y0 that could contradict the plan.
+    What the scheme asks for beyond that, an explicit run's selections and
+    the last held control, the plan's `advance` records."""
 
-    @pytest.mark.parametrize("flag", ["explicit_signs", "record_controls"])
+    @pytest.mark.parametrize("flag", ["explicit_signs", "record_controls",
+                                      "h", "y0"])
     def test_simulate_takes_no_flags(self, flag):
-        def step(k, x_k, t_k, s_prev):
-            return x_k, np.zeros(1), np.zeros(1), None, 0
-
+        plan = plan_kinds()["newton"]
         with pytest.raises(TypeError):
-            integrators.simulate(step, [1.0], [0.0], 0.0, 0.3, 0.1,
-                                 **{flag: True})
+            simulate(plan, [1.0], 0.0, 0.3, **{flag: True})
+
+    @pytest.mark.parametrize("kind", PLAN_KINDS)
+    def test_time_step_is_the_plans(self, kind):
+        plan = plan_kinds()[kind]
+        traj = simulate(plan, [0.5] * plan.n, 0.0, 1.0)
+        assert traj.times.tobytes() == \
+            (plan.h * np.arange(len(traj.times))).tobytes()
+        assert traj.h == plan.h and traj.m == plan.m
+        assert (traj.controls is not None) == plan.controlled
+        assert traj.outputs[0].tobytes() == \
+            plan.output(np.full(plan.n, 0.5)).tobytes()
+
+    @pytest.mark.parametrize("control", [None, lambda x, s: -s])
+    def test_singular_drift_fails_at_step_0(self, control):
+        # I - h theta E = 1 - 0.5 * 2 is singular; the plan is built, and
+        # its run fails at step 0 with the drift's message, after the guard
+        plan = theta_plan(np.array([[2.0]]), np.eye(1), np.eye(1), None,
+                          None, SchemeConfig(h=0.5), "implicit",
+                          control=control)
+        traj = simulate(plan, [1.0], 0.0, 2.0)
+        assert (traj.failure.step, traj.failure.message) == (
+            0, "singular implicit drift matrix I - h*theta*E")
+        assert traj.failure.detail is None
+        assert traj.steps_taken == 0 and len(traj.times) == 1
+        assert (traj.controls is None) == (control is None)
+        assert simulate(plan, [2e12], 0.0, 2.0).failure.message == \
+            "state magnitude exceeded guard 1e+12"
+        with pytest.raises(StepFailure, match="singular implicit drift"):
+            plan(0, np.ones(1), 0.0, None)
 
     @pytest.mark.parametrize("scheme", ["implicit", "explicit"])
     def test_selections_follow_the_scheme(self, scheme):
         sys, cfg, x0 = simple_system(), SchemeConfig(h=0.3), np.array([1.0])
         plan = theta_plan(sys.E, sys.B, sys.C, sys.D, cfg.h * sys.a, cfg,
                           scheme)
-        assert plan.explicit == (scheme == "explicit")
         assert not plan.controlled
-        traj = integrators.simulate(plan, x0, sys.C @ x0, 0.0, 3.0, cfg.h)
-        # the plan stepped row by row: an implicit step's selection is
-        # s_{k+1}, an explicit one's the sign of y_k, which the record
-        # holds in row k
-        ys, ss = [sys.C @ x0], [np.zeros(1)]
-        for k, x_k in enumerate(traj.states[:-1]):
-            _, y, s, _, _ = plan(k, x_k, traj.times[k], ss[-1])
-            ys.append(y)
-            ss.append(s)
+        traj = simulate(plan, x0, 0.0, 3.0)
+        # an implicit step's selection is s_{k+1}, in row k + 1; an
+        # explicit one's is the sign of y_k, which the run holds in row k
+        ref = stepwise.run(plan, x0, 0.0, 3.0,
+                           explicit=scheme == "explicit")
         if scheme == "explicit":
-            assert np.array_equal(ss[1:], np.sign(ys[:-1]))
-            want = np.sign(ys)
+            want = np.sign(traj.outputs)
         else:
-            want = np.array(ss)
+            want = ref.selections
             # sliding: |s| < 1 holds the output at 0
             assert np.any(np.abs(want[1:, 0]) < 1.0)
         assert traj.selections.tobytes() == want.tobytes()
+        assert traj.selections.tobytes() == ref.selections.tobytes()
         assert traj.controls is None
 
     @pytest.mark.parametrize("mode", ["implicit", "explicit"])
     def test_controlled_plan_records_its_controls(self, mode):
-        from multisurf import controllers
         F, G, C = zoh_siso_data()
         ctl = controllers.EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3,
                                            mode=mode)
-        plans = []
-
-        def capture(step, *args):
-            plans.append(step)
-            return integrators.simulate(step, *args)
-
-        with mock.patch.object(controllers, "simulate", capture):
-            controllers.simulate_ecb(ctl, [0.55, 0.55], 0.0, 3.0)
-        plan = plans[0]
-        assert plan.controlled and plan.explicit == (mode == "explicit")
-        x0 = np.array([0.55, 0.55])
-        traj = integrators.simulate(plan, x0, ctl.C @ x0, 0.0, 3.0, ctl.h)
+        plan = controllers.ecb_plan(ctl)
+        assert plan.controlled and plan.h == ctl.h
+        traj = simulate(plan, [0.55, 0.55], 0.0, 3.0)
         # u_k = -(C G)^-1 (C F x_k + alpha s), s the selection of step k,
         # and the last held control repeated in the final row
         neg_CGinv, CF = -np.linalg.inv(ctl.C @ ctl.G), ctl.C @ ctl.F
@@ -568,17 +608,6 @@ class TestStepMarks:
                 for x, s in zip(traj.states[:-1], used)]
         assert traj.controls.tobytes() == np.array(
             want + want[-1:]).tobytes()
-
-    def test_plain_callable_records_what_it_returns(self, tmp_path):
-        def step(k, x_k, t_k, s_prev):
-            return x_k - 0.25, x_k - 0.25, np.full(1, 0.5), np.ones(1), 0
-
-        traj = integrators.simulate(step, [1.0], [1.0], 0.0, 1.0, 0.5)
-        assert traj.selections[:, 0].tolist() == [0.0, 0.5, 0.5]
-        assert traj.controls is None
-        traj.to_csv(tmp_path / "traj.csv")
-        assert (tmp_path / "traj.csv").read_text().splitlines()[0] == \
-            "t,x0,s0,y0"
 
 
 def product_step(Phi, Gamma, C, D, L, c, solve, rho):
@@ -647,8 +676,8 @@ def operator_run(seed, E_kind, C_kind, c_kind, D_kind, theta, scheme, big,
     x0[pick == 1] = rng.choice([-0.0, -0.0, 0.0], (pick == 1).sum())
     x0[pick == 2] = rng.integers(-3, 4, (pick == 2).sum()) * 5e-324
     x0[pick == 3] = rng.choice([-1e12, 1e12], (pick == 3).sum())
-    args = dict(C=C, D=_values(rng, m, D_kind), c=_values(rng, n, c_kind),
-                rho=rho)
+    args = dict(h=h, C=C, D=_values(rng, m, D_kind),
+                c=_values(rng, n, c_kind), rho=rho)
     if scheme == "explicit":
         args.update(Phi=np.eye(n) + h * E, Gamma=Gamma, L=None)
         solvers = (None, None)
@@ -684,16 +713,16 @@ def test_plan_step_equals_the_all_product_step(seed, E_kind, C_kind, c_kind,
     # the run records the same states and failure
     args, (solve, ref_solve), x0, h = operator_run(
         seed, E_kind, C_kind, c_kind, D_kind, theta, scheme, big, with_rho)
-    C, D = args["C"], args["D"]
-    y0 = C @ x0 if D is None else C @ x0 + D
     ref_step = product_step(**{k: args[k] for k in ("Phi", "Gamma", "C",
                                                     "D", "L", "c", "rho")},
                             solve=ref_solve)
-    ref_step.explicit, ref_step.controlled = scheme == "explicit", False
+    plan = step_plan(**args, solve=solve)
     with np.errstate(all="ignore"):
-        got = integrators.simulate(step_plan(**args, solve=solve), x0, y0,
-                                   0.0, 4 * h, h)
-        ref = integrators.simulate(ref_step, x0, y0, 0.0, 4 * h, h)
+        # the reference takes h and y0 = C x0 + D from the plan, every step
+        # from the all-product step
+        ref = stepwise.run(plan, x0, 0.0, 4 * h, step=ref_step,
+                           explicit=scheme == "explicit")
+        got = simulate(plan, x0, 0.0, 4 * h)
     for name in ("times", "states", "selections", "outputs", "newton_iters"):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), \
             name
@@ -704,13 +733,14 @@ def test_overflowing_gamma_keeps_its_products():
     # E = 0, so Phi and L are exactly I; C does not see x_0, whose step
     # overflows: L @ [-inf, v] is [-inf, nan], which the run records
     Gamma = np.array([[1.7e308], [0.01]])
-    args = dict(Phi=np.eye(2), Gamma=Gamma, C=np.array([[0.0, 1.0]]),
-                D=None, L=np.eye(2), c=np.array([-1e308, 1.0]), rho=None)
+    args = dict(h=0.01, Phi=np.eye(2), Gamma=Gamma,
+                C=np.array([[0.0, 1.0]]), D=None, L=np.eye(2),
+                c=np.array([-1e308, 1.0]), rho=None)
     x0 = np.array([0.5, 0.25])
     with np.errstate(all="ignore"):
-        got = integrators.simulate(
+        got = simulate(
             step_plan(**args, solve=mlcp.sign_step_solver([[0.01]])), x0,
-            [0.25], 0.0, 0.03, 0.01)
+            0.0, 0.03)
     assert got.failure.step == 1 and got.failure.message == \
         "state is not finite"
     assert got.states[1][0] == -np.inf and np.isnan(got.states[1][1])

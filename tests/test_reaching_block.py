@@ -6,8 +6,8 @@ Phi = L = I is x_{k+1} = (x_k + c) - g with a constant g, and the plan's
 `advance` hands the rows ahead to its `block`, which predicts them by one
 accumulate and keeps those that the solver's vectorised decision
 (`saturated_run`) answers with the same selection.  Each run here is
-compared, array by array as bytes, with the same plan wrapped in a plain
-function, which `simulate` steps in its generic loop, every step taken.
+compared, array by array as bytes, with the same plan run by
+`tests/stepwise.py`, which takes its one-row step for every row.
 `Trajectory.steps_taken` counts the steps a run took.
 """
 
@@ -25,18 +25,9 @@ from multisurf.experiments import (filippov_system, run_experiment,
 from multisurf.integrators import SchemeConfig
 from multisurf.mlcp import CERT_TOL, FEAS_TOL
 from multisurf.systems import LinearSignSystem
+from tests import stepwise
 
 FIELDS = ("times", "states", "selections", "outputs", "newton_iters")
-
-
-def per_step(plan):
-    """The plan's step as a plain function with the plan's `explicit` and
-    `controlled` marks: every step is taken."""
-    def plain(*args):
-        return plan(*args)
-    plain.explicit = getattr(plan, "explicit", False)
-    plain.controlled = getattr(plan, "controlled", False)
-    return plain
 
 
 def assert_same(got, ref):
@@ -56,11 +47,8 @@ def linear_plan(sys, h):
 def linear_pair(sys, x0, T, h):
     """(block run, per-step run, steps the block run took) of a linear
     system."""
-    x0 = np.asarray(x0, dtype=float)
-    y0 = sys.C @ x0 + sys.D
-    got = integrators.simulate(linear_plan(sys, h), x0, y0, 0.0, T, h)
-    ref = integrators.simulate(per_step(linear_plan(sys, h)), x0, y0, 0.0,
-                               T, h)
+    got = integrators.simulate(linear_plan(sys, h), x0, 0.0, T)
+    ref = stepwise.run(linear_plan(sys, h), x0, 0.0, T)
     return got, ref, got.steps_taken
 
 
@@ -70,9 +58,9 @@ def linear_pair(sys, x0, T, h):
 def test_only_identity_plans_with_a_decision_get_a_block():
     one, h = np.eye(1), 0.1
     solve = mlcp.sign_step_solver(h * one)
-    assert hasattr(integrators.step_plan(one, h * one, one, solve=solve),
+    assert hasattr(integrators.step_plan(h, one, h * one, one, solve=solve),
                    "block")
-    assert hasattr(integrators.step_plan(one, h * one, one, L=one,
+    assert hasattr(integrators.step_plan(h, one, h * one, one, L=one,
                                          c=np.ones(1), solve=solve), "block")
     others = [
         dict(Phi=2 * one),                           # Phi != I
@@ -83,13 +71,14 @@ def test_only_identity_plans_with_a_decision_get_a_block():
         dict(solve=mlcp.sign_step_solver(-h * one)),  # cold solver only
     ]
     for kw in others:
-        args = dict(Phi=one, Gamma=h * one, C=one, solve=solve) | kw
+        args = dict(h=h, Phi=one, Gamma=h * one, C=one, solve=solve) | kw
         assert not hasattr(integrators.step_plan(**args), "block"), kw
     # a row of C with two nonzero entries
     C = np.array([[1.0, 1.0]])
     solve2 = mlcp.sign_step_solver(h * C @ np.ones((2, 1)))
-    assert not hasattr(integrators.step_plan(np.eye(2), h * np.ones((2, 1)),
-                                             C, solve=solve2), "block")
+    assert not hasattr(integrators.step_plan(h, np.eye(2),
+                                             h * np.ones((2, 1)), C,
+                                             solve=solve2), "block")
     # E != 0 gives Phi or L other than I; a non-P W has no warm pivot
     E = [[-1.0]]
     assert not hasattr(integrators.theta_plan(
@@ -110,13 +99,10 @@ def test_registry_experiments_that_take_the_block(name, block, monkeypatch):
     seen = []
     simulate = integrators.simulate
 
-    def capture(step, *a, **kw):
-        assert hasattr(step, "advance")
-        seen.append(hasattr(step, "block"))
-        return simulate(step, *a, **kw)
+    def capture(plan, *a):
+        seen.append(hasattr(plan, "block"))
+        return simulate(plan, *a)
     monkeypatch.setattr(integrators, "simulate", capture)
-    from multisurf import controllers
-    monkeypatch.setattr(controllers, "simulate", capture)
     run_experiment(name, {})
     assert seen and all(b == block for b in seen)
 
@@ -128,7 +114,7 @@ def test_block_takes_no_step_that_stepping_would_not():
     # selection that is not saturated, the block leaves the rows alone
     Gamma = np.array([[1e5], [1e5]])
     C = np.array([[0.0, 1.0]])
-    plan = integrators.step_plan(np.eye(2), Gamma, C,
+    plan = integrators.step_plan(1.0, np.eye(2), Gamma, C,
                                  solve=mlcp.sign_step_solver(C @ Gamma))
     for x, s in (([-0.0, 3e5], 1.0), ([1e12 + 1.0, 3e5], 1.0),
                  ([0.0, 3e5], 0.5)):
@@ -264,7 +250,7 @@ CASES = ["plain", "signed-zero", "threshold", "frozen", "c-equals-g"]
 
 
 def block_run(seed, case):
-    """(plan arguments, x0, T, h) of an E = 0 plan with m <= 4 surfaces:
+    """(plan arguments with h, x0, T) of an E = 0 plan with m <= 4 surfaces:
     C has one nonzero entry per row, on distinct columns, with values other
     than 1; L is None or I, and c, D and rho are each present or not."""
     rng = np.random.default_rng(seed)
@@ -329,8 +315,9 @@ def block_run(seed, case):
             s = np.sign(C @ x0 + Dv)
             c = (h * B) @ s
             T = h * int(rng.integers(5, 60))
-    args = dict(Phi=np.eye(n), Gamma=h * B, C=C, D=D, L=L, c=c, rho=rho)
-    return args, x0, T, h
+    args = dict(h=h, Phi=np.eye(n), Gamma=h * B, C=C, D=D, L=L, c=c,
+                rho=rho)
+    return args, x0, T
 
 
 def plan_of(args):
@@ -342,9 +329,7 @@ def plan_of(args):
 
 
 def run_pair(seed, case):
-    args, x0, T, h = block_run(seed, case)
-    C, D = args["C"], args["D"]
-    y0 = C @ x0 if D is None else C @ x0 + D
+    args, x0, T = block_run(seed, case)
     with np.errstate(all="ignore"):
         plan = plan_of(args)
         rows = []
@@ -355,9 +340,8 @@ def run_pair(seed, case):
                 rows.append(block(X, Y, s))
                 return rows[-1]
             plan.block = tally
-        got = integrators.simulate(plan, x0, y0, 0.0, T, h)
-        ref = integrators.simulate(per_step(plan_of(args)), x0, y0, 0.0, T,
-                                   h)
+        got = integrators.simulate(plan, x0, 0.0, T)
+        ref = stepwise.run(plan_of(args), x0, 0.0, T)
     return got, ref, sum(rows)
 
 
