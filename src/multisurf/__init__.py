@@ -5,9 +5,10 @@ The library discretizes differential inclusions of the form
     dx/dt in f(x, t) - g(x) Sgn(h(x))
 
 with implicit (backward) Euler theta/gamma schemes and exact ZOH sampling,
-reducing each step to a small box-constrained mixed linear complementarity
-problem.  The implicit treatment of the sign term gives chattering-free,
-finite-time-exact stabilization on the sliding surfaces.
+reducing each step to the sign inclusion s in Sgn(b - W s) on [-1, 1]^m, a
+small box-constrained mixed linear complementarity problem.  The implicit
+treatment of the sign term gives chattering-free, finite-time-exact
+stabilization on the sliding surfaces.
 """
 
 from multisurf.analysis import (ErrorReport, arrival_step, convergence_slope,
@@ -18,9 +19,8 @@ from multisurf.integrators import (SchemeConfig, StepFailure, Trajectory,
                                    ZohPair, newton_plan, simulate, theta_plan,
                                    simulate_linear, simulate_newton, step_plan,
                                    zoh_discretize)
-from multisurf.mlcp import (MlcpProblem, MlcpSolution, certify, encode,
-                            sign_step_solver, solve, solve_enumerative,
-                            solve_pivoting)
+from multisurf.mlcp import (SignProblem, SignSolution, sign_step_solver,
+                            solve, solve_enumerative, solve_pivoting)
 from multisurf.systems import (AffineGainSignSystem, DisturbedLinearSystem,
                                LinearSignSystem, NonlinearSignSystem,
                                check_cb_positive, output)

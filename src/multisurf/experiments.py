@@ -22,7 +22,8 @@ from multisurf.systems import (AffineGainSignSystem, DisturbedLinearSystem,
                                LinearSignSystem, _as_vector)
 
 PERIOD2_TOL = 1e-6
-DRIFT_RADIUS_TOL = 1e-9
+# the peak |x| past which a run counts as blown up
+BLOWUP = 1e6
 # a slope fit over a decade or two needs a handful of step sizes; each point
 # is a full run, so the convergence sweep takes at most this many
 SWEEP_MAX_POINTS = 100
@@ -359,19 +360,34 @@ def _drift_radius(E, h, theta):
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
+def _blowup_expected(radius, steps):
+    """Whether a run of `steps` steps of a drift map with spectral radius
+    `radius` is expected to blow up past BLOWUP.
+
+    Along its dominant mode the drift map multiplies the state by the
+    radius each step, so N steps allow a growth of radius^N: a blow-up is
+    expected only where that passes BLOWUP, N log(radius) > log(BLOWUP).
+    The integrator mode of E (eigenvalue 0) holds the radius at 1 for
+    every h, which never passes it; nor does a short run of an unstable
+    map, such as k = -1 (radius 1.11 over 100 steps, growth 3.8e4) or
+    forward Euler at h = 0.0021 over T = 0.01 (radius 1.1 over 5 steps,
+    growth 1.6).
+    """
+    return radius > 1 and steps * math.log(radius) > math.log(BLOWUP)
+
+
 def run_observer(params):
     sys = observer_system(k=params["k"], tau=params["tau"])
+    h = params["h"]
     theta = 0.0 if params["scheme"] == "explicit" else params["theta"]
-    radius = _drift_radius(sys.E, params["h"], theta)
+    radius = _drift_radius(sys.E, h, theta)
     traj = integrators.simulate_linear(sys, params["x0"], 0.0, params["T"],
                                        _cfg(params), scheme=params["scheme"])
     props = []
     peak = float(np.max(np.abs(traj.states))) if len(traj.states) else 0.0
-    blew_up = traj.failure is not None or peak > 1e6
+    blew_up = traj.failure is not None or peak > BLOWUP
     detail = f"peak |x| = {peak:.3e}, drift radius {radius:.12g}"
-    # the integrator mode of E (eigenvalue 0) holds the radius at 1 for
-    # every h; above 1 the parasitic dynamics grow geometrically
-    if radius > 1 + DRIFT_RADIUS_TOL:
+    if _blowup_expected(radius, integrators.grid_steps(0.0, params["T"], h)):
         props.append(_prop("unstable-expected", blew_up, detail))
     else:
         props.append(_prop("bounded", not blew_up, detail))
@@ -424,16 +440,17 @@ def run_hypomonotone(params):
 # ---------------------------------------------------------------------------
 # registry
 
-def _theta_scheme(h, T, x0, **extra):
-    return {"h": h, "T": T, "x0": x0, "scheme": "implicit", "theta": 1.0,
-            **extra}
+def _scheme(h, T, x0, **extra):
+    """The keys of a run under the implicit or explicit scheme; an entry
+    whose system has a smooth drift (E != 0) adds theta."""
+    return {"h": h, "T": T, "x0": x0, "scheme": "implicit", **extra}
 
 
 # an entry's defaults are exactly the keys its runner reads
 REGISTRY = {
     "simple": _theta_study(
         "simple", "scalar sign system, finite-time exact stabilization",
-        _theta_scheme(0.2, 3.0, [1.01]), simple_system,
+        _scheme(0.2, 3.0, [1.01]), simple_system,
         implicit=(_simple_arrival, _BOX),
         explicit=(_on(_period2, 0, expected=True, tol=1e-9),)),
     "convergence": ExperimentSpec(
@@ -442,17 +459,17 @@ REGISTRY = {
         run_convergence),
     "galias2007": _theta_study(
         "galias2007", "second-order SMC loop, implicit vs explicit Euler",
-        _theta_scheme(0.3, 15.0, [0.0, 2.21]), galias2007_system,
+        _scheme(0.3, 15.0, [0.0, 2.21], theta=1.0), galias2007_system,
         implicit=(_SETTLES[0], _on(_period2, 0, expected=False), _BOX),
         explicit=(_PERIOD2,)),
     "multisurface": _theta_study(
         "multisurface", "two sliding surfaces reached in sequence",
-        _theta_scheme(0.02, 2.0, [1.0, -1.0]), multisurface_system,
+        _scheme(0.02, 2.0, [1.0, -1.0]), multisurface_system,
         implicit=(*_SETTLES, _ordered_arrival, _origin_reached, _BOX),
         explicit=(_PERIOD2,)),
     "filippov": _theta_study(
         "filippov", "codimension-2 sliding at the origin",
-        _theta_scheme(0.002, 2.0, [1.0, -1.0]), filippov_system,
+        _scheme(0.002, 2.0, [1.0, -1.0]), filippov_system,
         implicit=(*_SETTLES, _origin_reached, _BOX), explicit=()),
     "zoh-siso": ExperimentSpec(
         "zoh-siso", "sampled ECB-SMC, single surface, implicit vs explicit",
@@ -464,10 +481,11 @@ REGISTRY = {
              alpha=1.0), run_zoh_mimo),
     "lyapunov": ExperimentSpec(
         "lyapunov", "discontinuous robust control under a sine disturbance",
-        _theta_scheme(0.1, 15.0, [1.0], alpha=0.1), run_lyapunov),
+        _scheme(0.1, 15.0, [1.0], theta=1.0, alpha=0.1), run_lyapunov),
     "observer": ExperimentSpec(
         "observer", "observer-based SMC with fast parasitic dynamics",
-        _theta_scheme(0.1, 10.0, [2.0, 0.0, 0.0, 0.0], k=1.0, tau=0.001),
+        _scheme(0.1, 10.0, [2.0, 0.0, 0.0, 0.0], theta=1.0, k=1.0,
+                tau=0.001),
         run_observer),
     "hypomonotone": ExperimentSpec(
         "hypomonotone", "scalar hypomonotone gain, Newton one-step problems",

@@ -1,17 +1,20 @@
-"""Box-constrained mixed linear complementarity problems.
+"""The one-step sign problem of every implicit scheme.
 
-Problem: find z with l <= z <= u, w >= 0, v >= 0 such that
+Problem: given W (m x m) and b, find s in [-1, 1]^m with
 
-    M z + q = w - v,   (z - l)^T w = 0,   (u - z)^T v = 0.
+    s in Sgn(b - W s),
 
-The set-valued sign inclusion s in Sgn(y) with y = b - W s maps onto this
-with M = W, q = -b and the box [-1, 1]^m; the recovered output is
-y = -(M z + q) = v - w.
+that is, with r = W s - b, each index i is interior (|s_i| <= 1, r_i = 0),
+lower (s_i = -1, r_i >= 0) or upper (s_i = 1, r_i <= 0): the box MLCP of
+Acary & Brogliato (2008) on [-1, 1]^m, whose slacks are r's two signs.
 
-Two solvers share the same contract: an enumerative oracle (exponential,
-reference only) and a Murty least-index principal pivoting method; `solve`
-tries pivoting, then the oracle.  Both test an active set by one rule,
-`_violation`, and report "solved" only for an answer that certifies at
+`SignProblem(W, b)` is one instance and `SignSolution` one answer: s as z,
+its certified residual, a status and the reason for any status other than
+"solved".  Two solvers share the same contract: an enumerative oracle
+(exponential, reference only) and a Murty least-index principal pivoting
+method; `solve` tries pivoting, then the oracle.  Both test an active set
+by one rule, `_violation`, and report "solved" only for an answer whose
+residual, the sign inclusion's own per index (`_residual`), is at most
 CERT_TOL (`_solution`).  `sign_step_solver(W)` is the one entry point for
 the sign step, with the one-surface case in closed form: a run whose W stays
 the same builds it once; the outer Newton loop, whose W changes with every
@@ -55,8 +58,8 @@ def _singular(err, flag):
 class StepFailure(Exception):
     """A time step could not be completed.
 
-    Carries a plain-text dump of the offending MLCP (when one exists) and
-    the last residual of the Newton loop (when one ran).
+    Carries a plain-text dump of the offending sign problem (when one
+    exists) and the last residual of the Newton loop (when one ran).
     """
 
     def __init__(self, message, problem_text=None, residual=None):
@@ -67,78 +70,78 @@ class StepFailure(Exception):
 
 
 @dataclass(frozen=True)
-class MlcpProblem:
-    dim: int
-    M: np.ndarray
-    q: np.ndarray
-    l: np.ndarray
-    u: np.ndarray
+class SignProblem:
+    """The sign step s in Sgn(b - W s), W and b as float arrays."""
+
+    W: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        m = self.dim
-        M = np.asarray(self.M, dtype=float).reshape(m, m)
-        q = np.asarray(self.q, dtype=float).reshape(m)
-        l = np.asarray(self.l, dtype=float).reshape(m)
-        u = np.asarray(self.u, dtype=float).reshape(m)
-        if not (np.all(np.isfinite(l)) and np.all(np.isfinite(u))):
-            raise ValueError("l and u must be finite")
-        if np.any(l > u):
-            raise ValueError("need l <= u componentwise")
-        for name, val in (("M", M), ("q", q), ("l", l), ("u", u)):
-            object.__setattr__(self, name, val)
+        W = np.atleast_2d(np.asarray(self.W, dtype=float))
+        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        if b.ndim != 1 or W.shape != (len(b), len(b)):
+            raise ValueError("W must be square with matching b")
+        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "b", b)
+
+    @property
+    def dim(self):
+        return len(self.b)
 
 
 @dataclass(frozen=True)
-class MlcpSolution:
+class SignSolution:
     z: np.ndarray
-    w: np.ndarray
-    v: np.ndarray
     residual: float
-    status: str  # solved | infeasible | max-iterations | uncertified
+    status: str  # solved | infeasible | uncertified
     reason: str = ""  # why the status is not "solved"
 
 
-def encode(W, b) -> MlcpProblem:
-    """The sign step s in Sgn(b - W s) as a box MLCP: M = W, q = -b on
-    [-1, 1]^m.  A solution's output is y = b - W z."""
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    m = b.shape[0]
-    if W.shape != (m, m):
-        raise ValueError("W must be square with matching b")
-    return MlcpProblem(dim=m, M=W, q=-b, l=-np.ones(m), u=np.ones(m))
+def MlcpProblem(dim, M, q, l, u):
+    """The box MLCP M z + q = w - v on [-1, 1]^m as SignProblem(M, -q).
+
+    Kept for the benchmark's enumerative-oracle re-solve
+    (`perfbench/workloads.py`), which builds its problem by this call; it
+    goes when that check builds a SignProblem.  Any other box is a
+    ValueError: the solvers take [-1, 1]^m only.
+    """
+    box = np.ones(dim)
+    if not (np.array_equal(l, -box) and np.array_equal(u, box)):
+        raise ValueError("the sign step's box is [-1, 1]^m")
+    return SignProblem(M, -np.asarray(q, dtype=float).reshape(dim))
 
 
-def _empty_solution():
-    e = np.zeros(0)
-    return MlcpSolution(z=e, w=e.copy(), v=e.copy(), residual=0.0,
-                        status="solved")
+def _unsolved(m, reason):
+    return SignSolution(np.full(m, np.nan), math.inf, "infeasible", reason)
 
 
-def _unsolved(m, status, reason):
-    bad = np.full(m, np.nan)
-    return MlcpSolution(z=bad, w=bad, v=bad, residual=np.inf, status=status,
-                        reason=reason)
+def _residual(states, zl, rl):
+    """The sign inclusion's residual of the point z of the active set
+    `states`, with r = W z - b (zl and rl lists of floats, a bound index at
+    exactly -1.0 or 1.0): the largest over the indices of an interior one's
+    max(|z_i| - 1, |r_i|), a lower one's -r_i and an upper one's r_i, each
+    floored at 0.  NaN when a NaN r_i, an interior z_i that is not finite,
+    or a bound index's r_i infinite on its own side (a slack inf - inf)
+    makes the index's condition undecidable."""
+    worst = 0.0
+    for st, z, r in zip(states, zl, rl):
+        if st == _INTERIOR:
+            # max keeps its first argument over a later NaN: |r| goes first
+            e = max(abs(r), abs(z) - 1.0) if abs(z) < math.inf else math.nan
+        elif st == _LOWER:
+            e = -r if r < math.inf else math.nan
+        else:
+            e = r if r > -math.inf else math.nan
+        if not e <= worst:
+            if e != e:
+                return math.nan
+            worst = e
+    return worst
 
 
-def certify(p: MlcpProblem, s: MlcpSolution) -> float:
-    """Max violation of box, equation, complementarity and sign conditions;
-    NaN when any of them is NaN."""
-    if p.dim == 0:
-        return 0.0
-    parts = (np.max(p.l - s.z, initial=0.0), np.max(s.z - p.u, initial=0.0),
-             np.max(np.abs(p.M @ s.z + p.q - s.w + s.v)),
-             abs((s.z - p.l) @ s.w), abs((p.u - s.z) @ s.v),
-             np.max(-s.w, initial=0.0), np.max(-s.v, initial=0.0))
-    # max() keeps an earlier argument over a later NaN
-    if any(map(math.isnan, parts)):
-        return math.nan
-    return float(max(parts))
-
-
-def _set_point(M, b, l, u, key, blocks=None):
+def _set_point(W, b, key, blocks=None):
     """The point of the active set `key` (a tuple of states): bound indices
-    at their bounds, the interior block of M z = b solved for the rest.
+    at -1.0 or 1.0, the interior block of W z = b solved for the rest.
 
     Returns (z, regular).  The LAPACK gufunc behind `np.linalg.solve`
     solves the block, called directly; on a set's first visit inside the
@@ -147,9 +150,9 @@ def _set_point(M, b, l, u, key, blocks=None):
     least-squares solve, canonical on degenerate rows, and regular False;
     a non-finite one makes the interior NaN, as lstsq never returns on some
     blocks with an infinite entry (OpenBLAS DLASCL spins).  The set's
-    products do not warn where an infinite entry of M meets a zero of z.
-    `blocks`, a dict kept by a caller whose M, l and u stay the same, holds
-    each visited set's indexing, the products that do not involve b and the
+    products do not warn where an infinite entry of W meets a zero of z.
+    `blocks`, a dict kept by a caller whose W stays the same, holds each
+    visited set's indexing, the products that do not involve b and the
     verdict, so a set met again repeats only the arithmetic on b and the
     solve: the gufunc without the error state on a regular block (LAPACK's
     verdict depends on the block alone), lstsq on a singular one.
@@ -157,38 +160,34 @@ def _set_point(M, b, l, u, key, blocks=None):
     blk = None if blocks is None else blocks.get(key)
     stored = False
     if blk is None:
-        z0 = np.zeros(len(key))
-        for i, st in enumerate(key):
-            if st == _LOWER:
-                z0[i] = l[i]
-            elif st == _UPPER:
-                z0[i] = u[i]
+        z0 = np.array([-1.0 if st == _LOWER else 1.0 if st == _UPPER
+                       else 0.0 for st in key])
         interior = [i for i, st in enumerate(key) if st == _INTERIOR]
         blk = (z0, None, None, None, None, None)
         if interior:
             I = np.array(interior)
-            rows = M.take(I, 0)
-            MI = rows.take(I, 1)
-            # M[I] @ z and MI @ z[I] of the set's z before its interior solve
+            rows = W.take(I, 0)
+            WI = rows.take(I, 1)
+            # W[I] @ z and WI @ z[I] of the set's z before its interior solve
             with np.errstate(invalid="ignore"):
-                blk = (z0, I, MI, rows @ z0, MI @ z0[I], None)
+                blk = (z0, I, WI, rows @ z0, WI @ z0[I], None)
         stored = blocks is not None and len(blocks) < _MAX_BLOCKS
         if stored:
             blocks[key] = blk
     # regular: None before the block's first solve, then LAPACK's verdict
-    z0, I, MI, fixed, free, regular = blk
+    z0, I, WI, fixed, free, regular = blk
     z = z0.copy()
     if I is None:
         return z, True
     rhs = b[I] - fixed + free
     if regular:
-        z[I] = _solve1(MI, rhs, signature="dd->d")
+        z[I] = _solve1(WI, rhs, signature="dd->d")
         return z, True
     if regular is None:
         try:
             with np.errstate(call=_singular, invalid="call", over="ignore",
                              divide="ignore", under="ignore"):
-                z[I] = _solve1(MI, rhs, signature="dd->d")
+                z[I] = _solve1(WI, rhs, signature="dd->d")
             regular = True
         except np.linalg.LinAlgError:
             regular = False
@@ -196,31 +195,31 @@ def _set_point(M, b, l, u, key, blocks=None):
             blocks[key] = blk[:-1] + (regular,)
         if regular:
             return z, True
-    z[I] = np.linalg.lstsq(MI, rhs, rcond=None)[0] \
-        if np.isfinite(MI).all() else np.nan
+    z[I] = np.linalg.lstsq(WI, rhs, rcond=None)[0] \
+        if np.isfinite(WI).all() else np.nan
     return z, False
 
 
-def _violation(states, M, b, z, zl, rl, l, u):
+def _violation(states, W, b, z, zl, rl):
     """The least index whose condition the point z of the active set
     `states` violates, with the state that a pivot gives it; None when it
-    violates none.  An interior index must lie in [l_i, u_i] and solve its
+    violates none.  An interior index must lie in [-1, 1] and solve its
     equation, a lower one needs r_i >= 0 and an upper one r_i <= 0, all to
-    FEAS_TOL, the equation to FEAS_TOL max(1, sum_j |M_ij| |z_j| + |b_i|)
+    FEAS_TOL, the equation to FEAS_TOL max(1, sum_j |W_ij| |z_j| + |b_i|)
     (a componentwise backward error, Higham ch. 7), which one ulp of a
-    large row passes.  zl, rl = M z - b, l and u are lists of floats."""
+    large row passes.  zl and rl = W z - b are lists of floats."""
     tol = FEAS_TOL
     for i, st in enumerate(states):
         if st == _INTERIOR:
-            if zl[i] < l[i] - tol:
+            if zl[i] < -1.0 - tol:
                 return i, _LOWER
-            if zl[i] > u[i] + tol:
+            if zl[i] > 1.0 + tol:
                 return i, _UPPER
             r = abs(rl[i])
             # the scale is computed only past the absolute bound; a NaN or
             # infinite scale fails
             if r > tol and not r <= tol * (
-                    float(np.abs(M[i]) @ np.abs(z)) + abs(b[i])) < math.inf:
+                    float(np.abs(W[i]) @ np.abs(z)) + abs(b[i])) < math.inf:
                 # a singular block (lstsq) left the equation unsatisfied
                 return i, (_LOWER if rl[i] > 0 else _UPPER)
         elif st == _LOWER:
@@ -231,88 +230,76 @@ def _violation(states, M, b, z, zl, rl, l, u):
     return None
 
 
-def _solution(p, states, z, rl):
-    """The answer of the active set `states` with point z and r = M z + q
-    (a list): w and v are the bound indices' slacks.  Every solver's one
-    rule for "solved": a certified residual at most CERT_TOL; any other,
-    NaN included, is "uncertified"."""
-    w = np.array([max(r, 0.0) if st == _LOWER else 0.0
-                  for st, r in zip(states, rl)])
-    v = np.array([max(-r, 0.0) if st == _UPPER else 0.0
-                  for st, r in zip(states, rl)])
-    res = certify(p, MlcpSolution(z=z, w=w, v=v, residual=0.0,
-                                  status="solved"))
+def _solution(states, z, zl, rl):
+    """The answer of the active set `states` with point z and r = W z - b
+    (zl and rl lists).  Every solver's one rule for "solved": a residual
+    (`_residual`) at most CERT_TOL; any other, NaN included, is
+    "uncertified"."""
+    res = _residual(states, zl, rl)
     if res <= CERT_TOL:
-        return MlcpSolution(z=z, w=w, v=v, residual=res, status="solved")
-    return MlcpSolution(z=z, w=w, v=v, residual=res, status="uncertified",
-                        reason=f"certified residual {res:.3g} above "
-                        f"{CERT_TOL:.0e}")
+        return SignSolution(z, res, "solved")
+    return SignSolution(z, res, "uncertified", f"certified residual "
+                        f"{res:.3g} above {CERT_TOL:.0e}")
 
 
-def _assignment_solution(p, states, l, u):
+def _assignment_solution(p, states):
     """The answer of one active-set assignment; None when its interior
-    block is singular, its point z or r = M z + q is not finite, or the
+    block is singular, its point z or r = W z - b is not finite, or the
     point violates a condition."""
-    b = -p.q
-    z, regular = _set_point(p.M, b, l, u, states)
+    z, regular = _set_point(p.W, p.b, states)
     if not (regular and np.all(np.isfinite(z))):
         return None
-    r = p.M @ z + p.q
+    r = p.W @ z - p.b
     if not np.all(np.isfinite(r)):
         return None
-    rl = r.tolist()
-    if _violation(states, p.M, b, z, z.tolist(), rl, l, u) is not None:
+    zl, rl = z.tolist(), r.tolist()
+    if _violation(states, p.W, p.b, z, zl, rl) is not None:
         return None
-    return _solution(p, states, z, rl)
+    return _solution(states, z, zl, rl)
 
 
-def solve_enumerative(p: MlcpProblem) -> MlcpSolution:
+def solve_enumerative(p: SignProblem) -> SignSolution:
     """Brute-force active-set enumeration, the reference oracle.
 
     Tries all 3^m assignments (interior < lower < upper, lexicographic) and
     returns the first feasible one; deterministic on degenerate problems.
     """
-    m = p.dim
-    if m == 0:
-        return _empty_solution()
-    if m > ENUM_MAX_M:
+    if p.dim > ENUM_MAX_M:
         raise ValueError(f"enumerative solver capped at m <= {ENUM_MAX_M}")
-    l, u = p.l.tolist(), p.u.tolist()
-    for states in itertools.product((_INTERIOR, _LOWER, _UPPER), repeat=m):
-        sol = _assignment_solution(p, states, l, u)
+    for states in itertools.product((_INTERIOR, _LOWER, _UPPER),
+                                    repeat=p.dim):
+        sol = _assignment_solution(p, states)
         if sol is not None:
             return sol
-    return _unsolved(m, "infeasible", "no active set is feasible")
+    return _unsolved(p.dim, "no active set is feasible")
 
 
-def _pivot(M, b, l, u, states, blocks=None, certified=False):
+def _pivot(W, b, states, blocks=None, certified=False):
     """Murty's least-index principal pivoting from the active set `states`
-    on M z - b = w - v, the box MLCP with q = -b.
+    on the sign step with W and b.
 
-    l and u are the bounds as lists of floats.  Flips `states` in place,
-    each pivot at the index that `_violation` names, and returns (z, zl, rl)
-    of the first set that violates none: z, and z and r = M z - b as lists
-    (the bytes of M z + q, as a - b is a + (-b) for a b that is not NaN).
-    Returns the reason as a string after max(200, 3^min(m, 10)) pivots, or
-    as soon as a set comes back: the rule is deterministic, so a repeated
-    set is a cycle that would run to the cap, and least-index pivoting does
-    not cycle on a P-matrix.  `blocks` is passed on to `_set_point`.
+    Flips `states` in place, each pivot at the index that `_violation`
+    names, and returns (z, zl, rl) of the first set that violates none: z,
+    and z and r = W z - b as lists.  Returns the reason as a string after
+    max(200, 3^min(m, 10)) pivots, or as soon as a set comes back: the rule
+    is deterministic, so a repeated set is a cycle that would run to the
+    cap, and least-index pivoting does not cycle on a P-matrix.  `blocks`
+    is passed on to `_set_point`.
 
-    With `certified`, on the box [-1, 1]^m, only an answer that
-    `_certified` keeps is returned, any other as a reason.  A set is kept
-    on one scan, `_certified` with every interior |r_i| <= FEAS_TOL, under
-    which `_violation` names nothing; only a set that fails it goes
-    through `_violation`.
+    With `certified`, only an answer that `_certified` keeps is returned,
+    any other as a reason.  A set is kept on one scan, `_certified` with
+    every interior |r_i| <= FEAS_TOL, under which `_violation` names
+    nothing; only a set that fails it goes through `_violation`.
     """
     key, seen = tuple(states), None
     while True:
-        z, _ = _set_point(M, b, l, u, key, blocks)
-        r = M @ z - b
+        z, _ = _set_point(W, b, key, blocks)
+        r = W @ z - b
         zl, rl = z.tolist(), r.tolist()
         if certified and _certified(key, zl, rl, FEAS_TOL):
             return z, zl, rl
         # least-index violated condition decides the next pivot
-        flip = _violation(key, M, b, z, zl, rl, l, u)
+        flip = _violation(key, W, b, z, zl, rl)
         if flip is None:
             if certified and not _certified(key, zl, rl):
                 return "uncertified or degenerate answer"
@@ -328,20 +315,17 @@ def _pivot(M, b, l, u, states, blocks=None, certified=False):
             return "W is not a P-matrix (pivoting cycled)"
 
 
-def solve_pivoting(p: MlcpProblem) -> MlcpSolution:
-    """Murty-style least-index principal pivoting on the box formulation,
-    started from the all-interior active set."""
-    m = p.dim
-    if m == 0:
-        return _empty_solution()
-    states = [_INTERIOR] * m
-    got = _pivot(p.M, -p.q, p.l.tolist(), p.u.tolist(), states)
+def solve_pivoting(p: SignProblem) -> SignSolution:
+    """Murty-style least-index principal pivoting, started from the
+    all-interior active set."""
+    states = [_INTERIOR] * p.dim
+    got = _pivot(p.W, p.b, states)
     if isinstance(got, str):
-        return _unsolved(m, "infeasible", got)
-    return _solution(p, states, got[0], got[2])
+        return _unsolved(p.dim, got)
+    return _solution(states, *got)
 
 
-def solve(p: MlcpProblem) -> MlcpSolution:
+def solve(p: SignProblem) -> SignSolution:
     """The cold ladder: pivoting, then the enumerative oracle when pivoting
     does not answer and m <= ENUM_MAX_M.  Returns the last rung's answer."""
     sol = solve_pivoting(p)
@@ -357,10 +341,9 @@ def _sign_step_1d(W, b):
     side is b + 0.0 (-0.0 becomes 0.0), its 1x1 solve is b / W, and it
     saturates only past 1 + FEAS_TOL.  Returns None where pivoting would
     pivot again (an interior residual above `_violation`'s mixed bound, or
-    a bound slack of the wrong sign) or where `certify` would exceed
-    CERT_TOL.  Of that certificate only two terms can fail: an interior
-    z has box <= FEAS_TOL and no slacks, so it needs eq = |r| <= CERT_TOL;
-    a saturated one needs a finite b (see `_saturated_1d`).
+    a saturated r of the wrong sign) or where `_residual` would exceed
+    CERT_TOL: an interior z has |z| - 1 <= FEAS_TOL, so it needs
+    |r| <= CERT_TOL; a saturated one needs a finite b (see `_saturated_1d`).
     """
     tol = FEAS_TOL
     z = (b + 0.0) / W
@@ -376,9 +359,9 @@ def _sign_step_1d(W, b):
 def _saturated_1d(W, b, s):
     """Where `_sign_step_1d(W, b_i)` returns s = 1.0 or -1.0, by its
     operations on an array b: (b_i + 0.0) / W beyond 1 + FEAS_TOL on the
-    side of s, s (W s - b_i) <= FEAS_TOL and b_i finite.  Its certificate
-    then holds (box, comp 0; sign <= 0; eq 0 or |r| <= FEAS_TOL), and an
-    infinite b_i makes eq NaN."""
+    side of s, s (W s - b_i) <= FEAS_TOL and b_i finite.  Its residual, the
+    larger of s r_i and 0, is then at most FEAS_TOL; an infinite b_i makes
+    it NaN."""
     z = (b + 0.0) / W
     beyond = z > 1.0 + FEAS_TOL if s > 0 else z < -1.0 - FEAS_TOL
     return beyond & (s * (W * s - b) <= FEAS_TOL) & np.isfinite(b)
@@ -404,12 +387,10 @@ def _sym_part_pd(W):
 
 
 def _certified(states, zl, rl, eq_tol=CERT_TOL):
-    """Whether a pivoting answer on the box [-1, 1]^m is kept: `certify`'s
-    conditions hold at lim = CERT_TOL and no index is degenerate (a bound
-    index with |r_i| <= lim, or an interior one with |z_i| >= 1 - lim).
-    A pivoting answer puts every bound index at exactly -1.0 or 1.0, where
-    w and v are its slack r or -r, so those conditions come down to one
-    test per index on z and r = W z - b (Python floats): an interior index
+    """Whether a pivoting answer is kept: its `_residual` is at most
+    lim = CERT_TOL and no index is degenerate (a bound index with
+    |r_i| <= lim, or an interior one with |z_i| >= 1 - lim).  Per index on
+    z and r = W z - b (Python floats) that is one test: an interior index
     needs |z_i| < 1 - lim and |r_i| <= eq_tol (lim unless a tighter bound
     is asked for), a lower one lim < r_i < inf and an upper one -inf < r_i
     < -lim.  NaN fails every comparison."""
@@ -429,12 +410,12 @@ def _certified(states, zl, rl, eq_tol=CERT_TOL):
 
 def _cold(W, b):
     """`solve`'s answer to the sign step with W and b, or StepFailure with
-    the reason and the MLCP dump."""
-    enc = encode(W, b)
-    sol = solve(enc)
+    the reason and the problem's dump."""
+    p = SignProblem(W, b)
+    sol = solve(p)
     if sol.status != "solved":
         raise StepFailure(f"one-step MLCP {sol.status}: {sol.reason}",
-                          problem_text=format_problem(enc))
+                          problem_text=format_problem(p))
     return sol.z
 
 
@@ -470,10 +451,10 @@ def sign_step_solver(W):
     certifies at CERT_TOL, is finite, and no index is degenerate, because
     there a cold start may end at another active set and round differently.
     Its bound indices sit at exactly -1.0 or 1.0, which reduces that test to
-    one bound test per index.  All other steps, a NaN b among them, encode
-    the MLCP and run `solve`, and the next warm start begins from that
-    answer, so every answer is bit-identical to `solve`'s.  Raises
-    StepFailure with the reason and the MLCP dump when `solve` fails.
+    one bound test per index.  All other steps, a NaN b among them, go to
+    `solve`, and the next warm start begins from that answer, so every
+    answer is bit-identical to `solve`'s.  Raises StepFailure with the
+    reason and the problem's dump when `solve` fails.
 
     The closed form and the warm pivot carry one vectorised decision:
     saturated_run(b, s) is the number of leading rows of b (shape (k, m))
@@ -503,14 +484,13 @@ def sign_step_solver(W):
     if not (m > 1 and _sym_part_pd(W)):
         return lambda b: _cold(W, b)
 
-    lower, upper = [-1.0] * m, [1.0] * m
     states = [_INTERIOR] * m
     blocks = {}
 
     def warm(b):
         b = np.asarray(b, dtype=float)
         if b.shape == (m,):
-            got = _pivot(W, b, lower, upper, states, blocks, certified=True)
+            got = _pivot(W, b, states, blocks, certified=True)
             if not isinstance(got, str):
                 return got[0]
         z = _cold(W, b)
@@ -531,11 +511,9 @@ def sign_step_solver(W):
     return warm
 
 
-def format_problem(p: MlcpProblem) -> str:
-    """Plain-text dump (M rows, q, l, u) for failing instances."""
-    lines = [f"MLCP dim={p.dim}"]
-    for i in range(p.dim):
-        lines.append("M  " + "  ".join(f"{x:.17g}" for x in p.M[i]))
-    for name, vec in (("q", p.q), ("l", p.l), ("u", p.u)):
-        lines.append(f"{name}  " + "  ".join(f"{x:.17g}" for x in vec))
+def format_problem(p: SignProblem) -> str:
+    """Plain-text dump (W rows, then b) for failing instances."""
+    lines = [f"SignProblem dim={p.dim}"]
+    lines += ["W  " + "  ".join(f"{x:.17g}" for x in row) for row in p.W]
+    lines.append("b  " + "  ".join(f"{x:.17g}" for x in p.b))
     return "\n".join(lines)

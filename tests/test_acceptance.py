@@ -97,14 +97,13 @@ def test_criterion_4_solver_oracle_equivalence():
     for _ in range(200):
         m = int(rng.integers(1, 7))
         A = rng.standard_normal((m, m))
-        M = A @ A.T + 0.1 * np.eye(m)
-        p = mlcp.MlcpProblem(dim=m, M=M, q=rng.standard_normal(m),
-                             l=-np.ones(m), u=np.ones(m))
+        W = A @ A.T + 0.1 * np.eye(m)
+        p = mlcp.SignProblem(W, -rng.standard_normal(m))
         ref = mlcp.solve_enumerative(p)
         for solver in (mlcp.solve_pivoting, mlcp.solve):
             sol = solver(p)
             worst_z = max(worst_z, float(np.max(np.abs(sol.z - ref.z))))
-            worst_res = max(worst_res, mlcp.certify(p, sol))
+            worst_res = max(worst_res, sol.residual)
     ok = worst_z <= 1e-8 and worst_res <= 1e-9
     verdict(4, "pivoting and solve match the enumerative oracle",
             ok, f"max dz {worst_z:.2e}, max residual {worst_res:.2e}")

@@ -72,6 +72,16 @@ class TestRun:
         experiments.run_experiment("observer").trajectories["traj"].to_csv(ref)
         assert (tmp_path / "traj.csv").read_bytes() != ref.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["--k", "-1"],
+        ["--scheme", "explicit", "--h", "0.0021", "--T", "0.01"]])
+    def test_short_unstable_observer_run_passes(self, argv, tmp_path, capsys):
+        # a drift radius above 1 whose growth over the run stays short of
+        # the blow-up threshold: no blow-up is expected, and none happens
+        assert cli.main(["run", "observer", *argv, "--out",
+                         str(tmp_path)]) == 0
+        assert "PASS observer:bounded" in capsys.readouterr().out
+
     def test_unknown_name(self, capsys):
         assert cli.main(["run", "nonsense", "--out", "/tmp/x"]) == 2
 
@@ -122,7 +132,7 @@ class TestBadInput:
         ["run", "hypomonotone", "--x0", "1,2"],
         ["run", "zoh-siso", "--x0", "1"],
         ["run", "lyapunov", "--x0", "1,2"],
-        ["run", "simple", "--scheme", "explicit", "--theta", "0.5"],
+        ["run", "galias2007", "--scheme", "explicit", "--theta", "0.5"],
         ["run", "observer", "--scheme", "explicit", "--theta", "0.5"],
         ["run", "convergence", "--x0", ""],
         ["run", "convergence", "--x0", "1,2"],
@@ -152,7 +162,7 @@ class TestBadInput:
         # forward Euler never reads theta
         *[(["run", name, "--scheme", "explicit", "--theta", "0.5"],
            f"{name} takes no theta under scheme 'explicit'")
-          for name in ("simple", "observer")],
+          for name in ("galias2007", "observer")],
         (["run", "convergence", "--x0", "1,2"], "x0 must have length 1"),
     ])
     def test_error_names_the_bad_input(self, argv, text, capsys):
@@ -185,6 +195,9 @@ class TestBadInput:
            "zoh-siso", "zoh-mimo", "lyapunov", "observer")],
         *[(name, "theta", "0.5") for name in
           ("zoh-siso", "zoh-mimo", "convergence")],
+        # E = 0: the theta blend of a zero drift is the identity
+        *[(name, "theta", "0.5") for name in
+          ("simple", "multisurface", "filippov")],
         ("convergence", "scheme", "explicit"),
         ("hypomonotone", "scheme", "explicit"),
         # the system has no smooth drift for theta to blend

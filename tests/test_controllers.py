@@ -31,7 +31,7 @@ class TestIecControl:
         for _ in range(100):
             x = rng.uniform(-3, 3)
             h = rng.uniform(0.01, 1.0)
-            sol = mlcp.solve_enumerative(mlcp.encode([[h]], [x]))
+            sol = mlcp.solve_enumerative(mlcp.SignProblem([[h]], [x]))
             assert abs(iec_control(x, h) + sol.z[0]) <= 1e-12
 
 

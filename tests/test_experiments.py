@@ -34,6 +34,26 @@ class TestObserverStabilityRule:
         assert names(res) == BOUNDED
         assert res.all_passed
 
+    @pytest.mark.parametrize("overrides", [
+        {"k": -1.0}, {"scheme": "explicit", "h": 0.0021, "T": 0.01}])
+    def test_short_unstable_run_is_not_expected_to_blow_up(self, overrides):
+        # the drift radius exceeds 1 (1.11 and 1.1), but over 100 and 5
+        # steps it allows a growth of 3.8e4 and 1.6, short of BLOWUP
+        res = run_experiment("observer", overrides)
+        assert names(res) == BOUNDED
+        assert res.all_passed
+
+    @pytest.mark.parametrize("radius, steps, expected", [
+        (1.0, 10 ** 6, False), (1.0 + 1e-9, 10 ** 6, False),
+        (1.1, 144, False), (1.1, 145, True), (3.0, 13, True),
+        (3.0, 12, False), (0.5, 10 ** 6, False), (math.inf, 1, True),
+        (1.1, 0, False), (math.nan, 10, False)])
+    def test_blowup_expected_from_the_growth_over_the_run(self, radius,
+                                                          steps, expected):
+        # radius^N against BLOWUP = 1e6: 1.1^145 = 1.0e6 passes it and
+        # 1.1^144 = 9.1e5 does not; 3^13 = 1.6e6 and 3^12 = 5.3e5
+        assert experiments._blowup_expected(radius, steps) is expected
+
     def test_explicit_scheme_counts_as_theta_zero(self):
         res = run_experiment("observer", {"scheme": "explicit", "h": 0.004})
         assert names(res) == ["unstable-expected"]
@@ -136,10 +156,20 @@ class TestBadParameters:
                                       "observer"])
     def test_theta_under_the_explicit_scheme_is_rejected(self, name):
         # forward Euler never reads theta, so a given one would change
-        # nothing; the default theta stays
+        # nothing; the default theta stays.  A system without a smooth
+        # drift (E = 0) takes no theta under either scheme: the theta blend
+        # of a zero drift is the identity
         run = mock.Mock()
         spec = dataclasses.replace(experiments.REGISTRY[name], runner=run)
         with mock.patch.dict(experiments.REGISTRY, {name: spec}):
+            if name in ("simple", "multisurface", "filippov"):
+                for scheme in ("explicit", "implicit"):
+                    with pytest.raises(KeyError,
+                                       match=f"{name} takes no --theta"):
+                        run_experiment(name, {"scheme": scheme,
+                                              "theta": 0.5})
+                assert run.call_count == 0
+                return
             with pytest.raises(ValueError, match=f"^{name} takes no theta "
                                "under scheme 'explicit'"):
                 run_experiment(name, {"scheme": "explicit", "theta": 0.5})
@@ -290,17 +320,10 @@ def _second_value(value):
 # half of the sweep's T = 3 still covers the arrival at |x0| = 1.01, after
 # which the selection error is 0 and no norm moves; a horizon before it does
 SECOND_VALUES = {("convergence", "T"): 1.0}
-# E = 0 in these systems: the theta blend of a zero drift gives Phi = L = I
-# whatever theta is, so no value of it changes a byte (FOUND in CHANGES.md)
-DEAD_KEYS = {("simple", "theta"), ("multisurface", "theta"),
-             ("filippov", "theta")}
 
 
 @pytest.mark.parametrize("name, key", [
-    pytest.param(name, key, marks=pytest.mark.xfail(
-        (name, key) in DEAD_KEYS, reason="theta of a zero drift",
-        strict=True))
-    for name, spec in sorted(experiments.REGISTRY.items())
+    (name, key) for name, spec in sorted(experiments.REGISTRY.items())
     for key in spec.defaults])
 def test_every_key_is_live(name, key):
     # a settable key whose second value changes neither a byte of the run

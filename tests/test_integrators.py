@@ -231,7 +231,7 @@ class TestStepNewton:
                 getattr(ref, name).tobytes()
 
     def test_nan_drift_fails_the_step_with_its_residual(self):
-        # a NaN drift makes the step's one-step MLCP NaN, which no solver
+        # a NaN drift makes the step's sign problem NaN, which no solver
         # certifies: the step fails there, with the problem's dump
         sys = AffineGainSignSystem(
             n=1, m=1, A_list=([[0.0]],), B_list=([1.0],), C_rows=([1.0],),
@@ -243,8 +243,8 @@ class TestStepNewton:
         assert traj.failure.step == 5
         assert traj.failure.message == ("one-step MLCP infeasible: no "
                                         "active set is feasible")
-        assert traj.failure.detail.startswith("MLCP dim=1\n")
-        assert "\nq  nan\n" in traj.failure.detail
+        assert traj.failure.detail.startswith("SignProblem dim=1\n")
+        assert traj.failure.detail.endswith("\nb  nan")
         assert np.all(np.isfinite(traj.states))
 
 

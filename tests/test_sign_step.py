@@ -3,7 +3,7 @@
 `mlcp.sign_step_solver` answers m = 1 with W > 0 by the projection
 proj_[-1,1](b / W).  It must give solve_pivoting's selection bit for bit,
 agree with the enumerative oracle, and certify; every other case must go
-through the general MLCP path.  For m > 1 it answers a run of steps with
+through the cold ladder.  For m > 1 it answers a run of steps with
 one P-matrix W by pivoting from the previous step's active set, and must
 give what a cold start gives, bit for bit.  The cold ladder `solve` must
 answer W < 0 without running to a pivot cap.
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from multisurf import mlcp
 from multisurf.mlcp import FEAS_TOL
+from tests import box_certificate
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None)
@@ -49,7 +50,7 @@ def positive_scalar_steps(draw):
 
 
 def sign_problem(W, b):
-    return mlcp.encode([[W]], [b])
+    return mlcp.SignProblem([[W]], [b])
 
 
 @SETTINGS
@@ -71,14 +72,14 @@ def test_closed_form_matches_pivoting_bitwise(step):
 def test_closed_form_matches_oracle_and_certifies(step):
     W, b = step
     prob = sign_problem(W, b)
-    z = mlcp.sign_step_solver(prob.M)(-prob.q)
+    z = mlcp.sign_step_solver(prob.W)(prob.b)
     oracle = mlcp.solve_enumerative(prob)
     assert oracle.status == "solved"
     assert abs(z[0] - oracle.z[0]) <= 1e-12
-    r = prob.M @ z + prob.q
-    w, v = np.maximum(r, 0.0), np.maximum(-r, 0.0)
-    sol = mlcp.MlcpSolution(z=z, w=w, v=v, residual=0.0, status="solved")
-    assert mlcp.certify(prob, sol) <= 1e2 * FEAS_TOL
+    states = [LO if z[0] == -1.0 else UP if z[0] == 1.0 else IN]
+    zl, rl = z.tolist(), (prob.W @ z - prob.b).tolist()
+    assert mlcp._residual(states, zl, rl) <= 1e2 * FEAS_TOL
+    assert box_certificate.residual(states, zl, rl) <= 1e2 * FEAS_TOL
 
 
 @SETTINGS
@@ -102,8 +103,8 @@ def test_closed_form_answers_a_badly_scaled_step():
     assert mlcp._sign_step_1d(W, b) == b / W
     prob = sign_problem(W, b)
     with mock.patch.object(mlcp, "_cold", wraps=mlcp._cold) as cold:
-        z = mlcp.sign_step_solver(prob.M)(-prob.q)
-        one = mlcp.sign_step(prob.M, -prob.q)
+        z = mlcp.sign_step_solver(prob.W)(prob.b)
+        one = mlcp.sign_step(prob.W, prob.b)
     assert cold.call_count == 0
     ref = mlcp.solve(prob)
     assert ref.status == "solved"
@@ -111,9 +112,10 @@ def test_closed_form_answers_a_badly_scaled_step():
 
 
 def full_certificate_1d(W, b):
-    """The m = 1 closed form with `certify`'s whole scalar certificate --
-    box, equation, complementarity and sign -- the reference for the lean
-    `_sign_step_1d`, which tests only the terms that can fail."""
+    """The m = 1 closed form with the whole box-MLCP certificate
+    (`box_certificate`) in scalar form -- box, equation, complementarity
+    and sign -- the reference for the lean `_sign_step_1d`, which tests
+    only the terms that can fail."""
     tol, lim = FEAS_TOL, mlcp.CERT_TOL
     z = (b + 0.0) / W
     if -1.0 - tol <= z <= 1.0 + tol:
@@ -182,7 +184,7 @@ def test_uncertified_closed_form_falls_back():
     assert mlcp.solve(prob).status == "uncertified"
     with mock.patch.object(mlcp, "_cold", wraps=mlcp._cold) as cold:
         with pytest.raises(mlcp.StepFailure, match="uncertified"):
-            mlcp.sign_step_solver(prob.M)(-prob.q)
+            mlcp.sign_step_solver(prob.W)(prob.b)
     assert cold.call_count == 1
 
 
@@ -223,7 +225,7 @@ def warm_runs(draw):
 
 
 def _cold(W, b):
-    return mlcp.solve(mlcp.encode(W, b)).z
+    return mlcp.solve(mlcp.SignProblem(W, b)).z
 
 
 # the cold starts a warm answer must equal bit for bit: the `solve` ladder
@@ -238,7 +240,7 @@ def test_warm_solver_matches_cold_pivoting_bitwise(cold, run):
     W, bs, _ = run
     solve = mlcp.sign_step_solver(W)
     for b in bs:
-        ref = COLD[cold](mlcp.encode(W, b))
+        ref = COLD[cold](mlcp.SignProblem(W, b))
         assert ref.status == "solved"
         assert solve(b).tobytes() == ref.z.tobytes()
 
@@ -264,7 +266,7 @@ def test_warm_solver_matches_cold_on_a_singular_block(cold):
     warm_lstsq = []
     for z0, y in runs:
         b = W @ np.array(z0) + np.array(y)
-        ref = COLD[cold](mlcp.encode(W, b))
+        ref = COLD[cold](mlcp.SignProblem(W, b))
         assert ref.status == "solved"
         with mock.patch.object(mlcp, "solve", wraps=mlcp.solve) as ladder, \
                 mock.patch.object(np.linalg, "lstsq",
@@ -368,7 +370,7 @@ def test_every_block_visit_calls_lapack_directly():
                 z = solve(b)
             assert z.tobytes() == _cold(W, b).tobytes()
             assert z.tobytes() == mlcp.solve_enumerative(
-                mlcp.encode(W, b)).z.tobytes()
+                mlcp.SignProblem(W, b)).z.tobytes()
     assert modes == ["call", default, default]
 
 
@@ -429,8 +431,7 @@ def test_direct_lapack_solve_equals_numpy_solve_bitwise(m):
             assert want[1] == (kind == "regular")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = mlcp._set_point(M, b, [-1.0] * (m + 2), [1.0] * (m + 2),
-                                  tuple(key))
+            got = mlcp._set_point(M, b, tuple(key))
         assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
 
 
@@ -454,22 +455,27 @@ def test_nan_b_fails_the_step_with_the_problem(path):
     with pytest.raises(mlcp.StepFailure) as exc:
         solve(b)
     assert exc.value.message.startswith("one-step MLCP ")
-    assert exc.value.problem_text == mlcp.format_problem(mlcp.encode(W, b))
+    assert exc.value.problem_text == mlcp.format_problem(
+        mlcp.SignProblem(W, b))
 
 
 LIM = mlcp.CERT_TOL
 # the values at which the certificate's and the keep scan's decisions
-# turn, each with its two float neighbours, and NaN, the infinities and
-# both zeros
-EDGES = [e for x in (LIM, -LIM, 1.0 - LIM, LIM - 1.0, 1.0, -1.0)
+# turn, each with its two float neighbours; NaN, the infinities, both
+# zeros, the signed least and largest subnormals and least normal, and
+# the signed largest float
+EDGES = [e for x in (LIM, -LIM, 1.0 - LIM, LIM - 1.0, 1.0, -1.0, 1.0 + LIM,
+                     -1.0 - LIM, FEAS_TOL, -FEAS_TOL)
          for e in (x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf))] \
-    + [e for x in (FEAS_TOL, -FEAS_TOL)
-       for e in (x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf))] \
-    + [0.0, -0.0, 2.0 * LIM, 0.5, np.inf, -np.inf, np.nan]
+    + [0.0, -0.0, 2.0 * LIM, 0.5, np.inf, -np.inf, np.nan] \
+    + [sign * x for x in (5e-324, 2.225073858507201e-308,
+                          2.2250738585072014e-308, 1.7976931348623157e308)
+       for sign in (1.0, -1.0)]
+# the ranges a drawn value comes from when it is not an edge
+EDGE_RANGES = [(-2 * LIM, 2 * LIM), (1.0 - 2 * LIM, 1.0 + 2 * LIM),
+               (-1.0 - 2 * LIM, -1.0 + 2 * LIM)]
 EDGE_VALUES = st.one_of(st.sampled_from(EDGES),
-                        st.floats(-2 * LIM, 2 * LIM),
-                        st.floats(1.0 - 2 * LIM, 1.0 + 2 * LIM),
-                        st.floats(-1.0 - 2 * LIM, -1.0 + 2 * LIM),
+                        *(st.floats(lo, hi) for lo, hi in EDGE_RANGES),
                         st.floats(allow_nan=True, allow_infinity=True))
 
 
@@ -487,17 +493,55 @@ def pivot_answers(draw):
     return states, zl, rl
 
 
+def _edge_draws(rng, shape):
+    """`EDGE_VALUES` drawn by numpy: half edges, the rest evenly from each
+    range and from all float bit patterns (NaNs and infinities among
+    them)."""
+    kind = rng.integers(0, 2 * (len(EDGE_RANGES) + 1), shape)
+    out = np.array(EDGES)[rng.integers(0, len(EDGES), shape)]
+    for j, (lo, hi) in enumerate(EDGE_RANGES):
+        out = np.where(kind == j, rng.uniform(lo, hi, shape), out)
+    bits = rng.integers(0, 2 ** 63, shape, dtype=np.uint64) * np.uint64(2) \
+        + rng.integers(0, 2, shape, dtype=np.uint64)
+    return np.where(kind == len(EDGE_RANGES), bits.view(np.float64), out)
+
+
+def _same_verdict(states, zl, rl):
+    """`_residual` against the box-MLCP certificate: the same value, NaN
+    included, so the same "solved" verdict at CERT_TOL."""
+    got = mlcp._residual(states, zl, rl)
+    ref = box_certificate.residual(states, zl, rl)
+    assert (got <= LIM) == (ref <= LIM), (states, zl, rl)
+    assert got == ref or (math.isnan(got) and math.isnan(ref)), \
+        (states, zl, rl)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(pivot_answers())
+def test_residual_is_the_box_certificate(answer):
+    _same_verdict(*answer)
+
+
+def test_residual_is_the_box_certificate_on_100000_answers():
+    rng = np.random.default_rng(27)
+    count = 0
+    for m in range(1, 7):
+        k = 100_000 // 6 + 1
+        states = rng.integers(0, 3, (k, m))
+        zs = np.where(states == LO, -1.0, np.where(
+            states == UP, 1.0, _edge_draws(rng, (k, m))))
+        rs = _edge_draws(rng, (k, m))
+        for st_, zl, rl in zip(states.tolist(), zs.tolist(), rs.tolist()):
+            _same_verdict(st_, zl, rl)
+            count += 1
+    assert count >= 100_000
+
+
 def _certified_by_definition(states, zl, rl):
-    """`certify` at CERT_TOL, with w and v as pivoting builds them, plus
-    the degeneracy guard; M = 0 and q = r give M z + q = r."""
-    m = len(states)
-    p = mlcp.MlcpProblem(dim=m, M=np.zeros((m, m)), q=rl, l=-np.ones(m),
-                         u=np.ones(m))
-    with np.errstate(invalid="ignore"):
-        sol = mlcp._solution(p, states, np.array(zl), rl)
+    """`_residual` at most CERT_TOL, plus the degeneracy guard."""
     degenerate = any(abs(z) >= 1.0 - LIM if s == IN else abs(r) <= LIM
                      for s, z, r in zip(states, zl, rl))
-    return bool(sol.residual <= LIM) and not degenerate
+    return mlcp._residual(states, zl, rl) <= LIM and not degenerate
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
@@ -518,8 +562,7 @@ def test_keep_scan_is_the_certificate_with_exact_equations(answer):
     if kept:
         m = len(states)
         assert mlcp._violation(states, np.zeros((m, m)), [-r for r in rl],
-                               np.array(zl), zl, rl, [-1.0] * m,
-                               [1.0] * m) is None
+                               np.array(zl), zl, rl) is None
 
 
 NEGATIVE_W = [-1e-6, -5e-324, -1.0]
@@ -573,9 +616,9 @@ ONE_STEP_COLD = {
     "W < 0": ([[-0.1]], [0.5], None),
     "W = 0": ([[0.0]], [1.0], None),
     "W = -0.0": ([[-0.0]], [-1.0], None),
-    "NaN W": ([[math.nan]], [0.5], "MLCP dim=1\nM  nan\nq  -0.5\nl  -1\nu  1"),
-    "NaN b": ([[1.0]], [math.nan], "MLCP dim=1\nM  1\nq  nan\nl  -1\nu  1"),
-    "inf b": ([[1.0]], [math.inf], "MLCP dim=1\nM  1\nq  -inf\nl  -1\nu  1"),
+    "NaN W": ([[math.nan]], [0.5], "SignProblem dim=1\nW  nan\nb  0.5"),
+    "NaN b": ([[1.0]], [math.nan], "SignProblem dim=1\nW  1\nb  nan"),
+    "inf b": ([[1.0]], [math.inf], "SignProblem dim=1\nW  1\nb  inf"),
     "uncertified b": ([[162910815.15397093]], [85430911.0], None),
 }
 
