@@ -3,10 +3,10 @@
 Each of the ten experiments runs at its defaults through `cli.main`, and
 every line it prints other than a "wrote" line is compared in full with a
 recorded one: the mark, the experiment and property name, and the detail in
-parentheses.  The explicit runs that reach a period-2 check are pinned too,
-since no default reaches one.  The golden digests guard the trajectories;
-these lines guard the arrival steps, tails and drifts that the properties
-derive from them.
+parentheses.  The explicit run of every entry that has one is pinned too,
+since no default reaches an explicit check.  The golden digests guard the
+trajectories; these lines guard the arrival steps, tails and drifts that the
+properties derive from them.
 """
 
 import contextlib
@@ -79,17 +79,32 @@ DEFAULT_VERDICTS = {
 }
 
 EXPLICIT_VERDICTS = {
+    ("filippov", "explicit"): [
+        "PASS filippov:completed (completed)",
+    ],
     ("galias2007", "explicit"): [
         "PASS galias2007:completed (completed)",
         "PASS galias2007:period2-detected-y0 (tail drift 5.551e-17)",
+    ],
+    ("lyapunov", "explicit"): [
+        "PASS lyapunov:completed (completed)",
+        "PASS lyapunov:control-chatters (97% sign flips over 38 controls)",
     ],
     ("multisurface", "explicit"): [
         "PASS multisurface:completed (completed)",
         "PASS multisurface:period2-detected-y0 (tail drift 0.000e+00)",
     ],
+    ("observer", "explicit"): [
+        "PASS observer:unstable-expected "
+        "(peak |x| = 9.610e+13, drift radius 99)",
+    ],
     ("simple", "explicit"): [
         "PASS simple:completed (completed)",
         "PASS simple:period2-detected-y0 (tail drift 0.000e+00)",
+    ],
+    ("zoh-mimo", "explicit"): [
+        "PASS zoh-mimo:completed (completed)",
+        "PASS zoh-mimo:recurrent-deviation (100% of tail above h/10)",
     ],
     ("zoh-siso", "explicit"): [
         "PASS zoh-siso:completed (completed)",
