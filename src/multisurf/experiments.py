@@ -1,10 +1,9 @@
 """Experiment registry: the desk-scale studies behind the library.
 
-Each experiment bundles a system, default numerical parameters and a set of
-checkable properties (finite-time arrival, chattering detection, convergence
-slopes).  `run_experiment` merges overrides into the defaults, simulates and
-evaluates the properties; the CLI layers argument parsing and CSV output on
-top.
+An experiment is a step plan, its defaults and the checks of each scheme
+(finite-time arrival, chattering, convergence slopes).  `run_experiment`
+merges overrides into the defaults and runs it; the CLI adds argument
+parsing and CSV output.
 """
 
 from __future__ import annotations
@@ -134,7 +133,7 @@ def hypomonotone_system():
 
 
 # ---------------------------------------------------------------------------
-# property helpers
+# checks
 
 def _prop(name, passed, detail=""):
     return PropertyResult(name=name, passed=bool(passed), detail=detail)
@@ -155,7 +154,7 @@ def _surface_zero_persist(traj, idx):
 
 
 def _arrival(traj):
-    """Arrival step on surface 0, and whether a step follows it."""
+    """Arrival step on surface 0 and whether a step follows it."""
     k = analysis.arrival_step(traj, 0)
     return k, k is not None and k < len(traj.times) - 1
 
@@ -172,27 +171,25 @@ def _period2(traj, idx, *, expected, tol=PERIOD2_TOL):
     return _prop(f"period2-detected-y{idx}", hit, f"tail drift {drift:.3e}")
 
 
-def _chatters(values, idx):
-    v = analysis.tail(values)
-    flips = float(np.mean(v[1:] * v[:-1] < 0))
-    return _prop(f"chatters-y{idx}", flips >= 0.5,
-                 f"{flips:.0%} sign flips over {len(v)} samples")
-
-
-def _completed(traj):
-    msg = traj.failure.message if traj.failure else "completed"
-    return _prop("completed", traj.failure is None, msg)
+def _flips(v):
+    """Share of sign flips between neighbours of v; 0 below two."""
+    return float(np.mean(v[1:] * v[:-1] < 0)) if len(v) > 1 else 0.0
 
 
 def _on(check, *args, **kwargs):
     """`check(traj, *args, **kwargs)` as a check of (traj, params)."""
-    return lambda traj, params: check(traj, *args, **kwargs)
+    return lambda traj, params: [check(traj, *args, **kwargs)]
+
+
+def _completed(traj, params):
+    msg = traj.failure.message if traj.failure else "completed"
+    return [_prop("completed", traj.failure is None, msg)]
 
 
 def _simple_arrival(traj, params):
     # ceil of the exact quotient q = |x0| / h of the float inputs
     # (0.5 / 1e-6 rounds to 500000.0, below q) plus q^2 / 2^52 for the
-    # rounding of the steps x - h (derived in tests/test_experiments.py);
+    # rounding of the steps x - h (derived in the tests);
     # inf where |x0| / h overflows
     x0, h = abs(float(traj.states[0, 0])), params["h"]
     k0_bound = x0 / h
@@ -200,19 +197,151 @@ def _simple_arrival(traj, params):
         q = Fraction(x0) / Fraction(h)
         k0_bound = math.ceil(q + q * q / 2 ** 52)
     k = analysis.arrival_step(traj, 0)
-    return _prop("finite-time-zero", k is not None and k <= k0_bound,
-                 f"arrival {k}, bound {k0_bound}")
+    return [_prop("finite-time-zero", k is not None and k <= k0_bound,
+                  f"arrival {k}, bound {k0_bound}")]
 
 
 def _ordered_arrival(traj, params):
     k0, k1 = analysis.arrival_step(traj, 0), analysis.arrival_step(traj, 1)
-    return _prop("ordered-arrival", k0 is not None and k1 is not None
-                 and k0 < k1, f"surface0 at {k0}, surface1 at {k1}")
+    return [_prop("ordered-arrival", k0 is not None and k1 is not None
+                  and k0 < k1, f"surface0 at {k0}, surface1 at {k1}")]
 
 
 def _origin_reached(traj, params):
     final = float(np.max(np.abs(traj.states[-1])))
-    return _prop("origin-reached", final <= 1e-10, f"final |x| = {final:.3e}")
+    return [_prop("origin-reached", final <= 1e-10,
+                  f"final |x| = {final:.3e}")]
+
+
+def _recurrent_deviation(traj, params):
+    # chattering without a clean 2-cycle
+    ytail = analysis.tail(np.max(np.abs(traj.outputs), axis=1))
+    frac = float(np.mean(ytail > params["h"] / 10))
+    return [_prop("recurrent-deviation", frac >= 0.25,
+                  f"{frac:.0%} of tail above h/10")]
+
+
+def _tracks_disturbance(traj, params):
+    k, arrived = _arrival(traj)
+    props = [_prop("finite-time-zero", arrived, f"arrival step {k}")]
+    if arrived:
+        tail_k = np.arange(k, len(traj.times) - 1)
+        dev = np.abs(traj.controls[tail_k, 0]
+                     - params["alpha"] * np.sin(traj.times[tail_k]))
+        worst = float(np.max(dev))
+        props.append(_prop("control-tracks-disturbance",
+                           worst <= 2 * params["h"],
+                           f"max |u - gamma| = {worst:.3e}"))
+    return props
+
+
+def _control_chatters(traj, params):
+    u = analysis.tail(traj.controls[:-1, 0])
+    # saturated both ways with frequent sign flips: the disturbance
+    # breaks strict alternation without taming the chattering
+    saturated = np.all(np.abs(np.abs(u) - 1.0) < 1e-12)
+    flips = _flips(u)
+    return [_prop("control-chatters", saturated and flips >= 0.5,
+                  f"{flips:.0%} sign flips over {len(u)} controls")]
+
+
+def _drift_radius(E, h, theta):
+    """Spectral radius of the theta-scheme drift map.
+
+    The map is (I - h theta E)^-1 (I + h (1 - theta) E); theta = 0 is forward
+    Euler, whose radius exceeds 1 once h passes 2 / |lambda| for a real
+    eigenvalue lambda < 0 of E.
+    """
+    eye = np.eye(len(E))
+    try:
+        M = np.linalg.solve(eye - h * theta * E, eye + h * (1 - theta) * E)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"I - h*theta*E is singular at h = {h}, theta = "
+                         f"{theta}: the drift map is undefined") from None
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
+
+
+def _blowup_expected(radius, steps):
+    """Whether a run of `steps` steps of a drift map with spectral radius
+    `radius` is expected to blow up past BLOWUP.
+
+    Along its dominant mode the drift map multiplies the state by the
+    radius each step, so N steps allow a growth of radius^N: a blow-up is
+    expected only where that passes BLOWUP, N log(radius) > log(BLOWUP).
+    The integrator mode of E (eigenvalue 0) holds the radius at 1 for
+    every h, which never passes it; nor does a short unstable run (k = -1:
+    radius 1.11 over 100 steps, growth 3.8e4).
+    """
+    return radius > 1 and steps * math.log(radius) > math.log(BLOWUP)
+
+
+def _stability(traj, params):
+    """The observer's stability rule: a blow-up where the drift map allows
+    one over the run, else a bounded run that chatters or settles."""
+    h, explicit = params["h"], params["scheme"] == "explicit"
+    radius = _drift_radius(observer_system(params["k"], params["tau"]).E, h,
+                           0.0 if explicit else params["theta"])
+    peak = float(np.max(np.abs(traj.states)))
+    blew_up = traj.failure is not None or peak > BLOWUP
+    detail = f"peak |x| = {peak:.3e}, drift radius {radius:.12g}"
+    if _blowup_expected(radius, integrators.grid_steps(0.0, params["T"], h)):
+        return [_prop("unstable-expected", blew_up, detail)]
+    # once y first changes sign, the explicit sign term switches on most
+    # steps, in a cycle not always of period 2; a run that has not crossed
+    # (or sits on y = 0, where sgn(0) = 0) is judged as an implicit one
+    y = traj.outputs[:, 0]
+    cross = np.flatnonzero(y[1:] * y[:-1] < 0)
+    if explicit and len(cross) and len(y) - cross[0] - 1 >= analysis.TAIL_MIN:
+        v = analysis.tail(y[cross[0] + 1:])
+        settles = _prop("chatters-y0", _flips(v) >= 0.5,
+                        f"{_flips(v):.0%} sign flips over {len(v)} samples")
+    else:
+        settles = _period2(traj, 0, expected=False)
+    return [_prop("bounded", not blew_up, detail), settles,
+            _selection_box(traj)]
+
+
+def _closed_form_match(traj, params):
+    """Steps whose one-step problem has one solution, s = sgn(x_k) = sg,
+    against their closed form.
+
+    With the gain x + 1 taken at x_k + gamma (x - x_k), the step at a fixed
+    s is d x = r, d = 1 + h gamma s, r = x_k - h ((1 - gamma) x_k + 1) s.
+    Its candidates are x = r / d of sign s = +-1 (where s r d > 0) and x = 0
+    at s = x_k / (h ((1 - gamma) x_k + 1)) in [-1, 1]; below x = -1, where
+    the gain is negative, more than one can hold.  A Newton residual below
+    NEWTON_TOL leaves x within NEWTON_TOL / |d|, plus 16 ulps of
+    (1 + h)(1 + |x_k| + |x|) for rounding.
+    """
+    h, gamma = params["h"], params["gamma"]
+    worst, ok = 0.0, True
+    for k in range(len(traj.times) - 1):
+        xk = traj.states[k, 0]
+        sg = np.sign(xk)
+        # predict where the s = -sg form (d2, r2) and x = 0 both fail
+        d, d2 = 1 + h * gamma * sg, 1 - h * gamma * sg
+        r = xk * (1 - h * (1 - gamma) * sg) - h * sg
+        r2 = xk * (1 + h * (1 - gamma) * sg) + h * sg
+        if (sg * r * d > 0 and sg * r2 * d2 > 0
+                and abs(xk) > h * abs((1 - gamma) * xk + 1)):
+            pred = r / d
+            dev = max(abs(traj.states[k + 1, 0] - pred),
+                      abs(traj.selections[k + 1, 0] - sg))
+            bound = (integrators.NEWTON_TOL + 2.0 ** -48 * (1 + h)
+                     * (1 + abs(xk) + abs(pred))) / abs(d)
+            worst, ok = max(worst, dev), ok and dev <= bound
+    return [_prop("closed-form-match", ok, f"max deviation {worst:.3e}")]
+
+
+def _exact_zero(traj, params):
+    k, arrived = _arrival(traj)
+    return [_prop("finite-time-zero", arrived, f"exact zero from step {k}")]
+
+
+def _newton_terminates(traj, params):
+    peak_it = int(np.max(traj.newton_iters))
+    return [_prop("newton-terminates", peak_it <= 10,
+                  f"max iterations {peak_it}")]
 
 
 _BOX = _on(_selection_box)
@@ -221,7 +350,7 @@ _PERIOD2 = _on(_period2, 0, expected=True)
 
 
 # ---------------------------------------------------------------------------
-# runners
+# plans and runners
 
 def _cfg(params):
     """The scheme the entry's keys set; a key it lacks keeps its default."""
@@ -229,21 +358,35 @@ def _cfg(params):
                            if k in params})
 
 
-def _theta_study(name, description, defaults, system, implicit, explicit):
-    """A registry entry that runs `system` under the theta-scheme.
+def _theta(system, *keys):
+    """The theta-scheme plan of system(*params[keys]), as simulate_linear's."""
+    def plan(params):
+        sys, cfg = system(*(params[k] for k in keys)), _cfg(params)
+        return integrators.theta_plan(sys.E, sys.B, sys.C, sys.D,
+                                      cfg.h * sys.a, cfg, params["scheme"])
+    return plan
 
-    Its runner prints `completed`, then the checks of the chosen scheme in
-    order; a check is a function of (traj, params).
-    """
+
+def _zoh(data):
+    """The ECB-SMC plan of the ZOH data() = (F, G, C)."""
+    return lambda params: controllers.ecb_plan(controllers.EcbSmcController(
+        *data(), alpha=params["alpha"], h=params["h"],
+        mode=params["scheme"]))
+
+
+def _study(name, description, defaults, plan, implicit, explicit=()):
+    """A registry entry whose runner simulates plan(params) from x0 over
+    [0, T], then runs the checks of its scheme (implicit if it has no scheme
+    key) in order; a check maps (traj, params) to a list of properties."""
     def run(params):
-        traj = integrators.simulate_linear(
-            system(), params["x0"], 0.0, params["T"], _cfg(params),
-            scheme=params["scheme"])
-        checks = implicit if params["scheme"] == "implicit" else explicit
+        traj = integrators.simulate(plan(params), params["x0"], 0.0,
+                                    params["T"])
+        checks = (explicit if "scheme" in params
+                  and params["scheme"] == "explicit" else implicit)
         return ExperimentResult(name, {"traj": traj}, [
-            _completed(traj), *(check(traj, params) for check in checks)])
-    # the name a trace or a profile shows, as for the other runners
-    run.__name__ = run.__qualname__ = f"run_{name}"
+            prop for check in checks for prop in check(traj, params)])
+    # the name a trace or a profile shows, as for run_convergence
+    run.__name__ = run.__qualname__ = "run_" + name.replace("-", "_")
     return ExperimentSpec(name, description, defaults, run)
 
 
@@ -284,159 +427,6 @@ def run_convergence(params):
                             tables={"convergence.csv": "\n".join(lines) + "\n"})
 
 
-def _run_zoh(name, data, params):
-    F, G, C = data
-    ctl = controllers.EcbSmcController(F=F, G=G, C=C, alpha=params["alpha"],
-                                      h=params["h"], mode=params["scheme"])
-    traj = integrators.simulate(controllers.ecb_plan(ctl), params["x0"], 0.0,
-                                params["T"])
-    props = [_completed(traj)]
-    m = ctl.m
-    if ctl.mode == "implicit":
-        for i in range(m):
-            props.append(_surface_zero_persist(traj, i))
-        props.append(_selection_box(traj))
-    elif name == "zoh-siso":
-        props.append(_period2(traj, 0, expected=True))
-    else:
-        # recurrent tail deviation: chattering without a clean 2-cycle
-        ytail = analysis.tail(np.max(np.abs(traj.outputs), axis=1))
-        frac = float(np.mean(ytail > params["h"] / 10))
-        props.append(_prop("recurrent-deviation", frac >= 0.25,
-                           f"{frac:.0%} of tail above h/10"))
-    return ExperimentResult(name, {"traj": traj}, props)
-
-
-def run_zoh_siso(params):
-    return _run_zoh("zoh-siso", zoh_siso_data(), params)
-
-
-def run_zoh_mimo(params):
-    return _run_zoh("zoh-mimo", zoh_mimo_data(), params)
-
-
-def run_lyapunov(params):
-    sys = lyapunov_system(alpha=params["alpha"])
-    h = params["h"]
-    plan = controllers.lyapunov_plan(sys, _cfg(params), params["scheme"])
-    traj = integrators.simulate(plan, params["x0"], 0.0, params["T"])
-    props = [_completed(traj)]
-    if params["scheme"] == "implicit":
-        k, arrived = _arrival(traj)
-        props.append(_prop("finite-time-zero", arrived, f"arrival step {k}"))
-        if arrived:
-            tail_k = np.arange(k, len(traj.times) - 1)
-            dev = np.abs(traj.controls[tail_k, 0]
-                         - params["alpha"] * np.sin(traj.times[tail_k]))
-            worst = float(np.max(dev))
-            props.append(_prop("control-tracks-disturbance", worst <= 2 * h,
-                               f"max |u - gamma| = {worst:.3e}"))
-        props.append(_selection_box(traj))
-    else:
-        u = analysis.tail(traj.controls[:-1, 0])
-        # saturated both ways with frequent sign flips: the disturbance
-        # breaks strict alternation without taming the chattering
-        saturated = np.all(np.abs(np.abs(u) - 1.0) < 1e-12)
-        flips = float(np.mean(u[1:] * u[:-1] < 0))
-        props.append(_prop("control-chatters",
-                           saturated and flips >= 0.5,
-                           f"{flips:.0%} sign flips over {len(u)} controls"))
-    return ExperimentResult("lyapunov", {"traj": traj}, props)
-
-
-def _drift_radius(E, h, theta):
-    """Spectral radius of the theta-scheme drift map.
-
-    The map is (I - h theta E)^-1 (I + h (1 - theta) E); theta = 0 is forward
-    Euler, whose radius exceeds 1 once h passes 2 / |lambda| for a real
-    eigenvalue lambda < 0 of E.
-    """
-    eye = np.eye(len(E))
-    try:
-        M = np.linalg.solve(eye - h * theta * E, eye + h * (1 - theta) * E)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"I - h*theta*E is singular at h = {h}, theta = "
-                         f"{theta}: the drift map is undefined") from None
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
-
-
-def _blowup_expected(radius, steps):
-    """Whether a run of `steps` steps of a drift map with spectral radius
-    `radius` is expected to blow up past BLOWUP.
-
-    Along its dominant mode the drift map multiplies the state by the
-    radius each step, so N steps allow a growth of radius^N: a blow-up is
-    expected only where that passes BLOWUP, N log(radius) > log(BLOWUP).
-    The integrator mode of E (eigenvalue 0) holds the radius at 1 for
-    every h, which never passes it; nor does a short run of an unstable
-    map, such as k = -1 (radius 1.11 over 100 steps, growth 3.8e4) or
-    forward Euler at h = 0.0021 over T = 0.01 (radius 1.1 over 5 steps,
-    growth 1.6).
-    """
-    return radius > 1 and steps * math.log(radius) > math.log(BLOWUP)
-
-
-def run_observer(params):
-    sys = observer_system(k=params["k"], tau=params["tau"])
-    h = params["h"]
-    theta = 0.0 if params["scheme"] == "explicit" else params["theta"]
-    radius = _drift_radius(sys.E, h, theta)
-    traj = integrators.simulate_linear(sys, params["x0"], 0.0, params["T"],
-                                       _cfg(params), scheme=params["scheme"])
-    props = []
-    peak = float(np.max(np.abs(traj.states))) if len(traj.states) else 0.0
-    blew_up = traj.failure is not None or peak > BLOWUP
-    detail = f"peak |x| = {peak:.3e}, drift radius {radius:.12g}"
-    if _blowup_expected(radius, integrators.grid_steps(0.0, params["T"], h)):
-        props.append(_prop("unstable-expected", blew_up, detail))
-    else:
-        props.append(_prop("bounded", not blew_up, detail))
-        # once y first changes sign, the explicit sign term switches on most
-        # steps, but its cycle need not have period 2; a run that has not
-        # crossed yet (or sits on the surface, where sgn(0) = 0) is judged
-        # as an implicit one
-        y = traj.outputs[:, 0]
-        cross = np.flatnonzero(y[1:] * y[:-1] < 0)
-        if (params["scheme"] == "explicit" and len(cross)
-                and len(y) - cross[0] - 1 >= analysis.TAIL_MIN):
-            props.append(_chatters(y[cross[0] + 1:], 0))
-        else:
-            props.append(_period2(traj, 0, expected=False))
-        props.append(_selection_box(traj))
-    return ExperimentResult("observer", {"traj": traj}, props)
-
-
-def run_hypomonotone(params):
-    sys = hypomonotone_system()
-    h, gamma = params["h"], params["gamma"]
-    traj = integrators.simulate_newton(sys, params["x0"], 0.0, params["T"],
-                                       _cfg(params))
-    props = [_completed(traj)]
-    # closed form away from the sticking band: with the gain x + 1 taken at
-    # x_k + gamma (x_{k+1} - x_k), a step that keeps s = sgn(x_k) = sg
-    # solves x_{k+1} (1 + h gamma sg) = x_k (1 - h (1 - gamma) sg) - h sg,
-    # which keeps the sign of x_k while |x_k| den > h, den = 1 - h (1 -
-    # gamma) sg; where den <= 0 every x_k of that sign sticks at 0
-    worst = 0.0
-    for k in range(len(traj.times) - 1):
-        xk = traj.states[k, 0]
-        sg = np.sign(xk)
-        den = 1 - h * (1 - gamma) * sg
-        if den > 0 and abs(xk) > h / den:
-            pred = (xk * den - h * sg) / (1 + h * gamma * sg)
-            worst = max(worst, abs(traj.states[k + 1, 0] - pred),
-                        abs(traj.selections[k + 1, 0] - sg))
-    props.append(_prop("closed-form-match", worst <= 1e-12,
-                       f"max deviation {worst:.3e}"))
-    k, arrived = _arrival(traj)
-    props.append(_prop("finite-time-zero", arrived,
-                       f"exact zero from step {k}"))
-    peak_it = int(np.max(traj.newton_iters))
-    props.append(_prop("newton-terminates", peak_it <= 10,
-                       f"max iterations {peak_it}"))
-    return ExperimentResult("hypomonotone", {"traj": traj}, props)
-
-
 # ---------------------------------------------------------------------------
 # registry
 
@@ -446,51 +436,58 @@ def _scheme(h, T, x0, **extra):
     return {"h": h, "T": T, "x0": x0, "scheme": "implicit", **extra}
 
 
+_DONE = (_completed,)
+
 # an entry's defaults are exactly the keys its runner reads
-REGISTRY = {
-    "simple": _theta_study(
-        "simple", "scalar sign system, finite-time exact stabilization",
-        _scheme(0.2, 3.0, [1.01]), simple_system,
-        implicit=(_simple_arrival, _BOX),
-        explicit=(_on(_period2, 0, expected=True, tol=1e-9),)),
-    "convergence": ExperimentSpec(
+REGISTRY = {spec.name: spec for spec in (
+    _study("simple", "scalar sign system, finite-time exact stabilization",
+           _scheme(0.2, 3.0, [1.01]), _theta(simple_system),
+           implicit=(*_DONE, _simple_arrival, _BOX),
+           explicit=(*_DONE, _on(_period2, 0, expected=True, tol=1e-9))),
+    ExperimentSpec(
         "convergence", "h-sweep of the selection error on the scalar system",
         dict(T=3.0, x0=[1.01], h_min=1e-3, h_max=1e-1, points=8),
         run_convergence),
-    "galias2007": _theta_study(
-        "galias2007", "second-order SMC loop, implicit vs explicit Euler",
-        _scheme(0.3, 15.0, [0.0, 2.21], theta=1.0), galias2007_system,
-        implicit=(_SETTLES[0], _on(_period2, 0, expected=False), _BOX),
-        explicit=(_PERIOD2,)),
-    "multisurface": _theta_study(
-        "multisurface", "two sliding surfaces reached in sequence",
-        _scheme(0.02, 2.0, [1.0, -1.0]), multisurface_system,
-        implicit=(*_SETTLES, _ordered_arrival, _origin_reached, _BOX),
-        explicit=(_PERIOD2,)),
-    "filippov": _theta_study(
-        "filippov", "codimension-2 sliding at the origin",
-        _scheme(0.002, 2.0, [1.0, -1.0]), filippov_system,
-        implicit=(*_SETTLES, _origin_reached, _BOX), explicit=()),
-    "zoh-siso": ExperimentSpec(
-        "zoh-siso", "sampled ECB-SMC, single surface, implicit vs explicit",
-        dict(h=0.3, T=30.0, x0=[0.55, 0.55], scheme="implicit",
-             alpha=1.0), run_zoh_siso),
-    "zoh-mimo": ExperimentSpec(
-        "zoh-mimo", "sampled ECB-SMC with two inputs and two surfaces",
-        dict(h=0.3, T=15.0, x0=[0.05, -0.5, 0.02], scheme="implicit",
-             alpha=1.0), run_zoh_mimo),
-    "lyapunov": ExperimentSpec(
-        "lyapunov", "discontinuous robust control under a sine disturbance",
-        _scheme(0.1, 15.0, [1.0], theta=1.0, alpha=0.1), run_lyapunov),
-    "observer": ExperimentSpec(
-        "observer", "observer-based SMC with fast parasitic dynamics",
-        _scheme(0.1, 10.0, [2.0, 0.0, 0.0, 0.0], theta=1.0, k=1.0,
-                tau=0.001),
-        run_observer),
-    "hypomonotone": ExperimentSpec(
-        "hypomonotone", "scalar hypomonotone gain, Newton one-step problems",
-        dict(h=0.5, T=5.0, x0=[2.0], gamma=1.0), run_hypomonotone),
-}
+    _study("galias2007", "second-order SMC loop, implicit vs explicit Euler",
+           _scheme(0.3, 15.0, [0.0, 2.21], theta=1.0),
+           _theta(galias2007_system),
+           implicit=(*_DONE, _SETTLES[0], _on(_period2, 0, expected=False),
+                     _BOX),
+           explicit=(*_DONE, _PERIOD2)),
+    _study("multisurface", "two sliding surfaces reached in sequence",
+           _scheme(0.02, 2.0, [1.0, -1.0]), _theta(multisurface_system),
+           implicit=(*_DONE, *_SETTLES, _ordered_arrival, _origin_reached,
+                     _BOX),
+           explicit=(*_DONE, _PERIOD2)),
+    _study("filippov", "codimension-2 sliding at the origin",
+           _scheme(0.002, 2.0, [1.0, -1.0]), _theta(filippov_system),
+           implicit=(*_DONE, *_SETTLES, _origin_reached, _BOX),
+           explicit=_DONE),
+    _study("zoh-siso", "sampled ECB-SMC, single surface, implicit vs explicit",
+           _scheme(0.3, 30.0, [0.55, 0.55], alpha=1.0), _zoh(zoh_siso_data),
+           implicit=(*_DONE, _SETTLES[0], _BOX),
+           explicit=(*_DONE, _PERIOD2)),
+    _study("zoh-mimo", "sampled ECB-SMC with two inputs and two surfaces",
+           _scheme(0.3, 15.0, [0.05, -0.5, 0.02], alpha=1.0),
+           _zoh(zoh_mimo_data), implicit=(*_DONE, *_SETTLES, _BOX),
+           explicit=(*_DONE, _recurrent_deviation)),
+    _study("lyapunov", "discontinuous robust control under a sine disturbance",
+           _scheme(0.1, 15.0, [1.0], theta=1.0, alpha=0.1),
+           lambda p: controllers.lyapunov_plan(lyapunov_system(p["alpha"]),
+                                               _cfg(p), p["scheme"]),
+           implicit=(*_DONE, _tracks_disturbance, _BOX),
+           explicit=(*_DONE, _control_chatters)),
+    _study("observer", "observer-based SMC with fast parasitic dynamics",
+           _scheme(0.1, 10.0, [2.0, 0.0, 0.0, 0.0], theta=1.0, k=1.0,
+                   tau=0.001), _theta(observer_system, "k", "tau"),
+           implicit=(_stability,), explicit=(_stability,)),
+    _study("hypomonotone",
+           "scalar hypomonotone gain, Newton one-step problems",
+           dict(h=0.5, T=5.0, x0=[2.0], gamma=1.0),
+           lambda p: integrators.newton_plan(hypomonotone_system(), _cfg(p)),
+           implicit=(*_DONE, _closed_form_match, _exact_zero,
+                     _newton_terminates)),
+)}
 
 
 def run_experiment(name, overrides=None) -> ExperimentResult:

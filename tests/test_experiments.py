@@ -1,15 +1,20 @@
+import ast
 import dataclasses
 import functools
 import math
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multisurf import analysis, experiments
 from multisurf.experiments import observer_system, run_experiment
 
+ROOT = Path(__file__).resolve().parents[1]
 BOUNDED = ["bounded", "no-period2-y0", "selection-box"]
 
 
@@ -200,6 +205,30 @@ def test_runner_reads_every_default(name):
     assert params.read == set(spec.defaults)
 
 
+def test_runner_names_are_the_benchmark_labels():
+    # perfbench/run.py reports each runner's time as experiments.<name>.ms,
+    # with its RUNNERS names, from the runner's __name__
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    runners, = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "RUNNERS"]
+    names = [spec.runner.__name__ for spec in experiments.REGISTRY.values()]
+    assert sorted(names) == sorted(runners)
+    assert names == ["run_" + name.replace("-", "_")
+                     for name in experiments.REGISTRY]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("overrides", [{"T": 0.1}, {"h": 0.5, "T": 0.5}])
+def test_explicit_lyapunov_with_one_control_does_not_chatter(overrides):
+    # one held control has no neighbour to flip against: the check counts
+    # 0% with no RuntimeWarning (an empty mean) and fails
+    res = run_experiment("lyapunov", {"scheme": "explicit", **overrides})
+    assert [(p.name, p.passed, p.detail) for p in res.properties] == [
+        ("completed", True, "completed"),
+        ("control-chatters", False, "0% sign flips over 1 controls")]
+
+
 class TestSimpleArrivalBound:
     """`simple`'s finite-time-zero bound on the arrival step.
 
@@ -259,16 +288,19 @@ class TestSimpleArrivalBound:
 
 class TestHypomonotoneClosedForm:
     """`closed-form-match` under the gamma-scheme: with the gain x + 1 taken
-    at x_k + gamma (x_{k+1} - x_k) and rho = 0, a step that keeps
-    s = sgn(x_k) = sg solves
+    at x_k + gamma (x_{k+1} - x_k) and rho = 0, the step
 
-        x_{k+1} - x_k + h ((1 - gamma) x_k + gamma x_{k+1} + 1) sg = 0,
+        x_{k+1} - x_k + h ((1 - gamma) x_k + gamma x_{k+1} + 1) s = 0
 
-    so x_{k+1} = (x_k (1 - h (1 - gamma) sg) - h sg) / (1 + h gamma sg),
-    which keeps the sign of x_k past the band edge
-    |x_k| = h / (1 - h (1 - gamma) sg).  Where 1 - h (1 - gamma) sg <= 0
-    the band covers every x_k of that sign: x_{k+1} = 0 with
-    s = x_k / (h ((1 - gamma) x_k + 1)), inside [-1, 1]."""
+    at a fixed s is affine in x_{k+1} with slope d = 1 + h gamma s, and has
+    three closed-form candidates: x_{k+1} > 0 at s = 1 and x_{k+1} < 0 at
+    s = -1, each x_{k+1} = (x_k (1 - h (1 - gamma) s) - h s) / d, and
+    x_{k+1} = 0 at s = x_k / (h ((1 - gamma) x_k + 1)) in [-1, 1].  Where
+    the gain's point falls below -1 the gain is negative and more than one
+    candidate can hold (x_k = 1 at h = 2, gamma = 1 has x_{k+1} = 0 and -3),
+    so only the steps where s = sgn(x_k) is the one valid candidate are
+    predicted.  Newton stops at a residual below NEWTON_TOL, so x_{k+1} lies
+    within NEWTON_TOL / |d| of the form, plus rounding."""
 
     @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 1.0])
     @pytest.mark.parametrize("x0", [2.0, -2.0, 0.9, -0.7])
@@ -290,6 +322,43 @@ class TestHypomonotoneClosedForm:
         res = run_experiment("hypomonotone", {"gamma": 0.0, "h": 1.5})
         assert res.all_passed
         assert res.trajectories["traj"].states[1:, 0].tolist() == [0.0] * 4
+
+    @pytest.mark.parametrize("x0, h, gamma", [
+        # below x = -1 the solver may take another of several solutions
+        (-1.5, 1.2, 0.0), (-1.8222186893114796, 2.458888615971835, 0.0),
+        (-1.178946440402936, 2.498400841949824, 0.0),
+        # a growing state, where the rounding passes 1e-12
+        (-2.8075119082910778, 0.8665919980041897, 1.0),
+        (-2.239815037381088, 0.7437869871369084, 1.0)])
+    def test_runs_with_several_solutions_pass(self, x0, h, gamma):
+        # each failed closed-form-match while it predicted every step
+        # outside the sticking band, with a fixed bound of 1e-12
+        res = run_experiment("hypomonotone", {"x0": [x0], "h": h,
+                                              "gamma": gamma})
+        check = res.properties[1]
+        assert check.name == "closed-form-match"
+        assert check.passed, check.detail
+
+    def test_a_wrong_step_fails(self):
+        res = run_experiment("hypomonotone")
+        traj = res.trajectories["traj"]
+        traj.states[1, 0] += 1e-9
+        check, = experiments._closed_form_match(traj, {"h": 0.5, "gamma": 1.0})
+        assert check.name == "closed-form-match" and not check.passed
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(x0=st.floats(-3.0, 3.0), log_h=st.floats(-2.0, 0.4),
+           gamma=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                           st.floats(0.0, 1.0)))
+    def test_every_completed_run_matches(self, x0, log_h, gamma):
+        h = 10.0 ** log_h
+        res = run_experiment("hypomonotone", {
+            "x0": [x0], "h": h, "gamma": gamma, "T": min(5.0, 400 * h)})
+        check = res.properties[1]
+        assert check.name == "closed-form-match"
+        if res.trajectories["traj"].failure is None:
+            assert check.passed, check.detail
 
 
 def _fingerprint(result):
