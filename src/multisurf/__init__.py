@@ -15,10 +15,10 @@ from multisurf.analysis import (ErrorReport, arrival_step, convergence_slope,
                                 detect_period2, error_norms)
 from multisurf.controllers import (EcbSmcController, ecb_plan, iec_control,
                                    lyapunov_plan)
-from multisurf.integrators import (SchemeConfig, StepFailure, Trajectory,
-                                   ZohPair, newton_plan, simulate, theta_plan,
-                                   simulate_linear, simulate_newton, step_plan,
-                                   zoh_discretize)
+from multisurf.integrators import (Plan, SchemeConfig, StepFailure,
+                                   Trajectory, ZohPair, newton_plan, simulate,
+                                   theta_plan, simulate_linear,
+                                   simulate_newton, step_plan, zoh_discretize)
 from multisurf.mlcp import (SignProblem, SignSolution, sign_step_solver,
                             solve, solve_enumerative, solve_pivoting)
 from multisurf.systems import (AffineGainSignSystem, DisturbedLinearSystem,

@@ -8,19 +8,20 @@ affine-gain classes run an outer Newton loop that re-linearizes the residual
 around the current iterate (`newton_plan`).  A ZOH path discretizes sampled
 closed loops exactly through matrix exponentials.
 
-A plan carries its step size h, its state and surface counts n and m, its
-output map and whether it records controls, and owns the loop over the
-rows (`advance`).  `simulate(plan, x0, t0, T)` is the one way to run a
-plan: it checks x0, builds the grid and the rows, and keeps the failure
-record.  `simulate_linear` and `simulate_newton` compose the two for the
+Every builder returns a `Plan`: its step size h, its state and surface
+counts n and m, its output map, whether it records controls, its
+`time_invariant` mark, and the loop over the rows (`advance`).
+`simulate(plan, x0, t0, T)` is the one way to run a plan: it checks x0,
+builds the grid and the rows, and keeps the failure record.
+`simulate_linear` and `simulate_newton` compose the two for the
 theta-scheme and the Newton classes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -125,6 +126,31 @@ class Trajectory:
                 fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
+@dataclass
+class Plan:
+    """What a builder returns and `simulate` runs.
+
+    h is the grid's step, n and m the state and surface counts, output(x)
+    the surface at x, and controlled whether the plan records the control
+    held on each step.  A `time_invariant` plan's step is a function of
+    (x_k, s_k) alone, which its fixed tail relies on.
+    advance(rows, k0, N) fills rows k0 + 1 to N of the `Trajectory` rows
+    from row k0 and returns (k, taken, why): the row it stopped at, the
+    steps it evaluated, and the StepFailure of step k, "tail" or "end".
+    block, when not None, is the reaching-phase block that the plan's
+    `advance` reads from this field (see `step_plan`).
+    """
+
+    h: float
+    n: int
+    m: int
+    output: Callable
+    controlled: bool
+    time_invariant: bool
+    advance: Callable
+    block: Optional[Callable] = None
+
+
 def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solve=None,
               rho=None, control=None):
     """The affine step shared by every linear-class loop, built once per run.
@@ -138,15 +164,12 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solve=None,
     when given, is the input held on [t_k, t_{k+1}).  solve and control
     must be functions of their arguments alone (a warm start may keep
     state, not change an answer); a solve may raise StepFailure.  h is the
-    grid's step, which the operators already hold.  Returns the plan
-    step(k, x_k, t_k, s_prev) -> (x, y, s, u, iters), `advance` over one
-    row (the guard included, its StepFailure raised): row k + 1 as a run
-    records it, with the control held on [t_k, t_{k+1}).  It carries h,
-    n, m, output(x) = C x + D and `controlled`, true when control is given,
-    which `simulate` reads.  Unless c is callable the step depends on x_k
-    alone, and its `time_invariant` attribute is true.  The step's
-    contract, which `advance` and the `mlcp` solvers keep: x_k is finite
-    with |x_k| <= STATE_GUARD, and s lies in [-1, 1]^m to rounding.
+    grid's step, which the operators already hold.  Returns a `Plan` with
+    output(x) = C x + D, controlled when control is given, and
+    time_invariant unless c is callable: the step then depends on x_k
+    alone.  The step's contract, which `advance` and the `mlcp` solvers
+    keep: x_k is finite with |x_k| <= STATE_GUARD, and s lies in [-1, 1]^m
+    to rounding.
 
     Operators that are exactly I, resolved once per plan with c constant.
     I @ v has the bytes of v + 0.0 for a finite v, and (v + 0.0) + d those
@@ -161,22 +184,21 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solve=None,
     is 0.0).  Otherwise, as under a callable c, L and C stay products,
     since I @ v turns an infinite entry into NaN.
 
-    advance(k0, N, X, Y, S, U, iters, times) fills rows k0 + 1 to N of the
-    trajectory arrays in one loop that owns every rule of a linear run:
-    the guard before each step (see `_check_state`), the fixed tail and
-    the block.  It records u in U when control is given, repeating the last
-    held one in row N once the run completes, no iterations, and Y as a
-    copy of X where y is x.  An explicit run's selections are sgn(Y), the
-    selection of step k in row k.  It returns (k, taken, why): the row it
-    stopped at, the steps it evaluated, and the StepFailure of step k,
-    "tail" or "end".  The fixed tail: once a time-invariant step returns
-    x_k and s_k byte for byte (-0.0 is not 0.0), every later step would
-    repeat it, so its results fill the remaining rows and the run stops.
+    advance(rows, k0, N) fills rows k0 + 1 to N of the `Trajectory` rows in
+    one loop that owns every rule of a linear run: the guard before each
+    step (see `_check_state`), the fixed tail and the block.  It records u
+    in the controls when control is given, repeating the last held one in
+    row N once the run completes, no iterations, and the outputs as a copy
+    of the states where y is x.  An explicit run's selections are the signs
+    of its outputs, the selection of step k in row k.  The fixed tail: once
+    a time-invariant step returns x_k and s_k byte for byte (-0.0 is not
+    0.0), every later step would repeat it, so its results fill the
+    remaining rows and the run stops.
 
     The reaching-phase block.  An implicit, time-invariant plan without
     control, with Phi and L (when given) exactly I, at most one nonzero
     entry in each row of C and a solve with `saturated_run` (see
-    `mlcp.sign_step_solver`) also has block(X, Y, s): from the state X[0]
+    `mlcp.sign_step_solver`) also has a block(X, Y, s): from the state X[0]
     under a saturated s, each step is x_{k+1} = (x_k + c) - g with constant
     g = Gamma (rho s), predicted up to BLOCK_ROWS at a time by one
     `np.add.accumulate` over [x_k, c, -g, c, -g, ...] (a - b is a + (-b)).
@@ -186,10 +208,10 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solve=None,
     finite v without -0.0, which the block starts from and a sum does not
     make, and an entry of a product by C has at most one nonzero term, so
     a batch rounds as each row does (an exact zero is +0.0 either way, and
-    the decision ignores its sign).  advance calls it once BLOCK_AFTER
-    steps in a row repeated the selection before them, but not for the
-    selection it last took no row for.  Plans of E != 0, ZOH, ECB, Lyapunov,
-    explicit and Newton runs get no block.
+    the decision ignores its sign).  advance calls its plan's block once
+    BLOCK_AFTER steps in a row repeated the selection before them, but not
+    for the selection it last took no row for.  Plans of E != 0, ZOH, ECB,
+    Lyapunov, explicit and Newton runs get no block.
     """
     driven = callable(c)
     eye = np.eye(len(Phi))
@@ -211,25 +233,11 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solve=None,
     else:
         C_op, D_op = C, D
 
-    def step(k, x_k, t_k, s_prev):
-        X, Y, S = np.zeros((2, len(x_k))), np.zeros((2, m)), np.zeros((2, m))
-        U = None if control is None else np.zeros((2, m))
-        X[0] = x_k
-        _, _, why = advance(0, 1, X, Y, S, U, None, (t_k,))
-        if isinstance(why, StepFailure):
-            raise why
-        return X[1], Y[1], S[1], None if U is None else U[0], 0
+    invariant, y_is_x = not driven, C_op is None and D_op is None
 
-    m = len(C)
-    invariant = step.time_invariant = not driven
-    step.h, step.n, step.m = h, len(Phi), m
-    step.controlled = control is not None
-    step.output = lambda x: C @ x if D is None else C @ x + D
-    y_is_x = C_op is None and D_op is None
-
-    def advance(k0, N, X, Y, S, U, iters, times):
-        block = getattr(step, "block", None)  # as the step carries it
-        record = control is not None
+    def advance(rows, k0, N):
+        X, Y, S, U = rows.states, rows.outputs, rows.selections, rows.controls
+        times, block, record = rows.times, plan.block, control is not None
         x_k, last = X[k0], S[k0].tobytes()
         k, taken, repeats, idle, why = k0, 0, 0, None, "end"
         while k < N:
@@ -287,12 +295,6 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solve=None,
             U[N] = U[N - 1]
         return k, taken, why
 
-    step.advance = advance
-    run = getattr(solve, "saturated_run", None)
-    if not (run is not None and control is None and flat
-            and (np.count_nonzero(C, axis=1) <= 1).all()):
-        return step
-
     def block(X, Y, s):
         # stepping fails from a state past the guard, I @ x turns -0.0 into
         # 0.0, and a sliding selection takes no prediction
@@ -327,8 +329,15 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solve=None,
                 rows = min(16 * rows, BLOCK_ROWS)
         return done
 
-    step.block = block
-    return step
+    run = getattr(solve, "saturated_run", None)
+    blocks = (run is not None and control is None and flat
+              and (np.count_nonzero(C, axis=1) <= 1).all())
+    # `advance` reads the block from this plan, where a caller may swap it
+    plan = Plan(h, len(Phi), len(C),
+                lambda x: C @ x if D is None else C @ x + D,
+                control is not None, invariant, advance,
+                block if blocks else None)
+    return plan
 
 
 def theta_plan(E, B, C, D, c, cfg: SchemeConfig, scheme, rho=None,
@@ -364,10 +373,10 @@ def _singular_drift(b):
 
 
 def newton_plan(sys, cfg: SchemeConfig):
-    """The outer Newton loop of the affine-gain and nonlinear classes, built
-    once per run: step(x_k, t_k, s_k, y_k) -> (x, s, y, iters), with y the
-    surface at x.  y_k, the surface at x_k, is evaluated when not given.  A
-    step linearizes the one-step residual
+    """The plan of the outer Newton loop of the affine-gain and nonlinear
+    classes, built once per run.  Its step(x_k, t_k, s_k, y_k) -> (x, s, y,
+    iters) takes y_k, the surface at x_k, and returns y, the surface at x.
+    A step linearizes the one-step residual
 
         R(x, s) = x - x_k - h f(x_th) + h g(x_ga) s - h rho (x - x_k)
 
@@ -375,30 +384,31 @@ def newton_plan(sys, cfg: SchemeConfig):
     applies the Newton state update with the inverse of the iteration
     matrix M = (1 - h rho) I - h theta f_jac(x_th) + h gamma (grad g . s).
     The rho shift moves hypomonotone sign terms into the monotone regime.
-    Warm starts from s_k (0 when None).  On affine data the residual is
-    affine and one iteration suffices.  f, f_jac, the gain and the surface
-    must be functions of their arguments: an iterate's drift, gain and
-    surface serve both its residual and the next iteration.
+    Warm starts from s_k.  On affine data the residual is affine and one
+    iteration suffices.  f, f_jac, the gain and the surface must be
+    functions of their arguments: an iterate's drift, gain and surface
+    serve both its residual and the next iteration.
 
     Built once per run: (1 - h rho) I, h rho, h theta, h gamma and an
     affine-gain system's constant surface Jacobian H.  An affine-gain system
-    without f (no smooth drift) also gets (1 - h rho) I - h theta 0, and
-    its residual has no h f term and no x_th blend.  Its M depends on s
-    alone: the plan keeps M^-1 and (h H) M^-1 (so W = h H M^-1 g, grouped
-    from the left, is one product) while s has the same bytes (inv is
-    deterministic), and its last gain while the gain's argument has the same
-    bytes, as a step's first iterate has the last one's at gamma = 1 away
-    from signed zeros.  Its iteration 1 from a finite x_k, with h rho, H and
-    M^-1 finite, takes r_smooth = +0.0 and b = y + 0.0: x_k - x_k and h rho
-    times it are +0.0, and numpy's matmul sums each entry of a finite matrix
-    times +0.0 from +0.0, which stays +0.0.  That step is a function of
-    (x_k, s_k): its `time_invariant` attribute is true.  Nonlinear and
-    drifting affine-gain plans are unmarked and build M every iteration.
+    without f (no smooth drift) has no h f term in its residual, no x_th
+    blend and no h theta f_jac term in M (h theta >= 0 times a zero f_jac
+    is +0.0, and subtracting +0.0 keeps every entry's bytes).  Its M depends
+    on s alone: the plan keeps M^-1 and (h H) M^-1 (so W = h H M^-1 g,
+    grouped from the left, is one product) while s has the same bytes (inv
+    is deterministic), and its last gain while the gain's argument has the
+    same bytes, as a step's first iterate has the last one's at gamma = 1
+    away from signed zeros.  Its iteration 1 from a finite x_k, with h rho,
+    H and M^-1 finite, takes r_smooth = +0.0 and b = y + 0.0: x_k - x_k and
+    h rho times it are +0.0, and numpy's matmul sums each entry of a finite
+    matrix times +0.0 from +0.0, which stays +0.0.  That step is a function
+    of (x_k, s_k): its plan is `time_invariant`.  Nonlinear and drifting
+    affine-gain plans are unmarked and build M every iteration.
 
-    Its `advance` is the run's loop, as in `step_plan` (U unused): the
-    guard, the step from the y_k the last one returned (Y[k0] first), its
-    iterations, and a marked plan's fixed tail.  The plan carries h, n, m,
-    output = sys.surface and `controlled` (false), as `step_plan`'s does.
+    Its `advance` is the run's loop, as in `step_plan`: the guard, the step
+    from the s_k and y_k the last one returned (rows k0 first), its
+    iterations, and a marked plan's fixed tail.  The plan's output is
+    sys.surface, and it records no controls.
     """
     if not isinstance(sys, (AffineGainSignSystem, NonlinearSignSystem)):
         raise TypeError("newton_plan needs an affine-gain or nonlinear system")
@@ -409,7 +419,6 @@ def newton_plan(sys, cfg: SchemeConfig):
     drift_free = affine and sys.f is None
     H_affine = sys.surface_jac(np.zeros(n)) if affine else None
     if drift_free:
-        base = shift - h_th * np.zeros((n, n))
         gain_jac = sys.gain_jac(np.zeros(n))
         gains = (None, None)  # the last gain's argument as bytes, the gain
 
@@ -421,7 +430,7 @@ def newton_plan(sys, cfg: SchemeConfig):
             return None, None, None, gains[1]
 
         def matrix(x_th, x_ga, t_th, s):
-            return base + h_ga * np.einsum("klp,l->kp", gain_jac, s)
+            return shift + h_ga * np.einsum("klp,l->kp", gain_jac, s)
     else:
         f, f_jac = sys.f, sys.f_jac
 
@@ -439,12 +448,10 @@ def newton_plan(sys, cfg: SchemeConfig):
     # a drift-free plan's (s bytes, M^-1, (h H) M^-1, lean with finite M^-1)
     memo = (None, None, None, False)
 
-    def step(x_k, t_k, s_k=None, y_k=None):
+    def step(x_k, t_k, s_k, y_k):
         nonlocal memo
-        # x and s are only ever rebound, so neither input is copied
-        x = x_k = np.asarray(x_k, dtype=float)
-        s = np.zeros(sys.m) if s_k is None else np.asarray(s_k, dtype=float)
-        y = sys.surface(x) if y_k is None else y_k
+        # x, s and y are only ever rebound, so no input is copied
+        x, s, y = x_k, s_k, y_k
         t_th = t_k + h_th
         x_th, x_ga, h_f, g_val = linearize(x, x_k, t_th)
         # x - x_k, formed once per iteration: +0.0 from a finite x_k
@@ -488,8 +495,10 @@ def newton_plan(sys, cfg: SchemeConfig):
                           f"{last_res:.3g} after {it} iterations",
                           residual=last_res)
 
-    def advance(k0, N, X, Y, S, U, iters, times):
-        x_k, s_k, y_k = X[k0], S[k0], Y[k0]
+    def advance(rows, k0, N):
+        X, Y, S, iters = (rows.states, rows.outputs, rows.selections,
+                          rows.newton_iters)
+        times, x_k, s_k, y_k = rows.times, X[k0], S[k0], Y[k0]
         for k in range(k0, N):
             try:
                 _check_state(x_k)
@@ -504,10 +513,7 @@ def newton_plan(sys, cfg: SchemeConfig):
             x_k, s_k, y_k = x, s, y
         return N, N - k0, "end"
 
-    step.time_invariant = drift_free
-    step.h, step.n, step.m, step.output = h, n, sys.m, sys.surface
-    step.advance, step.controlled = advance, False
-    return step
+    return Plan(h, n, sys.m, sys.surface, False, drift_free, advance)
 
 
 @dataclass(frozen=True)
@@ -583,13 +589,14 @@ def _check_state(x):
 
 
 def simulate(plan, x0, t0, T):
-    """Run a plan (see `step_plan` and `newton_plan`) from t0 to T on the
+    """Run a `Plan` (see `step_plan` and `newton_plan`) from t0 to T on the
     uniform grid of the plan's step plan.h, and record everything.
 
     simulate checks that x0 has the plan's n entries, starts the outputs
-    from y0 = plan.output(x0) and owns the grid, the preallocated rows
-    (m selections and outputs, controls when the plan records them) and
-    the failure record.  The plan's `advance` owns the loop and the plan's
+    from y0 = plan.output(x0) and owns the grid, the one preallocated
+    `Trajectory` of every row (m selections and outputs, controls when the
+    plan records them), which plan.advance(rows, 0, N) fills, and the
+    failure record.  The plan's `advance` owns the loop and the plan's
     rules, the fixed tail, the block, an explicit run's selections and the
     last held control among them.  A state that is not finite or exceeds
     STATE_GUARD (blow-up) fails the step (see `_check_state`); on
@@ -599,26 +606,21 @@ def simulate(plan, x0, t0, T):
     x0 = _as_vector(x0, plan.n, "x0")
     h, m = plan.h, plan.m
     N = grid_steps(t0, T, h)
-    times = t0 + h * np.arange(N + 1)
-    states = np.zeros((N + 1, plan.n))
-    selections = np.zeros((N + 1, m))
-    outputs = np.zeros((N + 1, m))
-    controls = np.zeros((N + 1, m)) if plan.controlled else None
-    iters = np.zeros(N + 1, dtype=int)
-    states[0] = x0
-    outputs[0] = plan.output(x0)
-    k, taken, why = plan.advance(0, N, states, outputs, selections, controls,
-                                 iters, times)
-    failure, end = None, N + 1
+    rows = Trajectory(
+        times=t0 + h * np.arange(N + 1), states=np.zeros((N + 1, plan.n)),
+        selections=np.zeros((N + 1, m)), outputs=np.zeros((N + 1, m)),
+        controls=np.zeros((N + 1, m)) if plan.controlled else None,
+        newton_iters=np.zeros(N + 1, dtype=int))
+    rows.states[0] = x0
+    rows.outputs[0] = plan.output(x0)
+    k, rows.steps_taken, why = plan.advance(rows, 0, N)
     if isinstance(why, StepFailure):
-        failure = FailureInfo(step=k, time=float(times[k]),
-                              message=why.message, detail=why.problem_text)
-        end = k + 1
-    return Trajectory(times=times[:end], states=states[:end],
-                      selections=selections[:end], outputs=outputs[:end],
-                      controls=None if controls is None else controls[:end],
-                      newton_iters=iters[:end], failure=failure,
-                      steps_taken=taken)
+        kept = {name: v[:k + 1] for name, v in vars(rows).items()
+                if isinstance(v, np.ndarray)}  # the rows up to step k
+        rows = replace(rows, **kept, failure=FailureInfo(
+            step=k, time=float(rows.times[k]), message=why.message,
+            detail=why.problem_text))
+    return rows
 
 
 def simulate_linear(sys: LinearSignSystem, x0, t0, T, cfg: SchemeConfig,

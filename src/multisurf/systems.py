@@ -78,9 +78,9 @@ class AffineGainSignSystem:
     the two is an error.  The gain and surface never read t, so a system
     without f is time-invariant: its Newton plan is marked for the fixed-tail
     skip (see `integrators.newton_plan`), one with an f is not.
-    ``rho_list`` holds the per-surface hypomonotonicity shifts used by the
-    implicit one-step problem (0 disables the shift).  The gain and surface
-    Jacobians are constant: they are built once and returned read-only.
+    ``rho`` is the hypomonotonicity shift used by the implicit one-step
+    problem (0 disables the shift).  The gain and surface Jacobians are
+    constant: they are built once and returned read-only.
     """
 
     n: int
@@ -91,14 +91,12 @@ class AffineGainSignSystem:
     D: np.ndarray
     f: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     f_jac: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    rho_list: tuple = None
+    rho: float = 0.0
 
     def __post_init__(self):
         if (self.f is None) != (self.f_jac is None):
             raise ValueError("give f and f_jac together, or neither")
-        if self.rho_list is None:
-            object.__setattr__(self, "rho_list", tuple(0.0 for _ in range(self.m)))
-        for name in ("A_list", "B_list", "C_rows", "rho_list"):
+        for name in ("A_list", "B_list", "C_rows"):
             if len(getattr(self, name)) != self.m:
                 raise ValueError(f"{name} must have {self.m} entries")
         object.__setattr__(
@@ -114,16 +112,12 @@ class AffineGainSignSystem:
             tuple(_as_vector(C, self.n, f"C_rows[{i}]")
                   for i, C in enumerate(self.C_rows)))
         object.__setattr__(self, "D", _as_vector(self.D, self.m, "D"))
-        _require_finite(self, ("A_list", "B_list", "C_rows", "D", "rho_list"))
-        if any(r < 0 for r in self.rho_list):
-            raise ValueError("rho_list entries must be >= 0")
+        _require_finite(self, ("A_list", "B_list", "C_rows", "D", "rho"))
+        if self.rho < 0:
+            raise ValueError("rho must be >= 0")
         T, H = np.stack(self.A_list, axis=1), np.vstack(self.C_rows)
         T.flags.writeable = H.flags.writeable = False
         object.__setattr__(self, "_jacobians", (T, H))
-
-    @property
-    def rho(self):
-        return float(sum(self.rho_list))
 
     def gain(self, x):
         """n x m matrix with columns A_i x + B_i."""

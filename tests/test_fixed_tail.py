@@ -7,7 +7,7 @@ step returns both x_k and s_k byte for byte every later step returns the
 same results, and the plan's `advance` fills the remaining rows instead of
 stepping.  Each run here is compared, array by array as bytes, with a
 step-by-step reference: the same plan run by `tests/stepwise.py`, which
-takes its one-row step for every row.  `Trajectory.steps_taken` counts
+calls its `advance` once for every row.  `Trajectory.steps_taken` counts
 the steps a run took.
 """
 
@@ -151,8 +151,9 @@ def test_advance_says_where_and_why_it_stopped():
                                           "guard 1e+12"))):
         X, Y, S = (np.zeros((N + 1, 1)) for _ in range(3))
         X[0] = Y[0] = x0
-        k, taken, why = plan.advance(0, N, X, Y, S, None, np.zeros(N + 1),
-                                     h * np.arange(N + 1))
+        rows = integrators.Trajectory(times=h * np.arange(N + 1), states=X,
+                                      selections=S, outputs=Y)
+        k, taken, why = plan.advance(rows, 0, N)
         assert (k, taken, getattr(why, "message", why)) == want
 
 
@@ -251,7 +252,7 @@ def test_drifting_affine_run_takes_every_step():
     args = (_drifting_affine(), [0.25], 0.0, 3.0, SchemeConfig(h=0.125))
     got = integrators.simulate_newton(*args)
     assert got.steps_taken == 24 and got.selections[-1, 0] == 0.5
-    assert_same(got, reference.newton(*args))
+    assert_same(got, stepwise(integrators.simulate_newton, *args))
 
 
 def _changed_selection_run(kind):
@@ -262,7 +263,8 @@ def _changed_selection_run(kind):
     h = 0.25
     if kind == "newton":
         args = (hypomonotone_system(), [0.5], 0.0, 3.0, SchemeConfig(h=h))
-        return integrators.simulate_newton(*args), reference.newton(*args)
+        return (integrators.simulate_newton(*args),
+                stepwise(integrators.simulate_newton, *args))
     plan = integrators.step_plan(h, np.eye(2), h * np.eye(2), np.eye(2),
                                  solve=mlcp.sign_step_solver(h * np.eye(2)))
     args = ([1.0, 0.5], 0.0, 3.0)
@@ -301,7 +303,7 @@ def newton_run(rng, wide=False):
         B_list=tuple(B.T), C_rows=tuple(C),
         D=(rng.choice(zeros, m) if wide and rng.random() < 0.5
            else 0.25 * rng.choice(DYADIC, m) * (rng.random() < 0.5)),
-        rho_list=tuple(rng.choice([0.0, 0.0, 0.1, 0.25], m)))
+        rho=float(sum(rng.choice([0.0, 0.0, 0.1, 0.25], m))))
     h = float(rng.choice([0.25, 0.125, 2.0 ** -5])
               if rng.random() < 0.5 else rng.uniform(1e-3, 0.25))
     cfg = SchemeConfig(h=h, theta=float(rng.choice([0.5, 1.0])),
@@ -316,7 +318,7 @@ def newton_pair(seed):
     sys, x0, T, cfg = newton_run(np.random.default_rng(seed))
     with np.errstate(all="ignore"):
         got = integrators.simulate_newton(sys, x0, 0.0, T, cfg)
-        ref = reference.newton(sys, x0, 0.0, T, cfg)
+        ref = stepwise(integrators.simulate_newton, sys, x0, 0.0, T, cfg)
     return got, ref, got.steps_taken
 
 
@@ -363,10 +365,10 @@ def test_drift_free_run_equals_zero_drift_run(seed):
 
 
 def _step_outcome(plan, x_k, y_k):
-    """The bytes of plan's step from x_k (s_k None), or its failure."""
+    """The bytes of plan's row from x_k (s_k None), or its failure."""
     try:
         return [v.tobytes() if isinstance(v, np.ndarray) else v
-                for v in plan(np.array(x_k), 0.0, None, y_k)]
+                for v in reference.row(plan, x_k, 0.0, y_k=y_k)]
     except mlcp.StepFailure as exc:
         return [exc.message, exc.problem_text, exc.residual]
 
@@ -381,7 +383,7 @@ def _scalar_affine(A=1.0, B=1.0, C=1.0, D=0.0, rho=0.0):
     with UNCHECKED:
         return AffineGainSignSystem(n=1, m=1, A_list=([[A]],),
                                     B_list=([B],), C_rows=([C],), D=[D],
-                                    rho_list=(rho,))
+                                    rho=rho)
 
 
 # a NaN gain or M^-1, and an infinite h rho or H, make iteration 1's r_smooth
@@ -415,7 +417,7 @@ def test_hypomonotone_run_stops_at_its_tail():
     args = (hypomonotone_system(), [2.5], 0.0, 2.0, SchemeConfig(h=1e-3))
     got = integrators.simulate_newton(*args)
     assert got.steps_taken == 1257 and len(got.times) == 2001
-    assert_same(got, reference.newton(*args))
+    assert_same(got, stepwise(integrators.simulate_newton, *args))
 
 
 def _nan_drift_affine():
@@ -451,7 +453,7 @@ def _failing_run(case, plain):
         args = (controllers.ecb_plan(ctl), [1.0, 0.5], 0.0, 20.0)
         return reference.run(*args) if plain else integrators.simulate(*args)
     args = (_nan_drift_affine(), [0.25], 0.0, 3.0, SchemeConfig(h=0.125))
-    return (reference.newton if plain else integrators.simulate_newton)(*args)
+    return through(integrators.simulate_newton, *args)
 
 
 @pytest.mark.parametrize("case, step", [

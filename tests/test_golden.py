@@ -167,7 +167,7 @@ def _newton_affine_m2(theta, gamma):
         f=lambda x, t: np.array([x[1] + 0.3 * np.sin(2.0 * t),
                                  -0.5 * x[0] - 0.2 * x[1] + 0.2 * np.cos(t)]),
         f_jac=lambda x, t: np.array([[0.0, 1.0], [-0.5, -0.2]]),
-        rho_list=(0.1, 0.2))
+        rho=0.1 + 0.2)
     return integrators.simulate_newton(
         sys, [1.0, -0.6], 0.0, 4.0,
         SchemeConfig(h=0.01, theta=theta, gamma=gamma))
@@ -195,7 +195,7 @@ def _newton_drift_free_m2(theta, gamma):
         n=2, m=2,
         A_list=([[0.5, 0.0], [0.0, 0.25]], [[0.0, 0.25], [0.5, 0.0]]),
         B_list=([1.0, 0.25], [0.25, 1.0]), C_rows=([1.0, 0.0], [0.0, 1.0]),
-        D=[0.0, 0.0], rho_list=(0.1, 0.2))
+        D=[0.0, 0.0], rho=0.1 + 0.2)
     return integrators.simulate_newton(
         sys, [0.8, -0.6], 0.0, 2.0,
         SchemeConfig(h=0.01, theta=theta, gamma=gamma))

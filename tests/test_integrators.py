@@ -41,9 +41,9 @@ def rk4_matrix_pair(F, h, steps=10000):
 def linear_step(sys, x_k, cfg, scheme="implicit"):
     """(x, y, s) of one step of the theta-scheme plan that simulate_linear
     runs."""
-    step = theta_plan(sys.E, sys.B, sys.C, sys.D, lambda t: cfg.h * sys.a,
+    plan = theta_plan(sys.E, sys.B, sys.C, sys.D, lambda t: cfg.h * sys.a,
                       cfg, scheme)
-    x, y, s, _, _ = step(0, np.asarray(x_k, dtype=float), 0.0, None)
+    x, y, s, _, _ = stepwise.row(plan, x_k, 0.0)
     return x, y, s
 
 
@@ -60,30 +60,41 @@ def zoh_plan(pair, h, C, D, mode="implicit"):
 def zoh_step(pair, h, C, D, x_k, mode="implicit"):
     """(x, y, s) of one step of the ZOH plan: row k + 1 as a run records
     it, so an explicit step's s is sgn(y)."""
-    x, y, s, _, _ = zoh_plan(pair, h, C, D, mode)(
-        0, np.asarray(x_k, dtype=float), 0.0, None)
+    x, y, s, _, _ = stepwise.row(zoh_plan(pair, h, C, D, mode), x_k, 0.0)
     return x, y, s
 
 
 PLAN_KINDS = ["theta", "newton", "ecb", "lyapunov", "zoh"]
+# each kind with its schemes: the Newton plan has no explicit form
+PLAN_SCHEMES = [(kind, scheme) for kind in PLAN_KINDS
+                for scheme in ("implicit", "explicit")
+                if kind != "newton" or scheme == "implicit"]
+# each kind's `time_invariant` mark, as the README states it: a linear-class
+# plan is marked unless its c is callable (the Lyapunov loop's disturbance
+# is), and so is the Newton plan of an affine-gain system without drift
+TIME_INVARIANT = {"theta": True, "newton": True, "ecb": True,
+                  "lyapunov": False, "zoh": True}
 
 
-def plan_kinds():
-    """A plan of each kind: the theta-scheme (n = 2), Newton (n = 1), the
-    ECB-SMC loop (n = 2), the Lyapunov loop (n = 1) and a bare ZOH
-    `step_plan` (n = 2)."""
+def plan_kinds(scheme="implicit"):
+    """A plan of each kind under scheme: the theta-scheme (n = 2), Newton
+    (n = 1, implicit only), the ECB-SMC loop (n = 2), the Lyapunov loop
+    (n = 1) and a bare ZOH `step_plan` (n = 2)."""
     F, G, C = zoh_siso_data()
-    ctl = controllers.EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3)
+    ctl = controllers.EcbSmcController(F=F, G=G, C=C, alpha=1.0, h=0.3,
+                                       mode=scheme)
     cfg = SchemeConfig(h=0.1)
     sys = galias2007_system()
-    return {
+    plans = {
         "theta": theta_plan(sys.E, sys.B, sys.C, sys.D, cfg.h * sys.a, cfg,
-                            "implicit"),
-        "newton": newton_plan(hypomonotone_system(), cfg),
+                            scheme),
         "ecb": controllers.ecb_plan(ctl),
-        "lyapunov": controllers.lyapunov_plan(lyapunov_system(), cfg),
-        "zoh": zoh_plan(zoh_discretize(F, G, C, 0.3), 0.3, C, [0.0]),
+        "lyapunov": controllers.lyapunov_plan(lyapunov_system(), cfg, scheme),
+        "zoh": zoh_plan(zoh_discretize(F, G, C, 0.3), 0.3, C, [0.0], scheme),
     }
+    if scheme == "implicit":
+        plans["newton"] = newton_plan(hypomonotone_system(), cfg)
+    return plans
 
 
 class TestSchemeConfig:
@@ -146,7 +157,7 @@ class TestStepNewton:
     def test_hypomonotone_closed_form(self):
         sys = hypomonotone_system()
         cfg = SchemeConfig(h=0.5)
-        x1, s1, y1, it = newton_plan(sys, cfg)(np.array([2.0]), 0.0)
+        x1, y1, s1, _, it = stepwise.row(newton_plan(sys, cfg), [2.0], 0.0)
         assert abs(x1[0] - (2.0 - 0.5) / 1.5) <= 1e-12
         assert abs(s1[0] - 1.0) <= 1e-12
         assert it <= 10
@@ -154,14 +165,14 @@ class TestStepNewton:
     def test_hypomonotone_sticking(self):
         sys = hypomonotone_system()
         cfg = SchemeConfig(h=0.5)
-        x1, s1, _, _ = newton_plan(sys, cfg)(np.array([0.2]), 0.0)
+        x1, _, s1, _, _ = stepwise.row(newton_plan(sys, cfg), [0.2], 0.0)
         assert abs(x1[0]) <= 1e-13
         assert abs(s1[0] - 0.4) <= 1e-12
 
     def test_rejects_linear_class(self):
         with pytest.raises(TypeError):
-            newton_plan(simple_system(), SchemeConfig(h=0.1))(
-                np.array([1.0]), 0.0)
+            stepwise.row(newton_plan(simple_system(), SchemeConfig(h=0.1)),
+                         [1.0], 0.0)
 
     def test_plan_rejects_linear_class(self):
         with pytest.raises(TypeError, match="affine-gain or nonlinear"):
@@ -180,11 +191,12 @@ class TestStepNewton:
         plan = newton_plan(sys, cfg)
         x_k, s_k = [2.0], None
         for k in range(5):
-            x, s, y, it = plan(x_k, 0.1 * k, s_k)
-            ref = newton_plan(sys, cfg)(np.array(x_k), 0.1 * k, s_k)
-            for got, want in zip((x, s, y), ref[:3]):
+            x, y, s, _, it = stepwise.row(plan, x_k, 0.1 * k, s_k)
+            ref = stepwise.row(newton_plan(sys, cfg), np.array(x_k), 0.1 * k,
+                               s_k)
+            for got, want in zip((x, y, s), ref[:3]):
                 assert got.tobytes() == want.tobytes()
-            assert it == ref[3]
+            assert it == ref[4]
             x_k, s_k = list(x), s
 
     def test_drift_free_plan_reuses_the_inverse_of_its_last_s(self):
@@ -194,7 +206,7 @@ class TestStepNewton:
         with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv:
             iters = 0
             for k in range(5):
-                x, s, _, it = plan(x, 0.1 * k, s)
+                x, _, s, _, it = stepwise.row(plan, x, 0.1 * k, s)
                 iters += it
         assert iters == 6 and inv.call_count == 2
 
@@ -205,11 +217,12 @@ class TestStepNewton:
         first = newton_plan(sys, SchemeConfig(h=0.1))
         second = newton_plan(sys, SchemeConfig(h=0.5))
         for plan, h in ((first, 0.1), (second, 0.5), (first, 0.1)):
-            got = plan(x_k, 0.0, s_k)
-            want = newton_plan(sys, SchemeConfig(h=h))(x_k, 0.0, s_k)
+            got = stepwise.row(plan, x_k, 0.0, s_k)
+            want = stepwise.row(newton_plan(sys, SchemeConfig(h=h)), x_k,
+                                0.0, s_k)
             for a, b in zip(got[:3], want[:3]):
                 assert a.tobytes() == b.tobytes()
-            assert got[3] == want[3]
+            assert got[4] == want[4]
 
     def test_drift_free_step_evaluates_each_iterate_once(self):
         # from x0 = 2.5 the run takes 1,257 steps of one iteration each
@@ -362,7 +375,8 @@ class TestSimulate:
             f_jac=lambda x, t: np.zeros((1, 1)))
         cfg = SchemeConfig(h=0.2)
         for x0 in (1.01, 0.01, -0.4):
-            xa, sa, _, it = newton_plan(affine, cfg)(np.array([x0]), 0.0)
+            xa, _, sa, _, it = stepwise.row(newton_plan(affine, cfg), [x0],
+                                            0.0)
             lx, _, ls = linear_step(simple_system(), [x0], cfg)
             assert abs(xa[0] - lx[0]) <= 1e-12
             assert abs(sa[0] - ls[0]) <= 1e-12
@@ -552,6 +566,29 @@ class TestStepMarks:
         assert traj.outputs[0].tobytes() == \
             plan.output(np.full(plan.n, 0.5)).tobytes()
 
+    @pytest.mark.parametrize("kind, scheme", PLAN_SCHEMES)
+    def test_builders_return_a_plan_with_its_mark(self, kind, scheme):
+        plan = plan_kinds(scheme)[kind]
+        assert isinstance(plan, integrators.Plan)
+        assert plan.time_invariant == TIME_INVARIANT[kind]
+
+    @pytest.mark.parametrize("x0", [0.5, 2e12])
+    @pytest.mark.parametrize("kind, scheme", PLAN_SCHEMES)
+    def test_run_equals_the_stepwise_run(self, kind, scheme, x0):
+        # array by array as bytes, from a state within the guard and from
+        # one past it, whose failure at step 0 both record
+        plan = plan_kinds(scheme)[kind]
+        args = (plan, [x0] * plan.n, 0.0, 3.0)
+        got = simulate(*args)
+        ref = stepwise.run(*args, explicit=scheme == "explicit")
+        for name in ("times", "states", "selections", "outputs", "controls",
+                     "newton_iters"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert (a is None) == (b is None), name
+            assert a is None or a.tobytes() == b.tobytes(), name
+        assert got.failure == ref.failure
+        assert (got.failure is None) == (x0 == 0.5)
+
     @pytest.mark.parametrize("control", [None, lambda x, s: -s])
     def test_singular_drift_fails_at_step_0(self, control):
         # I - h theta E = 1 - 0.5 * 2 is singular; the plan is built, and
@@ -568,7 +605,7 @@ class TestStepMarks:
         assert simulate(plan, [2e12], 0.0, 2.0).failure.message == \
             "state magnitude exceeded guard 1e+12"
         with pytest.raises(StepFailure, match="singular implicit drift"):
-            plan(0, np.ones(1), 0.0, None)
+            stepwise.row(plan, np.ones(1), 0.0)
 
     @pytest.mark.parametrize("scheme", ["implicit", "explicit"])
     def test_selections_follow_the_scheme(self, scheme):

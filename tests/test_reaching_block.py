@@ -7,7 +7,7 @@ Phi = L = I is x_{k+1} = (x_k + c) - g with a constant g, and the plan's
 accumulate and keeps those that the solver's vectorised decision
 (`saturated_run`) answers with the same selection.  Each run here is
 compared, array by array as bytes, with the same plan run by
-`tests/stepwise.py`, which takes its one-row step for every row.
+`tests/stepwise.py`, which calls its `advance` once for every row.
 `Trajectory.steps_taken` counts the steps a run took.
 """
 
@@ -58,10 +58,10 @@ def linear_pair(sys, x0, T, h):
 def test_only_identity_plans_with_a_decision_get_a_block():
     one, h = np.eye(1), 0.1
     solve = mlcp.sign_step_solver(h * one)
-    assert hasattr(integrators.step_plan(h, one, h * one, one, solve=solve),
-                   "block")
-    assert hasattr(integrators.step_plan(h, one, h * one, one, L=one,
-                                         c=np.ones(1), solve=solve), "block")
+    assert integrators.step_plan(h, one, h * one, one,
+                                 solve=solve).block is not None
+    assert integrators.step_plan(h, one, h * one, one, L=one, c=np.ones(1),
+                                 solve=solve).block is not None
     others = [
         dict(Phi=2 * one),                           # Phi != I
         dict(L=0.5 * one),                           # L != I
@@ -72,18 +72,17 @@ def test_only_identity_plans_with_a_decision_get_a_block():
     ]
     for kw in others:
         args = dict(h=h, Phi=one, Gamma=h * one, C=one, solve=solve) | kw
-        assert not hasattr(integrators.step_plan(**args), "block"), kw
+        assert integrators.step_plan(**args).block is None, kw
     # a row of C with two nonzero entries
     C = np.array([[1.0, 1.0]])
     solve2 = mlcp.sign_step_solver(h * C @ np.ones((2, 1)))
-    assert not hasattr(integrators.step_plan(h, np.eye(2),
-                                             h * np.ones((2, 1)), C,
-                                             solve=solve2), "block")
+    assert integrators.step_plan(h, np.eye(2), h * np.ones((2, 1)), C,
+                                 solve=solve2).block is None
     # E != 0 gives Phi or L other than I; a non-P W has no warm pivot
     E = [[-1.0]]
-    assert not hasattr(integrators.theta_plan(
-        np.array(E), one, one, None, None, SchemeConfig(h=h), "implicit"),
-        "block")
+    assert integrators.theta_plan(
+        np.array(E), one, one, None, None, SchemeConfig(h=h),
+        "implicit").block is None
     W = np.array([[1.0, 3.0], [0.0, 1.0]])
     assert not hasattr(mlcp.sign_step_solver(W), "saturated_run")
 
@@ -100,7 +99,7 @@ def test_registry_experiments_that_take_the_block(name, block, monkeypatch):
     simulate = integrators.simulate
 
     def capture(plan, *a):
-        seen.append(hasattr(plan, "block"))
+        seen.append(plan.block is not None)
         return simulate(plan, *a)
     monkeypatch.setattr(integrators, "simulate", capture)
     run_experiment(name, {})
@@ -333,7 +332,7 @@ def run_pair(seed, case):
     with np.errstate(all="ignore"):
         plan = plan_of(args)
         rows = []
-        if hasattr(plan, "block"):
+        if plan.block is not None:
             block = plan.block
 
             def tally(X, Y, s):

@@ -177,6 +177,11 @@ class TestAffineGainSignSystem:
         with pytest.raises(ValueError, match="f and f_jac"):
             AffineGainSignSystem(**args, **drift)
 
+    def test_negative_rho_rejected(self):
+        with pytest.raises(ValueError, match="^rho must be >= 0$"):
+            AffineGainSignSystem(n=1, m=1, A_list=([[1.0]],), B_list=([1.0],),
+                                 C_rows=([1.0],), D=[0.0], rho=-0.1)
+
     def test_length_mismatch(self):
         zero = np.zeros(1)
         with pytest.raises(ValueError):
@@ -190,7 +195,7 @@ LINEAR_ARGS = dict(n=2, m=1, E=np.zeros((2, 2)), a=[0.0, 0.0],
                    B=[[1.0], [0.0]], C=[[1.0, 0.0]], D=[0.0])
 AFFINE_ARGS = dict(n=1, m=2, A_list=([[1.0]], [[0.0]]),
                    B_list=([1.0], [0.5]), C_rows=([1.0], [-1.0]),
-                   D=[0.0, 0.1], rho_list=(0.0, 0.2))
+                   D=[0.0, 0.1], rho=0.0 + 0.2)
 
 
 def _with_entry(value, entry):
@@ -207,7 +212,7 @@ def _with_entry(value, entry):
     *[(LinearSignSystem, LINEAR_ARGS, name)
       for name in ("E", "a", "B", "C", "D")],
     *[(AffineGainSignSystem, AFFINE_ARGS, name)
-      for name in ("A_list", "B_list", "C_rows", "D", "rho_list")]])
+      for name in ("A_list", "B_list", "C_rows", "D", "rho")]])
 def test_non_finite_system_data_is_named(cls, args, name, entry):
     # a NaN rho passed `r < 0` and the run failed at step 0 with a NaN dump
     cls(**args)
