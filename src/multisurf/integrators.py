@@ -44,9 +44,10 @@ MAX_STEPS = 1_000_000
 # a plan's `advance` calls its reaching-phase block (see `step_plan`) once
 # a step has repeated the selection before it BLOCK_AFTER times: one call
 # costs about as much as that many saturated steps, so shorter phases step
-# on.  It predicts BLOCK_FIRST rows, then 16 times more after each
-# prediction it keeps whole, up to BLOCK_ROWS
-BLOCK_AFTER, BLOCK_FIRST, BLOCK_ROWS = 6, 16, 4096
+# on.  It predicts the steps to the first surface's switch plus
+# BLOCK_MARGIN rows (BLOCK_FIRST where none nears it), then 16 times more
+# after each prediction it keeps whole, up to BLOCK_ROWS
+BLOCK_AFTER, BLOCK_FIRST, BLOCK_MARGIN, BLOCK_ROWS = 6, 16, 1, 4096
 # `Trajectory.to_csv` formats and writes this many rows at a time
 CSV_ROWS = 4096
 
@@ -202,9 +203,14 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solve=None,
     under a saturated s, each step is x_{k+1} = (x_k + c) - g with constant
     g = Gamma (rho s), predicted up to BLOCK_ROWS at a time by one
     `np.add.accumulate` over [x_k, c, -g, c, -g, ...] (a - b is a + (-b)).
+    The first prediction is the reaching time, min s_i y_i / -r_i over the
+    rates r_i = s_i (C (c - g))_i < 0 with y = C X[0] + D, rounded up, plus
+    BLOCK_MARGIN (C g is W s, so row j keeps s_i while s_i y_i + (j + 1)
+    r_i > 0), else BLOCK_FIRST; after one kept whole, 16 times more.
     It writes the leading steps that the solver answers with s and whose
-    states are finite and within STATE_GUARD to X[1:] and Y[1:], and
-    returns their count.  These are stepping's bytes: I @ v is v for a
+    states are finite and within STATE_GUARD to X[1:] and Y[1:] (advance
+    copies X to Y where y is x), and returns their count; `saturated_run`
+    alone decides them.  These are stepping's bytes: I @ v is v for a
     finite v without -0.0, which the block starts from and a sum does not
     make, and an entry of a product by C has at most one nonzero term, so
     a batch rounds as each row does (an exact zero is +0.0 either way, and
@@ -308,6 +314,13 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solve=None,
         p, done, rows = len(cols), 0, BLOCK_FIRST
         # predictions past the guard may overflow
         with np.errstate(over="ignore", invalid="ignore"):
+            rate = s * (C @ (-g if c is None else c - g))
+            dist = s * (C @ X[0] if D is None else C @ X[0] + D)
+            steps = min((a / -r for a, r in zip(dist.tolist(), rate.tolist())
+                         if r < 0), default=math.inf)
+            if math.isfinite(steps):
+                rows = min(math.ceil(max(steps, 0.0)) + BLOCK_MARGIN,
+                           BLOCK_ROWS)
             while done < len(X) - 1:
                 rows = min(rows, len(X) - 1 - done)
                 # column j p holds x_{k+j}; with c, column j p + 1 holds
@@ -321,8 +334,9 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solve=None,
                 j = min(mlcp._leading((np.abs(S) <= STATE_GUARD).all(axis=0)),
                         run(b if D is None else b + D, s))
                 X[done + 1:done + 1 + j] = S[:, :j].T
-                Y[done + 1:done + 1 + j] = (S[:, :j].T @ C.T if D is None
-                                            else S[:, :j].T @ C.T + D)
+                if not y_is_x:  # else advance copies the states
+                    Y[done + 1:done + 1 + j] = (S[:, :j].T @ C.T if D is None
+                                                else S[:, :j].T @ C.T + D)
                 done += j
                 if j < rows:
                     break
@@ -454,8 +468,8 @@ def newton_plan(sys, cfg: SchemeConfig):
         x, s, y = x_k, s_k, y_k
         t_th = t_k + h_th
         x_th, x_ga, h_f, g_val = linearize(x, x_k, t_th)
-        # x - x_k, formed once per iteration: +0.0 from a finite x_k
-        d = zero if all(map(math.isfinite, x_k.ravel().tolist())) else x - x_k
+        # x - x_k, formed once per iteration: +0.0, as `advance` checks x_k
+        d = zero
         last_res = np.inf
         for it in range(1, NEWTON_MAX_ITER + 1):
             H = H_affine if affine else sys.surface_jac(x)

@@ -424,3 +424,103 @@ def test_guard_crossing_fails_like_the_per_step_run():
     assert_same(got, ref)
     assert got.failure.step == 100 and "guard" in got.failure.message
     assert taken < 10
+
+
+# ---------------------------------------------------------------------------
+# the size of a prediction
+
+def counted(solve, log):
+    """solve, with its `saturated_run` appending (rows offered, rows kept)
+    to log on every call."""
+    run = solve.saturated_run
+
+    def saturated_run(b, s):
+        log.append((len(b), run(b, s)))
+        return log[-1][1]
+    solve.saturated_run = saturated_run
+    return solve
+
+
+def counting_solvers(monkeypatch):
+    """One log per solver that `mlcp.sign_step_solver` builds from now on."""
+    logs, build = [], mlcp.sign_step_solver
+
+    def solver(W):
+        solve = build(W)
+        if hasattr(solve, "saturated_run"):
+            logs.append([])
+            counted(solve, logs[-1])
+        return solve
+    monkeypatch.setattr(mlcp, "sign_step_solver", solver)
+    return logs
+
+
+def assert_sized(logs, runs):
+    # every run takes its reaching phase in one prediction, which reaches
+    # a little past the row where the surface leaves saturation
+    assert len(logs) == runs and all(len(log) == 1 for log in logs), logs
+    offered = sum(n for log in logs for n, _ in log)
+    kept = sum(j for log in logs for _, j in log)
+    assert kept > 0 and offered <= 1.1 * kept, (offered, kept)
+
+
+def test_scalar_long_runs_predict_their_phase_once(monkeypatch):
+    # 64 runs of perfbench's scalar-long kind: |x0| / h saturated steps
+    logs = counting_solvers(monkeypatch)
+    rng = np.random.default_rng(5)
+    x0 = rng.choice([-1.0, 1.0], 64) * rng.uniform(0.5, 2.0, 64)
+    for v in x0:
+        integrators.simulate_linear(simple_system(), [v], 0.0, 3.0,
+                                    SchemeConfig(h=1e-3))
+    assert_sized(logs, 64)
+
+
+def test_convergence_sweep_predicts_each_phase_once(monkeypatch):
+    logs = counting_solvers(monkeypatch)
+    run_experiment("convergence", {})
+    assert_sized(logs, 8)
+
+
+def sized_plan(sys, h, scale=1.0, c=None):
+    """(plan, its log) of an E = 0 system whose solver is built from
+    scale W, where the plan's W s is C g, so the quotient is wrong unless
+    scale is 1; c defaults to the system's h a."""
+    log = []
+    solve = counted(mlcp.sign_step_solver(scale * h * sys.C @ sys.B), log)
+    plan = integrators.step_plan(h, np.eye(sys.n), h * sys.B, sys.C, sys.D,
+                                 c=h * sys.a if c is None else c,
+                                 solve=solve)
+    return plan, log
+
+
+# (system, x0, T, h, scale of W, c): the solver's W off by 0.5, where c =
+# 0.9 g slows the phase to a tenth of g a step, so its switch comes five
+# rows after the quotient's (the first prediction is kept whole), and by 2,
+# where it comes earlier; and c that moves every surface away from its
+# switch, r_i = h > 0.  At m = 2 (filippov's system) the second surface of
+# the two W cases moves away from its switch while the first reaches it.
+# `test_phases_longer_than_one_chunk` takes phases longer than BLOCK_ROWS
+SIZING = {
+    "half-W": (simple_system(), [0.15], 3.0, 1e-3, 0.5, np.array([9e-4])),
+    "double-W": (simple_system(), [-1.5], 3.0, 1e-3, 2.0, None),
+    "half-W-m2": (filippov_system(), [0.5, -1.0], 2.0, 2e-3, 0.5,
+                  np.array([5.4e-3, 1.8e-3])),
+    "double-W-m2": (filippov_system(), [1.0, -1.0], 2.0, 2e-3, 2.0, None),
+    "away": (simple_system(), [0.5], 3.0, 1e-3, 1.0, np.array([2e-3])),
+    "away-m2": (filippov_system(), [1.0, -1.0], 2.0, 2e-3, 1.0,
+                np.array([8e-3, -4e-3])),
+}
+
+
+@pytest.mark.parametrize("case", SIZING)
+def test_wrong_or_absent_quotient_moves_no_byte(case):
+    sys, x0, T, h, scale, c = SIZING[case]
+    plan, log = sized_plan(sys, h, scale, c)
+    with np.errstate(all="ignore"):
+        got = integrators.simulate(plan, x0, 0.0, T)
+        ref = stepwise.run(sized_plan(sys, h, scale, c)[0], x0, 0.0, T)
+    assert_same(got, ref)
+    assert sum(j for _, j in log) > 0
+    if case.startswith("half-W"):
+        # a prediction kept whole, then the 16x growth
+        assert len(log) >= 2 and log[0][1] == log[0][0], log
