@@ -19,8 +19,9 @@ from multisurf.integrators import (Plan, SchemeConfig, StepFailure,
                                    Trajectory, ZohPair, newton_plan, simulate,
                                    theta_plan, simulate_linear,
                                    simulate_newton, step_plan, zoh_discretize)
-from multisurf.mlcp import (SignProblem, SignSolution, sign_step_solver,
-                            solve, solve_enumerative, solve_pivoting)
+from multisurf.mlcp import (SignProblem, SignSolution, SignSolver,
+                            sign_step_solver, solve, solve_enumerative,
+                            solve_pivoting)
 from multisurf.systems import (AffineGainSignSystem, DisturbedLinearSystem,
                                LinearSignSystem, NonlinearSignSystem,
                                check_cb_positive, output)

@@ -72,7 +72,7 @@ def ecb_plan(ctl: EcbSmcController):
     neg_CGinv, CF = -np.linalg.inv(C @ ctl.G), C @ ctl.F
     return step_plan(
         ctl.h, ctl.pair.Phi, Gamma, C,
-        solve=mlcp.sign_step_solver(C @ Gamma) if implicit else None,
+        solver=mlcp.sign_step_solver(C @ Gamma) if implicit else None,
         control=lambda x, s: neg_CGinv @ (CF @ x + alpha * s))
 
 

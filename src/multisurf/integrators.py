@@ -152,25 +152,25 @@ class Plan:
     block: Optional[Callable] = None
 
 
-def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solve=None,
+def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solver=None,
               rho=None, control=None):
     """The affine step shared by every linear-class loop, built once per run.
 
-    With free = Phi x_k + c_k, a step selects s = solve(C L free + D)
-    (implicit) or s = sgn(C x_k + D) (explicit, solve None, sgn(0) = 0) and
-    moves to x_{k+1} = L (free - Gamma (rho s)) with output
-    y_{k+1} = C x_{k+1} + D; c is None, a constant vector or a callable
-    c_k = c(t_k).  A missing c, D, L or rho is skipped rather than applied
-    as zero, identity or one, so no -0.0 turns into 0.0.  control(x_k, s),
-    when given, is the input held on [t_k, t_{k+1}).  solve and control
-    must be functions of their arguments alone (a warm start may keep
-    state, not change an answer); a solve may raise StepFailure.  h is the
-    grid's step, which the operators already hold.  Returns a `Plan` with
-    output(x) = C x + D, controlled when control is given, and
-    time_invariant unless c is callable: the step then depends on x_k
-    alone.  The step's contract, which `advance` and the `mlcp` solvers
-    keep: x_k is finite with |x_k| <= STATE_GUARD, and s lies in [-1, 1]^m
-    to rounding.
+    With free = Phi x_k + c_k, a step selects s = solver.solve(C L free +
+    D) (implicit, solver an `mlcp.SignSolver`) or s = sgn(C x_k + D)
+    (explicit, solver None, sgn(0) = 0) and moves to x_{k+1} = L (free -
+    Gamma (rho s)) with output y_{k+1} = C x_{k+1} + D; c is None, a
+    constant vector or a callable c_k = c(t_k).  A missing c, D, L or rho is
+    skipped rather than applied as zero, identity or one, so no -0.0 turns
+    into 0.0.  control(x_k, s), when given, is the input held on [t_k,
+    t_{k+1}).  solver.solve and control must be functions of their
+    arguments alone (a warm start may keep state, not change an answer); a
+    solve may raise StepFailure.  h is the grid's step, which the operators
+    already hold.  Returns a `Plan` with output(x) = C x + D, controlled
+    when control is given, and time_invariant unless c is callable: the
+    step then depends on x_k alone.  The step's contract, which `advance`
+    and the `mlcp` solvers keep: x_k is finite with |x_k| <= STATE_GUARD,
+    and s lies in [-1, 1]^m to rounding.
 
     Operators that are exactly I, resolved once per plan with c constant.
     I @ v has the bytes of v + 0.0 for a finite v, and (v + 0.0) + d those
@@ -198,10 +198,10 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solve=None,
 
     The reaching-phase block.  An implicit, time-invariant plan without
     control, with Phi and L (when given) exactly I, at most one nonzero
-    entry in each row of C and a solve with `saturated_run` (see
-    `mlcp.sign_step_solver`) also has a block(X, Y, s): from the state X[0]
-    under a saturated s, each step is x_{k+1} = (x_k + c) - g with constant
-    g = Gamma (rho s), predicted up to BLOCK_ROWS at a time by one
+    entry in each row of C and a solver whose `saturated_run` is not None
+    (see `mlcp.sign_step_solver`) also has a block(X, Y, s): from the state
+    X[0] under a saturated s, each step is x_{k+1} = (x_k + c) - g with
+    constant g = Gamma (rho s), predicted up to BLOCK_ROWS at a time by one
     `np.add.accumulate` over [x_k, c, -g, c, -g, ...] (a - b is a + (-b)).
     The first prediction is the reaching time, min s_i y_i / -r_i over the
     rates r_i = s_i (C (c - g))_i < 0 with y = C X[0] + D, rounded up, plus
@@ -219,6 +219,8 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solve=None,
     for the selection it last took no row for.  Plans of E != 0, ZOH, ECB,
     Lyapunov, explicit and Newton runs get no block.
     """
+    solve, run = ((None, None) if solver is None
+                  else (solver.solve, solver.saturated_run))
     driven = callable(c)
     eye = np.eye(len(Phi))
     ident = not driven and np.array_equal(Phi, eye)
@@ -343,7 +345,6 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solve=None,
                 rows = min(16 * rows, BLOCK_ROWS)
         return done
 
-    run = getattr(solve, "saturated_run", None)
     blocks = (run is not None and control is None and flat
               and (np.count_nonzero(C, axis=1) <= 1).all())
     # `advance` reads the block from this plan, where a caller may swap it
@@ -374,12 +375,12 @@ def theta_plan(E, B, C, D, c, cfg: SchemeConfig, scheme, rho=None,
     try:
         L = np.linalg.inv(np.eye(n) - h * cfg.theta * E)
     except np.linalg.LinAlgError:
-        L, solve = None, _singular_drift
+        L, solver = None, mlcp.SignSolver(_singular_drift)
     else:
         W = h * C @ L @ B
-        solve = mlcp.sign_step_solver(W if rho is None else W @ np.diag(rho))
+        solver = mlcp.sign_step_solver(W if rho is None else W @ np.diag(rho))
     return step_plan(h, np.eye(n) + h * (1 - cfg.theta) * E, h * B, C, D,
-                     L=L, c=c, solve=solve, rho=rho, control=control)
+                     L=L, c=c, solver=solver, rho=rho, control=control)
 
 
 def _singular_drift(b):
@@ -543,14 +544,20 @@ def zoh_discretize(F, G, C, h, alpha=1.0) -> ZohPair:
 
     exp(F h) and its integral come from the augmented matrix exponential
     expm([[F, I], [0, 0]] h); alpha scales the sign channel so the MLCP
-    unknown stays in [-1, 1].
+    unknown stays in [-1, 1].  F, G and C must be finite and CG
+    nonsingular to working precision: its condition number, which scaling
+    G or C by a number does not change, below 1 / eps; anything else is a
+    ValueError.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     G = np.atleast_2d(np.asarray(G, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
     n = F.shape[0]
-    CG = C @ G
-    if abs(np.linalg.det(CG)) < 1e-14:
+    with np.errstate(over="ignore", invalid="ignore"):
+        CG = C @ G
+    # cond's SVD raises LinAlgError on a NaN entry, so finiteness goes first
+    if not (all(np.isfinite(v).all() for v in (F, G, C, CG))
+            and np.linalg.cond(CG) < 1 / np.finfo(float).eps):
         raise ValueError("CG must be nonsingular")
     aug = np.zeros((2 * n, 2 * n))
     aug[:n, :n] = F

@@ -17,13 +17,15 @@ by one rule, `_violation`, and report "solved" only for an answer whose
 residual, the sign inclusion's own per index (`_residual`), is at most
 CERT_TOL (`_solution`).  `sign_step_solver(W)` is the one entry point for
 the sign step, with the one-surface case in closed form: a run whose W stays
-the same builds it once; the outer Newton loop, whose W changes with every
-iterate, calls `sign_step(W, b)`.  For m > 1 it pivots warm from the
-previous step's active set over cached interior blocks.  Every interior
-block, cached or not, is solved by one direct call of the LAPACK gufunc
-behind `np.linalg.solve`, on a set's first visit inside the error state
-that `np.linalg.solve` sets (`_set_point`).  A warm answer is kept on one
-bound test per index (`_certified`) and otherwise re-solved by `solve`.
+the same builds it once, as a `SignSolver` record of its map b -> s and,
+where it has one, its vectorised decision `saturated_run`; the outer Newton
+loop, whose W changes with every iterate, calls `sign_step(W, b)`.  For
+m > 1 it pivots warm from the previous step's active set over cached
+interior blocks.  Every interior block, cached or not, is solved by one
+direct call of the LAPACK gufunc behind `np.linalg.solve`, on a set's first
+visit inside the error state that `np.linalg.solve` sets (`_set_point`).  A
+warm answer is kept on one bound test per index (`_certified`) and
+otherwise re-solved by `solve`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 # the gufunc behind np.linalg.solve with a vector right-hand side
@@ -95,6 +98,16 @@ class SignSolution:
     residual: float
     status: str  # solved | infeasible | uncertified
     reason: str = ""  # why the status is not "solved"
+
+
+@dataclass
+class SignSolver:
+    """What `sign_step_solver(W)` returns: solve(b) -> s answers one step,
+    and saturated_run(b, s), None on the cold path, is the vectorised
+    decision that the reaching-phase block reads (see `sign_step_solver`)."""
+
+    solve: Callable
+    saturated_run: Optional[Callable] = None
 
 
 def MlcpProblem(dim, M, q, l, u):
@@ -430,16 +443,19 @@ def _closed_form(W, w11, b):
 
 
 def sign_step(W, b):
-    """`sign_step_solver(W)(b)` for a W used once, as in the outer Newton
-    loop; a 1 x 1 W > 0 takes the closed form without building a solver."""
+    """`sign_step_solver(W).solve(b)` for a W used once, as in the outer
+    Newton loop; a 1 x 1 W > 0 takes the closed form without building a
+    solver."""
     W = np.asarray(W, dtype=float)
     w11 = W.item() if W.shape == (1, 1) else 0.0
-    return _closed_form(W, w11, b) if w11 > 0 else sign_step_solver(W)(b)
+    return (_closed_form(W, w11, b) if w11 > 0
+            else sign_step_solver(W).solve(b))
 
 
 def sign_step_solver(W):
-    """The map b -> s in Sgn(b - W s) for the one-step problems of a run
-    whose W stays the same; W is checked and converted once, here.
+    """The `SignSolver` of the one-step problems of a run whose W stays the
+    same: its solve maps b -> s in Sgn(b - W s); W is checked and converted
+    once, here.
 
     `solve`'s ladder is the only selector: no caller picks a solver.  m = 1
     with W > 0 takes the closed form of `_sign_step_1d`.  For m > 1 with
@@ -456,13 +472,14 @@ def sign_step_solver(W):
     answer is bit-identical to `solve`'s.  Raises StepFailure with the
     reason and the problem's dump when `solve` fails.
 
-    The closed form and the warm pivot carry one vectorised decision:
-    saturated_run(b, s) is the number of leading rows of b (shape (k, m))
-    that the solver would answer with exactly the saturated s (each s_i
-    1.0 or -1.0), by its own operations on each row: `_saturated_1d` at
-    m = 1; at m > 1, W s once, W s - b per row and `_certified`'s bound
-    tests, which apply while the warm start is s's all-bound set, as after
-    a step that answered s.  The cold solver has none.
+    The closed form and the warm pivot also set the record's vectorised
+    decision: saturated_run(b, s) is the number of leading rows of b
+    (shape (k, m)) that the solver would answer with exactly the saturated
+    s (each s_i 1.0 or -1.0), by its own operations on each row:
+    `_saturated_1d` at m = 1; at m > 1, W s once, W s - b per row and
+    `_certified`'s bound tests, which apply while the warm start is s's
+    all-bound set, as after a step that answered s.  The cold solver's is
+    None.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim < 2:
@@ -472,17 +489,13 @@ def sign_step_solver(W):
         raise ValueError("W must be square")
     w11 = float(W[0, 0]) if m == 1 else 0.0
     if w11 > 0:
-        def closed_form(b):
-            return _closed_form(W, w11, b)
-
         def saturated_run(b, s):
             s = float(s[0])
             return _leading(_saturated_1d(w11, b[:, 0], s)) \
                 if abs(s) == 1.0 else 0
-        closed_form.saturated_run = saturated_run
-        return closed_form
+        return SignSolver(lambda b: _closed_form(W, w11, b), saturated_run)
     if not (m > 1 and _sym_part_pd(W)):
-        return lambda b: _cold(W, b)
+        return SignSolver(lambda b: _cold(W, b))
 
     states = [_INTERIOR] * m
     blocks = {}
@@ -507,8 +520,7 @@ def sign_step_solver(W):
             return 0
         sr = ((W @ s) - b) * s
         return _leading(((sr < -CERT_TOL) & (sr > -math.inf)).all(axis=1))
-    warm.saturated_run = saturated_run
-    return warm
+    return SignSolver(warm, saturated_run)
 
 
 def format_problem(p: SignProblem) -> str:

@@ -130,10 +130,10 @@ def test_zoh_run_skips_its_fixed_tail(mode):
     # F = 0, G = C = 1: x_{k+1} = x_k - h s reaches 0 at step 4 either way;
     # s falls from 1 to 0 on step 4, so step 5 is the first repeat
     pair = integrators.zoh_discretize([[0.0]], [[1.0]], [[1.0]], 0.25)
-    solve = (mlcp.sign_step_solver(pair.Gamma) if mode == "implicit"
-             else None)
+    solver = (mlcp.sign_step_solver(pair.Gamma) if mode == "implicit"
+              else None)
     plan = integrators.step_plan(0.25, pair.Phi, pair.Gamma, np.eye(1),
-                                 np.zeros(1), solve=solve)
+                                 np.zeros(1), solver=solver)
     ref = reference.run(plan, [1.0], 0.0, 5.0, explicit=mode == "explicit")
     got = integrators.simulate(plan, [1.0], 0.0, 5.0)
     assert got.steps_taken == 6 and len(got.times) == 21
@@ -145,7 +145,7 @@ def test_advance_says_where_and_why_it_stopped():
     # first; from a state past the guard step 0 fails
     h = 0.25
     plan = integrators.step_plan(h, np.eye(1), h * np.eye(1), np.eye(1),
-                                 solve=mlcp.sign_step_solver(h * np.eye(1)))
+                                 solver=mlcp.sign_step_solver(h * np.eye(1)))
     for x0, N, want in ((1.0, 12, (6, 6, "tail")), (1.0, 3, (3, 3, "end")),
                         (2e12, 12, (0, 0, "state magnitude exceeded "
                                           "guard 1e+12"))):
@@ -160,7 +160,7 @@ def test_advance_says_where_and_why_it_stopped():
 def _control_run(h, T):
     plan = integrators.step_plan(
         h, np.eye(1), h * np.eye(1), np.eye(1),
-        solve=mlcp.sign_step_solver(h * np.eye(1)),
+        solver=mlcp.sign_step_solver(h * np.eye(1)),
         control=lambda x, s: 1.0 - 2.0 * s + x)
     return integrators.simulate(plan, [0.7], 0.0, T)
 
@@ -266,7 +266,7 @@ def _changed_selection_run(kind):
         return (integrators.simulate_newton(*args),
                 stepwise(integrators.simulate_newton, *args))
     plan = integrators.step_plan(h, np.eye(2), h * np.eye(2), np.eye(2),
-                                 solve=mlcp.sign_step_solver(h * np.eye(2)))
+                                 solver=mlcp.sign_step_solver(h * np.eye(2)))
     args = ([1.0, 0.5], 0.0, 3.0)
     return integrators.simulate(plan, *args), reference.run(plan, *args)
 

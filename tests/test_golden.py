@@ -97,7 +97,7 @@ def _zoh(data, x0, T):
     C = np.asarray(C, dtype=float)
     plan = integrators.step_plan(0.3, pair.Phi, pair.Gamma, C,
                                  np.zeros(len(C)),
-                                 solve=mlcp.sign_step_solver(C @ pair.Gamma))
+                                 solver=mlcp.sign_step_solver(C @ pair.Gamma))
     return integrators.simulate(plan, x0, 0.0, T)
 
 

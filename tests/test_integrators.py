@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from multisurf import controllers, integrators, mlcp
 from multisurf.experiments import (galias2007_system, hypomonotone_system,
                                    lyapunov_system, multisurface_system,
-                                   simple_system, zoh_siso_data)
+                                   simple_system, zoh_mimo_data,
+                                   zoh_siso_data)
 from multisurf.integrators import (SchemeConfig, StepFailure, newton_plan,
                                    simulate, simulate_linear, simulate_newton,
                                    step_plan, theta_plan, zoh_discretize)
@@ -52,9 +54,9 @@ def zoh_plan(pair, h, C, D, mode="implicit"):
     mode solves the one-step MLCP with W = C Gamma."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D = np.atleast_1d(np.asarray(D, dtype=float))
-    solve = (mlcp.sign_step_solver(C @ pair.Gamma)
-             if mode == "implicit" else None)
-    return step_plan(h, pair.Phi, pair.Gamma, C, D, solve=solve)
+    solver = (mlcp.sign_step_solver(C @ pair.Gamma)
+              if mode == "implicit" else None)
+    return step_plan(h, pair.Phi, pair.Gamma, C, D, solver=solver)
 
 
 def zoh_step(pair, h, C, D, x_k, mode="implicit"):
@@ -292,6 +294,32 @@ class TestZohDiscretize:
     def test_singular_cg_rejected(self):
         with pytest.raises(ValueError):
             zoh_discretize([[0.0]], [[1.0]], [[0.0]], 0.1)
+        # det 4e-15, cond about 1e16: singular to working precision
+        with pytest.raises(ValueError, match="CG must be nonsingular"):
+            zoh_discretize(np.eye(2), np.eye(2),
+                           [[1.0, 2.0], [2.0, 4.000000000000001]], 0.1)
+
+    @pytest.mark.parametrize("data", [zoh_siso_data, zoh_mimo_data])
+    def test_scaled_cg_accepted(self, data):
+        # G and C scaled by 1e-8 make CG 1e-16 times the data's, as well
+        # conditioned as before; the pair moves by rounding only
+        F, G, C = (np.asarray(v, dtype=float) for v in data())
+        ref = zoh_discretize(F, G, C, 0.3)
+        got = zoh_discretize(F, 1e-8 * G, 1e-8 * C, 0.3)
+        assert np.abs(got.Phi - ref.Phi).max() <= 1e-15
+        assert np.abs(1e-8 * got.Gamma - ref.Gamma).max() <= 1e-15
+
+    @pytest.mark.parametrize("name", ["F", "G", "C"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_data_rejected(self, name, value):
+        # a NaN G once passed with a RuntimeWarning and gave a NaN pair
+        data = dict(zip("FGC", (np.array(v, dtype=float)
+                                for v in zoh_siso_data())))
+        data[name][0, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="CG must be nonsingular"):
+                zoh_discretize(data["F"], data["G"], data["C"], 0.3)
 
 
 class TestStepZoh:
@@ -647,15 +675,15 @@ class TestStepMarks:
             want + want[-1:]).tobytes()
 
 
-def product_step(Phi, Gamma, C, D, L, c, solve, rho):
+def product_step(Phi, Gamma, C, D, L, c, solver, rho):
     """`step_plan`'s step with every operator applied as a product."""
     def step(k, x_k, t_k, s_prev):
         free = Phi @ x_k if c is None else Phi @ x_k + c
-        if solve is None:
+        if solver is None:
             s = np.sign(C @ x_k if D is None else C @ x_k + D)
         else:
             b = C @ (free if L is None else L @ free)
-            s = solve(b if D is None else b + D)
+            s = solver.solve(b if D is None else b + D)
         x = free - Gamma @ (s if rho is None else rho * s)
         if L is not None:
             x = L @ x
@@ -748,12 +776,12 @@ def test_plan_step_equals_the_all_product_step(seed, E_kind, C_kind, c_kind,
     # an operator that is exactly I applies as + 0.0 only where its operand
     # stays finite; a Gamma whose product overflows keeps the products, and
     # the run records the same states and failure
-    args, (solve, ref_solve), x0, h = operator_run(
+    args, (solver, ref_solver), x0, h = operator_run(
         seed, E_kind, C_kind, c_kind, D_kind, theta, scheme, big, with_rho)
     ref_step = product_step(**{k: args[k] for k in ("Phi", "Gamma", "C",
                                                     "D", "L", "c", "rho")},
-                            solve=ref_solve)
-    plan = step_plan(**args, solve=solve)
+                            solver=ref_solver)
+    plan = step_plan(**args, solver=solver)
     with np.errstate(all="ignore"):
         # the reference takes h and y0 = C x0 + D from the plan, every step
         # from the all-product step
@@ -776,7 +804,7 @@ def test_overflowing_gamma_keeps_its_products():
     x0 = np.array([0.5, 0.25])
     with np.errstate(all="ignore"):
         got = simulate(
-            step_plan(**args, solve=mlcp.sign_step_solver([[0.01]])), x0,
+            step_plan(**args, solver=mlcp.sign_step_solver([[0.01]])), x0,
             0.0, 0.03)
     assert got.failure.step == 1 and got.failure.message == \
         "state is not finite"

@@ -165,7 +165,7 @@ for i, entry in ((1, np.inf), (2, -np.inf)):
     p = mlcp.SignProblem(W, b)
     print(mlcp.solve_pivoting(p).status, mlcp.solve_enumerative(p).status)
     try:
-        mlcp.sign_step_solver(W)(b)
+        mlcp.sign_step_solver(W).solve(b)
     except mlcp.StepFailure as exc:
         print(exc.message)
 """
@@ -417,7 +417,7 @@ def test_an_answer_above_the_certificate_bound_is_not_solved():
         sol = solver(p)
         assert sol.status == "uncertified" and sol.residual > mlcp.CERT_TOL
     with pytest.raises(mlcp.StepFailure, match="^one-step MLCP uncertified"):
-        mlcp.sign_step_solver(W)(np.array(b))
+        mlcp.sign_step_solver(W).solve(np.array(b))
 
 
 @ORACLE_SETTINGS

@@ -11,6 +11,7 @@ compared, array by array as bytes, with the same plan run by
 `Trajectory.steps_taken` counts the steps a run took.
 """
 
+import dataclasses
 import warnings
 from unittest import mock
 
@@ -57,34 +58,54 @@ def linear_pair(sys, x0, T, h):
 
 def test_only_identity_plans_with_a_decision_get_a_block():
     one, h = np.eye(1), 0.1
-    solve = mlcp.sign_step_solver(h * one)
+    solver = mlcp.sign_step_solver(h * one)
     assert integrators.step_plan(h, one, h * one, one,
-                                 solve=solve).block is not None
+                                 solver=solver).block is not None
     assert integrators.step_plan(h, one, h * one, one, L=one, c=np.ones(1),
-                                 solve=solve).block is not None
+                                 solver=solver).block is not None
     others = [
-        dict(Phi=2 * one),                           # Phi != I
-        dict(L=0.5 * one),                           # L != I
-        dict(c=lambda t: np.ones(1)),                # driven
-        dict(control=lambda x, s: s),                # control
-        dict(solve=None),                            # explicit
-        dict(solve=mlcp.sign_step_solver(-h * one)),  # cold solver only
+        dict(Phi=2 * one),                            # Phi != I
+        dict(L=0.5 * one),                            # L != I
+        dict(c=lambda t: np.ones(1)),                 # driven
+        dict(control=lambda x, s: s),                 # control
+        dict(solver=None),                            # explicit
+        dict(solver=mlcp.sign_step_solver(-h * one)),  # cold solver only
     ]
     for kw in others:
-        args = dict(h=h, Phi=one, Gamma=h * one, C=one, solve=solve) | kw
+        args = dict(h=h, Phi=one, Gamma=h * one, C=one, solver=solver) | kw
         assert integrators.step_plan(**args).block is None, kw
     # a row of C with two nonzero entries
     C = np.array([[1.0, 1.0]])
-    solve2 = mlcp.sign_step_solver(h * C @ np.ones((2, 1)))
+    solver2 = mlcp.sign_step_solver(h * C @ np.ones((2, 1)))
     assert integrators.step_plan(h, np.eye(2), h * np.ones((2, 1)), C,
-                                 solve=solve2).block is None
-    # E != 0 gives Phi or L other than I; a non-P W has no warm pivot
+                                 solver=solver2).block is None
+    # E != 0 gives Phi or L other than I
     E = [[-1.0]]
     assert integrators.theta_plan(
         np.array(E), one, one, None, None, SchemeConfig(h=h),
         "implicit").block is None
-    W = np.array([[1.0, 3.0], [0.0, 1.0]])
-    assert not hasattr(mlcp.sign_step_solver(W), "saturated_run")
+    # every W gets a record; the closed form (m = 1, W > 0) and the warm
+    # pivot (W + W^T positive definite) carry the decision, and the cold
+    # path does not: W <= 0 or NaN at m = 1, and a P-matrix W whose
+    # W + W^T is not positive definite
+    for W in ([[h]], [[1.0, 0.2], [0.0, 1.0]]):
+        solver = mlcp.sign_step_solver(W)
+        assert isinstance(solver, mlcp.SignSolver)
+        assert solver.saturated_run is not None, W
+    for W in ([[-h]], [[-0.0]], [[np.nan]], [[1.0, 3.0], [0.0, 1.0]]):
+        solver = mlcp.sign_step_solver(W)
+        assert isinstance(solver, mlcp.SignSolver)
+        assert solver.saturated_run is None, W
+    # nor does the singular implicit drift's solver, whose solve fails
+    # (I - h theta E = 1 - 0.1 * 10 is singular)
+    with mock.patch.object(integrators, "step_plan",
+                           wraps=integrators.step_plan) as build:
+        plan = integrators.theta_plan(np.array([[10.0]]), one, one, None,
+                                      None, SchemeConfig(h=h), "implicit")
+    solver = build.call_args.kwargs["solver"]
+    assert solver.saturated_run is None and plan.block is None
+    with pytest.raises(mlcp.StepFailure, match="singular implicit drift"):
+        solver.solve(np.ones(1))
 
 
 @pytest.mark.parametrize("name, block", [
@@ -114,7 +135,7 @@ def test_block_takes_no_step_that_stepping_would_not():
     Gamma = np.array([[1e5], [1e5]])
     C = np.array([[0.0, 1.0]])
     plan = integrators.step_plan(1.0, np.eye(2), Gamma, C,
-                                 solve=mlcp.sign_step_solver(C @ Gamma))
+                                 solver=mlcp.sign_step_solver(C @ Gamma))
     for x, s in (([-0.0, 3e5], 1.0), ([1e12 + 1.0, 3e5], 1.0),
                  ([0.0, 3e5], 0.5)):
         X, Y = np.zeros((5, 2)), np.zeros((5, 1))
@@ -163,14 +184,15 @@ def closed_form_rows(draw):
 @given(closed_form_rows())
 def test_closed_form_decision_matches_the_scalar_step(case):
     W, s, b = case
-    solve = mlcp.sign_step_solver(np.array([[W]]))
+    solver = mlcp.sign_step_solver(np.array([[W]]))
     answers = [mlcp._sign_step_1d(W, float(v)) for v in b]
     lead = next((i for i, z in enumerate(answers) if z != s), len(b))
     with np.errstate(all="ignore"):
-        assert solve.saturated_run(b[:, None], np.array([s])) == lead
+        assert solver.saturated_run(b[:, None], np.array([s])) == lead
     # the closed form is what the step would answer
     for v in b[:lead]:
-        assert solve(np.array([v])).tobytes() == np.array([s]).tobytes()
+        assert solver.solve(np.array([v])).tobytes() == \
+            np.array([s]).tobytes()
 
 
 def p_matrix(rng, m):
@@ -201,15 +223,15 @@ def test_warm_decision_matches_the_warm_steps(seed, m, h):
             b[i] = s[i] * np.inf if kind == "inf" else np.nan
         rows.append(b)
     B = np.array(rows)
-    solve = mlcp.sign_step_solver(W)
+    solver = mlcp.sign_step_solver(W)
     with np.errstate(all="ignore"):
-        assert solve.saturated_run(B, s) == 0   # the warm start is interior
+        assert solver.saturated_run(B, s) == 0   # the warm start is interior
         # one step into s's all-bound set, then the rows
-        assert solve(Ws + 10 * s).tobytes() == s.tobytes()
-        count = solve.saturated_run(B, s)
+        assert solver.solve(Ws + 10 * s).tobytes() == s.tobytes()
+        count = solver.saturated_run(B, s)
     # the rows that the same solver, stepping, answers with s on the warm
     # path, without the cold ladder
-    ref = mlcp.sign_step_solver(W)
+    ref = mlcp.sign_step_solver(W).solve
     ref(Ws + 10 * s)
     lead = 0
     for b in B:
@@ -231,15 +253,15 @@ def test_warm_decision_is_strict_at_the_certificate_bound(s):
     # `_certified` refuses the warm answer, one ulp further it keeps it
     s = np.array(s)
     W = np.array([[1.0, 1.0], [0.5, 1.0]])
-    solve = mlcp.sign_step_solver(W)
+    solver = mlcp.sign_step_solver(W)
     Ws = W @ s
     assert Ws[0] == 0.0
-    solve(Ws + 10 * s)
+    solver.solve(Ws + 10 * s)
     edge = s[0] * CERT_TOL
     rows = np.array([[np.nextafter(edge, s[0] * np.inf), Ws[1] + s[1]],
                      [edge, Ws[1] + s[1]]])
-    assert solve.saturated_run(rows, s) == 1
-    assert solve.saturated_run(rows[::-1], s) == 0
+    assert solver.saturated_run(rows, s) == 1
+    assert solver.saturated_run(rows[::-1], s) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +346,7 @@ def plan_of(args):
     C, Gamma, rho, L = args["C"], args["Gamma"], args["rho"], args["L"]
     W = C @ (Gamma if L is None else L @ Gamma)
     W = W if rho is None else W @ np.diag(rho)
-    return integrators.step_plan(**args, solve=mlcp.sign_step_solver(W))
+    return integrators.step_plan(**args, solver=mlcp.sign_step_solver(W))
 
 
 def run_pair(seed, case):
@@ -429,28 +451,28 @@ def test_guard_crossing_fails_like_the_per_step_run():
 # ---------------------------------------------------------------------------
 # the size of a prediction
 
-def counted(solve, log):
-    """solve, with its `saturated_run` appending (rows offered, rows kept)
-    to log on every call."""
-    run = solve.saturated_run
+def counted(solver, log):
+    """solver, with a `saturated_run` that appends (rows offered, rows
+    kept) to log on every call."""
+    run = solver.saturated_run
 
     def saturated_run(b, s):
         log.append((len(b), run(b, s)))
         return log[-1][1]
-    solve.saturated_run = saturated_run
-    return solve
+    return dataclasses.replace(solver, saturated_run=saturated_run)
 
 
 def counting_solvers(monkeypatch):
-    """One log per solver that `mlcp.sign_step_solver` builds from now on."""
+    """One log per solver with a decision that `mlcp.sign_step_solver`
+    builds from now on."""
     logs, build = [], mlcp.sign_step_solver
 
     def solver(W):
-        solve = build(W)
-        if hasattr(solve, "saturated_run"):
-            logs.append([])
-            counted(solve, logs[-1])
-        return solve
+        built = build(W)
+        if built.saturated_run is None:
+            return built
+        logs.append([])
+        return counted(built, logs[-1])
     monkeypatch.setattr(mlcp, "sign_step_solver", solver)
     return logs
 
@@ -486,10 +508,10 @@ def sized_plan(sys, h, scale=1.0, c=None):
     scale W, where the plan's W s is C g, so the quotient is wrong unless
     scale is 1; c defaults to the system's h a."""
     log = []
-    solve = counted(mlcp.sign_step_solver(scale * h * sys.C @ sys.B), log)
+    solver = counted(mlcp.sign_step_solver(scale * h * sys.C @ sys.B), log)
     plan = integrators.step_plan(h, np.eye(sys.n), h * sys.B, sys.C, sys.D,
                                  c=h * sys.a if c is None else c,
-                                 solve=solve)
+                                 solver=solver)
     return plan, log
 
 

@@ -62,7 +62,7 @@ def test_closed_form_matches_pivoting_bitwise(step):
     prob = sign_problem(W, b)
     ref = mlcp.solve_pivoting(prob)
     assert ref.status == "solved"
-    z = mlcp.sign_step_solver(np.array([[W]]))(np.array([b]))
+    z = mlcp.sign_step_solver(np.array([[W]])).solve(np.array([b]))
     assert z.tobytes() == ref.z.tobytes()
     assert np.array([closed]).tobytes() == ref.z.tobytes()
 
@@ -72,7 +72,7 @@ def test_closed_form_matches_pivoting_bitwise(step):
 def test_closed_form_matches_oracle_and_certifies(step):
     W, b = step
     prob = sign_problem(W, b)
-    z = mlcp.sign_step_solver(prob.W)(prob.b)
+    z = mlcp.sign_step_solver(prob.W).solve(prob.b)
     oracle = mlcp.solve_enumerative(prob)
     assert oracle.status == "solved"
     assert abs(z[0] - oracle.z[0]) <= 1e-12
@@ -88,7 +88,7 @@ def test_nonpositive_W_takes_the_general_path(W, b):
     with mock.patch.object(mlcp, "_sign_step_1d",
                            side_effect=AssertionError("closed form taken")):
         try:
-            z = mlcp.sign_step_solver(np.array([[W]]))(np.array([b]))
+            z = mlcp.sign_step_solver(np.array([[W]])).solve(np.array([b]))
         except mlcp.StepFailure:
             return
     assert z.shape == (1,)
@@ -103,7 +103,7 @@ def test_closed_form_answers_a_badly_scaled_step():
     assert mlcp._sign_step_1d(W, b) == b / W
     prob = sign_problem(W, b)
     with mock.patch.object(mlcp, "_cold", wraps=mlcp._cold) as cold:
-        z = mlcp.sign_step_solver(prob.W)(prob.b)
+        z = mlcp.sign_step_solver(prob.W).solve(prob.b)
         one = mlcp.sign_step(prob.W, prob.b)
     assert cold.call_count == 0
     ref = mlcp.solve(prob)
@@ -184,7 +184,7 @@ def test_uncertified_closed_form_falls_back():
     assert mlcp.solve(prob).status == "uncertified"
     with mock.patch.object(mlcp, "_cold", wraps=mlcp._cold) as cold:
         with pytest.raises(mlcp.StepFailure, match="uncertified"):
-            mlcp.sign_step_solver(prob.W)(prob.b)
+            mlcp.sign_step_solver(prob.W).solve(prob.b)
     assert cold.call_count == 1
 
 
@@ -238,7 +238,7 @@ COLD = {"auto": mlcp.solve, "pivot": mlcp.solve_pivoting}
 @given(run=warm_runs())
 def test_warm_solver_matches_cold_pivoting_bitwise(cold, run):
     W, bs, _ = run
-    solve = mlcp.sign_step_solver(W)
+    solve = mlcp.sign_step_solver(W).solve
     for b in bs:
         ref = COLD[cold](mlcp.SignProblem(W, b))
         assert ref.status == "solved"
@@ -262,7 +262,7 @@ def test_warm_solver_matches_cold_on_a_singular_block(cold):
             ([0.3, -0.3], [0.0, 0.0]), ([0.6, 0.6], [0.0, 0.0]),
             ([0.4, -0.4], [0.0, 0.0])]
     with mock.patch.object(mlcp, "_sym_part_pd", return_value=True):
-        solve = mlcp.sign_step_solver(W)
+        solve = mlcp.sign_step_solver(W).solve
     warm_lstsq = []
     for z0, y in runs:
         b = W @ np.array(z0) + np.array(y)
@@ -296,7 +296,7 @@ def test_gate_refuses_numerically_singular_W(W, bs):
     W = np.array(W)
     np.linalg.cholesky(W + W.T)
     assert mlcp._sym_part_pd(W) is False
-    solve = mlcp.sign_step_solver(W)
+    solve = mlcp.sign_step_solver(W).solve
     for b in bs:
         with mock.patch.object(mlcp, "solve", wraps=mlcp.solve) as cold:
             z = solve(np.array(b))
@@ -310,7 +310,7 @@ def test_warm_answer_depends_only_on_b(run):
     # after any history, the same b answered twice in a row gives the same
     # bytes, and `solve`'s: a run whose state repeats may skip its tail
     W, bs, _ = run
-    solve = mlcp.sign_step_solver(W)
+    solve = mlcp.sign_step_solver(W).solve
     for b in bs[:-1]:
         solve(b)
     first, second = solve(bs[-1]), solve(bs[-1])
@@ -324,7 +324,7 @@ def test_degenerate_steps_take_the_cold_path(run):
     # the guard hands exactly the degenerate steps to `solve`; every other
     # step is answered by the warm start alone
     W, bs, degenerate = run
-    solve = mlcp.sign_step_solver(W)
+    solve = mlcp.sign_step_solver(W).solve
     with mock.patch.object(mlcp, "solve", wraps=mlcp.solve) as cold:
         for b, degen in zip(bs, degenerate):
             cold.reset_mock()
@@ -337,7 +337,7 @@ def test_warm_solver_starts_from_the_last_cold_answer():
     # cold; step 2 pivots from that answer's active set, once
     W = 0.1 * np.array([[1.0, 0.2], [-0.3, 1.0]])
     slack = np.array([0.005, 0.0])
-    solve = mlcp.sign_step_solver(W)
+    solve = mlcp.sign_step_solver(W).solve
     with mock.patch.object(mlcp, "solve", wraps=mlcp.solve) as cold:
         z = solve(W @ np.array([1.0, 1.0 - 5e-9]) + slack)
         assert cold.call_count == 1 and z[0] == 1.0 and z[1] < 1.0
@@ -363,7 +363,7 @@ def test_every_block_visit_calls_lapack_directly():
 
     with mock.patch.object(np.linalg, "solve", side_effect=AssertionError(
             "np.linalg.solve called")):
-        solve = mlcp.sign_step_solver(W)
+        solve = mlcp.sign_step_solver(W).solve
         for z0 in ([0.5, -0.5], [0.25, 0.1], [-0.4, 0.3]):
             b = W @ np.array(z0)
             with mock.patch.object(mlcp, "_solve1", side_effect=direct):
@@ -448,7 +448,7 @@ def test_nan_b_fails_the_step_with_the_problem(path):
     # a NaN b; a step from a finite b comes first, so the warm path has
     # its active set and cached block
     W = np.array(NAN_W[path])
-    solve = mlcp.sign_step_solver(W)
+    solve = mlcp.sign_step_solver(W).solve
     solve(W @ np.full(len(W), 0.5))
     b = np.full(len(W), 0.01)
     b[-1] = np.nan
@@ -575,7 +575,7 @@ def test_auto_ladder_on_negative_W(W, b):
     prob = sign_problem(W, b)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z = mlcp.sign_step_solver(np.array([[W]]))(np.array([b]))
+        z = mlcp.sign_step_solver(np.array([[W]])).solve(np.array([b]))
         assert z.tobytes() == mlcp.solve_enumerative(prob).z.tobytes()
         # pivoting stops at its first repeated active set: at most the
         # three sets of m = 1, where the parent ran to its 200-pivot cap
@@ -593,7 +593,7 @@ def test_auto_ladder_on_negative_W(W, b):
 def test_one_step_entry_builds_no_solver_at_m1(step):
     # the Newton loop's entry: the closed form, with no solver built
     W, b = step
-    want = mlcp.sign_step_solver([[W]])([b])
+    want = mlcp.sign_step_solver([[W]]).solve([b])
     with mock.patch.object(mlcp, "sign_step_solver",
                            side_effect=AssertionError("solver built")):
         got = mlcp.sign_step(np.array([[W]]), np.array([b]))
@@ -611,7 +611,7 @@ def _outcome(call):
 
 INFEASIBLE = "one-step MLCP infeasible: no active set is feasible"
 # (W, b) that the m = 1 entry hands to the cold ladder, and the dump of
-# the StepFailure that `sign_step_solver(W)(b)` raises on it, or None
+# the StepFailure that `sign_step_solver(W).solve(b)` raises on it, or None
 ONE_STEP_COLD = {
     "W < 0": ([[-0.1]], [0.5], None),
     "W = 0": ([[0.0]], [1.0], None),
@@ -628,7 +628,7 @@ ONE_STEP_COLD = {
 def test_one_step_entry_falls_back_as_the_solver_does(case):
     W, b, dump = ONE_STEP_COLD[case]
     W, b = np.array(W), np.array(b)
-    want = _outcome(lambda: mlcp.sign_step_solver(W)(b))
+    want = _outcome(lambda: mlcp.sign_step_solver(W).solve(b))
     with mock.patch.object(mlcp, "_cold", wraps=mlcp._cold) as cold:
         got = _outcome(lambda: mlcp.sign_step(W, b))
     assert cold.call_count == 1 and got == want
@@ -641,5 +641,5 @@ def test_one_step_entry_falls_back_as_the_solver_does(case):
 def test_one_step_entry_takes_the_solver_above_m1(run):
     W, bs, _ = run
     for b in bs:
-        want = _outcome(lambda: mlcp.sign_step_solver(W)(b))
+        want = _outcome(lambda: mlcp.sign_step_solver(W).solve(b))
         assert _outcome(lambda: mlcp.sign_step(W, b)) == want
