@@ -20,6 +20,8 @@ theta-scheme and the Newton classes.
 from __future__ import annotations
 
 import math
+import struct
+from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -58,7 +60,8 @@ class SchemeConfig:
 
     theta blends the smooth drift (0 explicit, 1 implicit), gamma blends the
     gain evaluation point in the nonlinear classes.  The sign term itself is
-    always implicit.
+    always implicit.  All three are kept as Python floats, so a numpy
+    float32 h rounds no product to float32.
     """
 
     h: float
@@ -70,6 +73,8 @@ class SchemeConfig:
             raise ValueError(f"h must be finite and > 0, got {self.h}")
         if not 0 <= self.theta <= 1 or not 0 <= self.gamma <= 1:
             raise ValueError("theta and gamma must lie in [0, 1]")
+        for name in ("h", "theta", "gamma"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -424,9 +429,105 @@ def newton_plan(sys, cfg: SchemeConfig):
     from the s_k and y_k the last one returned (rows k0 first), its
     iterations, and a marked plan's fixed tail.  The plan's output is
     sys.surface, and it records no controls.
+
+    The float step.  A drift-free affine-gain plan with n = m = 1 and h rho
+    and H finite runs that loop on Python floats (`_newton_float_plan`),
+    where each one-entry array operation would cost numpy's per-call
+    overhead; every other plan runs it on arrays (`_newton_array_plan`).
+    The float loop takes the array loop's operations in their order on the
+    same doubles, so its rows, iterations and failures have the array
+    loop's bytes.  That rests on identities of the pinned numpy / OpenBLAS
+    build (see tests/test_golden.py), which tests/test_float_step.py pins
+    over +-0, subnormals, +-inf and NaN: a 1 x 1 `@`, the 1-D dot and the
+    einsum of M are a b + 0.0, and inv([[m]]) is 1.0 / m, raising exactly
+    at m = +-0.0.
     """
     if not isinstance(sys, (AffineGainSignSystem, NonlinearSignSystem)):
         raise TypeError("newton_plan needs an affine-gain or nonlinear system")
+    if (isinstance(sys, AffineGainSignSystem) and sys.f is None
+            and sys.n == sys.m == 1 and math.isfinite(cfg.h * sys.rho)
+            and math.isfinite(sys.C_rows[0][0])):
+        return _newton_float_plan(sys, cfg)
+    return _newton_array_plan(sys, cfg)
+
+
+def _newton_float_plan(sys, cfg):
+    """`_newton_array_plan`'s plan of a lean n = m = 1 drift-free system,
+    on floats.  It evaluates the gain at every blend instead of keeping
+    the last one: a function of its argument's bytes, it has the kept
+    gain's value.  It keeps M^-1 while s keeps its value: s enters M as
+    a s + 0.0, the same for s = +-0."""
+    h, ga, tol = cfg.h, cfg.gamma, NEWTON_TOL
+    h_rho, h_ga, ka = h * sys.rho, h * ga, 1 - ga
+    one = 1 - h_rho
+    A, B = float(sys.A_list[0][0, 0]), float(sys.B_list[0][0])
+    C, D = float(sys.C_rows[0][0]), float(sys.D[0])
+    hC, closed, pack = h * C, mlcp._sign_step_1d, struct.Struct("2d").pack
+    memo = (None, 0.0, 0.0, False)  # s, M^-1, (h H) M^-1, finite M^-1
+
+    def step(x_k, s, y):
+        nonlocal memo
+        x, d, last = x_k, 0.0, math.inf
+        g = (A * (ga * x + ka * x_k) + 0.0) + B
+        for it in range(1, NEWTON_MAX_ITER + 1):
+            if s != memo[0]:
+                M = one + h_ga * (A * s + 0.0)
+                if M == 0.0:
+                    raise StepFailure("singular Newton iteration matrix",
+                                      residual=last)
+                Minv = 1.0 / M
+                memo = s, Minv, hC * Minv + 0.0, math.isfinite(Minv)
+            _, Minv, hHMinv, finite = memo
+            W = hHMinv * g + 0.0
+            if it == 1 and finite:
+                r, b = 0.0, y + 0.0
+            else:
+                r = (x_k - x) + h_rho * d
+                b = y + (C * (Minv * r + 0.0) + 0.0)
+            s = closed(W, b) if W > 0 else None
+            if s is None:
+                s = float(mlcp.sign_step(np.array([[W]]), np.array([b]))[0])
+            x = x + (Minv * (r - (h * g * s + 0.0)) + 0.0)
+            g = (A * (ga * x + ka * x_k) + 0.0) + B
+            y = (C * x + 0.0) + D
+            d = x - x_k
+            last = abs((d + (h * g * s + 0.0)) - h_rho * d)
+            if last < tol:
+                return x, s, y, it
+        raise StepFailure(f"Newton loop did not converge: residual "
+                          f"{last:.3g} after {it} iterations", residual=last)
+
+    def advance(rows, k0, N):
+        X, Y, S, iters = (rows.states, rows.outputs, rows.selections,
+                          rows.newton_iters)
+        x_k, s_k, y_k = float(X[k0, 0]), float(S[k0, 0]), float(Y[k0, 0])
+        xs, ys, ss, its = (array("d"), array("d"), array("d"), array("l"))
+        why = "end"
+        for k in range(k0, N):
+            try:
+                if not abs(x_k) <= STATE_GUARD:
+                    _check_magnitude(abs(x_k))
+                x, s, y, it = step(x_k, s_k, y_k)
+            except StepFailure as exc:
+                why = exc
+                break
+            xs.append(x), ys.append(y), ss.append(s), its.append(it)
+            if x == x_k and s == s_k and pack(x, s) == pack(x_k, s_k):
+                why = "tail"
+                break
+            x_k, s_k, y_k = x, s, y
+        j = k0 + len(xs)
+        X[k0 + 1:j + 1, 0], Y[k0 + 1:j + 1, 0] = xs, ys
+        S[k0 + 1:j + 1, 0], iters[k0 + 1:j + 1] = ss, its
+        if why == "tail":
+            X[j + 1:], Y[j + 1:], S[j + 1:], iters[j + 1:] = x, y, s, it
+        return j, j - k0, why
+
+    return Plan(h, 1, 1, sys.surface, False, True, advance)
+
+
+def _newton_array_plan(sys, cfg):
+    """The plan of `newton_plan` on arrays, for any n and m."""
     h, th, ga, tol, n = cfg.h, cfg.theta, cfg.gamma, NEWTON_TOL, sys.n
     h_rho, h_th, h_ga = h * sys.rho, h * th, h * ga
     shift = (1 - h_rho) * np.eye(n)
@@ -602,7 +703,11 @@ def _check_state(x):
             return
     except OverflowError:
         pass
-    mag = float(np.abs(x).max())
+    _check_magnitude(float(np.abs(x).max()))
+
+
+def _check_magnitude(mag):
+    """`_check_state`'s failure of a state whose max-norm is mag."""
     if not mag < math.inf:
         raise StepFailure("state is not finite")
     if mag > STATE_GUARD:

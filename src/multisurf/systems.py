@@ -79,7 +79,7 @@ class AffineGainSignSystem:
     without f is time-invariant: its Newton plan is marked for the fixed-tail
     skip (see `integrators.newton_plan`), one with an f is not.
     ``rho`` is the hypomonotonicity shift used by the implicit one-step
-    problem (0 disables the shift).  The gain and surface Jacobians are
+    problem (0 disables the shift), kept as a Python float.  The gain and surface Jacobians are
     constant: they are built once and returned read-only.
     """
 
@@ -113,6 +113,7 @@ class AffineGainSignSystem:
                   for i, C in enumerate(self.C_rows)))
         object.__setattr__(self, "D", _as_vector(self.D, self.m, "D"))
         _require_finite(self, ("A_list", "B_list", "C_rows", "D", "rho"))
+        object.__setattr__(self, "rho", float(self.rho))
         if self.rho < 0:
             raise ValueError("rho must be >= 0")
         T, H = np.stack(self.A_list, axis=1), np.vstack(self.C_rows)
@@ -158,6 +159,7 @@ class NonlinearSignSystem:
     rho: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, ("rho",))
         if self.rho < 0:
             raise ValueError("rho must be >= 0")
 
@@ -207,6 +209,8 @@ class DisturbedLinearSystem:
         object.__setattr__(self, "P", _as_matrix(self.P, self.n, self.n, "P"))
         object.__setattr__(self, "rho_bounds",
                            _as_vector(self.rho_bounds, self.m, "rho_bounds"))
+        # a NaN P would pass both tests below
+        _require_finite(self, ("E", "a", "B", "rho", "P", "rho_bounds"))
         if np.max(np.abs(self.P - self.P.T)) > 1e-12:
             raise ValueError("P must be symmetric (within 1e-12)")
         try:

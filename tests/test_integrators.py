@@ -19,6 +19,15 @@ from multisurf.systems import AffineGainSignSystem, LinearSignSystem
 from tests import stepwise
 
 
+def hypomonotone_pair():
+    """`hypomonotone_system` with a second state, dx_1/dt in -(x_0 / 2 +
+    1 / 4) sgn(x_0): a drift-free plan with n = 2, which the array loop
+    runs."""
+    return AffineGainSignSystem(
+        n=2, m=1, A_list=([[1.0, 0.0], [0.5, 0.0]],), B_list=([1.0, 0.25],),
+        C_rows=([1.0, 0.0],), D=[0.0])
+
+
 def rk4_matrix_pair(F, h, steps=10000):
     """Fine-step oracle for exp(F h) and its integral over [0, h]."""
     F = np.asarray(F, dtype=float)
@@ -202,9 +211,10 @@ class TestStepNewton:
             x_k, s_k = list(x), s
 
     def test_drift_free_plan_reuses_the_inverse_of_its_last_s(self):
-        # 6 iterations over 5 steps build M for s = 0 and for s = 1 only
-        plan = newton_plan(hypomonotone_system(), SchemeConfig(h=0.1))
-        x, s = np.array([2.0]), None
+        # the array loop, which n = 2 takes: 6 iterations over 5 steps build
+        # M for s = 0 and for s = 1 only
+        plan = newton_plan(hypomonotone_pair(), SchemeConfig(h=0.1))
+        x, s = np.array([2.0, 1.0]), None
         with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv:
             iters = 0
             for k in range(5):
@@ -227,20 +237,28 @@ class TestStepNewton:
             assert got[4] == want[4]
 
     def test_drift_free_step_evaluates_each_iterate_once(self):
-        # from x0 = 2.5 the run takes 1,257 steps of one iteration each
-        # before its fixed tail; a step's first gain repeats the previous
-        # step's last, so only the first step's start adds a call, and no
-        # solver is built
-        sys = hypomonotone_system()
-        args = (sys, [2.5], 0.0, 2.0, SchemeConfig(h=1e-3))
+        # the array loop, which n = 2 takes: from x0 = (2.5, 1) the run
+        # takes 1,257 steps of 1,259 iterations before its fixed tail.  A
+        # step's first gain repeats the previous step's last, and so do the
+        # two iterates that return their step's start at x_0 = 0, so the
+        # gain is evaluated at the start and at 1,257 new iterates, never
+        # twice in a row at one argument; and no solver is built
+        sys = hypomonotone_pair()
+        args = (sys, [2.5, 1.0], 0.0, 2.0, SchemeConfig(h=1e-3))
         ref = simulate_newton(*args)
-        gain = mock.Mock(wraps=sys.gain)
-        with mock.patch.object(type(sys), "gain",
-                               lambda self, x: gain(x)), \
+        seen, evaluate = [], AffineGainSignSystem.gain
+
+        def gain(self, x):
+            seen.append(x.tobytes())
+            return evaluate(self, x)
+        with mock.patch.object(type(sys), "gain", gain), \
                 mock.patch.object(mlcp, "sign_step_solver",
                                   side_effect=AssertionError("built")):
             traj = simulate_newton(*args)
-        assert gain.call_count == 1257 + 1
+        assert traj.steps_taken == 1257
+        assert traj.newton_iters[:1258].sum() == 1259
+        assert len(seen) == 1257 + 1
+        assert all(a != b for a, b in zip(seen, seen[1:]))
         for name in ("states", "selections", "outputs", "newton_iters"):
             assert getattr(traj, name).tobytes() == \
                 getattr(ref, name).tobytes()

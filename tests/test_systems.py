@@ -197,6 +197,15 @@ AFFINE_ARGS = dict(n=1, m=2, A_list=([[1.0]], [[0.0]]),
                    B_list=([1.0], [0.5]), C_rows=([1.0], [-1.0]),
                    D=[0.0, 0.1], rho=0.0 + 0.2)
 
+NONLINEAR_ARGS = dict(n=1, m=1, f=lambda x, t: -x,
+                      f_jac=lambda x, t: -np.eye(1),
+                      g=lambda x: np.ones((1, 1)),
+                      g_jac=lambda x: np.zeros((1, 1, 1)), h=lambda x: x,
+                      h_jac=lambda x: np.eye(1), rho=0.5)
+DISTURBED_ARGS = dict(n=1, m=1, E=[[-1.0]], a=[0.0], B=[[1.0]], rho=[1.0],
+                      P=[[1.0]], gamma=lambda t: np.zeros(1),
+                      rho_bounds=[1.0])
+
 
 def _with_entry(value, entry):
     """`value` (an array, or a tuple of them) with its last entry set."""
@@ -212,9 +221,14 @@ def _with_entry(value, entry):
     *[(LinearSignSystem, LINEAR_ARGS, name)
       for name in ("E", "a", "B", "C", "D")],
     *[(AffineGainSignSystem, AFFINE_ARGS, name)
-      for name in ("A_list", "B_list", "C_rows", "D", "rho")]])
+      for name in ("A_list", "B_list", "C_rows", "D", "rho")],
+    (NonlinearSignSystem, NONLINEAR_ARGS, "rho"),
+    *[(DisturbedLinearSystem, DISTURBED_ARGS, name)
+      for name in ("E", "a", "B", "rho", "P", "rho_bounds")]])
 def test_non_finite_system_data_is_named(cls, args, name, entry):
-    # a NaN rho passed `r < 0` and the run failed at step 0 with a NaN dump
+    # a NaN rho passed `r < 0` and the run failed at step 0 with a NaN dump;
+    # an infinite nonlinear rho failed step 0 as an infeasible MLCP, and a
+    # NaN P passed both the symmetry test and the Cholesky factorization
     cls(**args)
     bad = {**args, name: _with_entry(args[name], entry)}
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
