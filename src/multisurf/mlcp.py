@@ -20,12 +20,15 @@ the sign step, with the one-surface case in closed form: a run whose W stays
 the same builds it once, as a `SignSolver` record of its map b -> s and,
 where it has one, its vectorised decision `saturated_run`; the outer Newton
 loop, whose W changes with every iterate, calls `sign_step(W, b)`.  For
-m > 1 it pivots warm from the previous step's active set over cached
-interior blocks.  Every interior block, cached or not, is solved by one
-direct call of the LAPACK gufunc behind `np.linalg.solve`, on a set's first
-visit inside the error state that `np.linalg.solve` sets (`_set_point`).  A
-warm answer is kept on one bound test per index (`_certified`) and
-otherwise re-solved by `solve`.
+m > 1 it pivots warm over cached interior blocks, from the previous step's
+active set, or on a solver's first step from the answer of W's diagonal
+alone; on a P-matrix no start can move a byte of the unique answer that
+pivoting reaches (at a sane scale; see `sign_step_solver`), and `solve`
+keeps the all-interior start.  Every interior block, cached or not, is
+solved by one direct call of the LAPACK gufunc behind `np.linalg.solve`, on
+a set's first visit inside the error state that `np.linalg.solve` sets
+(`_set_point`).  A warm answer is kept on one bound test per index
+(`_certified`) and otherwise re-solved by `solve`.
 """
 
 from __future__ import annotations
@@ -279,11 +282,12 @@ def solve_enumerative(p: SignProblem) -> SignSolution:
     """
     if p.dim > ENUM_MAX_M:
         raise ValueError(f"enumerative solver capped at m <= {ENUM_MAX_M}")
-    for states in itertools.product((_INTERIOR, _LOWER, _UPPER),
-                                    repeat=p.dim):
-        sol = _assignment_solution(p, states)
-        if sol is not None:
-            return sol
+    with np.errstate(invalid="ignore", over="ignore"):
+        for states in itertools.product((_INTERIOR, _LOWER, _UPPER),
+                                        repeat=p.dim):
+            sol = _assignment_solution(p, states)
+            if sol is not None:
+                return sol
     return _unsolved(p.dim, "no active set is feasible")
 
 
@@ -330,9 +334,12 @@ def _pivot(W, b, states, blocks=None, certified=False):
 
 def solve_pivoting(p: SignProblem) -> SignSolution:
     """Murty-style least-index principal pivoting, started from the
-    all-interior active set."""
+    all-interior active set.  Like the oracle's, its products on a point
+    that overflowed (a huge or infinite b) raise no floating-point warning:
+    the certificate refuses such a point."""
     states = [_INTERIOR] * p.dim
-    got = _pivot(p.W, p.b, states)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = _pivot(p.W, p.b, states)
     if isinstance(got, str):
         return _unsolved(p.dim, got)
     return _solution(states, *got)
@@ -461,11 +468,19 @@ def sign_step_solver(W):
     with W > 0 takes the closed form of `_sign_step_1d`.  For m > 1 with
     W + W^T positive definite (so W is a P-matrix and each step has one
     solution), least-index pivoting starts from the previous step's final
-    active set.  The solver keeps each visited set's interior block (see
-    `_set_point`), so a step on a known set pays for one direct LAPACK
-    solve.  A warm answer is kept only if `_certified` passes it: it
-    certifies at CERT_TOL, is finite, and no index is degenerate, because
-    there a cold start may end at another active set and round differently.
+    active set, and a fresh solver's first step from the answer of the
+    decoupled problem diag(W) s in Sgn(b - diag(W) s): index i upper where
+    b_i > W_ii, lower where b_i < -W_ii, interior otherwise.  On a P-matrix
+    the answer is unique and pivoting reaches it from any start, so where
+    it starts changes how many sets it visits, not the bytes, as long as
+    the absolute CERT_TOL is small against W and b (at W near 1e-300 the
+    cold ladder can accept a set whose r_i have the wrong sign at that
+    scale); `solve` itself starts all-interior.  The solver keeps each
+    visited set's interior block (see `_set_point`), so a step on a known
+    set pays for one direct LAPACK solve.  A warm answer is kept only if
+    `_certified` passes it: it certifies at CERT_TOL, is finite, and no
+    index is degenerate, because there a cold start may end at another
+    active set and round differently.
     Its bound indices sit at exactly -1.0 or 1.0, which reduces that test to
     one bound test per index.  All other steps, a NaN b among them, go to
     `solve`, and the next warm start begins from that answer, so every
@@ -478,8 +493,8 @@ def sign_step_solver(W):
     s (each s_i 1.0 or -1.0), by its own operations on each row:
     `_saturated_1d` at m = 1; at m > 1, W s once, W s - b per row and
     `_certified`'s bound tests, which apply while the warm start is s's
-    all-bound set, as after a step that answered s.  The cold solver's is
-    None.
+    all-bound set, as after a step that answered s (0 before the first
+    step).  The cold solver's is None.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim < 2:
@@ -497,12 +512,19 @@ def sign_step_solver(W):
     if not (m > 1 and _sym_part_pd(W)):
         return SignSolver(lambda b: _cold(W, b))
 
-    states = [_INTERIOR] * m
+    states = []  # no active set before the first step
     blocks = {}
+    diag = np.diag(W).tolist()  # each W_ii > 0, as W + W^T is definite
 
     def warm(b):
         b = np.asarray(b, dtype=float)
         if b.shape == (m,):
+            if not states:
+                # the answer of diag(W) s in Sgn(b - diag(W) s), by float
+                # comparisons only: a NaN b_i starts interior
+                states[:] = [_UPPER if bi > wi else _LOWER if bi < -wi
+                             else _INTERIOR
+                             for bi, wi in zip(b.tolist(), diag)]
             got = _pivot(W, b, states, blocks, certified=True)
             if not isinstance(got, str):
                 return got[0]

@@ -225,7 +225,8 @@ def test_warm_decision_matches_the_warm_steps(seed, m, h):
     B = np.array(rows)
     solver = mlcp.sign_step_solver(W)
     with np.errstate(all="ignore"):
-        assert solver.saturated_run(B, s) == 0   # the warm start is interior
+        # no warm start before the first step
+        assert solver.saturated_run(B, s) == 0
         # one step into s's all-bound set, then the rows
         assert solver.solve(Ws + 10 * s).tobytes() == s.tobytes()
         count = solver.saturated_run(B, s)
