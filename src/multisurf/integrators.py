@@ -112,10 +112,6 @@ class Trajectory:
     def m(self):
         return self.outputs.shape[1]
 
-    @property
-    def h(self):
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
-
     def to_csv(self, path):
         blocks = [("x", self.states), ("s", self.selections),
                   ("y", self.outputs)]
@@ -413,17 +409,9 @@ def newton_plan(sys, cfg: SchemeConfig):
     affine-gain system's constant surface Jacobian H.  An affine-gain system
     without f (no smooth drift) has no h f term in its residual, no x_th
     blend and no h theta f_jac term in M (h theta >= 0 times a zero f_jac
-    is +0.0, and subtracting +0.0 keeps every entry's bytes).  Its M depends
-    on s alone: the plan keeps M^-1 and (h H) M^-1 (so W = h H M^-1 g,
-    grouped from the left, is one product) while s has the same bytes (inv
-    is deterministic), and its last gain while the gain's argument has the
-    same bytes, as a step's first iterate has the last one's at gamma = 1
-    away from signed zeros.  Its iteration 1 from a finite x_k, with h rho,
-    H and M^-1 finite, takes r_smooth = +0.0 and b = y + 0.0: x_k - x_k and
-    h rho times it are +0.0, and numpy's matmul sums each entry of a finite
-    matrix times +0.0 from +0.0, which stays +0.0.  That step is a function
-    of (x_k, s_k): its plan is `time_invariant`.  Nonlinear and drifting
-    affine-gain plans are unmarked and build M every iteration.
+    is +0.0, and subtracting +0.0 keeps every entry's bytes).  Its step is a
+    function of (x_k, s_k): its plan is `time_invariant`.  Nonlinear and
+    drifting affine-gain plans are unmarked.
 
     Its `advance` is the run's loop, as in `step_plan`: the guard, the step
     from the s_k and y_k the last one returned (rows k0 first), its
@@ -433,10 +421,17 @@ def newton_plan(sys, cfg: SchemeConfig):
     The float step.  A drift-free affine-gain plan with n = m = 1 and h rho
     and H finite runs that loop on Python floats (`_newton_float_plan`),
     where each one-entry array operation would cost numpy's per-call
-    overhead; every other plan runs it on arrays (`_newton_array_plan`).
+    overhead; every other plan runs it on arrays (`_newton_array_plan`),
+    which forms M, its inverse, W and b on every iteration.
     The float loop takes the array loop's operations in their order on the
     same doubles, so its rows, iterations and failures have the array
-    loop's bytes.  That rests on identities of the pinned numpy / OpenBLAS
+    loop's bytes.  Two of its shortcuts are byte-equal to operations that
+    the array loop repeats: it keeps M^-1 while s keeps its value (inv is
+    deterministic), and its iteration 1 from a finite x_k, with M^-1
+    finite, takes r_smooth = +0.0 and b = y + 0.0 without their products
+    (x_k - x_k and h rho times it are +0.0, and numpy's matmul sums each
+    entry of a finite matrix times +0.0 from +0.0, which stays +0.0).
+    The rest rests on identities of the pinned numpy / OpenBLAS
     build (see tests/test_golden.py), which tests/test_float_step.py pins
     over +-0, subnormals, +-inf and NaN: a 1 x 1 `@`, the 1-D dot and the
     einsum of M are a b + 0.0, and inv([[m]]) is 1.0 / m, raising exactly
@@ -452,11 +447,9 @@ def newton_plan(sys, cfg: SchemeConfig):
 
 
 def _newton_float_plan(sys, cfg):
-    """`_newton_array_plan`'s plan of a lean n = m = 1 drift-free system,
-    on floats.  It evaluates the gain at every blend instead of keeping
-    the last one: a function of its argument's bytes, it has the kept
-    gain's value.  It keeps M^-1 while s keeps its value: s enters M as
-    a s + 0.0, the same for s = +-0."""
+    """`_newton_array_plan`'s plan of an n = m = 1 drift-free system with
+    h rho and H finite, on floats.  It keeps M^-1 while s keeps its value:
+    s enters M as a s + 0.0, the same for s = +-0."""
     h, ga, tol = cfg.h, cfg.gamma, NEWTON_TOL
     h_rho, h_ga, ka = h * sys.rho, h * ga, 1 - ga
     one = 1 - h_rho
@@ -532,40 +525,22 @@ def _newton_array_plan(sys, cfg):
     h_rho, h_th, h_ga = h * sys.rho, h * th, h * ga
     shift = (1 - h_rho) * np.eye(n)
     affine = isinstance(sys, AffineGainSignSystem)
-    drift_free = affine and sys.f is None
+    f, f_jac = sys.f, sys.f_jac
+    drift_free = affine and f is None
     H_affine = sys.surface_jac(np.zeros(n)) if affine else None
-    if drift_free:
-        gain_jac = sys.gain_jac(np.zeros(n))
-        gains = (None, None)  # the last gain's argument as bytes, the gain
 
-        def linearize(x, x_k, t_th):
-            nonlocal gains
-            x_ga = ga * x + (1 - ga) * x_k
-            if x_ga.tobytes() != gains[0]:
-                gains = x_ga.tobytes(), sys.gain(x_ga)
-            return None, None, None, gains[1]
+    def linearize(x, x_k, t_th):
+        # x_th and h f are None without smooth drift, where h f would add
+        # zeros
+        x_ga = ga * x + (1 - ga) * x_k
+        if drift_free:
+            return None, x_ga, None, sys.gain(x_ga)
+        x_th = th * x + (1 - th) * x_k
+        return x_th, x_ga, h * np.asarray(f(x_th, t_th)), sys.gain(x_ga)
 
-        def matrix(x_th, x_ga, t_th, s):
-            return shift + h_ga * np.einsum("klp,l->kp", gain_jac, s)
-    else:
-        f, f_jac = sys.f, sys.f_jac
-
-        def linearize(x, x_k, t_th):
-            x_th = th * x + (1 - th) * x_k
-            x_ga = ga * x + (1 - ga) * x_k
-            return x_th, x_ga, h * np.asarray(f(x_th, t_th)), sys.gain(x_ga)
-
-        def matrix(x_th, x_ga, t_th, s):
-            # (grad g obar s)_{kp} = sum_l dg[k,l]/dx[p] * s[l]
-            gs = np.einsum("klp,l->kp", sys.gain_jac(x_ga), s)
-            return shift - h_th * np.asarray(f_jac(x_th, t_th)) + h_ga * gs
-    lean = drift_free and math.isfinite(h_rho) and np.isfinite(H_affine).all()
     zero = np.zeros(n)
-    # a drift-free plan's (s bytes, M^-1, (h H) M^-1, lean with finite M^-1)
-    memo = (None, None, None, False)
 
     def step(x_k, t_k, s_k, y_k):
-        nonlocal memo
         # x, s and y are only ever rebound, so no input is copied
         x, s, y = x_k, s_k, y_k
         t_th = t_k + h_th
@@ -575,27 +550,19 @@ def _newton_array_plan(sys, cfg):
         last_res = np.inf
         for it in range(1, NEWTON_MAX_ITER + 1):
             H = H_affine if affine else sys.surface_jac(x)
-            key = s.tobytes()
-            memo_key, Minv, hHMinv, finite = memo
-            if key != memo_key:
-                M = matrix(x_th, x_ga, t_th, s)
-                try:
-                    Minv = np.linalg.inv(M)
-                except np.linalg.LinAlgError:
-                    raise StepFailure("singular Newton iteration matrix",
-                                      residual=last_res) from None
-                hHMinv = h * H @ Minv
-                finite = lean and np.isfinite(Minv).all()
-                if drift_free:
-                    memo = key, Minv, hHMinv, finite
-            W = hHMinv @ g_val
-            if d is zero and finite:  # iteration 1 from a finite x_k
-                r_smooth, b = zero, y + 0.0
-            else:
-                # h_f is None without smooth drift, where it would add zeros
-                r_smooth = ((x_k - x if h_f is None else x_k - x + h_f)
-                            + h_rho * d)
-                b = y + H @ (Minv @ r_smooth)
+            # (grad g obar s)_{kp} = sum_l dg[k,l]/dx[p] * s[l]; without
+            # smooth drift M has no h theta f_jac term
+            gs = np.einsum("klp,l->kp", sys.gain_jac(x_ga), s)
+            M = (shift if h_f is None
+                 else shift - h_th * np.asarray(f_jac(x_th, t_th)))
+            try:
+                Minv = np.linalg.inv(M + h_ga * gs)
+            except np.linalg.LinAlgError:
+                raise StepFailure("singular Newton iteration matrix",
+                                  residual=last_res) from None
+            W = h * H @ Minv @ g_val
+            r_smooth = (x_k - x if h_f is None else x_k - x + h_f) + h_rho * d
+            b = y + H @ (Minv @ r_smooth)
             s = mlcp.sign_step(W, b)
             x = x + Minv @ (r_smooth - h * g_val @ s)
             x_th, x_ga, h_f, g_val = linearize(x, x_k, t_th)

@@ -279,9 +279,13 @@ def solve_enumerative(p: SignProblem) -> SignSolution:
 
     Tries all 3^m assignments (interior < lower < upper, lexicographic) and
     returns the first feasible one; deterministic on degenerate problems.
+    A non-finite b_i makes every assignment's W z - b non-finite, which
+    `_assignment_solution` rejects, so such a b fails without the sweep.
     """
     if p.dim > ENUM_MAX_M:
         raise ValueError(f"enumerative solver capped at m <= {ENUM_MAX_M}")
+    if not np.isfinite(p.b).all():
+        return _unsolved(p.dim, "no active set is feasible")
     with np.errstate(invalid="ignore", over="ignore"):
         for states in itertools.product((_INTERIOR, _LOWER, _UPPER),
                                         repeat=p.dim):

@@ -351,11 +351,11 @@ def with_zero_drift(sys):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_drift_free_run_equals_zero_drift_run(seed):
-    # the drift-free plan builds its zero drift terms once, reuses the
-    # inverse of its last s with (h H) M^-1 and its last gain, takes
-    # iteration 1's r_smooth and b without their products and stops at
-    # its fixed tail; none of that may show in the rows, the iterations
-    # or the failure, from signed zeros in x_k and y_k and at m <= 3
+    # the drift-free plan leaves its zero drift terms out and stops at its
+    # fixed tail, and at n = m = 1 its float loop keeps M^-1 for its last
+    # s and takes iteration 1's r_smooth and b without their products;
+    # none of that may show in the rows, the iterations or the failure,
+    # from signed zeros in x_k and y_k and at m <= 3
     sys, x0, T, cfg = newton_run(np.random.default_rng(seed), wide=True)
     with np.errstate(all="ignore"):
         got = integrators.simulate_newton(sys, x0, 0.0, T, cfg)
@@ -400,9 +400,10 @@ NON_FINITE = {"hypomonotone": _scalar_affine(),
 @pytest.mark.parametrize("x_k, y_k", [
     ([-0.0], np.array([-0.0])), ([0.5], np.array([-0.0])), ([-0.0], None)])
 def test_drift_free_step_equals_zero_drift_step(sys, x_k, y_k):
-    # iteration 1 takes b = y + 0.0 only with h rho, H and M^-1 finite;
-    # the one-step problem's dump (q = -b) shows the sign of a zero b, and
-    # a NaN gain fails that problem
+    # the float loop's iteration 1 takes b = y + 0.0 only with M^-1
+    # finite (an infinite h rho or H takes the array loop, which forms
+    # every b); the one-step problem's dump (q = -b) shows the sign of a
+    # zero b, and a NaN gain fails that problem
     cfg = SchemeConfig(h=0.25)
     with UNCHECKED:
         drift = with_zero_drift(sys)

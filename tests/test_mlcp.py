@@ -1,6 +1,8 @@
+import itertools
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -130,6 +132,29 @@ class TestEnumerative:
         with pytest.raises(ValueError):
             mlcp.solve_enumerative(mlcp.SignProblem(np.eye(13),
                                                     np.zeros(13)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_b_rejects_every_set(self, entry):
+        # every assignment's W z - b is non-finite, so the sweep finds no
+        # set, and `solve` at m = 12 answers as soon as pivoting has failed
+        # (the 3^12 sweep took about 10 s)
+        rng = np.random.default_rng(5)
+        small = random_spd_problem(rng, 4)
+        b = small.b.copy()
+        b[2] = entry
+        small = mlcp.SignProblem(small.W, b)
+        assert all(mlcp._assignment_solution(small, states) is None
+                   for states in itertools.product((IN, LO, UP), repeat=4))
+        big = random_spd_problem(rng, 12)
+        b = big.b.copy()
+        b[7] = entry
+        start = time.perf_counter()
+        sol = mlcp.solve(mlcp.SignProblem(big.W, b))
+        assert time.perf_counter() - start < 0.5
+        for got in (sol, mlcp.solve_enumerative(small)):
+            assert got.status == "infeasible"
+            assert got.reason == "no active set is feasible"
+            assert np.isnan(got.z).all() and got.residual == np.inf
 
 
 class TestPivoting:
