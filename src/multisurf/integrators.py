@@ -184,7 +184,11 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solver=None,
     (D + 0.0) and y = x + (D + 0.0), or b = free and y = x where D is
     absent or all +-0.0 (and the explicit sign takes sgn(x_k), as sgn(-0.0)
     is 0.0).  Otherwise, as under a callable c, L and C stay products,
-    since I @ v turns an infinite entry into NaN.
+    since I @ v turns an infinite entry into NaN.  Where b = free and
+    y = x, rho is None and the solver's `answer` holds a W with Gamma's
+    bytes and layout (the warm m > 1 solver of `mlcp.sign_step_solver`), a
+    step calls answer(free) -> (s, y) and takes x = y = free - W s, the
+    same operation on the same operands as free - Gamma s, formed once.
 
     advance(rows, k0, N) fills rows k0 + 1 to N of the `Trajectory` rows in
     one loop that owns every rule of a linear run: the guard before each
@@ -243,6 +247,11 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solver=None,
         C_op, D_op = C, D
 
     invariant, y_is_x = not driven, C_op is None and D_op is None
+    # b is free and the solver forms y = free - W s, with W's bytes and
+    # layout those of Gamma: that y is x_{k+1} (see `mlcp.SignSolver`)
+    answer = solver.answer if (
+        solver is not None and solver.answer is not None and bare
+        and y_is_x and rho is None and _same_array(solver.W, Gamma)) else None
 
     def advance(rows, k0, N):
         X, Y, S, U = rows.states, rows.outputs, rows.selections, rows.controls
@@ -255,14 +264,17 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solver=None,
                 c_k = c(times[k]) if driven else c_op
                 free = (x_k + c_k if Phi_op is None else Phi_op @ x_k
                         if c_k is None else Phi_op @ x_k + c_k)
-                b = (x_k if solve is None else free if L_op is None
-                     else L_op @ free)
-                b = b if C_op is None else C_op @ b
-                b = b if D_op is None else b + D_op
-                s = np.sign(b) if solve is None else solve(b)
-                x = free - Gamma @ (s if rho is None else rho * s)
-                if L_op is not None:
-                    x = L_op @ x
+                if answer is not None:
+                    s, x = answer(free)
+                else:
+                    b = (x_k if solve is None else free if L_op is None
+                         else L_op @ free)
+                    b = b if C_op is None else C_op @ b
+                    b = b if D_op is None else b + D_op
+                    s = np.sign(b) if solve is None else solve(b)
+                    x = free - Gamma @ (s if rho is None else rho * s)
+                    if L_op is not None:
+                        x = L_op @ x
                 y = x if C_op is None else C_op @ x
                 y = y if D_op is None else y + D_op
                 u = control(x_k, s) if record else None
@@ -655,6 +667,14 @@ def grid_steps(t0, T, h):
         raise ValueError(f"h = {h} and T = {T} give {steps:.3g} steps, more "
                          f"than the limit of {MAX_STEPS}")
     return max(0, math.ceil(steps))
+
+
+def _same_array(a, b):
+    """Whether the arrays a and b have one dtype, shape, layout and bytes,
+    so that a product by either rounds the same."""
+    b = np.asarray(b)
+    return ((a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+            and a.tobytes() == b.tobytes())
 
 
 def _check_state(x):

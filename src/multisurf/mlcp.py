@@ -2,11 +2,12 @@
 
 Problem: given W (m x m) and b, find s in [-1, 1]^m with
 
-    s in Sgn(b - W s),
+    s in Sgn(y),  y = b - W s,
 
-that is, with r = W s - b, each index i is interior (|s_i| <= 1, r_i = 0),
-lower (s_i = -1, r_i >= 0) or upper (s_i = 1, r_i <= 0): the box MLCP of
-Acary & Brogliato (2008) on [-1, 1]^m, whose slacks are r's two signs.
+that is, each index i is interior (|s_i| <= 1, y_i = 0), lower (s_i = -1,
+y_i <= 0) or upper (s_i = 1, y_i >= 0): the box MLCP of Acary & Brogliato
+(2008) on [-1, 1]^m, whose slacks are y's two signs.  Every rule below is
+stated in y, the inclusion's own variable.
 
 `SignProblem(W, b)` is one instance and `SignSolution` one answer: s as z,
 its certified residual, a status and the reason for any status other than
@@ -18,17 +19,17 @@ residual, the sign inclusion's own per index (`_residual`), is at most
 CERT_TOL (`_solution`).  `sign_step_solver(W)` is the one entry point for
 the sign step, with the one-surface case in closed form: a run whose W stays
 the same builds it once, as a `SignSolver` record of its map b -> s and,
-where it has one, its vectorised decision `saturated_run`; the outer Newton
-loop, whose W changes with every iterate, calls `sign_step(W, b)`.  For
-m > 1 it pivots warm over cached interior blocks, from the previous step's
-active set, or on a solver's first step from the answer of W's diagonal
-alone; on a P-matrix no start can move a byte of the unique answer that
-pivoting reaches (at a sane scale; see `sign_step_solver`), and `solve`
-keeps the all-interior start.  Every interior block, cached or not, is
-solved by one direct call of the LAPACK gufunc behind `np.linalg.solve`, on
-a set's first visit inside the error state that `np.linalg.solve` sets
-(`_set_point`).  A warm answer is kept on one bound test per index
-(`_certified`) and otherwise re-solved by `solve`.
+where it has them, its vectorised decision `saturated_run` and its `answer`,
+b -> (s, y); the outer Newton loop, whose W changes with every iterate,
+calls `sign_step(W, b)`.  For m > 1 it pivots warm over cached interior
+blocks, from the previous step's active set, or on a solver's first step
+from the answer of W's diagonal alone; on a P-matrix no start can move a
+byte of the unique answer that pivoting reaches (at a sane scale; see
+`sign_step_solver`), and `solve` keeps the all-interior start.  Every
+interior block, cached or not, is solved by one direct call of the LAPACK
+gufunc behind `np.linalg.solve`, on a set's first visit inside the error
+state that `np.linalg.solve` sets (`_set_point`).  A warm answer is kept on
+one bound test per index (`_certified`) and otherwise re-solved by `solve`.
 """
 
 from __future__ import annotations
@@ -107,10 +108,14 @@ class SignSolution:
 class SignSolver:
     """What `sign_step_solver(W)` returns: solve(b) -> s answers one step,
     and saturated_run(b, s), None on the cold path, is the vectorised
-    decision that the reaching-phase block reads (see `sign_step_solver`)."""
+    decision that the reaching-phase block reads.  The warm m > 1 solver
+    also holds its W and answer(b) -> (s, y), with y = b - W s the array
+    its certificate read (see `sign_step_solver`); others leave them None."""
 
     solve: Callable
     saturated_run: Optional[Callable] = None
+    W: Optional[np.ndarray] = None
+    answer: Optional[Callable] = None
 
 
 def MlcpProblem(dim, M, q, l, u):
@@ -131,23 +136,23 @@ def _unsolved(m, reason):
     return SignSolution(np.full(m, np.nan), math.inf, "infeasible", reason)
 
 
-def _residual(states, zl, rl):
+def _residual(states, zl, yl):
     """The sign inclusion's residual of the point z of the active set
-    `states`, with r = W z - b (zl and rl lists of floats, a bound index at
+    `states`, with y = b - W z (zl and yl lists of floats, a bound index at
     exactly -1.0 or 1.0): the largest over the indices of an interior one's
-    max(|z_i| - 1, |r_i|), a lower one's -r_i and an upper one's r_i, each
-    floored at 0.  NaN when a NaN r_i, an interior z_i that is not finite,
-    or a bound index's r_i infinite on its own side (a slack inf - inf)
+    max(|z_i| - 1, |y_i|), a lower one's y_i and an upper one's -y_i, each
+    floored at 0.  NaN when a NaN y_i, an interior z_i that is not finite,
+    or a bound index's y_i infinite on its own side (a slack inf - inf)
     makes the index's condition undecidable."""
     worst = 0.0
-    for st, z, r in zip(states, zl, rl):
+    for st, z, y in zip(states, zl, yl):
         if st == _INTERIOR:
-            # max keeps its first argument over a later NaN: |r| goes first
-            e = max(abs(r), abs(z) - 1.0) if abs(z) < math.inf else math.nan
+            # max keeps its first argument over a later NaN: |y| goes first
+            e = max(abs(y), abs(z) - 1.0) if abs(z) < math.inf else math.nan
         elif st == _LOWER:
-            e = -r if r < math.inf else math.nan
+            e = y if y > -math.inf else math.nan
         else:
-            e = r if r > -math.inf else math.nan
+            e = -y if y < math.inf else math.nan
         if not e <= worst:
             if e != e:
                 return math.nan
@@ -216,14 +221,14 @@ def _set_point(W, b, key, blocks=None):
     return z, False
 
 
-def _violation(states, W, b, z, zl, rl):
+def _violation(states, W, b, z, zl, yl):
     """The least index whose condition the point z of the active set
     `states` violates, with the state that a pivot gives it; None when it
     violates none.  An interior index must lie in [-1, 1] and solve its
-    equation, a lower one needs r_i >= 0 and an upper one r_i <= 0, all to
+    equation, a lower one needs y_i <= 0 and an upper one y_i >= 0, all to
     FEAS_TOL, the equation to FEAS_TOL max(1, sum_j |W_ij| |z_j| + |b_i|)
     (a componentwise backward error, Higham ch. 7), which one ulp of a
-    large row passes.  zl and rl = W z - b are lists of floats."""
+    large row passes.  zl and yl = b - W z are lists of floats."""
     tol = FEAS_TOL
     for i, st in enumerate(states):
         if st == _INTERIOR:
@@ -231,27 +236,27 @@ def _violation(states, W, b, z, zl, rl):
                 return i, _LOWER
             if zl[i] > 1.0 + tol:
                 return i, _UPPER
-            r = abs(rl[i])
+            y = abs(yl[i])
             # the scale is computed only past the absolute bound; a NaN or
             # infinite scale fails
-            if r > tol and not r <= tol * (
+            if y > tol and not y <= tol * (
                     float(np.abs(W[i]) @ np.abs(z)) + abs(b[i])) < math.inf:
                 # a singular block (lstsq) left the equation unsatisfied
-                return i, (_LOWER if rl[i] > 0 else _UPPER)
+                return i, (_LOWER if yl[i] < 0 else _UPPER)
         elif st == _LOWER:
-            if rl[i] < -tol:
+            if yl[i] > tol:
                 return i, _INTERIOR
-        elif rl[i] > tol:
+        elif yl[i] < -tol:
             return i, _INTERIOR
     return None
 
 
-def _solution(states, z, zl, rl):
-    """The answer of the active set `states` with point z and r = W z - b
-    (zl and rl lists).  Every solver's one rule for "solved": a residual
+def _solution(states, z, zl, yl):
+    """The answer of the active set `states` with point z and y = b - W z
+    (zl and yl lists).  Every solver's one rule for "solved": a residual
     (`_residual`) at most CERT_TOL; any other, NaN included, is
     "uncertified"."""
-    res = _residual(states, zl, rl)
+    res = _residual(states, zl, yl)
     if res <= CERT_TOL:
         return SignSolution(z, res, "solved")
     return SignSolution(z, res, "uncertified", f"certified residual "
@@ -260,18 +265,18 @@ def _solution(states, z, zl, rl):
 
 def _assignment_solution(p, states):
     """The answer of one active-set assignment; None when its interior
-    block is singular, its point z or r = W z - b is not finite, or the
+    block is singular, its point z or y = b - W z is not finite, or the
     point violates a condition."""
     z, regular = _set_point(p.W, p.b, states)
     if not (regular and np.all(np.isfinite(z))):
         return None
-    r = p.W @ z - p.b
-    if not np.all(np.isfinite(r)):
+    y = p.b - p.W @ z
+    if not np.all(np.isfinite(y)):
         return None
-    zl, rl = z.tolist(), r.tolist()
-    if _violation(states, p.W, p.b, z, zl, rl) is not None:
+    zl, yl = z.tolist(), y.tolist()
+    if _violation(states, p.W, p.b, z, zl, yl) is not None:
         return None
-    return _solution(states, z, zl, rl)
+    return _solution(states, z, zl, yl)
 
 
 def solve_enumerative(p: SignProblem) -> SignSolution:
@@ -279,7 +284,7 @@ def solve_enumerative(p: SignProblem) -> SignSolution:
 
     Tries all 3^m assignments (interior < lower < upper, lexicographic) and
     returns the first feasible one; deterministic on degenerate problems.
-    A non-finite b_i makes every assignment's W z - b non-finite, which
+    A non-finite b_i makes every assignment's b - W z non-finite, which
     `_assignment_solution` rejects, so such a b fails without the sweep.
     """
     if p.dim > ENUM_MAX_M:
@@ -300,8 +305,8 @@ def _pivot(W, b, states, blocks=None, certified=False):
     on the sign step with W and b.
 
     Flips `states` in place, each pivot at the index that `_violation`
-    names, and returns (z, zl, rl) of the first set that violates none: z,
-    and z and r = W z - b as lists.  Returns the reason as a string after
+    names, and returns (z, y, zl, yl) of the first set that violates none:
+    z, y = b - W z, and both as lists.  Returns the reason as a string after
     max(200, 3^min(m, 10)) pivots, or as soon as a set comes back: the rule
     is deterministic, so a repeated set is a cycle that would run to the
     cap, and least-index pivoting does not cycle on a P-matrix.  `blocks`
@@ -309,22 +314,22 @@ def _pivot(W, b, states, blocks=None, certified=False):
 
     With `certified`, only an answer that `_certified` keeps is returned,
     any other as a reason.  A set is kept on one scan, `_certified` with
-    every interior |r_i| <= FEAS_TOL, under which `_violation` names
+    every interior |y_i| <= FEAS_TOL, under which `_violation` names
     nothing; only a set that fails it goes through `_violation`.
     """
     key, seen = tuple(states), None
     while True:
         z, _ = _set_point(W, b, key, blocks)
-        r = W @ z - b
-        zl, rl = z.tolist(), r.tolist()
-        if certified and _certified(key, zl, rl, FEAS_TOL):
-            return z, zl, rl
+        y = b - W @ z
+        zl, yl = z.tolist(), y.tolist()
+        if certified and _certified(key, zl, yl, FEAS_TOL):
+            return z, y, zl, yl
         # least-index violated condition decides the next pivot
-        flip = _violation(key, W, b, z, zl, rl)
+        flip = _violation(key, W, b, z, zl, yl)
         if flip is None:
-            if certified and not _certified(key, zl, rl):
+            if certified and not _certified(key, zl, yl):
                 return "uncertified or degenerate answer"
-            return z, zl, rl
+            return z, y, zl, yl
         states[flip[0]] = flip[1]
         if seen is None:
             seen, cap = set(), max(200, 3 ** min(len(key), 10))
@@ -346,7 +351,8 @@ def solve_pivoting(p: SignProblem) -> SignSolution:
         got = _pivot(p.W, p.b, states)
     if isinstance(got, str):
         return _unsolved(p.dim, got)
-    return _solution(states, *got)
+    z, _, zl, yl = got
+    return _solution(states, z, zl, yl)
 
 
 def solve(p: SignProblem) -> SignSolution:
@@ -365,30 +371,30 @@ def _sign_step_1d(W, b):
     side is b + 0.0 (-0.0 becomes 0.0), its 1x1 solve is b / W, and it
     saturates only past 1 + FEAS_TOL.  Returns None where pivoting would
     pivot again (an interior residual above `_violation`'s mixed bound, or
-    a saturated r of the wrong sign) or where `_residual` would exceed
+    a saturated y of the wrong sign) or where `_residual` would exceed
     CERT_TOL: an interior z has |z| - 1 <= FEAS_TOL, so it needs
-    |r| <= CERT_TOL; a saturated one needs a finite b (see `_saturated_1d`).
+    |y| <= CERT_TOL; a saturated one needs a finite b (see `_saturated_1d`).
     """
     tol = FEAS_TOL
     z = (b + 0.0) / W
     if -1.0 - tol <= z <= 1.0 + tol:
-        r = abs(W * z - b)
-        if r > tol and not r <= tol * (W * abs(z) + abs(b)) < math.inf:
+        y = abs(b - W * z)
+        if y > tol and not y <= tol * (W * abs(z) + abs(b)) < math.inf:
             return None
-        return z if r <= CERT_TOL else None
+        return z if y <= CERT_TOL else None
     z = 1.0 if z > 0 else -1.0
-    return z if z * (W * z - b) <= tol and math.isfinite(b) else None
+    return z if z * (b - W * z) >= -tol and math.isfinite(b) else None
 
 
 def _saturated_1d(W, b, s):
     """Where `_sign_step_1d(W, b_i)` returns s = 1.0 or -1.0, by its
     operations on an array b: (b_i + 0.0) / W beyond 1 + FEAS_TOL on the
-    side of s, s (W s - b_i) <= FEAS_TOL and b_i finite.  Its residual, the
-    larger of s r_i and 0, is then at most FEAS_TOL; an infinite b_i makes
-    it NaN."""
+    side of s, s (b_i - W s) >= -FEAS_TOL and b_i finite.  Its residual,
+    the larger of -s y_i and 0, is then at most FEAS_TOL; an infinite b_i
+    makes it NaN."""
     z = (b + 0.0) / W
     beyond = z > 1.0 + FEAS_TOL if s > 0 else z < -1.0 - FEAS_TOL
-    return beyond & (s * (W * s - b) <= FEAS_TOL) & np.isfinite(b)
+    return beyond & (s * (b - W * s) >= -FEAS_TOL) & np.isfinite(b)
 
 
 def _leading(ok):
@@ -410,24 +416,24 @@ def _sym_part_pd(W):
     return bool(np.diag(L).min() ** 2 > len(S) * eps * np.abs(S).max())
 
 
-def _certified(states, zl, rl, eq_tol=CERT_TOL):
+def _certified(states, zl, yl, eq_tol=CERT_TOL):
     """Whether a pivoting answer is kept: its `_residual` is at most
     lim = CERT_TOL and no index is degenerate (a bound index with
-    |r_i| <= lim, or an interior one with |z_i| >= 1 - lim).  Per index on
-    z and r = W z - b (Python floats) that is one test: an interior index
-    needs |z_i| < 1 - lim and |r_i| <= eq_tol (lim unless a tighter bound
-    is asked for), a lower one lim < r_i < inf and an upper one -inf < r_i
-    < -lim.  NaN fails every comparison."""
+    |y_i| <= lim, or an interior one with |z_i| >= 1 - lim).  Per index on
+    z and y = b - W z (Python floats) that is one test: an interior index
+    needs |z_i| < 1 - lim and |y_i| <= eq_tol (lim unless a tighter bound
+    is asked for), a lower one -inf < y_i < -lim and an upper one lim < y_i
+    < inf.  NaN fails every comparison."""
     lim = CERT_TOL
     inner = 1.0 - lim
-    for st, z, r in zip(states, zl, rl):
+    for st, z, y in zip(states, zl, yl):
         if st == _INTERIOR:
-            if not (abs(z) < inner and abs(r) <= eq_tol):
+            if not (abs(z) < inner and abs(y) <= eq_tol):
                 return False
         elif st == _LOWER:
-            if not lim < r < math.inf:
+            if not -math.inf < y < -lim:
                 return False
-        elif not -math.inf < r < -lim:
+        elif not lim < y < math.inf:
             return False
     return True
 
@@ -478,7 +484,7 @@ def sign_step_solver(W):
     the answer is unique and pivoting reaches it from any start, so where
     it starts changes how many sets it visits, not the bytes, as long as
     the absolute CERT_TOL is small against W and b (at W near 1e-300 the
-    cold ladder can accept a set whose r_i have the wrong sign at that
+    cold ladder can accept a set whose y_i have the wrong sign at that
     scale); `solve` itself starts all-interior.  The solver keeps each
     visited set's interior block (see `_set_point`), so a step on a known
     set pays for one direct LAPACK solve.  A warm answer is kept only if
@@ -495,10 +501,13 @@ def sign_step_solver(W):
     decision: saturated_run(b, s) is the number of leading rows of b
     (shape (k, m)) that the solver would answer with exactly the saturated
     s (each s_i 1.0 or -1.0), by its own operations on each row:
-    `_saturated_1d` at m = 1; at m > 1, W s once, W s - b per row and
+    `_saturated_1d` at m = 1; at m > 1, W s once, b - W s per row and
     `_certified`'s bound tests, which apply while the warm start is s's
     all-bound set, as after a step that answered s (0 before the first
-    step).  The cold solver's is None.
+    step).  The cold solver's is None.  The warm pivot alone sets W and
+    answer(b) -> (s, y): y = b - W s is the array its certificate read, or
+    on the cold fallback that difference formed after `solve`; its solve
+    is answer(b)[0].
     """
     W = np.asarray(W, dtype=float)
     if W.ndim < 2:
@@ -520,7 +529,7 @@ def sign_step_solver(W):
     blocks = {}
     diag = np.diag(W).tolist()  # each W_ii > 0, as W + W^T is definite
 
-    def warm(b):
+    def answer(b):
         b = np.asarray(b, dtype=float)
         if b.shape == (m,):
             if not states:
@@ -531,22 +540,22 @@ def sign_step_solver(W):
                              for bi, wi in zip(b.tolist(), diag)]
             got = _pivot(W, b, states, blocks, certified=True)
             if not isinstance(got, str):
-                return got[0]
+                return got[:2]
         z = _cold(W, b)
         states[:] = [_LOWER if zi <= -1.0 else _UPPER if zi >= 1.0
                      else _INTERIOR for zi in z.tolist()]
-        return z
+        return z, b - W @ z
 
     def saturated_run(b, s):
         # from s's all-bound set, a warm step keeps that set's point, a
-        # copy of s, when `_certified` passes: -inf < s_i r_i < -CERT_TOL
-        # with r = W s - b as `_pivot` computes it
+        # copy of s, when `_certified` passes: CERT_TOL < s_i y_i < inf
+        # with y = b - W s as `_pivot` computes it
         if states != [_UPPER if v == 1.0 else _LOWER if v == -1.0 else None
                       for v in s.tolist()]:
             return 0
-        sr = ((W @ s) - b) * s
-        return _leading(((sr < -CERT_TOL) & (sr > -math.inf)).all(axis=1))
-    return SignSolver(warm, saturated_run)
+        sy = (b - (W @ s)) * s
+        return _leading(((sy > CERT_TOL) & (sy < math.inf)).all(axis=1))
+    return SignSolver(lambda b: answer(b)[0], saturated_run, W, answer)
 
 
 def format_problem(p: SignProblem) -> str:

@@ -19,7 +19,9 @@ system with rho > 0 at the same two (theta, gamma), and
 runs, whose step plans have Phi and L exactly I, pin the identity rule of
 `integrators.step_plan`: an m = 4 system with C = I and -0.0 entries in a,
 D and x0, and an m = 3 one at theta = 0.5 whose C has one nonzero entry in
-each row, none of them 1.
+each row, none of them 1.  Three flat warm runs at m = 4, 8 and 12, built
+as the benchmark's `mimo-pivot` systems with E = 0, C = I and D all +0.0 or
+all -0.0, pin the step that takes x_{k+1} from the warm pivot's y.
 
 The digests are tied to the numpy / LAPACK build they were recorded with
 (numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64): another BLAS or LAPACK
@@ -144,6 +146,26 @@ def _signed_zero_m4():
                                        2.0, SchemeConfig(h=0.01))
 
 
+def _flat_warm(m, D):
+    # built as perfbench's MimoPivot builds a system: B = I + 0.3 G / |G|_2
+    # has a positive definite symmetric part, half the surfaces saturate and
+    # the rest slide; E = 0 and C = I make every operator of the step but
+    # Gamma exactly I, with -0.0 in a and x0 and D all +0.0 or all -0.0
+    rng = np.random.default_rng(m)
+    G = rng.standard_normal((m, m))
+    B = np.eye(m) + 0.3 * G / np.linalg.norm(G, 2)
+    sat = rng.permutation(m)
+    d = rng.uniform(-0.4, 0.4, m)
+    d[sat[:m // 2]] = (rng.choice([-1.0, 1.0], m // 2)
+                       * rng.uniform(1.5, 2.5, m // 2))
+    a, x0 = B @ d, rng.uniform(-0.3, 0.3, m)
+    a[sat[-1]] = x0[sat[0]] = x0[sat[-1]] = -0.0
+    sys = LinearSignSystem(n=m, m=m, E=np.zeros((m, m)), a=a, B=B,
+                           C=np.eye(m), D=np.full(m, D))
+    return integrators.simulate_linear(sys, x0, 0.0, 2.0,
+                                       SchemeConfig(h=0.01))
+
+
 def _scaled_rows_m3():
     # E = 0 with C a signed, scaled permutation: C B has a positive definite
     # symmetric part, so the run pivots warm
@@ -228,6 +250,9 @@ LIBRARY_RUNS = {
     "warm-m12": _warm_m12,
     "identity-signed-zero-m4": _signed_zero_m4,
     "identity-scaled-rows-m3-half": _scaled_rows_m3,
+    "flat-warm-m4": lambda: _flat_warm(4, 0.0),
+    "flat-warm-m8-signed-zero-D": lambda: _flat_warm(8, -0.0),
+    "flat-warm-m12": lambda: _flat_warm(12, 0.0),
     "filippov-T20": lambda: experiments.run_experiment(
         "filippov", {"T": 20.0}).trajectories["traj"],
     **NEWTON_RUNS,
@@ -236,6 +261,12 @@ LIBRARY_RUNS = {
 LIBRARY_DIGESTS = {
     "filippov-T20": ("439bfed37ed0d06eb7e8752011f2ef18"
                      "1a242d68ccf75df4cd0e2f6e3740d621"),
+    "flat-warm-m12": ("bc91c3830139ae9a71450d026ca27d38"
+                      "b6a10b62f5d3094321a1eae929eb9e03"),
+    "flat-warm-m4": ("95ccf5e9eda9240b6187434631f0ad64"
+                     "a8eb5738a06950e762f5c63ca27b79d1"),
+    "flat-warm-m8-signed-zero-D": ("a735e7f027bb33ab5802974876f0e90f"
+                                   "dbd2d85c60f084e058c1bffba2c922e5"),
     "galias2007-theta0.5": ("8c44290a53d3eb3923063853b682a6e6"
                             "08640bdd49fd6c1c1460aac43969f4ea"),
     "identity-scaled-rows-m3-half": ("6bc863e4696f98622ef957bd8e88d850"

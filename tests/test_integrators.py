@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 from unittest import mock
@@ -838,3 +839,123 @@ def test_guard_accepts_what_the_reduction_accepts(x):
     except StepFailure as exc:
         verdict = exc.message
     assert verdict == _reduction_verdict(x)
+
+
+@contextlib.contextmanager
+def counted_answers():
+    """Patch `mlcp.sign_step_solver` so that the records it builds count
+    the calls of their answer; yields the list of counts, one per record
+    that has an answer."""
+    build, counts = mlcp.sign_step_solver, []
+
+    def counted(W):
+        solver = build(W)
+        if solver.answer is None:
+            return solver
+        counts.append(0)
+        i = len(counts) - 1
+
+        def answer(b):
+            counts[i] += 1
+            return solver.answer(b)
+        return mlcp.SignSolver(solver.solve, solver.saturated_run, solver.W,
+                               answer)
+    with mock.patch.object(mlcp, "sign_step_solver", counted):
+        yield counts
+
+
+def flat_system(seed, m, h, saturated, scale):
+    """(B, c, D, x0) of a flat plan (E = 0, C = I) built as the benchmark's
+    `mimo-pivot` systems: B = I + 0.3 G / |G|_2, so W = h B is a P-matrix,
+    the drift c = h B d with |d_i| in [1.5, 2.5] on `saturated` surfaces
+    and |d_i| <= 0.4 on the rest, and -0.0 entries in c, D and x0, whose
+    entries are up to `scale`."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((m, m))
+    B = np.eye(m) + 0.3 * G / np.linalg.norm(G, 2)
+    d = rng.uniform(-0.4, 0.4, m)
+    sat = rng.permutation(m)[:saturated]
+    d[sat] = rng.choice([-1.0, 1.0], saturated) * rng.uniform(1.5, 2.5,
+                                                              saturated)
+    c = h * (B @ d)
+    c[rng.random(m) < 0.3] = -0.0
+    x0 = scale * rng.uniform(-1.0, 1.0, m)
+    x0[rng.random(m) < 0.3] = -0.0
+    return B, c, rng.choice([-0.0, 0.0], m), x0
+
+
+def flat_runs(B, c, D, x0, h, steps):
+    """The run of the flat plan through `theta_plan`, whose warm solver's
+    answer gives x_{k+1}, and through `step_plan` with a record of only the
+    solve and saturated_run of a second solver of the same W, so that the
+    step forms free - Gamma s."""
+    m, cfg = len(B), SchemeConfig(h=h)
+    E, C = np.zeros((m, m)), np.eye(m)
+    plan = theta_plan(E, B, C, D, c, cfg, "implicit")
+    warm = mlcp.sign_step_solver(h * C @ np.eye(m) @ B)
+    ref = step_plan(h, np.eye(m), h * B, C, D, L=np.eye(m), c=c,
+                    solver=mlcp.SignSolver(warm.solve, warm.saturated_run))
+    return (simulate(plan, x0, 0.0, steps * h),
+            simulate(ref, x0, 0.0, steps * h))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 8),
+       h=st.floats(1e-3, 0.1), saturated=st.sampled_from(["none", "half",
+                                                          "all"]),
+       scale=st.sampled_from([0.0, 0.3, 5.0]), zero_drift=st.booleans())
+# every surface saturated from far off: the reaching-phase block
+@example(seed=2, m=4, h=0.01, saturated="all", scale=5.0, zero_drift=False)
+# no drift: the state settles at +-0.0 and the run ends in the fixed tail
+@example(seed=3, m=4, h=0.01, saturated="none", scale=0.3, zero_drift=True)
+def test_flat_plan_answer_step_keeps_the_bytes(seed, m, h, saturated, scale,
+                                               zero_drift):
+    # x_{k+1} = y from the warm pivot, against free - Gamma s: the same
+    # states, outputs, selections, steps taken and failure, byte for byte
+    k = {"none": 0, "half": m // 2, "all": m}[saturated]
+    B, c, D, x0 = flat_system(seed, m, h, k, scale)
+    if zero_drift:
+        c = np.where(np.signbit(c), -0.0, 0.0)
+    with counted_answers() as counts:
+        got, ref = flat_runs(B, c, D, x0, h, 60)
+    # theta_plan's W = (h I) I B has the bytes of Gamma = h B
+    assert counts == [got.steps_taken, 0]
+    for name in ("states", "outputs", "selections"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), \
+            name
+    assert (got.steps_taken, got.failure) == (ref.steps_taken, ref.failure)
+
+
+@pytest.mark.parametrize("change", [None, "rho", "D", "C", "E", "driven",
+                                    "explicit", "layout"])
+def test_answer_gives_the_step_of_flat_plans_only(change):
+    # a flat plan (E = 0, C = I, no rho, a zero D, a constant c) calls its
+    # solver's answer once per step taken; any other plan, never.  A
+    # column-major B keeps Gamma = h B column-major while W is row-major,
+    # and a product by either layout may round differently
+    h, m = 0.01, 4
+    B, c, D, x0 = flat_system(2, m, h, m, 5.0)
+    E, C, rho, scheme = np.zeros((m, m)), np.eye(m), None, "implicit"
+    if change == "rho":
+        rho = np.full(m, 1.5)
+    elif change == "D":
+        D = np.full(m, 0.1)
+    elif change == "C":
+        C = 2.0 * np.eye(m)
+    elif change == "E":
+        E = -0.1 * np.eye(m)
+    elif change == "driven":
+        c = lambda t, c=c: c  # noqa: E731
+    elif change == "explicit":
+        scheme = "explicit"
+    elif change == "layout":
+        B = np.asfortranarray(B)
+    with counted_answers() as counts:
+        plan = theta_plan(E, B, C, D, c, SchemeConfig(h=h), scheme, rho=rho)
+        traj = simulate(plan, x0, 0.0, 1.0)
+    assert traj.failure is None
+    if change is None:
+        # the reaching-phase block fills rows that take no step
+        assert counts == [traj.steps_taken] and traj.steps_taken < 100
+    else:
+        assert sum(counts) == 0

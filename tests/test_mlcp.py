@@ -22,9 +22,9 @@ def random_spd_problem(rng, m):
     return mlcp.SignProblem(W, b)
 
 
-def answer_r(p, sol):
-    """r = W z - b of an answer, as the solvers compute it."""
-    return p.W @ sol.z - p.b
+def answer_y(p, sol):
+    """y = b - W z of an answer, as the solvers compute it."""
+    return p.b - p.W @ sol.z
 
 
 class TestProblemValidation:
@@ -116,7 +116,7 @@ class TestEnumerative:
         sol = mlcp.solve_enumerative(p)
         assert sol.z[0] == 1.0 and sol.residual == 0.0
         # the output y = b - W s is positive, as s = 1 needs
-        assert answer_r(p, sol)[0] == -1.0
+        assert answer_y(p, sol)[0] == 1.0
 
     def test_sticking_selection(self):
         # interior solve z = b / W, the one-step selection x_k / h
@@ -222,7 +222,7 @@ class TestCertify:
     def test_perturbed_interior(self):
         p = mlcp.SignProblem([[2.0]], [0.5])
         z = mlcp.solve_enumerative(p).z + 1e-3
-        res = mlcp._residual([IN], z.tolist(), (p.W @ z - p.b).tolist())
+        res = mlcp._residual([IN], z.tolist(), (p.b - p.W @ z).tolist())
         assert np.isclose(res, 2.0 * 1e-3)
 
     def test_negated_slack(self):
@@ -230,27 +230,28 @@ class TestCertify:
         # violates the upper index's condition by |y|
         p = mlcp.SignProblem([[1.0]], [2.0])
         sol = mlcp.solve_enumerative(p)
-        r = answer_r(p, sol)
-        assert mlcp._residual([UP], sol.z.tolist(), (-r).tolist()) >= 1.0
+        y = answer_y(p, sol)
+        assert mlcp._residual([UP], sol.z.tolist(), (-y).tolist()) >= 1.0
 
     @pytest.mark.parametrize("part", ["z", "w", "v"])
     @pytest.mark.parametrize("i", [0, 1])
     def test_nan_in_any_entry_propagates(self, part, i):
-        # z: an interior z_i; w and v: the r_i of an index at its lower
-        # bound (the box form's slack w_i = r_i) or its upper bound
-        # (v_i = -r_i).  Python's max() keeps its first argument over a
+        # z: an interior z_i; w and v: the y_i of an index at its lower
+        # bound (the box form's slack w_i = -y_i) or its upper bound
+        # (v_i = y_i).  Python's max() keeps its first argument over a
         # later NaN, which once dropped it
         p = mlcp.SignProblem([[1.0, 0.2], [-0.3, 1.0]], [0.5, -0.25])
         sol = mlcp.solve_enumerative(p)
         states = [IN, IN]
-        zl, rl = sol.z.tolist(), answer_r(p, sol).tolist()
+        zl, yl = sol.z.tolist(), answer_y(p, sol).tolist()
         if part == "z":
             zl[i] = np.nan
         else:
             states[i] = LO if part == "w" else UP
-            zl[i], rl[i] = (-1.0 if part == "w" else 1.0), np.nan
-        assert np.isnan(mlcp._residual(states, zl, rl))
-        assert np.isnan(box_certificate.residual(states, zl, rl))
+            zl[i], yl[i] = (-1.0 if part == "w" else 1.0), np.nan
+        assert np.isnan(mlcp._residual(states, zl, yl))
+        assert np.isnan(box_certificate.residual(states, zl,
+                                                 [-y for y in yl]))
 
     @pytest.mark.parametrize("solver", [mlcp.solve, mlcp.solve_pivoting,
                                         mlcp.solve_enumerative])
@@ -306,7 +307,7 @@ class TestSolverAgreement:
         a = mlcp.solve_enumerative(p)
         b = mlcp.solve_enumerative(scaled)
         assert np.allclose(a.z, b.z, atol=1e-10)
-        assert np.allclose(3.0 * answer_r(p, a), answer_r(scaled, b),
+        assert np.allclose(3.0 * answer_y(p, a), answer_y(scaled, b),
                            atol=1e-9)
 
 
@@ -347,7 +348,7 @@ def generated_problem(rng, m, w_kind, b_kind, h):
     rank m - 1, so W itself is a singular principal minor), "positive-
     diagonal" (arbitrary off the diagonal), "symmetric-indefinite" and
     "arbitrary".  b is "random", "zero", or "degenerate": built from a
-    known solution in which one bound index has r = 0.
+    known solution in which one bound index has y = 0.
     """
     G = rng.standard_normal((m, m))
     spd = G @ G.T / m + 0.5 * np.eye(m)
@@ -370,15 +371,15 @@ def generated_problem(rng, m, w_kind, b_kind, h):
     elif b_kind == "zero":
         b = np.zeros(m)
     else:
-        # z at a bound where r = W z - b is nonzero, plus index 0 at a
-        # bound with r = 0
+        # z at a bound where y = b - W z is nonzero, plus index 0 at a
+        # bound with y = 0
         z = rng.uniform(-0.9, 0.9, m)
-        r = np.zeros(m)
+        y = np.zeros(m)
         for i in range(m):
             if i == 0 or rng.random() < 0.4:
                 z[i] = rng.choice([-1.0, 1.0])
-                r[i] = 0.0 if i == 0 else -z[i] * rng.uniform(0.1, 1.0)
-        b = W @ z - r
+                y[i] = 0.0 if i == 0 else z[i] * rng.uniform(0.1, 1.0)
+        b = W @ z + y
     return mlcp.SignProblem(h * W, h * b)
 
 
@@ -397,11 +398,11 @@ ORACLE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
 
 
 def _box_certificate(p, sol):
-    """The box-MLCP certificate of an answer, with the slacks of r at its
+    """The box-MLCP certificate of an answer, with the slacks of y at its
     bound indices."""
-    r = answer_r(p, sol)
-    w = np.where(sol.z == -1.0, np.maximum(r, 0.0), 0.0)
-    v = np.where(sol.z == 1.0, np.maximum(-r, 0.0), 0.0)
+    y = answer_y(p, sol)
+    w = np.where(sol.z == -1.0, np.maximum(-y, 0.0), 0.0)
+    v = np.where(sol.z == 1.0, np.maximum(y, 0.0), 0.0)
     return box_certificate.certify(p.W, -p.b, sol.z, w, v)
 
 

@@ -210,8 +210,8 @@ def test_warm_decision_matches_the_warm_steps(seed, m, h):
     Ws = W @ s
     rows = []
     for _ in range(int(rng.integers(1, 10))):
-        # r = W s - b with s r deep below -CERT_TOL, or on one index within
-        # a few ulps of it, or s r = -inf, or NaN
+        # y = b - W s with s y deep above CERT_TOL, or on one index within
+        # a few ulps of it, or s y = inf, or NaN
         b = Ws + s * rng.uniform(2, 5, m)
         i = int(rng.integers(m))
         kind = rng.choice(["deep", "edge", "edge", "inf", "nan"])

@@ -81,9 +81,10 @@ def test_closed_form_matches_oracle_and_certifies(step):
     assert oracle.status == "solved"
     assert abs(z[0] - oracle.z[0]) <= 1e-12
     states = [LO if z[0] == -1.0 else UP if z[0] == 1.0 else IN]
-    zl, rl = z.tolist(), (prob.W @ z - prob.b).tolist()
-    assert mlcp._residual(states, zl, rl) <= 1e2 * FEAS_TOL
-    assert box_certificate.residual(states, zl, rl) <= 1e2 * FEAS_TOL
+    zl, yl = z.tolist(), (prob.b - prob.W @ z).tolist()
+    assert mlcp._residual(states, zl, yl) <= 1e2 * FEAS_TOL
+    assert box_certificate.residual(states, zl,
+                                    [-y for y in yl]) <= 1e2 * FEAS_TOL
 
 
 @SETTINGS
@@ -485,16 +486,16 @@ EDGE_VALUES = st.one_of(st.sampled_from(EDGES),
 
 @st.composite
 def pivot_answers(draw):
-    """(states, zl, rl) as `_pivot` returns them on [-1, 1]^m: a bound
-    index at exactly -1.0 or 1.0, an interior z and every r drawn near
+    """(states, zl, yl) as `_pivot` returns them on [-1, 1]^m: a bound
+    index at exactly -1.0 or 1.0, an interior z and every y drawn near
     the certificate's edges."""
     m = draw(st.integers(1, 6))
     states = draw(st.lists(st.sampled_from([IN, LO, UP]), min_size=m,
                            max_size=m))
     zl = [-1.0 if s == LO else 1.0 if s == UP else draw(EDGE_VALUES)
           for s in states]
-    rl = [draw(EDGE_VALUES) for _ in range(m)]
-    return states, zl, rl
+    yl = [draw(EDGE_VALUES) for _ in range(m)]
+    return states, zl, yl
 
 
 def _edge_draws(rng, shape):
@@ -510,14 +511,15 @@ def _edge_draws(rng, shape):
     return np.where(kind == len(EDGE_RANGES), bits.view(np.float64), out)
 
 
-def _same_verdict(states, zl, rl):
-    """`_residual` against the box-MLCP certificate: the same value, NaN
-    included, so the same "solved" verdict at CERT_TOL."""
-    got = mlcp._residual(states, zl, rl)
-    ref = box_certificate.residual(states, zl, rl)
-    assert (got <= LIM) == (ref <= LIM), (states, zl, rl)
+def _same_verdict(states, zl, yl):
+    """`_residual` against the box-MLCP certificate, which reads
+    r = W z - b = -y: the same value, NaN included, so the same "solved"
+    verdict at CERT_TOL."""
+    got = mlcp._residual(states, zl, yl)
+    ref = box_certificate.residual(states, zl, [-y for y in yl])
+    assert (got <= LIM) == (ref <= LIM), (states, zl, yl)
     assert got == ref or (math.isnan(got) and math.isnan(ref)), \
-        (states, zl, rl)
+        (states, zl, yl)
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
@@ -534,18 +536,18 @@ def test_residual_is_the_box_certificate_on_100000_answers():
         states = rng.integers(0, 3, (k, m))
         zs = np.where(states == LO, -1.0, np.where(
             states == UP, 1.0, _edge_draws(rng, (k, m))))
-        rs = _edge_draws(rng, (k, m))
-        for st_, zl, rl in zip(states.tolist(), zs.tolist(), rs.tolist()):
-            _same_verdict(st_, zl, rl)
+        ys = _edge_draws(rng, (k, m))
+        for st_, zl, yl in zip(states.tolist(), zs.tolist(), ys.tolist()):
+            _same_verdict(st_, zl, yl)
             count += 1
     assert count >= 100_000
 
 
-def _certified_by_definition(states, zl, rl):
+def _certified_by_definition(states, zl, yl):
     """`_residual` at most CERT_TOL, plus the degeneracy guard."""
-    degenerate = any(abs(z) >= 1.0 - LIM if s == IN else abs(r) <= LIM
-                     for s, z, r in zip(states, zl, rl))
-    return mlcp._residual(states, zl, rl) <= LIM and not degenerate
+    degenerate = any(abs(z) >= 1.0 - LIM if s == IN else abs(y) <= LIM
+                     for s, z, y in zip(states, zl, yl))
+    return mlcp._residual(states, zl, yl) <= LIM and not degenerate
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
@@ -558,15 +560,15 @@ def test_short_certificate_matches_its_definition(answer):
 @given(pivot_answers())
 def test_keep_scan_is_the_certificate_with_exact_equations(answer):
     # the warm step keeps a set on this one scan; where it does,
-    # `_violation` (here M = 0 and b = -r, so M z - b = r) names nothing
-    states, zl, rl = answer
-    kept = mlcp._certified(states, zl, rl, FEAS_TOL)
-    exact = all(abs(r) <= FEAS_TOL for s, r in zip(states, rl) if s == IN)
-    assert kept == (_certified_by_definition(states, zl, rl) and exact)
+    # `_violation` (here W = 0 and b = y, so b - W z = y) names nothing
+    states, zl, yl = answer
+    kept = mlcp._certified(states, zl, yl, FEAS_TOL)
+    exact = all(abs(y) <= FEAS_TOL for s, y in zip(states, yl) if s == IN)
+    assert kept == (_certified_by_definition(states, zl, yl) and exact)
     if kept:
         m = len(states)
-        assert mlcp._violation(states, np.zeros((m, m)), [-r for r in rl],
-                               np.array(zl), zl, rl) is None
+        assert mlcp._violation(states, np.zeros((m, m)), yl, np.array(zl),
+                               zl, yl) is None
 
 
 NEGATIVE_W = [-1e-6, -5e-324, -1.0]
