@@ -18,13 +18,6 @@ from multisurf.integrators import (SchemeConfig, ZohPair, step_plan,
 from multisurf.systems import DisturbedLinearSystem
 
 
-def iec_control(x_k, h):
-    """Scalar implicit Euler controller u_k = -proj_[-1,1](x_k / h)."""
-    if not h > 0:
-        raise ValueError("h must be > 0")
-    return -float(np.clip(x_k / h, -1.0, 1.0))
-
-
 @dataclass(frozen=True)
 class EcbSmcController:
     """Equivalent-control-based SMC under ZOH sampling.
@@ -54,14 +47,6 @@ class EcbSmcController:
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "pair",
                            zoh_discretize(F, G, C, self.h, alpha=self.alpha))
-
-    @property
-    def n(self):
-        return self.F.shape[0]
-
-    @property
-    def m(self):
-        return self.C.shape[0]
 
 
 def ecb_plan(ctl: EcbSmcController):

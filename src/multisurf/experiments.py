@@ -104,7 +104,7 @@ def zoh_mimo_data():
 def lyapunov_system(alpha=0.1):
     return DisturbedLinearSystem(
         n=1, m=1, E=[[-1.0]], a=[0.0], B=[[1.0]], rho=[1.0], P=[[1.0]],
-        gamma=lambda t: np.array([alpha * np.sin(t)]), rho_bounds=[1.0])
+        gamma=lambda t: np.array([alpha * np.sin(t)]))
 
 
 def observer_system(k=1.0, tau=0.001):

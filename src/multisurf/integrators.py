@@ -104,14 +104,6 @@ class Trajectory:
     failure: Optional[FailureInfo] = None
     steps_taken: int = 0
 
-    @property
-    def n(self):
-        return self.states.shape[1]
-
-    @property
-    def m(self):
-        return self.outputs.shape[1]
-
     def to_csv(self, path):
         blocks = [("x", self.states), ("s", self.selections),
                   ("y", self.outputs)]
@@ -627,7 +619,7 @@ def zoh_discretize(F, G, C, h, alpha=1.0) -> ZohPair:
     unknown stays in [-1, 1].  F, G and C must be finite and CG
     nonsingular to working precision: its condition number, which scaling
     G or C by a number does not change, below 1 / eps; anything else is a
-    ValueError.
+    ValueError, as is an h whose Phi or Gamma is not finite.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     G = np.atleast_2d(np.asarray(G, dtype=float))
@@ -642,12 +634,16 @@ def zoh_discretize(F, G, C, h, alpha=1.0) -> ZohPair:
     aug = np.zeros((2 * n, 2 * n))
     aug[:n, :n] = F
     aug[:n, n:] = np.eye(n)
-    expo = scipy.linalg.expm(aug * h)
-    eFh = expo[:n, :n]
-    intexp = expo[:n, n:]
-    K = G @ np.linalg.inv(CG)
-    Phi = eFh - intexp @ K @ C @ F
-    Gamma = alpha * intexp @ K
+    # a large h overflows the exponential; the pair is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = scipy.linalg.expm(aug * h)
+        eFh = expo[:n, :n]
+        intexp = expo[:n, n:]
+        K = G @ np.linalg.inv(CG)
+        Phi = eFh - intexp @ K @ C @ F
+        Gamma = alpha * intexp @ K
+    if not (np.isfinite(Phi).all() and np.isfinite(Gamma).all()):
+        raise ValueError(f"h = {h} overflows the sampled pair Phi, Gamma")
     return ZohPair(Phi=Phi, Gamma=Gamma)
 
 

@@ -22,8 +22,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from multisurf import mlcp
-
 
 def _as_matrix(a, rows, cols, name):
     m = np.asarray(a, dtype=float)
@@ -188,7 +186,8 @@ class DisturbedLinearSystem:
 
     The control u_i = rho_i * sgn((B^T P x)_i) is the discontinuous feedback
     derived from the quadratic Lyapunov function V(x) = x^T P x / 2; gamma is
-    a bounded matched disturbance with |gamma_i(t)| < rho_bounds_i.
+    a matched disturbance.  The model assumes |gamma_i(t)| < rho_i, so the
+    control dominates it; nothing here checks that bound.
     """
 
     n: int
@@ -199,7 +198,6 @@ class DisturbedLinearSystem:
     rho: np.ndarray
     P: np.ndarray
     gamma: Callable[[float], np.ndarray]
-    rho_bounds: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "E", _as_matrix(self.E, self.n, self.n, "E"))
@@ -207,10 +205,8 @@ class DisturbedLinearSystem:
         object.__setattr__(self, "B", _as_matrix(self.B, self.n, self.m, "B"))
         object.__setattr__(self, "rho", _as_vector(self.rho, self.m, "rho"))
         object.__setattr__(self, "P", _as_matrix(self.P, self.n, self.n, "P"))
-        object.__setattr__(self, "rho_bounds",
-                           _as_vector(self.rho_bounds, self.m, "rho_bounds"))
         # a NaN P would pass both tests below
-        _require_finite(self, ("E", "a", "B", "rho", "P", "rho_bounds"))
+        _require_finite(self, ("E", "a", "B", "rho", "P"))
         if np.max(np.abs(self.P - self.P.T)) > 1e-12:
             raise ValueError("P must be symmetric (within 1e-12)")
         try:
@@ -225,57 +221,3 @@ class DisturbedLinearSystem:
     def disturbance(self, t):
         g = _as_vector(self.gamma(t), self.m, "gamma(t)")
         return g
-
-    def check_disturbance_bound(self, t_grid):
-        """True when |gamma_i(t)| < rho_bounds_i on every sampled t."""
-        for t in t_grid:
-            if np.any(np.abs(self.disturbance(t)) >= self.rho_bounds):
-                return False
-        return True
-
-    def rhs(self, x, t):
-        """Single-valued closed-loop right-hand side (sgn(0) = 0)."""
-        x = _as_vector(x, self.n, "x")
-        s = np.sign(self.surface_matrix() @ x)
-        return (self.E @ x + self.a - self.B @ (self.rho * s)
-                + self.B @ self.disturbance(t))
-
-
-def output(system, x):
-    """Surface output y: C x + D for the matrix classes, h(x) otherwise."""
-    x = _as_vector(x, system.n, "x")
-    if isinstance(system, LinearSignSystem):
-        return system.C @ x + system.D
-    if isinstance(system, (AffineGainSignSystem, NonlinearSignSystem)):
-        return system.surface(x)
-    if isinstance(system, DisturbedLinearSystem):
-        return system.surface_matrix() @ x
-    raise TypeError(f"unsupported system type {type(system).__name__}")
-
-
-@dataclass(frozen=True)
-class CbReport:
-    """Advisory relative-degree-one check on the surface/gain pairing."""
-
-    CB: np.ndarray
-    is_positive_definite: bool
-
-
-def check_cb_positive(system) -> CbReport:
-    """Compute C B and test positive definiteness of its symmetric part
-    with the warm-start gate's test, `mlcp._sym_part_pd`: Cholesky of
-    CB + CB^T with a margin, so an exactly singular symmetric part fails.
-
-    Advisory only: a failing check does not prevent simulation (several
-    well-behaved examples violate it), it merely flags that the sufficient
-    finite-time-sliding condition does not hold.
-    """
-    if isinstance(system, LinearSignSystem):
-        CB = system.C @ system.B
-    elif isinstance(system, AffineGainSignSystem):
-        B = np.column_stack(system.B_list)
-        C = np.vstack(system.C_rows)
-        CB = C @ B
-    else:
-        raise TypeError("check_cb_positive needs a linear or affine-gain system")
-    return CbReport(CB=CB, is_positive_definite=mlcp._sym_part_pd(CB))

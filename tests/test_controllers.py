@@ -1,38 +1,10 @@
 import numpy as np
 import pytest
 
-from multisurf import mlcp
-from multisurf.controllers import (EcbSmcController, ecb_plan, iec_control,
-                                   lyapunov_plan)
+from multisurf.controllers import EcbSmcController, ecb_plan, lyapunov_plan
 from multisurf.experiments import (lyapunov_system, zoh_mimo_data,
                                    zoh_siso_data)
 from multisurf.integrators import SchemeConfig, simulate, zoh_discretize
-
-
-class TestIecControl:
-    def test_saturation(self):
-        assert iec_control(5.0, 0.2) == -1.0
-
-    def test_zero(self):
-        assert iec_control(0.0, 0.2) == 0.0
-
-    def test_inside_band(self):
-        assert np.isclose(iec_control(0.1, 0.2), -0.5)
-
-    def test_bad_h(self):
-        with pytest.raises(ValueError):
-            iec_control(1.0, 0.0)
-        with pytest.raises(ValueError):
-            iec_control(1.0, float("nan"))
-
-    def test_equals_negated_mlcp_selection(self):
-        # the control is minus the one-step selection of the scalar system
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            x = rng.uniform(-3, 3)
-            h = rng.uniform(0.01, 1.0)
-            sol = mlcp.solve_enumerative(mlcp.SignProblem([[h]], [x]))
-            assert abs(iec_control(x, h) + sol.z[0]) <= 1e-12
 
 
 class TestEcbSmc:

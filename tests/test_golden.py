@@ -83,7 +83,7 @@ def test_registry_csv_digest(name, tmp_path):
 def _lyapunov_rho(rho):
     sys = DisturbedLinearSystem(
         n=1, m=1, E=[[-1.0]], a=[0.0], B=[[1.0]], rho=[rho], P=[[1.0]],
-        gamma=lambda t: np.array([0.1 * np.sin(t)]), rho_bounds=[rho])
+        gamma=lambda t: np.array([0.1 * np.sin(t)]))
     plan = controllers.lyapunov_plan(sys, SchemeConfig(h=0.1))
     return integrators.simulate(plan, [1.0], 0.0, 15.0)
 

@@ -1,6 +1,9 @@
 import contextlib
+import io
 import math
+import re
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -313,6 +316,17 @@ class TestZohDiscretize:
             with pytest.raises(ValueError, match="CG must be nonsingular"):
                 zoh_discretize(data["F"], data["G"], data["C"], 0.3)
 
+    @pytest.mark.parametrize("data", [zoh_siso_data, zoh_mimo_data])
+    @pytest.mark.parametrize("h", [1000.0, 1e300])
+    def test_overflowing_h_rejected(self, data, h):
+        # expm overflowed with a RuntimeWarning and step 0 then failed as
+        # an infeasible MLCP on a NaN pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=f"^{re.escape(f'h = {h}')} "):
+                zoh_discretize(*data(), h)
+
 
 class TestStepZoh:
     def test_reduces_to_linear_step(self):
@@ -453,7 +467,8 @@ class TestSimulate:
     def test_surface_count_comes_from_the_plan(self):
         plan = step_plan(0.1, np.eye(1), np.ones((1, 2)), np.ones((2, 1)))
         traj = simulate(plan, [1.0], 0.0, 0.3)
-        assert plan.m == traj.m == 2 and traj.selections.shape == (4, 2)
+        assert plan.m == traj.outputs.shape[1] == 2
+        assert traj.selections.shape == (4, 2)
         # a trailing positional m is rejected
         with pytest.raises(TypeError):
             simulate(plan, [1.0], 0.0, 0.3, 2)
@@ -581,7 +596,7 @@ class TestStepMarks:
         traj = simulate(plan, [0.5] * plan.n, 0.0, 1.0)
         assert traj.times.tobytes() == \
             (plan.h * np.arange(len(traj.times))).tobytes()
-        assert traj.m == plan.m
+        assert traj.outputs.shape[1] == plan.m
         assert (traj.controls is not None) == plan.controlled
         assert traj.outputs[0].tobytes() == \
             plan.output(np.full(plan.n, 0.5)).tobytes()
@@ -959,3 +974,17 @@ def test_answer_gives_the_step_of_flat_plans_only(change):
         assert counts == [traj.steps_taken] and traj.steps_taken < 100
     else:
         assert sum(counts) == 0
+
+
+def test_readme_library_example():
+    # the README's code block as written, which imports the four names the
+    # package re-exports; its comment says x hits exactly 0 at step 6
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library example\n", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(code, scope)
+    x = scope["traj"].states[:, 0]
+    assert len(x) == 16 and x[5] > 0.0
+    assert x[6:].tolist() == [0.0] * 10

@@ -296,6 +296,16 @@ SINGULAR_RUNS = [
 ]
 
 
+@pytest.mark.parametrize("W, pd", [
+    (5 * np.eye(2), True), ([[1.0]], True), ([[-1.0]], False),
+    # W + W^T = [[49, -35], [-35, 25]] has determinant exactly 0; a rounded
+    # det of its halved form came out at 4.35e-14, which a leading-minor
+    # test read as positive
+    ([[24.5, -23.5], [-11.5, 12.5]], False)])
+def test_sym_part_pd(W, pd):
+    assert mlcp._sym_part_pd(np.array(W)) is pd
+
+
 @pytest.mark.parametrize("W, bs", SINGULAR_RUNS)
 def test_gate_refuses_numerically_singular_W(W, bs):
     W = np.array(W)

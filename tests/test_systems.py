@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from multisurf.systems import (AffineGainSignSystem, DisturbedLinearSystem,
-                               LinearSignSystem, NonlinearSignSystem,
-                               check_cb_positive, output)
-
-
-def example2_system():
-    BC = [[1.0, 2.0], [2.0, -1.0]]
-    return LinearSignSystem(n=2, m=2, E=np.zeros((2, 2)), a=[0, 0],
-                            B=BC, C=BC, D=[0, 0])
+                               LinearSignSystem, NonlinearSignSystem)
 
 
 class TestLinearSignSystem:
@@ -22,53 +15,6 @@ class TestLinearSignSystem:
         with pytest.raises(ValueError):
             LinearSignSystem(n=0, m=1, E=np.zeros((0, 0)), a=[],
                              B=np.zeros((0, 1)), C=np.zeros((1, 0)), D=[0.0])
-
-    def test_output_example2(self):
-        sys = example2_system()
-        y = output(sys, np.array([1.0, -1.0]))
-        assert np.allclose(y, [-1.0, 3.0])
-
-    def test_output_wrong_length(self):
-        sys = example2_system()
-        with pytest.raises(ValueError):
-            output(sys, np.array([1.0, 2.0, 3.0]))
-
-    def test_output_zero(self):
-        sys = LinearSignSystem(n=2, m=2, E=np.zeros((2, 2)), a=[0, 0],
-                               B=np.eye(2), C=np.eye(2), D=[0, 0])
-        assert np.allclose(output(sys, np.zeros(2)), 0.0)
-
-
-class TestCheckCbPositive:
-    def test_example2_is_5I(self):
-        rep = check_cb_positive(example2_system())
-        assert np.allclose(rep.CB, 5 * np.eye(2))
-        assert rep.is_positive_definite
-
-    def test_scalar_second_order(self):
-        sys = LinearSignSystem(n=2, m=1, E=[[0, 1], [0, -1]], a=[0, 0],
-                               B=[[0.0], [1.0]], C=[[1.0, 1.0]], D=[0.0])
-        rep = check_cb_positive(sys)
-        assert rep.CB.shape == (1, 1) and rep.CB[0, 0] == 1.0
-        assert rep.is_positive_definite
-
-    def test_negative_scalar(self):
-        sys = LinearSignSystem(n=1, m=1, E=[[0.0]], a=[0.0], B=[[1.0]],
-                               C=[[-1.0]], D=[0.0])
-        rep = check_cb_positive(sys)
-        assert rep.CB[0, 0] == -1.0
-        assert not rep.is_positive_definite
-
-    def test_singular_symmetric_part(self):
-        # CB + CB^T = [[49, -35], [-35, 25]] has determinant exactly 0; a
-        # rounded det of its halved form came out at 4.35e-14, which a
-        # leading-minor test read as positive
-        sys = LinearSignSystem(n=2, m=2, E=np.zeros((2, 2)), a=[0, 0],
-                               B=[[24.5, -23.5], [-11.5, 12.5]], C=np.eye(2),
-                               D=[0, 0])
-        rep = check_cb_positive(sys)
-        assert rep.CB.tolist() == [[24.5, -23.5], [-11.5, 12.5]]
-        assert not rep.is_positive_definite
 
 
 def smooth_nonlinear_system():
@@ -203,8 +149,7 @@ NONLINEAR_ARGS = dict(n=1, m=1, f=lambda x, t: -x,
                       g_jac=lambda x: np.zeros((1, 1, 1)), h=lambda x: x,
                       h_jac=lambda x: np.eye(1), rho=0.5)
 DISTURBED_ARGS = dict(n=1, m=1, E=[[-1.0]], a=[0.0], B=[[1.0]], rho=[1.0],
-                      P=[[1.0]], gamma=lambda t: np.zeros(1),
-                      rho_bounds=[1.0])
+                      P=[[1.0]], gamma=lambda t: np.zeros(1))
 
 
 def _with_entry(value, entry):
@@ -224,7 +169,7 @@ def _with_entry(value, entry):
       for name in ("A_list", "B_list", "C_rows", "D", "rho")],
     (NonlinearSignSystem, NONLINEAR_ARGS, "rho"),
     *[(DisturbedLinearSystem, DISTURBED_ARGS, name)
-      for name in ("E", "a", "B", "rho", "P", "rho_bounds")]])
+      for name in ("E", "a", "B", "rho", "P")]])
 def test_non_finite_system_data_is_named(cls, args, name, entry):
     # a NaN rho passed `r < 0` and the run failed at step 0 with a NaN dump;
     # an infinite nonlinear rho failed step 0 as an infeasible MLCP, and a
@@ -236,26 +181,8 @@ def test_non_finite_system_data_is_named(cls, args, name, entry):
 
 
 class TestDisturbedLinearSystem:
-    def make(self, alpha=0.1):
-        return DisturbedLinearSystem(
-            n=1, m=1, E=[[-1.0]], a=[0.0], B=[[1.0]], rho=[1.0], P=[[1.0]],
-            gamma=lambda t: np.array([alpha * np.sin(t)]), rho_bounds=[1.0])
-
-    def test_rhs_matches_substitution(self):
-        sys = self.make()
-        for x in (np.array([0.5]), np.array([-2.0])):
-            want = -x - np.sign(x) + 0.1 * np.sin(1.3)
-            assert np.allclose(sys.rhs(x, 1.3), want)
-
-    def test_disturbance_bound_check(self):
-        sys = self.make()
-        assert sys.check_disturbance_bound(np.linspace(0, 10, 50))
-        loud = self.make(alpha=2.0)
-        assert not loud.check_disturbance_bound(np.linspace(0, 10, 50))
-
     def test_p_must_be_positive_definite(self):
         with pytest.raises(ValueError):
             DisturbedLinearSystem(
                 n=1, m=1, E=[[-1.0]], a=[0.0], B=[[1.0]], rho=[1.0],
-                P=[[-1.0]], gamma=lambda t: np.zeros(1), rho_bounds=[1.0])
-
+                P=[[-1.0]], gamma=lambda t: np.zeros(1))
