@@ -136,6 +136,9 @@ class TestBadInput:
         ["run", "observer", "--scheme", "explicit", "--theta", "0.5"],
         ["run", "convergence", "--x0", ""],
         ["run", "convergence", "--x0", "1,2"],
+        # expm of h F overflows: the sampled pair is not finite
+        ["run", "zoh-mimo", "--h", "1000"],
+        ["run", "zoh-siso", "--h", "1e300"],
     ])
     # bad input is reported before any numpy RuntimeWarning can be raised
     @pytest.mark.filterwarnings("error")
@@ -164,6 +167,10 @@ class TestBadInput:
            f"{name} takes no theta under scheme 'explicit'")
           for name in ("galias2007", "observer")],
         (["run", "convergence", "--x0", "1,2"], "x0 must have length 1"),
+        (["run", "zoh-mimo", "--h", "1000"],
+         "h = 1000.0 overflows the sampled pair Phi, Gamma"),
+        (["run", "zoh-siso", "--h", "1e300"],
+         "h = 1e+300 overflows the sampled pair Phi, Gamma"),
     ])
     def test_error_names_the_bad_input(self, argv, text, capsys):
         assert cli.main(argv) == 2

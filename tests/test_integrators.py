@@ -327,6 +327,16 @@ class TestZohDiscretize:
                                match=f"^{re.escape(f'h = {h}')} "):
                 zoh_discretize(*data(), h)
 
+    @pytest.mark.parametrize("data", [zoh_siso_data, zoh_mimo_data])
+    def test_large_finite_h_accepted(self, data):
+        # the pair is large at h = 100 (|Phi| near 1e31 and 1e50) but
+        # finite, so the overflow check lets it through without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = zoh_discretize(*data(), 100.0)
+        assert np.isfinite(pair.Phi).all() and np.isfinite(pair.Gamma).all()
+        assert np.abs(pair.Phi).max() > 1e30
+
 
 class TestStepZoh:
     def test_reduces_to_linear_step(self):
@@ -988,3 +998,15 @@ def test_readme_library_example():
     x = scope["traj"].states[:, 0]
     assert len(x) == 16 and x[5] > 0.0
     assert x[6:].tolist() == [0.0] * 10
+
+
+def test_package_exports_the_readme_names():
+    import types
+
+    import multisurf
+    # submodules become attributes once imported; they are not re-exports
+    public = {k for k, v in vars(multisurf).items()
+              if not k.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert public == {"LinearSignSystem", "SchemeConfig", "simulate",
+                      "theta_plan"}
+    assert multisurf.simulate is simulate

@@ -301,7 +301,10 @@ SINGULAR_RUNS = [
     # W + W^T = [[49, -35], [-35, 25]] has determinant exactly 0; a rounded
     # det of its halved form came out at 4.35e-14, which a leading-minor
     # test read as positive
-    ([[24.5, -23.5], [-11.5, 12.5]], False)])
+    ([[24.5, -23.5], [-11.5, 12.5]], False),
+    # only the symmetric part counts: a large skew part leaves I + K
+    # positive definite, and a symmetric indefinite W is refused
+    ([[1.0, 10.0], [-10.0, 1.0]], True), ([[1.0, 2.0], [2.0, 1.0]], False)])
 def test_sym_part_pd(W, pd):
     assert mlcp._sym_part_pd(np.array(W)) is pd
 

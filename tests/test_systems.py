@@ -186,3 +186,17 @@ class TestDisturbedLinearSystem:
             DisturbedLinearSystem(
                 n=1, m=1, E=[[-1.0]], a=[0.0], B=[[1.0]], rho=[1.0],
                 P=[[-1.0]], gamma=lambda t: np.zeros(1))
+
+
+def test_systems_does_not_import_mlcp():
+    # the model classes hold data only; the Cholesky gate lives in mlcp
+    import ast
+    import multisurf.systems as systems
+    tree = ast.parse(open(systems.__file__).read())
+    names = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+             for a in n.names}
+    names |= {n.module or "" for n in ast.walk(tree)
+              if isinstance(n, ast.ImportFrom)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+              for a in n.names}
+    assert not any("mlcp" in name for name in names)
