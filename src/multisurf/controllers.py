@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from multisurf import mlcp
-from multisurf.integrators import (SchemeConfig, ZohPair, step_plan,
-                                   theta_plan, zoh_discretize)
+from multisurf.integrators import (SchemeConfig, ZohPair, _rows_by,
+                                   step_plan, theta_plan, zoh_discretize)
 from multisurf.systems import DisturbedLinearSystem
 
 
@@ -51,14 +51,15 @@ class EcbSmcController:
 
 def ecb_plan(ctl: EcbSmcController):
     """The closed-loop ECB-SMC plan: the ZOH step of ctl.pair, with the
-    control u_k = -(C G)^-1 (C F x_k + alpha s) recorded per held interval."""
+    control u_k = -(C G)^-1 (C F x_k + alpha s) recorded per held interval,
+    formed for every row at once."""
     C, Gamma, alpha = ctl.C, ctl.pair.Gamma, ctl.alpha
     implicit = ctl.mode == "implicit"
     neg_CGinv, CF = -np.linalg.inv(C @ ctl.G), C @ ctl.F
     return step_plan(
         ctl.h, ctl.pair.Phi, Gamma, C,
         solver=mlcp.sign_step_solver(C @ Gamma) if implicit else None,
-        control=lambda x, s: neg_CGinv @ (CF @ x + alpha * s))
+        control=lambda X, S: _rows_by(neg_CGinv, _rows_by(CF, X) + alpha * S))
 
 
 def lyapunov_plan(sys: DisturbedLinearSystem, cfg: SchemeConfig,
@@ -68,10 +69,10 @@ def lyapunov_plan(sys: DisturbedLinearSystem, cfg: SchemeConfig,
     The drift uses the theta blend (forward Euler under the explicit
     scheme), the disturbance is sampled at t_k, and the sign inclusion on
     the surface B^T P x is fully implicit.  The recorded control
-    u_k = rho * s_{k+1} lives inside the multivalued band once the state
-    sticks at 0.
+    u_k = rho * s, s the selection of step k (s_{k+1} under the implicit
+    scheme), lives inside the multivalued band once the state sticks at 0.
     """
     h, a, B, rho = cfg.h, sys.a, sys.B, sys.rho
     return theta_plan(sys.E, B, sys.surface_matrix(), None,
                       lambda t: h * (a + B @ sys.disturbance(t)), cfg, scheme,
-                      rho=rho, control=lambda x, s: rho * s)
+                      rho=rho, control=lambda X, S: rho * S)

@@ -10,7 +10,9 @@ closed loops exactly through matrix exponentials.
 
 Every builder returns a `Plan`: its step size h, its state and surface
 counts n and m, its output map, whether it records controls, its
-`time_invariant` mark, and the loop over the rows (`advance`).
+`time_invariant` mark, and the loop over the rows (`advance`).  A linear
+step computes only x_{k+1} and s; its plan forms the outputs and the
+controls from the rows once, after the loop (`_rows_by`).
 `simulate(plan, x0, t0, T)` is the one way to run a plan: it checks x0,
 builds the grid and the rows, and keeps the failure record.
 `simulate_linear` and `simulate_newton` compose the two for the
@@ -128,9 +130,9 @@ class Plan:
     the surface at x, and controlled whether the plan records the control
     held on each step.  A `time_invariant` plan's step is a function of
     (x_k, s_k) alone, which its fixed tail relies on.
-    advance(rows, k0, N) fills rows k0 + 1 to N of the `Trajectory` rows
-    from row k0 and returns (k, taken, why): the row it stopped at, the
-    steps it evaluated, and the StepFailure of step k, "tail" or "end".
+    advance(rows, N) fills rows 1 to N of the `Trajectory` rows from row 0
+    and returns (k, taken, why): the row it stopped at, the steps it
+    evaluated, and the StepFailure of step k, "tail" or "end".
     block, when not None, is the reaching-phase block that the plan's
     `advance` reads from this field (see `step_plan`).
     """
@@ -152,18 +154,23 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solver=None,
     With free = Phi x_k + c_k, a step selects s = solver.solve(C L free +
     D) (implicit, solver an `mlcp.SignSolver`) or s = sgn(C x_k + D)
     (explicit, solver None, sgn(0) = 0) and moves to x_{k+1} = L (free -
-    Gamma (rho s)) with output y_{k+1} = C x_{k+1} + D; c is None, a
-    constant vector or a callable c_k = c(t_k).  A missing c, D, L or rho is
-    skipped rather than applied as zero, identity or one, so no -0.0 turns
-    into 0.0.  control(x_k, s), when given, is the input held on [t_k,
-    t_{k+1}).  solver.solve and control must be functions of their
-    arguments alone (a warm start may keep state, not change an answer); a
-    solve may raise StepFailure.  h is the grid's step, which the operators
-    already hold.  Returns a `Plan` with output(x) = C x + D, controlled
-    when control is given, and time_invariant unless c is callable: the
-    step then depends on x_k alone.  The step's contract, which `advance`
-    and the `mlcp` solvers keep: x_k is finite with |x_k| <= STATE_GUARD,
-    and s lies in [-1, 1]^m to rounding.
+    Gamma (rho s)); c is None, a constant vector or a callable c_k = c(t_k).
+    A missing c, D, L or rho is skipped rather than applied as zero,
+    identity or one, so no -0.0 turns into 0.0.  The output y_k = C x_k + D
+    depends on x_k alone and the held input on x_k and the selection of
+    step k, so a step forms neither.  control(X, S), when given, maps row
+    arrays to the inputs held on [t_k, t_{k+1}): row k of X is x_k and row
+    k of S the selection of step k (s_{k+1} under the implicit scheme,
+    sgn(y_k) under the explicit one), and each row of its answer must have
+    the bytes that its row alone would get, as `_rows_by` gives them.
+    solver.solve and control must be functions of their arguments alone (a
+    warm start may keep state, not change an answer); a solve may raise
+    StepFailure.  h is the grid's step, which the operators already hold.
+    Returns a `Plan` with output(x) = C x + D, controlled when control is
+    given, and time_invariant unless c is callable: the step then depends
+    on x_k alone.  The step's contract, which `advance` and the `mlcp`
+    solvers keep: x_k is finite with |x_k| <= STATE_GUARD, and s lies in
+    [-1, 1]^m to rounding.
 
     Operators that are exactly I, resolved once per plan with c constant.
     I @ v has the bytes of v + 0.0 for a finite v, and (v + 0.0) + d those
@@ -182,22 +189,25 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solver=None,
     step calls answer(free) -> (s, y) and takes x = y = free - W s, the
     same operation on the same operands as free - Gamma s, formed once.
 
-    advance(rows, k0, N) fills rows k0 + 1 to N of the `Trajectory` rows in
-    one loop that owns every rule of a linear run: the guard before each
-    step (see `_check_state`), the fixed tail and the block.  It records u
-    in the controls when control is given, repeating the last held one in
-    row N once the run completes, no iterations, and the outputs as a copy
-    of the states where y is x.  An explicit run's selections are the signs
-    of its outputs, the selection of step k in row k.  The fixed tail: once
-    a time-invariant step returns x_k and s_k byte for byte (-0.0 is not
-    0.0), every later step would repeat it, so its results fill the
+    advance(rows, N) fills rows 1 to N of the `Trajectory` rows in one loop
+    that owns every rule of a linear run: the guard before each step (see
+    `_check_state`), the fixed tail and the block.  The loop writes only
+    the states and the selections.  After it, the outputs of the rows it
+    took are formed at once, with the step's operators: the states where C
+    is folded, else one stacked product `_rows_by(C, X)`, plus D where D is
+    kept; an explicit run's selections become the signs of its outputs,
+    the selection of step k in row k; and control, when given, is applied
+    once to the rows taken, a completed run repeating its last held
+    control in row N.  No iterations are recorded.  The fixed tail:
+    once a time-invariant step returns x_k and s_k byte for byte (-0.0 is
+    not 0.0), every later step would repeat it, so its x, y and s fill the
     remaining rows and the run stops.
 
-    The reaching-phase block.  An implicit, time-invariant plan without
-    control, with Phi and L (when given) exactly I, at most one nonzero
-    entry in each row of C and a solver whose `saturated_run` is not None
-    (see `mlcp.sign_step_solver`) also has a block(X, Y, s): from the state
-    X[0] under a saturated s, each step is x_{k+1} = (x_k + c) - g with
+    The reaching-phase block.  An implicit, time-invariant plan with Phi
+    and L (when given) exactly I, at most one nonzero entry in each row of
+    C and a solver whose `saturated_run` is not None (see
+    `mlcp.sign_step_solver`) also has a block(X, s): from the state X[0]
+    under a saturated s, each step is x_{k+1} = (x_k + c) - g with
     constant g = Gamma (rho s), predicted up to BLOCK_ROWS at a time by one
     `np.add.accumulate` over [x_k, c, -g, c, -g, ...] (a - b is a + (-b)).
     The first prediction is the reaching time, min s_i y_i / -r_i over the
@@ -205,16 +215,15 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solver=None,
     BLOCK_MARGIN (C g is W s, so row j keeps s_i while s_i y_i + (j + 1)
     r_i > 0), else BLOCK_FIRST; after one kept whole, 16 times more.
     It writes the leading steps that the solver answers with s and whose
-    states are finite and within STATE_GUARD to X[1:] and Y[1:] (advance
-    copies X to Y where y is x), and returns their count; `saturated_run`
-    alone decides them.  These are stepping's bytes: I @ v is v for a
-    finite v without -0.0, which the block starts from and a sum does not
-    make, and an entry of a product by C has at most one nonzero term, so
-    a batch rounds as each row does (an exact zero is +0.0 either way, and
-    the decision ignores its sign).  advance calls its plan's block once
-    BLOCK_AFTER steps in a row repeated the selection before them, but not
-    for the selection it last took no row for.  Plans of E != 0, ZOH, ECB,
-    Lyapunov, explicit and Newton runs get no block.
+    states are finite and within STATE_GUARD to X[1:], and returns their
+    count; `saturated_run` alone decides them.  These are stepping's bytes:
+    I @ v is v for a finite v without -0.0, which the block starts from and
+    a sum does not make, and an entry of a product by C has at most one
+    nonzero term, so a batch's b rounds as each step's does (an exact zero
+    is +0.0 either way, and the decision ignores its sign).  advance calls
+    its plan's block once BLOCK_AFTER steps in a row repeated the selection
+    before them, but not for the selection it last took no row for.  Plans
+    of E != 0, ZOH, ECB, Lyapunov, explicit and Newton runs get no block.
     """
     solve, run = ((None, None) if solver is None
                   else (solver.solve, solver.saturated_run))
@@ -245,11 +254,11 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solver=None,
         solver is not None and solver.answer is not None and bare
         and y_is_x and rho is None and _same_array(solver.W, Gamma)) else None
 
-    def advance(rows, k0, N):
+    def advance(rows, N):
         X, Y, S, U = rows.states, rows.outputs, rows.selections, rows.controls
-        times, block, record = rows.times, plan.block, control is not None
-        x_k, last = X[k0], S[k0].tobytes()
-        k, taken, repeats, idle, why = k0, 0, 0, None, "end"
+        times, block = rows.times, plan.block
+        x_k, last = X[0], S[0].tobytes()
+        k, taken, repeats, idle, why = 0, 0, 0, None, "end"
         while k < N:
             try:
                 _check_state(x_k)
@@ -267,48 +276,45 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solver=None,
                     x = free - Gamma @ (s if rho is None else rho * s)
                     if L_op is not None:
                         x = L_op @ x
-                y = x if C_op is None else C_op @ x
-                y = y if D_op is None else y + D_op
-                u = control(x_k, s) if record else None
             except StepFailure as exc:
                 why = exc
                 break
             k, taken = k + 1, taken + 1
             X[k], S[k] = x, s
-            if not y_is_x:
-                Y[k] = y
-            if record:
-                U[k - 1] = u
             if invariant:
                 key = s.tobytes()
                 if key != last:
                     last, repeats = key, 0
                 elif x.tobytes() == x_k.tobytes():
-                    X[k + 1:], Y[k + 1:], S[k + 1:] = x, y, s
-                    if record:
-                        U[k:N] = u
+                    X[k + 1:], S[k + 1:] = x, s
                     why = "tail"
                     break
                 else:
                     repeats += 1
                     if (block is not None and repeats >= BLOCK_AFTER
                             and key != idle):
-                        j = block(X[k:], Y[k:], s)
+                        j = block(X[k:], s)
                         S[k + 1:k + 1 + j] = s
                         k += j
                         x = X[k]
                         if not j:
                             idle = key
             x_k = x
-        if y_is_x:
-            Y[k0 + 1:] = X[k0 + 1:]
+        Y[1:k + 1] = (X[1:k + 1] if C_op is None
+                      else _rows_by(C_op, X[1:k + 1]))
+        if D_op is not None:
+            Y[1:k + 1] += D_op
+        if why == "tail":
+            Y[k + 1:] = Y[k]
         if solve is None:
-            S[k0:] = np.sign(Y[k0:])
-        if record and not isinstance(why, StepFailure):
-            U[N] = U[N - 1]
+            S[:] = np.sign(Y)
+        if control is not None:
+            U[:k] = control(X[:k], S[:k] if solve is None else S[1:k + 1])
+            if not isinstance(why, StepFailure):
+                U[k:] = U[k - 1]
         return k, taken, why
 
-    def block(X, Y, s):
+    def block(X, s):
         # stepping fails from a state past the guard, I @ x turns -0.0 into
         # 0.0, and a sliding selection takes no prediction
         if not (all(abs(v) == 1.0 for v in s.tolist()) and all(
@@ -341,16 +347,13 @@ def step_plan(h, Phi, Gamma, C, D=None, L=None, c=None, solver=None,
                 j = min(mlcp._leading((np.abs(S) <= STATE_GUARD).all(axis=0)),
                         run(b if D is None else b + D, s))
                 X[done + 1:done + 1 + j] = S[:, :j].T
-                if not y_is_x:  # else advance copies the states
-                    Y[done + 1:done + 1 + j] = (S[:, :j].T @ C.T if D is None
-                                                else S[:, :j].T @ C.T + D)
                 done += j
                 if j < rows:
                     break
                 rows = min(16 * rows, BLOCK_ROWS)
         return done
 
-    blocks = (run is not None and control is None and flat
+    blocks = (run is not None and flat
               and (np.count_nonzero(C, axis=1) <= 1).all())
     # `advance` reads the block from this plan, where a caller may swap it
     plan = Plan(h, len(Phi), len(C),
@@ -367,9 +370,9 @@ def theta_plan(E, B, C, D, c, cfg: SchemeConfig, scheme, rho=None,
 
     The implicit scheme blends the drift by cfg.theta: Phi = I + h(1-theta)E,
     L = (I - h theta E)^-1, Gamma = h B and W = h C L B diag(rho), whose
-    one-step solver is built here; under a singular I - h theta E the
-    solve fails, so the run fails at step 0 (after the guard).  The
-    explicit scheme is forward Euler, Phi = I + h E.
+    one-step solver is built here; a singular I - h theta E leaves the
+    drift map undefined, a ValueError.  The explicit scheme is forward
+    Euler, Phi = I + h E.
     """
     h, n = cfg.h, E.shape[0]
     if scheme == "explicit":
@@ -380,16 +383,12 @@ def theta_plan(E, B, C, D, c, cfg: SchemeConfig, scheme, rho=None,
     try:
         L = np.linalg.inv(np.eye(n) - h * cfg.theta * E)
     except np.linalg.LinAlgError:
-        L, solver = None, mlcp.SignSolver(_singular_drift)
-    else:
-        W = h * C @ L @ B
-        solver = mlcp.sign_step_solver(W if rho is None else W @ np.diag(rho))
+        raise ValueError(f"I - h*theta*E is singular at h = {h}, theta = "
+                         f"{cfg.theta}: the drift map is undefined") from None
+    W = h * C @ L @ B
+    solver = mlcp.sign_step_solver(W if rho is None else W @ np.diag(rho))
     return step_plan(h, np.eye(n) + h * (1 - cfg.theta) * E, h * B, C, D,
                      L=L, c=c, solver=solver, rho=rho, control=control)
-
-
-def _singular_drift(b):
-    raise StepFailure("singular implicit drift matrix I - h*theta*E")
 
 
 def newton_plan(sys, cfg: SchemeConfig):
@@ -418,7 +417,7 @@ def newton_plan(sys, cfg: SchemeConfig):
     drifting affine-gain plans are unmarked.
 
     Its `advance` is the run's loop, as in `step_plan`: the guard, the step
-    from the s_k and y_k the last one returned (rows k0 first), its
+    from the s_k and y_k the last one returned (row 0's first), its
     iterations, and a marked plan's fixed tail.  The plan's output is
     sys.surface, and it records no controls.
 
@@ -494,13 +493,13 @@ def _newton_float_plan(sys, cfg):
         raise StepFailure(f"Newton loop did not converge: residual "
                           f"{last:.3g} after {it} iterations", residual=last)
 
-    def advance(rows, k0, N):
+    def advance(rows, N):
         X, Y, S, iters = (rows.states, rows.outputs, rows.selections,
                           rows.newton_iters)
-        x_k, s_k, y_k = float(X[k0, 0]), float(S[k0, 0]), float(Y[k0, 0])
+        x_k, s_k, y_k = float(X[0, 0]), float(S[0, 0]), float(Y[0, 0])
         xs, ys, ss, its = (array("d"), array("d"), array("d"), array("l"))
         why = "end"
-        for k in range(k0, N):
+        for _ in range(N):
             try:
                 if not abs(x_k) <= STATE_GUARD:
                     _check_magnitude(abs(x_k))
@@ -513,12 +512,12 @@ def _newton_float_plan(sys, cfg):
                 why = "tail"
                 break
             x_k, s_k, y_k = x, s, y
-        j = k0 + len(xs)
-        X[k0 + 1:j + 1, 0], Y[k0 + 1:j + 1, 0] = xs, ys
-        S[k0 + 1:j + 1, 0], iters[k0 + 1:j + 1] = ss, its
+        j = len(xs)
+        X[1:j + 1, 0], Y[1:j + 1, 0], S[1:j + 1, 0], iters[1:j + 1] = (
+            xs, ys, ss, its)
         if why == "tail":
             X[j + 1:], Y[j + 1:], S[j + 1:], iters[j + 1:] = x, y, s, it
-        return j, j - k0, why
+        return j, j, why
 
     return Plan(h, 1, 1, sys.surface, False, True, advance)
 
@@ -582,23 +581,23 @@ def _newton_array_plan(sys, cfg):
                           f"{last_res:.3g} after {it} iterations",
                           residual=last_res)
 
-    def advance(rows, k0, N):
+    def advance(rows, N):
         X, Y, S, iters = (rows.states, rows.outputs, rows.selections,
                           rows.newton_iters)
-        times, x_k, s_k, y_k = rows.times, X[k0], S[k0], Y[k0]
-        for k in range(k0, N):
+        times, x_k, s_k, y_k = rows.times, X[0], S[0], Y[0]
+        for k in range(N):
             try:
                 _check_state(x_k)
                 x, s, y, it = step(x_k, times[k], s_k, y_k)
             except StepFailure as exc:
-                return k, k - k0, exc
+                return k, k, exc
             X[k + 1], Y[k + 1], S[k + 1], iters[k + 1] = x, y, s, it
             if (drift_free and x.tobytes() == x_k.tobytes()
                     and s.tobytes() == s_k.tobytes()):
                 X[k + 2:], Y[k + 2:], S[k + 2:], iters[k + 2:] = x, y, s, it
-                return k + 1, k + 1 - k0, "tail"
+                return k + 1, k + 1, "tail"
             x_k, s_k, y_k = x, s, y
-        return N, N - k0, "end"
+        return N, N, "end"
 
     return Plan(h, n, sys.m, sys.surface, False, drift_free, advance)
 
@@ -673,6 +672,12 @@ def _same_array(a, b):
             and a.tobytes() == b.tobytes())
 
 
+def _rows_by(A, X):
+    """A @ x for every row x of X, as one stacked product whose row k has
+    the bytes of A @ X[k]: each row takes its own matrix-vector product."""
+    return (A @ X[:, :, None])[:, :, 0]
+
+
 def _check_state(x):
     """Fail a step from x unless x is finite with max |x_i| <= STATE_GUARD,
     checked in that order.  fsum(|x_i|) <= STATE_GUARD accepts soundly on
@@ -704,11 +709,12 @@ def simulate(plan, x0, t0, T):
     simulate checks that x0 has the plan's n entries, starts the outputs
     from y0 = plan.output(x0) and owns the grid, the one preallocated
     `Trajectory` of every row (m selections and outputs, controls when the
-    plan records them), which plan.advance(rows, 0, N) fills, and the
+    plan records them), which plan.advance(rows, N) fills, and the
     failure record.  The plan's `advance` owns the loop and the plan's
-    rules, the fixed tail, the block, an explicit run's selections and the
-    last held control among them.  A state that is not finite or exceeds
-    STATE_GUARD (blow-up) fails the step (see `_check_state`); on
+    rules, the fixed tail, the block, the outputs and controls a linear
+    plan forms from the rows after its loop, an explicit run's selections
+    and the last held control among them.  A state that is not finite or
+    exceeds STATE_GUARD (blow-up) fails the step (see `_check_state`); on
     StepFailure the partial trajectory is returned with failure
     diagnostics attached.
     """
@@ -722,7 +728,7 @@ def simulate(plan, x0, t0, T):
         newton_iters=np.zeros(N + 1, dtype=int))
     rows.states[0] = x0
     rows.outputs[0] = plan.output(x0)
-    k, rows.steps_taken, why = plan.advance(rows, 0, N)
+    k, rows.steps_taken, why = plan.advance(rows, N)
     if isinstance(why, StepFailure):
         kept = {name: v[:k + 1] for name, v in vars(rows).items()
                 if isinstance(v, np.ndarray)}  # the rows up to step k

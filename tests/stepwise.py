@@ -26,7 +26,7 @@ def _rows(plan, times):
 
 def row(plan, x_k, t_k, s_k=None, y_k=None):
     """(x, y, s, u, iters), row k + 1 of a run from x_k at t_k as the run
-    records it, by plan.advance(rows, 0, 1): the guard, then the step from
+    records it, by plan.advance(rows, 1): the guard, then the step from
     the selection s_k (zeros when None) and the output y_k (plan.output(x_k)
     when None).  u is the control held on [t_k, t_{k+1}), None unless the
     plan records controls.  Raises the step's StepFailure."""
@@ -36,7 +36,7 @@ def row(plan, x_k, t_k, s_k=None, y_k=None):
     rows.outputs[0] = plan.output(x_k) if y_k is None else y_k
     if s_k is not None:
         rows.selections[0] = s_k
-    _, _, why = plan.advance(rows, 0, 1)
+    _, _, why = plan.advance(rows, 1)
     if isinstance(why, StepFailure):
         raise why
     u = None if rows.controls is None else rows.controls[0]

@@ -139,6 +139,7 @@ class TestBadInput:
         # expm of h F overflows: the sampled pair is not finite
         ["run", "zoh-mimo", "--h", "1000"],
         ["run", "zoh-siso", "--h", "1e300"],
+        ["run", "observer", "--k", "-1", "--h", "1"],
     ])
     # bad input is reported before any numpy RuntimeWarning can be raised
     @pytest.mark.filterwarnings("error")
@@ -171,6 +172,9 @@ class TestBadInput:
          "h = 1000.0 overflows the sampled pair Phi, Gamma"),
         (["run", "zoh-siso", "--h", "1e300"],
          "h = 1e+300 overflows the sampled pair Phi, Gamma"),
+        (["run", "observer", "--k", "-1", "--h", "1"],
+         "I - h*theta*E is singular at h = 1.0, theta = 1.0: the drift map "
+         "is undefined"),
     ])
     def test_error_names_the_bad_input(self, argv, text, capsys):
         assert cli.main(argv) == 2

@@ -153,7 +153,7 @@ def test_advance_says_where_and_why_it_stopped():
         X[0] = Y[0] = x0
         rows = integrators.Trajectory(times=h * np.arange(N + 1), states=X,
                                       selections=S, outputs=Y)
-        k, taken, why = plan.advance(rows, 0, N)
+        k, taken, why = plan.advance(rows, N)
         assert (k, taken, getattr(why, "message", why)) == want
 
 
@@ -161,7 +161,7 @@ def _control_run(h, T):
     plan = integrators.step_plan(
         h, np.eye(1), h * np.eye(1), np.eye(1),
         solver=mlcp.sign_step_solver(h * np.eye(1)),
-        control=lambda x, s: 1.0 - 2.0 * s + x)
+        control=lambda X, S: 1.0 - 2.0 * S + X)
     return integrators.simulate(plan, [0.7], 0.0, T)
 
 

@@ -68,7 +68,7 @@ def outcome(plan, x0, s0, N):
     rows = stepwise._rows(plan, plan.h * np.arange(N + 1))
     rows.states[0], rows.selections[0] = x0, s0
     rows.outputs[0] = plan.output(np.array([x0]))
-    k, taken, why = plan.advance(rows, 0, N)
+    k, taken, why = plan.advance(rows, N)
     if isinstance(why, integrators.StepFailure):
         why = (why.message, why.problem_text,
                None if why.residual is None else bits(why.residual))

@@ -22,6 +22,9 @@ D and x0, and an m = 3 one at theta = 0.5 whose C has one nonzero entry in
 each row, none of them 1.  Three flat warm runs at m = 4, 8 and 12, built
 as the benchmark's `mimo-pivot` systems with E = 0, C = I and D all +0.0 or
 all -0.0, pin the step that takes x_{k+1} from the warm pivot's y.
+`EXPLICIT_DIGESTS` pins the explicit run of every registry entry that has
+a scheme, at its other defaults: forward Euler's selections sgn(y_k), and
+the ZOH and Lyapunov controls, whose u_k reads the selection of row k.
 
 The digests are tied to the numpy / LAPACK build they were recorded with
 (numpy 2.4.6 with scipy-openblas 0.3.31 on x86-64): another BLAS or LAPACK
@@ -298,6 +301,45 @@ LIBRARY_DIGESTS = {
     "zoh-siso-implicit": ("c8ea1b2754f976ffd334d2c04fbb7577"
                           "085060166c5ab0f4148bf32fa3320973"),
 }
+
+
+EXPLICIT_DIGESTS = {
+    "filippov": ("87f3b0f8e510451bb042be0ea661e538"
+                 "236219d3af271087eacfa1e94251b6e5"),
+    "galias2007": ("eb6e3963e01ce73de829eaa33708b7f7"
+                   "d69448b1a35f27ce03bf8ca6342bf93a"),
+    "lyapunov": ("0690684c57cd7af15bd369f713256da0"
+                 "eebfad6f94aca33df9dd890429ed3ecf"),
+    "multisurface": ("5e3fb5ab3a7c797d6f9c59287284ff5b"
+                     "73a1feffbbed6c8dafbf8a54df1cd26e"),
+    "observer": ("ad9878c460eeb2a4976a413bf6596e48"
+                 "7f40e5c6b58924af439d7c64b9d4c7d3"),
+    "simple": ("add83cc2cf45edadd812d896e9cb6fd4"
+               "98fac0d5320c091c2cfcbff55db3e171"),
+    "zoh-mimo": ("d48a3c3d2c81c14580e48aab58f70d13"
+                 "01063f539d66dad01f41c85689bd21a6"),
+    "zoh-siso": ("54f36af87f6e2321a65a7387ff890195"
+                 "c835d6372aeada72a5b6ba1e53e1f895"),
+}
+
+
+def test_explicit_digests_cover_the_schemes():
+    assert sorted(EXPLICIT_DIGESTS) == sorted(
+        name for name, spec in experiments.REGISTRY.items()
+        if "scheme" in spec.defaults)
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT_DIGESTS))
+def test_explicit_csv_digest(name, tmp_path):
+    traj = experiments.run_experiment(
+        name, {"scheme": "explicit"}).trajectories["traj"]
+    # forward Euler blows the observer up past the guard at step 5, as its
+    # stability check expects
+    assert (traj.failure is None) == (name != "observer")
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        EXPLICIT_DIGESTS[name]
 
 
 def test_library_digests_cover_the_runs():

@@ -148,7 +148,9 @@ class TestStepLinear:
     def test_singular_drift_rejected(self):
         sys = LinearSignSystem(n=1, m=1, E=[[10.0]], a=[0.0], B=[[1.0]],
                                C=[[1.0]], D=[0.0])
-        with pytest.raises(StepFailure):
+        with pytest.raises(ValueError, match=r"I - h\*theta\*E is singular "
+                           "at h = 0.1, theta = 1.0: the drift map is "
+                           "undefined"):
             linear_step(sys, [1.0], SchemeConfig(h=0.1, theta=1.0))
 
 
@@ -432,10 +434,11 @@ class TestSimulate:
         assert int(np.max(traj.newton_iters)) <= 10
 
     def test_failure_returns_partial_trajectory(self):
+        # a state past the guard fails step 0
         sys = LinearSignSystem(n=1, m=1, E=[[10.0]], a=[0.0], B=[[1.0]],
                                C=[[1.0]], D=[0.0])
-        traj = simulate_linear(sys, [1.0], 0.0, 1.0,
-                               SchemeConfig(h=0.1, theta=1.0))
+        traj = simulate_linear(sys, [2e12], 0.0, 1.0,
+                               SchemeConfig(h=0.1, theta=0.5))
         assert traj.failure is not None
         assert traj.failure.step == 0
         assert len(traj.times) == 1
@@ -634,23 +637,22 @@ class TestStepMarks:
         assert got.failure == ref.failure
         assert (got.failure is None) == (x0 == 0.5)
 
-    @pytest.mark.parametrize("control", [None, lambda x, s: -s])
-    def test_singular_drift_fails_at_step_0(self, control):
-        # I - h theta E = 1 - 0.5 * 2 is singular; the plan is built, and
-        # its run fails at step 0 with the drift's message, after the guard
-        plan = theta_plan(np.array([[2.0]]), np.eye(1), np.eye(1), None,
-                          None, SchemeConfig(h=0.5), "implicit",
+    @pytest.mark.parametrize("control", [None, lambda X, S: -S])
+    def test_singular_drift_builds_no_plan(self, control):
+        # I - h theta E = 1 - 0.5 * 2 is singular: the drift map is
+        # undefined, with or without a control, so no plan is built
+        args = (np.array([[2.0]]), np.eye(1), np.eye(1), None, None)
+        with pytest.raises(ValueError, match=r"I - h\*theta\*E is singular "
+                           "at h = 0.5, theta = 1.0: the drift map is "
+                           "undefined$"):
+            theta_plan(*args, SchemeConfig(h=0.5), "implicit",
+                       control=control)
+        # at theta = 0.5 it is 1 - 0.25 * 2, and the plan runs
+        plan = theta_plan(*args, SchemeConfig(h=0.5, theta=0.5), "implicit",
                           control=control)
         traj = simulate(plan, [1.0], 0.0, 2.0)
-        assert (traj.failure.step, traj.failure.message) == (
-            0, "singular implicit drift matrix I - h*theta*E")
-        assert traj.failure.detail is None
-        assert traj.steps_taken == 0 and len(traj.times) == 1
+        assert traj.failure is None
         assert (traj.controls is None) == (control is None)
-        assert simulate(plan, [2e12], 0.0, 2.0).failure.message == \
-            "state magnitude exceeded guard 1e+12"
-        with pytest.raises(StepFailure, match="singular implicit drift"):
-            stepwise.row(plan, np.ones(1), 0.0)
 
     @pytest.mark.parametrize("scheme", ["implicit", "explicit"])
     def test_selections_follow_the_scheme(self, scheme):
@@ -864,6 +866,32 @@ def test_guard_accepts_what_the_reduction_accepts(x):
     except StepFailure as exc:
         verdict = exc.message
     assert verdict == _reduction_verdict(x)
+
+
+def row_entries(rng, shape):
+    """Entries of either sign, a quarter of them 0.0, a quarter subnormal
+    and the rest log-uniform from 1e-150 to 1e150: the products and sums of
+    up to 12 of them stay finite."""
+    kind = rng.integers(0, 4, shape)
+    mag = np.where(kind == 0, 0.0, np.where(
+        kind == 1, rng.uniform(0.0, 2.2250738585072014e-308, shape),
+        10.0 ** rng.uniform(-150.0, 150.0, shape)))
+    return np.where(rng.random(shape) < 0.5, -mag, mag)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 12),
+       n=st.integers(1, 12), K=st.integers(1, 64))
+def test_stacked_product_has_each_rows_bytes(seed, m, n, K):
+    # a linear plan forms its outputs and controls after the loop by one
+    # stacked product, which must give every row the bytes of the
+    # matrix-vector product that a step would have taken
+    rng = np.random.default_rng(seed)
+    A, X = row_entries(rng, (m, n)), row_entries(rng, (K, n))
+    got = integrators._rows_by(A, X)
+    assert got.shape == (K, m)
+    for x, row in zip(X, got):
+        assert row.tobytes() == (A @ x).tobytes()
 
 
 @contextlib.contextmanager

@@ -63,11 +63,14 @@ def test_only_identity_plans_with_a_decision_get_a_block():
                                  solver=solver).block is not None
     assert integrators.step_plan(h, one, h * one, one, L=one, c=np.ones(1),
                                  solver=solver).block is not None
+    # the controls are formed from the rows after the loop, so a control
+    # does not bar the block
+    assert integrators.step_plan(h, one, h * one, one, solver=solver,
+                                 control=lambda X, S: S).block is not None
     others = [
         dict(Phi=2 * one),                            # Phi != I
         dict(L=0.5 * one),                            # L != I
         dict(c=lambda t: np.ones(1)),                 # driven
-        dict(control=lambda x, s: s),                 # control
         dict(solver=None),                            # explicit
         dict(solver=mlcp.sign_step_solver(-h * one)),  # cold solver only
     ]
@@ -96,16 +99,11 @@ def test_only_identity_plans_with_a_decision_get_a_block():
         solver = mlcp.sign_step_solver(W)
         assert isinstance(solver, mlcp.SignSolver)
         assert solver.saturated_run is None, W
-    # nor does the singular implicit drift's solver, whose solve fails
-    # (I - h theta E = 1 - 0.1 * 10 is singular)
-    with mock.patch.object(integrators, "step_plan",
-                           wraps=integrators.step_plan) as build:
-        plan = integrators.theta_plan(np.array([[10.0]]), one, one, None,
-                                      None, SchemeConfig(h=h), "implicit")
-    solver = build.call_args.kwargs["solver"]
-    assert solver.saturated_run is None and plan.block is None
-    with pytest.raises(mlcp.StepFailure, match="singular implicit drift"):
-        solver.solve(np.ones(1))
+    # a singular implicit drift (I - h theta E = 1 - 0.1 * 10) builds no
+    # plan at all
+    with pytest.raises(ValueError, match=r"I - h\*theta\*E is singular"):
+        integrators.theta_plan(np.array([[10.0]]), one, one, None, None,
+                               SchemeConfig(h=h), "implicit")
 
 
 @pytest.mark.parametrize("name, block", [
@@ -138,17 +136,17 @@ def test_block_takes_no_step_that_stepping_would_not():
                                  solver=mlcp.sign_step_solver(C @ Gamma))
     for x, s in (([-0.0, 3e5], 1.0), ([1e12 + 1.0, 3e5], 1.0),
                  ([0.0, 3e5], 0.5)):
-        X, Y = np.zeros((5, 2)), np.zeros((5, 1))
+        X = np.zeros((5, 2))
         X[0] = x
-        assert plan.block(X, Y, np.array([s])) == 0
-        assert not X[1:].any() and not Y.any()
+        assert plan.block(X, np.array([s])) == 0
+        assert not X[1:].any()
     # from 0.0 and from the guard itself: z = 3, then 2, then 1 (interior)
     for x0 in (0.0, 1e12):
-        X, Y = np.zeros((5, 2)), np.zeros((5, 1))
+        X = np.zeros((5, 2))
         X[0] = [x0, 3e5]
-        assert plan.block(X, Y, np.array([1.0])) == 2
+        assert plan.block(X, np.array([1.0])) == 2
         assert X[1:3].tolist() == [[x0 - 1e5, 2e5], [x0 - 2e5, 1e5]]
-        assert Y[1:3].tolist() == [[2e5], [1e5]]
+        assert not X[3:].any()
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +348,36 @@ def plan_of(args):
     return integrators.step_plan(**args, solver=mlcp.sign_step_solver(W))
 
 
+def test_flat_plan_with_a_control_takes_the_block():
+    # the controls are formed from the rows once the loop is done, so the
+    # block's rows get theirs too: u_k = K x_k + s / 2 here, with s
+    # saturated at (1, -1) until x_1 reaches its surface near t = 2.9
+    h, K = 0.01, np.array([[0.5, -1.0], [2.0, 0.25]])
+    B, C = np.array([[1.0, 0.2], [-0.1, 0.8]]), np.diag([2.0, 1.5])
+
+    def plan():
+        return integrators.step_plan(
+            h, np.eye(2), h * B, C, np.array([0.1, -0.05]),
+            c=h * np.array([0.3, -0.2]),
+            solver=mlcp.sign_step_solver(C @ (h * B)),
+            control=lambda X, S: integrators._rows_by(K, X) + 0.5 * S)
+    got_plan, rows = plan(), []
+    block = got_plan.block
+    assert block is not None
+
+    def tally(X, s):
+        rows.append(block(X, s))
+        return rows[-1]
+    got_plan.block = tally
+    got = integrators.simulate(got_plan, [3.0, -2.0], 0.0, 4.0)
+    ref = stepwise.run(plan(), [3.0, -2.0], 0.0, 4.0)
+    for name in FIELDS + ("controls",):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), \
+            name
+    assert got.failure is ref.failure is None
+    assert sum(rows) > 0 and got.steps_taken < len(got.times) - 1
+
+
 def run_pair(seed, case):
     args, x0, T = block_run(seed, case)
     with np.errstate(all="ignore"):
@@ -358,8 +386,8 @@ def run_pair(seed, case):
         if plan.block is not None:
             block = plan.block
 
-            def tally(X, Y, s):
-                rows.append(block(X, Y, s))
+            def tally(X, s):
+                rows.append(block(X, s))
                 return rows[-1]
             plan.block = tally
         got = integrators.simulate(plan, x0, 0.0, T)
